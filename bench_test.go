@@ -648,10 +648,10 @@ func BenchmarkHotReplicaWidenedQuery(b *testing.B) {
 
 // benchSyncPeers builds two in-sync replica peers of the root partition with
 // the given number of items, for anti-entropy protocol benchmarks.
-func benchSyncPeers(b *testing.B, items int, full bool) (*overlay.Peer, *overlay.Peer) {
+func benchSyncPeers(b *testing.B, items int) (*overlay.Peer, *overlay.Peer) {
 	b.Helper()
 	net := network.NewSim(network.SimConfig{Seed: 3})
-	cfg := overlay.Config{MaxKeys: 1 << 20, MinReplicas: 1, FullSyncAntiEntropy: full, Seed: 3}
+	cfg := overlay.Config{MaxKeys: 1 << 20, MinReplicas: 1, Seed: 3}
 	pa := overlay.New(cfg, net.Endpoint("bench-a"))
 	cfgB := cfg
 	cfgB.Seed = 4
@@ -670,7 +670,7 @@ func benchSyncPeers(b *testing.B, items int, full bool) (*overlay.Peer, *overlay
 // identical replicas — the steady-state maintenance hot path, whose cost
 // must stay independent of the store size.
 func BenchmarkAntiEntropySteadyState(b *testing.B) {
-	pa, pb := benchSyncPeers(b, 1000, false)
+	pa, pb := benchSyncPeers(b, 1000)
 	ctx := contextBackground()
 	if _, err := pa.SyncReplica(ctx, pb.Addr()); err != nil {
 		b.Fatal(err)
@@ -683,24 +683,10 @@ func BenchmarkAntiEntropySteadyState(b *testing.B) {
 	}
 }
 
-// BenchmarkAntiEntropyFullSet measures one legacy full-set exchange between
-// identical replicas of the same size — the baseline the digest protocol
-// replaces (its cost grows with the store).
-func BenchmarkAntiEntropyFullSet(b *testing.B) {
-	pa, pb := benchSyncPeers(b, 1000, true)
-	ctx := contextBackground()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pa.AntiEntropy(ctx, pb.Addr()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAntiEntropyDelta measures an incremental sync moving a handful of
 // changed pairs between 1000-item replicas.
 func BenchmarkAntiEntropyDelta(b *testing.B) {
-	pa, pb := benchSyncPeers(b, 1000, false)
+	pa, pb := benchSyncPeers(b, 1000)
 	ctx := contextBackground()
 	if _, err := pa.SyncReplica(ctx, pb.Addr()); err != nil {
 		b.Fatal(err)
@@ -880,24 +866,6 @@ func BenchmarkWireEncodeBinary(b *testing.B) {
 	b.ReportMetric(float64(len(data)), "wire-B/msg")
 }
 
-// BenchmarkWireEncodeJSON measures encoding the same message with the
-// legacy reflective JSON envelope — the dial-per-call transport's codec.
-func BenchmarkWireEncodeJSON(b *testing.B) {
-	msg := benchWireMessage()
-	data, err := network.EncodeMessage("bench", msg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := network.EncodeMessage("bench", msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(data)), "wire-B/msg")
-}
-
 // BenchmarkWireDecodeBinary measures the binary decode path (frame parse,
 // reassembly bookkeeping, hand-written typed codec).
 func BenchmarkWireDecodeBinary(b *testing.B) {
@@ -914,24 +882,9 @@ func BenchmarkWireDecodeBinary(b *testing.B) {
 	}
 }
 
-// BenchmarkWireDecodeJSON measures the legacy reflective JSON decode path.
-func BenchmarkWireDecodeJSON(b *testing.B) {
-	data, err := network.EncodeMessage("bench", benchWireMessage())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := network.DecodeMessage(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchTCPPair starts a loopback server answering every query with the
 // representative response, plus a client endpoint.
-func benchTCPPair(b *testing.B, opts network.TCPOptions) (server, client *network.TCPEndpoint) {
+func benchTCPPair(b *testing.B) (server, client *network.TCPEndpoint) {
 	b.Helper()
 	server, err := network.ListenTCP("127.0.0.1:0")
 	if err != nil {
@@ -944,7 +897,6 @@ func benchTCPPair(b *testing.B, opts network.TCPOptions) (server, client *networ
 		server.Close()
 		b.Fatal(err)
 	}
-	client.SetOptions(opts)
 	b.Cleanup(func() {
 		client.Close()
 		server.Close()
@@ -954,29 +906,9 @@ func benchTCPPair(b *testing.B, opts network.TCPOptions) (server, client *networ
 
 // BenchmarkTCPCallBinaryPooled measures one request/response over the
 // pooled persistent-connection binary transport — the per-hop wire cost a
-// query pays in a TCP deployment. Compare with
-// BenchmarkTCPCallJSONDialPerCall for the transport upgrade's effect.
+// query pays in a TCP deployment.
 func BenchmarkTCPCallBinaryPooled(b *testing.B) {
-	server, client := benchTCPPair(b, network.TCPOptions{})
-	ctx := contextBackground()
-	req := overlay.QueryRequest{Key: FloatKey(0.42), TTL: 16}
-	if _, err := client.Call(ctx, server.Addr(), req); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Call(ctx, server.Addr(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTCPCallJSONDialPerCall measures the same exchange over the
-// legacy transport behaviour: a fresh TCP dial and a reflective JSON
-// envelope per call.
-func BenchmarkTCPCallJSONDialPerCall(b *testing.B) {
-	server, client := benchTCPPair(b, network.TCPOptions{ForceJSON: true})
+	server, client := benchTCPPair(b)
 	ctx := contextBackground()
 	req := overlay.QueryRequest{Key: FloatKey(0.42), TTL: 16}
 	if _, err := client.Call(ctx, server.Addr(), req); err != nil {
@@ -995,7 +927,7 @@ func BenchmarkTCPCallJSONDialPerCall(b *testing.B) {
 // concurrent callers, the shape α-raced lookups produce: all requests
 // multiplex over one connection per peer.
 func BenchmarkTCPCallBinaryPooledParallel(b *testing.B) {
-	server, client := benchTCPPair(b, network.TCPOptions{})
+	server, client := benchTCPPair(b)
 	req := overlay.QueryRequest{Key: FloatKey(0.42), TTL: 16}
 	if _, err := client.Call(contextBackground(), server.Addr(), req); err != nil {
 		b.Fatal(err)

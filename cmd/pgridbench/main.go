@@ -13,7 +13,6 @@
 //	pgridbench -fig q          # concurrent query engine: α / fan-out sweep
 //	pgridbench -fig w          # live mutations: mixed read/write workload
 //	pgridbench -fig dur        # durability: WAL append / checkpoint / recovery
-//	pgridbench -fig net        # wire codec / transport: JSON+dial vs binary+pooled
 //	pgridbench -fig zipf       # hot keys: answer cache + adaptive widening vs skew
 //	pgridbench -fig all        # everything
 //
@@ -30,7 +29,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -38,8 +36,6 @@ import (
 	"pgrid"
 	"pgrid/internal/churn"
 	"pgrid/internal/core"
-	"pgrid/internal/network"
-	"pgrid/internal/overlay"
 	"pgrid/internal/replication"
 	"pgrid/internal/routing"
 	"pgrid/internal/sim"
@@ -48,14 +44,14 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6a,6b,6c,6d,6e,6f,7,8,9,t1,t2,q,w,ae,dur,net,zipf,all")
+	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,6a,6b,6c,6d,6e,6f,7,8,9,t1,t2,q,w,ae,dur,zipf,all")
 	quick := flag.Bool("quick", true, "use reduced sizes for fast runs")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Parse()
 
 	targets := strings.Split(*fig, ",")
 	if *fig == "all" {
-		targets = []string{"3", "4", "5", "6a", "6b", "6c", "6d", "6e", "6f", "7", "8", "9", "t1", "t2", "q", "w", "ae", "dur", "net", "zipf"}
+		targets = []string{"3", "4", "5", "6a", "6b", "6c", "6d", "6e", "6f", "7", "8", "9", "t1", "t2", "q", "w", "ae", "dur", "zipf"}
 	}
 	for _, t := range targets {
 		if err := run(strings.TrimSpace(t), *quick, *seed); err != nil {
@@ -95,8 +91,6 @@ func run(fig string, quick bool, seed int64) error {
 		return antiEntropy(quick, seed)
 	case "dur":
 		return durability(quick, seed)
-	case "net":
-		return netCodec(quick)
 	case "zipf":
 		return zipfHotKeys(quick, seed)
 	default:
@@ -632,12 +626,11 @@ func liveWorkload(quick bool, seed int64) error {
 }
 
 // antiEntropy measures maintenance bandwidth as a function of lifetime
-// deletes: the legacy full-set exchange retransmits the partition's entire
-// item and tombstone set every tick, so its bytes-per-tick grow linearly
-// with the deletes the overlay has ever seen, while the digest/delta
-// protocol (the default) pays a constant digest round in steady state and
-// the tombstone GC bounds the metadata itself. This is the figure behind
-// the tombstone-GC item in ROADMAP.md.
+// deletes: the digest/delta protocol pays a constant digest round in steady
+// state however many deletes the overlay has ever seen, and the tombstone GC
+// bounds the metadata itself — compared here against the same protocol
+// keeping tombstones forever. This is the figure behind the tombstone-GC
+// item in ROADMAP.md.
 func antiEntropy(quick bool, seed int64) error {
 	header("Anti-entropy: maintenance bytes/tick vs lifetime deletes")
 	ctx := context.Background()
@@ -672,11 +665,11 @@ func antiEntropy(quick bool, seed int64) error {
 		return c, nil
 	}
 
-	full, err := build(pgrid.WithFullSyncAntiEntropy())
+	keep, err := build()
 	if err != nil {
 		return err
 	}
-	digest, err := build(pgrid.WithTombstoneGC(0, 64))
+	gc, err := build(pgrid.WithTombstoneGC(0, 64))
 	if err != nil {
 		return err
 	}
@@ -717,33 +710,33 @@ func antiEntropy(quick bool, seed int64) error {
 	}
 
 	fmt.Printf("%d peers, %d base items, %d maintenance ticks per measurement\n", peers, items, measureTicks)
-	fmt.Println("full-set = legacy exchange (tombstones kept forever); digest = delta protocol + GC horizon of 64 versions")
+	fmt.Println("no-gc = digest/delta protocol, tombstones kept forever; gc = same protocol + GC horizon of 64 versions")
 	fmt.Println()
-	fmt.Printf("%16s %18s %18s %16s %16s\n", "lifetime deletes", "full-set B/tick", "digest B/tick", "full tombstones", "gc tombstones")
+	fmt.Printf("%16s %18s %18s %16s %16s\n", "lifetime deletes", "no-gc B/tick", "gc B/tick", "no-gc tombstones", "gc tombstones")
 	done := 0
 	for _, target := range epochDeletes {
 		for ; done < target; done++ {
-			writeDelete(full, done)
-			writeDelete(digest, done)
+			writeDelete(keep, done)
+			writeDelete(gc, done)
 			if done%50 == 49 {
 				// Background maintenance keeps running while the write
 				// workload churns, as it would in production.
-				full.MaintenanceRound(ctx)
-				digest.MaintenanceRound(ctx)
+				keep.MaintenanceRound(ctx)
+				gc.MaintenanceRound(ctx)
 			}
 		}
-		fb := bytesPerTick(full)
-		db := bytesPerTick(digest)
-		fmt.Printf("%16d %18.0f %18.0f %16d %16d\n", done, fb, db, tombstones(full), tombstones(digest))
+		kb := bytesPerTick(keep)
+		gb := bytesPerTick(gc)
+		fmt.Printf("%16d %18.0f %18.0f %16d %16d\n", done, kb, gb, tombstones(keep), tombstones(gc))
 	}
 	var insync, delta, fullSyncs float64
-	for i := 0; i < digest.Peers(); i++ {
-		m := &digest.Peer(i).Metrics
+	for i := 0; i < gc.Peers(); i++ {
+		m := &gc.Peer(i).Metrics
 		insync += m.SyncsInSync.Value()
 		delta += m.SyncsDelta.Value()
 		fullSyncs += m.SyncsFull.Value()
 	}
-	fmt.Printf("\ndigest cluster sync rounds: %.0f in-sync, %.0f delta, %.0f full\n", insync, delta, fullSyncs)
+	fmt.Printf("\ngc cluster sync rounds: %.0f in-sync, %.0f delta, %.0f full\n", insync, delta, fullSyncs)
 	return nil
 }
 
@@ -872,135 +865,6 @@ func durability(quick bool, seed int64) error {
 	}
 	fmt.Printf("\ncluster restart (4/16 peers): %.1f ms; post-restart syncs: %.0f in-sync, %.0f delta, %.0f full\n",
 		restartMS, insync, delta, full)
-	return nil
-}
-
-// netCodec prints the wire-codec and transport comparison (beyond the
-// paper): per-message bytes and encode/decode cost for the legacy JSON
-// envelope versus the compact binary codec, then loopback TCP round-trip
-// latency for dial-per-call JSON versus the pooled persistent-connection
-// binary transport. These are the constant factors multiplying the paper's
-// O(log n) messages per query.
-func netCodec(quick bool) error {
-	header("Wire codec and transport: JSON+dial-per-call vs binary+pooled (beyond the paper)")
-
-	items := func(n int) []replication.Item {
-		out := make([]replication.Item, n)
-		for i := range out {
-			out[i] = replication.Item{
-				Key:   pgrid.FloatKey(float64(i) / float64(n)),
-				Value: fmt.Sprintf("document-%04d", i),
-				Gen:   uint64(i % 3),
-			}
-		}
-		return out
-	}
-	messages := []struct {
-		name string
-		msg  any
-	}{
-		{"QueryRequest", overlay.QueryRequest{Key: pgrid.FloatKey(0.42), TTL: 16}},
-		{"QueryResponse/16", overlay.QueryResponse{Found: true, Items: items(16), Hops: 3, Responsible: "127.0.0.1:40404", ResponsiblePath: "101101"}},
-		{"DeltaResponse/256", overlay.DeltaResponse{Path: "10", Clock: 999, Items: items(256), Replicas: []network.Addr{"127.0.0.1:1", "127.0.0.1:2"}}},
-	}
-	reps := 20000
-	if quick {
-		reps = 4000
-	}
-	fmt.Printf("%-18s %10s %10s %7s %14s %14s %14s %14s\n",
-		"message", "JSON B", "binary B", "ratio", "enc JSON µs", "enc bin µs", "dec JSON µs", "dec bin µs")
-	for _, m := range messages {
-		jsonData, err := network.EncodeMessage("bench", m.msg)
-		if err != nil {
-			return err
-		}
-		binData, err := network.EncodeMessageBinary("bench", m.msg, 0)
-		if err != nil {
-			return err
-		}
-		time4 := func(f func() error) (float64, error) {
-			start := time.Now()
-			for i := 0; i < reps; i++ {
-				if err := f(); err != nil {
-					return 0, err
-				}
-			}
-			return float64(time.Since(start).Microseconds()) / float64(reps), nil
-		}
-		encJSON, err := time4(func() error { _, err := network.EncodeMessage("bench", m.msg); return err })
-		if err != nil {
-			return err
-		}
-		encBin, err := time4(func() error { _, err := network.EncodeMessageBinary("bench", m.msg, 0); return err })
-		if err != nil {
-			return err
-		}
-		decJSON, err := time4(func() error { _, _, err := network.DecodeMessage(jsonData); return err })
-		if err != nil {
-			return err
-		}
-		decBin, err := time4(func() error { _, _, err := network.DecodeMessageBinary(binData); return err })
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-18s %10d %10d %6.1fx %14.2f %14.2f %14.2f %14.2f\n",
-			m.name, len(jsonData), len(binData),
-			float64(len(jsonData))/float64(len(binData)),
-			encJSON, encBin, decJSON, decBin)
-	}
-
-	// Transport round trips over loopback.
-	calls := 5000
-	if quick {
-		calls = 1000
-	}
-	resp := overlay.QueryResponse{Found: true, Items: items(16), Hops: 3, ResponsiblePath: "101101"}
-	req := overlay.QueryRequest{Key: pgrid.FloatKey(0.42), TTL: 16}
-	fmt.Printf("\n%-28s %12s %14s %12s\n", "transport", "calls", "p50 µs/call", "calls/s")
-	for _, mode := range []struct {
-		name string
-		opts network.TCPOptions
-	}{
-		{"JSON dial-per-call (legacy)", network.TCPOptions{ForceJSON: true}},
-		{"binary pooled", network.TCPOptions{}},
-	} {
-		server, err := network.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		server.Handle(func(context.Context, network.Addr, any) (any, error) { return resp, nil })
-		client, err := network.ListenTCP("127.0.0.1:0")
-		if err != nil {
-			server.Close()
-			return err
-		}
-		client.SetOptions(mode.opts)
-		ctx := context.Background()
-		if _, err := client.Call(ctx, server.Addr(), req); err != nil {
-			client.Close()
-			server.Close()
-			return err
-		}
-		lat := make([]float64, calls)
-		start := time.Now()
-		for i := 0; i < calls; i++ {
-			t0 := time.Now()
-			if _, err := client.Call(ctx, server.Addr(), req); err != nil {
-				client.Close()
-				server.Close()
-				return err
-			}
-			lat[i] = float64(time.Since(t0).Microseconds())
-		}
-		total := time.Since(start).Seconds()
-		sort.Float64s(lat)
-		fmt.Printf("%-28s %12d %14.1f %12.0f\n", mode.name, calls, lat[len(lat)/2], float64(calls)/total)
-		client.Close()
-		server.Close()
-	}
-	fmt.Println("\nThe binary codec removes the reflective JSON encode/decode from every")
-	fmt.Println("hop, and the pooled transport removes the per-call TCP dial; together")
-	fmt.Println("they shrink both halves of the per-message constant factor.")
 	return nil
 }
 

@@ -58,7 +58,6 @@ func main() {
 		dialTimeout  = flag.Duration("dial-timeout", 0, "TCP transport: connection-establishment timeout (0 = default)")
 		callTimeout  = flag.Duration("call-timeout", 0, "TCP transport: per-call timeout when the context has no deadline (0 = default)")
 		idleTimeout  = flag.Duration("idle-timeout", 0, "TCP transport: idle horizon before a pooled connection is closed (0 = default)")
-		forceJSON    = flag.Bool("force-json", false, "TCP transport: pin outgoing calls to the legacy JSON dial-per-call path")
 	)
 	flag.Var(&peers, "peer", "address of an overlay entry peer (repeatable)")
 	flag.Parse()
@@ -71,7 +70,6 @@ func main() {
 			DialTimeout: *dialTimeout,
 			CallTimeout: *callTimeout,
 			IdleTimeout: *idleTimeout,
-			ForceJSON:   *forceJSON,
 		},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "pgridgate:", err)

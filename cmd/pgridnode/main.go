@@ -93,7 +93,6 @@ func main() {
 		idleTimeout  = flag.Duration("idle-timeout", 0, "TCP transport: per-connection idle horizon before a pooled connection is closed (0 = default)")
 		frameLimit   = flag.Int("frame-limit", 0, "TCP transport: outgoing frame size cap in bytes; larger messages fragment (0 = protocol cap)")
 		maxMessage   = flag.Int("max-message", 0, "TCP transport: reassembled message size cap in bytes (0 = default)")
-		forceJSON    = flag.Bool("force-json", false, "TCP transport: pin outgoing calls to the legacy JSON dial-per-call path")
 	)
 	flag.Var(&puts, "put", "index an entry of the form term=value (repeatable)")
 	flag.Var(&gets, "get", "query a term after construction (repeatable)")
@@ -110,7 +109,6 @@ func main() {
 			IdleTimeout: *idleTimeout,
 			FrameLimit:  *frameLimit,
 			MaxMessage:  *maxMessage,
-			ForceJSON:   *forceJSON,
 		},
 	}
 	if err := run(opts); err != nil {

@@ -10,10 +10,9 @@ import (
 // SentErr flags comparisons of errors against exported sentinel values
 // (ErrNotFound, ErrUnreachable, ErrNoQuorum, ...) that use == or != instead
 // of errors.Is. The transports and the overlay wrap sentinels liberally
-// (fmt.Errorf("...: %w", ErrUnreachable), errConnDied wrapping
-// ErrUnreachable), so an identity comparison silently stops matching the
-// moment a call path adds a wrap — exactly the kind of regression a
-// reviewer cannot see at the comparison site.
+// (fmt.Errorf("...: %w", ErrUnreachable)), so an identity comparison
+// silently stops matching the moment a call path adds a wrap — exactly the
+// kind of regression a reviewer cannot see at the comparison site.
 var SentErr = &Analyzer{
 	Name: "senterr",
 	Doc:  "error comparisons against exported Err* sentinels must use errors.Is, not == or !=",

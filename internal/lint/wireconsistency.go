@@ -15,27 +15,25 @@ import (
 // the type also needs a hand-written binary codec (AppendWire on the value,
 // UnmarshalWire on the pointer — wirecodec.go), a WireSize estimate for the
 // sim's bandwidth accounting, a golden vector pinning its exact encoding in
-// testdata/wire_golden.txt, and a seed in both fuzz corpora
-// (testdata/fuzz/FuzzBinaryWireDecode and FuzzWireDecode). A message that
-// skips a leg ships either without a binary codec (it silently rides the
-// JSON fallback), without a pinned format (the next refactor breaks
-// deployed clusters undetected), or without fuzz coverage. The analyzer
-// fails the build naming the missing leg. Registrations in _test.go files
-// are exempt: test-only messages are not protocol messages.
+// testdata/wire_golden.txt, and a seed in the fuzz corpus
+// (testdata/fuzz/FuzzBinaryWireDecode). A message that skips a leg ships
+// either without a binary codec (RegisterType panics at start-up; this
+// reports it at build time), without a pinned format (the next refactor
+// breaks deployed clusters undetected), or without fuzz coverage. The
+// analyzer fails the build naming the missing leg. Registrations in _test.go
+// files are exempt: test-only messages are not protocol messages.
 var WireConsistency = &Analyzer{
 	Name: "wireconsistency",
-	Doc:  "every registered wire message needs a binary codec, WireSize, a golden vector and fuzz corpus seeds",
+	Doc:  "every registered wire message needs a binary codec, WireSize, a golden vector and a fuzz corpus seed",
 	Run:  runWireConsistency,
 }
 
-// goldenFile and the corpus directories, relative to the registering
+// goldenFile and the fuzz corpus directory, relative to the registering
 // package's directory.
 const (
-	goldenFile  = "testdata/wire_golden.txt"
-	fuzzCorpora = "testdata/fuzz"
+	goldenFile = "testdata/wire_golden.txt"
+	fuzzCorpus = "testdata/fuzz/FuzzBinaryWireDecode"
 )
-
-var corpusNames = []string{"FuzzBinaryWireDecode", "FuzzWireDecode"}
 
 func runWireConsistency(pass *Pass) error {
 	type registration struct {
@@ -110,12 +108,10 @@ func runWireConsistency(pass *Pass) error {
 			pass.Reportf(pos, "wire message %q (%s) has no golden vector in %s; regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/overlay -run TestGoldenWireVectors",
 				reg.msgName, typeName, goldenFile)
 		}
-		for _, corpus := range corpusNames {
-			seed := filepath.Join(fuzzCorpora, corpus, "seed-"+strings.ToLower(typeName))
-			if _, err := os.Stat(filepath.Join(pass.Dir, seed)); err != nil {
-				pass.Reportf(pos, "wire message %q (%s) has no fuzz corpus seed %s",
-					reg.msgName, typeName, seed)
-			}
+		seed := filepath.Join(fuzzCorpus, "seed-"+strings.ToLower(typeName))
+		if _, err := os.Stat(filepath.Join(pass.Dir, seed)); err != nil {
+			pass.Reportf(pos, "wire message %q (%s) has no fuzz corpus seed %s",
+				reg.msgName, typeName, seed)
 		}
 	}
 	if !goldenOK {

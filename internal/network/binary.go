@@ -4,13 +4,10 @@ package network
 // the per-frame envelope, fragmentation of messages larger than one frame,
 // and the translation between registered payload values and frame bodies.
 //
-// Every frame is the usual 4-byte length prefix plus a payload. A binary
-// payload is distinguished from a legacy JSON envelope by its first byte:
-// JSON objects start with '{' (0x7B), binary frames with magicBinary (0xBF).
-// The binary payload layout is:
+// Every frame is a 4-byte big-endian length prefix plus a payload:
 //
 //	byte 0: magicBinary
-//	byte 1: flags (fResp/fErr/fMore/fFrag/fJSON)
+//	byte 1: flags (fResp/fErr/fMore/fFrag)
 //	uvarint: message id (request/response correlation on multiplexed conns)
 //	-- first frame of a message only (fFrag clear):
 //	string:  sender address
@@ -21,19 +18,15 @@ package network
 // A message whose encoded body exceeds the frame limit is split into one
 // first frame plus continuation fragments (fFrag), all but the last carrying
 // fMore; the receiver reassembles them per id up to MaxMessage. This is what
-// lets anti-entropy ship a rebuild image larger than one frame — the legacy
-// JSON transport failed such transfers permanently.
+// lets anti-entropy ship a rebuild image larger than one frame.
 //
-// The body of a message whose type implements the wire codec
-// (wire.Marshaler / wire.Unmarshaler) is that compact binary encoding —
-// no reflection walks any field on this path. Types registered without a
-// codec still travel over pooled connections with a JSON-encoded body,
-// marked by the fJSON flag.
+// The body is the message type's compact wire encoding (wire.Marshaler /
+// wire.Unmarshaler, which RegisterType requires) — no reflection walks any
+// field on this path.
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -45,9 +38,9 @@ import (
 	"pgrid/internal/wire"
 )
 
-// magicBinary is the first payload byte of every binary frame. It can never
-// open a JSON envelope, so a receiver distinguishes the two codecs without
-// negotiation state.
+// magicBinary is the first payload byte of every frame and doubles as the
+// protocol version: a frame that opens with anything else is a protocol
+// violation and closes the connection.
 const magicBinary = 0xBF
 
 // Frame flags.
@@ -61,9 +54,6 @@ const (
 	// fFrag marks a continuation fragment: the payload after the id is raw
 	// body bytes (no sender/type header).
 	fFrag byte = 1 << 3
-	// fJSON marks a JSON-encoded body (payload type registered without a
-	// binary codec).
-	fJSON byte = 1 << 4
 )
 
 // maxPartialAssemblies bounds how many fragmented messages one connection
@@ -84,10 +74,9 @@ type binFrame struct {
 	body  []byte
 }
 
-// parseBinFrame decodes a binary frame payload (first byte already matched
-// magicBinary).
+// parseBinFrame decodes one frame payload.
 func parseBinFrame(payload []byte) (binFrame, error) {
-	if len(payload) < 2 {
+	if len(payload) < 2 || payload[0] != magicBinary {
 		return binFrame{}, errBinaryProtocol
 	}
 	fr := binFrame{flags: payload[1]}
@@ -193,9 +182,7 @@ const bodyPoolMaxCap = 1 << 20
 func getBodyBuf() *[]byte { return bodyPool.Get().(*[]byte) }
 
 func putBodyBuf(b *[]byte, body []byte) {
-	// Keep the grown encode buffer when the body actually used it (binary
-	// codecs append into the pooled buffer; the JSON fallback allocates its
-	// own, leaving the pooled one untouched).
+	// Keep the encode buffer the codec grew.
 	if cap(body) > cap(*b) && cap(body) <= bodyPoolMaxCap {
 		*b = body[:0]
 	}
@@ -204,43 +191,24 @@ func putBodyBuf(b *[]byte, body []byte) {
 	}
 }
 
-// encodeBinBody serialises a registered payload value into a frame body
-// appended to dst (pass nil to allocate): the compact wire encoding when
-// the type has a codec, JSON (jsonBody=true, own allocation) otherwise.
-// One registry resolution covers both the name and the codec capability —
-// this runs for every outgoing message.
-func encodeBinBody(dst []byte, v any) (name string, body []byte, jsonBody bool, err error) {
-	name, info, ok := resolveType(v)
-	if !ok {
-		return "", nil, false, fmt.Errorf("network: payload type %T not registered", v)
+// encodeBinBody appends a registered payload value's wire encoding to dst
+// (pass nil to allocate) and returns it with the type's registered name.
+func encodeBinBody(dst []byte, v any) (name string, body []byte, err error) {
+	name = typeName(v)
+	if name == "" {
+		return "", nil, fmt.Errorf("network: payload type %T not registered", v)
 	}
-	if info.binary {
-		return name, v.(wire.Marshaler).AppendWire(dst), false, nil
-	}
-	body, err = json.Marshal(v)
-	if err != nil {
-		return "", nil, false, fmt.Errorf("network: encode payload: %w", err)
-	}
-	return name, body, true, nil
+	return name, v.(wire.Marshaler).AppendWire(dst), nil
 }
 
 // decodeBinBody reconstructs the payload value of a frame body.
-func decodeBinBody(typ string, body []byte, jsonBody bool) (any, error) {
-	info, ok := lookupType(typ)
+func decodeBinBody(typ string, body []byte) (any, error) {
+	t, ok := lookupType(typ)
 	if !ok {
 		return nil, fmt.Errorf("network: unknown payload type %q", typ)
 	}
-	ptr := reflect.New(info.t)
-	if !jsonBody && info.binary {
-		if err := ptr.Interface().(wire.Unmarshaler).UnmarshalWire(body); err != nil {
-			return nil, fmt.Errorf("network: decode payload %q: %w", typ, err)
-		}
-		return ptr.Elem().Interface(), nil
-	}
-	if !jsonBody {
-		return nil, fmt.Errorf("network: payload type %q has no binary codec", typ)
-	}
-	if err := json.Unmarshal(body, ptr.Interface()); err != nil {
+	ptr := reflect.New(t)
+	if err := ptr.Interface().(wire.Unmarshaler).UnmarshalWire(body); err != nil {
 		return nil, fmt.Errorf("network: decode payload %q: %w", typ, err)
 	}
 	return ptr.Elem().Interface(), nil
@@ -436,22 +404,6 @@ func (fw *frameWriter) writeMsg(ctx context.Context, flags byte, id uint64, from
 	}
 }
 
-// writeRaw writes one pre-encoded frame payload (the legacy JSON envelope
-// path) and flushes.
-func (fw *frameWriter) writeRaw(payload []byte) error {
-	fw.mu.Lock()
-	defer fw.mu.Unlock()
-	_ = fw.conn.SetWriteDeadline(time.Now().Add(fw.writeTimeout))
-	if err := writeFrameParts(fw.bw, payload, nil); err != nil {
-		return err
-	}
-	if err := fw.bw.Flush(); err != nil {
-		return err
-	}
-	fw.touch()
-	return nil
-}
-
 func (fw *frameWriter) touch() {
 	if fw.activity != nil {
 		fw.activity.Store(time.Now().UnixNano())
@@ -459,11 +411,10 @@ func (fw *frameWriter) touch() {
 }
 
 // connWatchdog closes the connection once it has been idle — no bytes read
-// or written, no requests in flight — for the idle timeout. This replaces
-// the old transport's hardcoded 30-second absolute connection deadline: a
-// pooled connection stays alive as long as it is useful, and a legitimately
-// long transfer or handler keeps it open because activity and in-flight
-// tracking are refreshed per frame.
+// or written, no requests in flight — for the idle timeout. A pooled
+// connection stays alive as long as it is useful, and a legitimately long
+// transfer or handler keeps it open because activity and in-flight tracking
+// are refreshed per frame.
 func connWatchdog(conn net.Conn, idle time.Duration, activity, inflight *atomic.Int64, done <-chan struct{}) {
 	tick := idle / 4
 	if tick < 10*time.Millisecond {

@@ -2,62 +2,15 @@ package network
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 )
 
-// This file exposes both wire codecs of the TCP transport as standalone
-// functions, so tests and fuzz targets can exercise the exact encode/decode
-// paths a message takes on the wire without opening sockets:
-//
-//   - EncodeMessage/DecodeMessage: the legacy length-prefixed JSON envelope
-//     (the mixed-version fallback format).
-//   - EncodeMessageBinary/DecodeMessageBinary: the binary protocol frames,
-//     including fragmentation and reassembly of oversized messages.
-
-// EncodeMessage serialises a registered payload value into one
-// length-prefixed JSON wire frame, exactly as the legacy transport path
-// sends it. It fails when the payload's type has not been registered with
-// RegisterType.
-func EncodeMessage(from Addr, v any) ([]byte, error) {
-	env, err := encodePayload(from, v)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("network: encode frame: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, body); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeMessage parses one JSON wire frame and reconstructs its payload
-// value, exactly as the TCP transport does on receipt of a legacy frame. A
-// frame carrying a remote error is surfaced as a *RemoteError.
-func DecodeMessage(data []byte) (from Addr, payload any, err error) {
-	raw, err := readFrame(bytes.NewReader(data))
-	if err != nil {
-		return "", nil, err
-	}
-	var env envelope
-	if err := json.Unmarshal(raw, &env); err != nil {
-		return "", nil, fmt.Errorf("network: decode frame: %w", err)
-	}
-	if env.Err != "" {
-		return env.From, nil, &RemoteError{Msg: env.Err}
-	}
-	payload, err = decodePayload(env)
-	if err != nil {
-		return env.From, nil, err
-	}
-	return env.From, payload, nil
-}
+// This file exposes the transport's wire codec as standalone functions, so
+// tests and fuzz targets can exercise the exact encode/decode path a message
+// takes on the wire — fragmentation and reassembly included — without
+// opening sockets.
 
 // EncodeMessageBinary serialises a registered payload value into its binary
 // protocol frame sequence — one frame in the common case, several when the
@@ -65,15 +18,11 @@ func DecodeMessage(data []byte) (from Addr, payload any, err error) {
 // message id is fixed to 1, making the encoding deterministic for golden
 // tests and corpora.
 func EncodeMessageBinary(from Addr, v any, frameLimit int) ([]byte, error) {
-	name, body, jsonBody, err := encodeBinBody(nil, v)
+	name, body, err := encodeBinBody(nil, v)
 	if err != nil {
 		return nil, err
 	}
-	var flags byte
-	if jsonBody {
-		flags = fJSON
-	}
-	return appendBinFrames(nil, flags, 1, from, name, body, frameLimit)
+	return appendBinFrames(nil, 0, 1, from, name, body, frameLimit)
 }
 
 // DecodeMessageBinary parses a binary protocol frame sequence (reassembling
@@ -91,9 +40,6 @@ func DecodeMessageBinary(data []byte) (from Addr, payload any, err error) {
 			}
 			return "", nil, err
 		}
-		if len(raw) == 0 || raw[0] != magicBinary {
-			return "", nil, errBinaryProtocol
-		}
 		fr, err := parseBinFrame(raw)
 		if err != nil {
 			return "", nil, err
@@ -108,7 +54,7 @@ func DecodeMessageBinary(data []byte) (from Addr, payload any, err error) {
 		if msg.flags&fErr != 0 {
 			return msg.from, nil, &RemoteError{Msg: string(msg.body)}
 		}
-		payload, err = decodeBinBody(msg.typ, msg.body, msg.flags&fJSON != 0)
+		payload, err = decodeBinBody(msg.typ, msg.body)
 		if err != nil {
 			return msg.from, nil, err
 		}

@@ -9,23 +9,12 @@ package network
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// errConnDied reports that a pooled connection closed while a call was
-// waiting on it, before its response arrived. Call uses it to decide
-// whether the peer might be a legacy JSON node. It wraps ErrUnreachable so
-// callers classifying peer-down failures see the same error identity as
-// every other connectivity failure.
-var errConnDied = fmt.Errorf("%w: pooled connection closed", ErrUnreachable)
-
-// errorsIsConnDied reports whether an error chain contains errConnDied.
-func errorsIsConnDied(err error) bool { return errors.Is(err, errConnDied) }
 
 // maxPoolEntries triggers a sweep of dead pool entries when the map has
 // accumulated this many destinations (churn creates ever-new addresses;
@@ -170,9 +159,6 @@ type poolConn struct {
 	activity atomic.Int64
 	inflight atomic.Int64
 	nextID   atomic.Uint64
-	// markedBinary keeps the endpoint-global binary-peer bookkeeping off
-	// the per-response hot path: it is recorded once per connection.
-	markedBinary atomic.Bool
 
 	mu      sync.Mutex
 	pending map[uint64]chan *binMsg
@@ -242,7 +228,7 @@ func (pc *poolConn) await(ctx context.Context, id uint64, ch chan *binMsg) (*bin
 	select {
 	case msg, ok := <-ch:
 		if !ok {
-			return nil, fmt.Errorf("%w: %s", errConnDied, pc.to)
+			return nil, fmt.Errorf("%w: pooled connection to %s closed before response", ErrUnreachable, pc.to)
 		}
 		return msg, nil
 	case <-ctx.Done():
@@ -265,9 +251,6 @@ func (pc *poolConn) readLoop() {
 		if err != nil {
 			return
 		}
-		if len(payload) == 0 || payload[0] != magicBinary {
-			return // a binary client never receives JSON frames
-		}
 		fr, err := parseBinFrame(payload)
 		if err != nil {
 			return
@@ -281,9 +264,6 @@ func (pc *poolConn) readLoop() {
 		}
 		if msg.flags&fResp == 0 {
 			return // a client never receives requests
-		}
-		if pc.markedBinary.CompareAndSwap(false, true) {
-			pc.e.markBinary(pc.to)
 		}
 		pc.mu.Lock()
 		ch, ok := pc.pending[msg.id]

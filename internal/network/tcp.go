@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -17,72 +15,56 @@ import (
 	"pgrid/internal/wire"
 )
 
-// This file implements the real TCP transport. Two codecs share its
-// length-prefixed framing:
-//
-//   - The binary protocol (binary.go): pooled persistent connections that
-//     multiplex id-correlated request/response frames per peer, compact
-//     wire-codec bodies for message types that implement wire.Marshaler /
-//     wire.Unmarshaler, and fragmentation for messages larger than one
-//     frame. This is the default.
-//   - The legacy JSON envelope: one short-lived connection per call, a
-//     reflective JSON body, no ids. It is kept as the negotiated fallback so
-//     mixed-version clusters interoperate: a new node answers legacy frames
-//     in kind, and a caller whose binary probe dies unanswered retries the
-//     call over JSON and temporarily pins the peer as legacy.
+// This file implements the real TCP transport: pooled persistent
+// connections that multiplex id-correlated request/response frames per peer
+// (pool.go), the compact wire-codec bodies of registered message types, and
+// fragmentation for messages larger than one frame (binary.go). There is one
+// wire format; a frame that does not open with magicBinary closes its
+// connection, exactly as a malformed binary frame does.
 //
 // Message payload types must be registered with RegisterType so they can be
 // reconstructed on the receiving side.
-
-// typeInfo describes one registered payload type.
-type typeInfo struct {
-	t reflect.Type
-	// binary reports that the type implements the compact wire codec
-	// (wire.Marshaler on the value, wire.Unmarshaler on the pointer).
-	binary bool
-}
 
 // typeRegistry maps symbolic type names to payload types; typeNames is the
 // reverse index, so resolving a value's wire name on every outgoing message
 // is one map lookup instead of a linear scan of the registry.
 var (
 	typeRegistryMu sync.RWMutex
-	typeRegistry   = map[string]typeInfo{}
+	typeRegistry   = map[string]reflect.Type{}
 	typeNames      = map[reflect.Type]string{}
 )
 
-// wireUnmarshalerType is the interface a pointer type must implement for
-// the binary codec path.
+// wireUnmarshalerType is the interface a payload's pointer type must
+// implement.
 var wireUnmarshalerType = reflect.TypeOf((*wire.Unmarshaler)(nil)).Elem()
 
 // RegisterType registers a payload type under a symbolic name for use with
 // the TCP transport. The sample value is used only for its type; register
 // the value type (not a pointer). Registering the same name twice with the
-// same type is a no-op; re-registering a name with a different type panics,
-// as that is always a programming error.
-//
-// A type that implements wire.Marshaler (and wire.Unmarshaler on its
-// pointer) travels with its compact binary encoding; other types fall back
-// to a JSON body, still multiplexed over pooled connections.
+// same type is a no-op. It panics — both are always programming errors —
+// when a name is re-registered with a different type, or when the type does
+// not carry the wire codec (wire.Marshaler on the value, wire.Unmarshaler on
+// its pointer): the codec is the only body encoding the transport has.
 func RegisterType(name string, sample any) {
 	t := reflect.TypeOf(sample)
-	_, marshals := sample.(wire.Marshaler)
-	info := typeInfo{t: t, binary: marshals && reflect.PointerTo(t).Implements(wireUnmarshalerType)}
+	if _, marshals := sample.(wire.Marshaler); !marshals || !reflect.PointerTo(t).Implements(wireUnmarshalerType) {
+		panic(fmt.Sprintf("network: type %v registered as %q lacks the wire codec (AppendWire / pointer UnmarshalWire)", t, name))
+	}
 	typeRegistryMu.Lock()
 	defer typeRegistryMu.Unlock()
-	if prev, ok := typeRegistry[name]; ok && prev.t != t {
-		panic(fmt.Sprintf("network: type name %q already registered with %v", name, prev.t))
+	if prev, ok := typeRegistry[name]; ok && prev != t {
+		panic(fmt.Sprintf("network: type name %q already registered with %v", name, prev))
 	}
-	typeRegistry[name] = info
+	typeRegistry[name] = t
 	typeNames[t] = name
 }
 
 // lookupType resolves a registered type name.
-func lookupType(name string) (typeInfo, bool) {
+func lookupType(name string) (reflect.Type, bool) {
 	typeRegistryMu.RLock()
 	defer typeRegistryMu.RUnlock()
-	info, ok := typeRegistry[name]
-	return info, ok
+	t, ok := typeRegistry[name]
+	return t, ok
 }
 
 // typeName returns the registered name for a value's type, or "" if it is
@@ -95,39 +77,8 @@ func typeName(v any) string {
 	return typeNames[t]
 }
 
-// resolveType returns a value's registered wire name and type info in one
-// registry acquisition (the outgoing-message hot path).
-func resolveType(v any) (string, typeInfo, bool) {
-	t := reflect.TypeOf(v)
-	typeRegistryMu.RLock()
-	defer typeRegistryMu.RUnlock()
-	name, ok := typeNames[t]
-	if !ok {
-		return "", typeInfo{}, false
-	}
-	return name, typeRegistry[name], true
-}
-
-// binaryCapable reports whether a value's registered type carries the
-// compact binary codec.
-func binaryCapable(v any) bool {
-	_, info, ok := resolveType(v)
-	return ok && info.binary
-}
-
-// envelope is the legacy JSON wire format, kept for mixed-version
-// interoperability and as the body encoding of types without a binary
-// codec.
-type envelope struct {
-	From Addr            `json:"from"`
-	Type string          `json:"type"`
-	Body json.RawMessage `json:"body"`
-	Err  string          `json:"err,omitempty"`
-}
-
-// maxFrame bounds the size of a single wire frame (16 MiB). Larger binary
-// messages are fragmented (binary.go); a JSON envelope that exceeds it
-// cannot be sent, as in every earlier version of the protocol.
+// maxFrame bounds the size of a single wire frame (16 MiB). Larger messages
+// are fragmented (binary.go).
 const maxFrame = 16 << 20
 
 // frameHeaderLen is the length prefix size.
@@ -144,42 +95,6 @@ func appendFrame(dst, a, b []byte) ([]byte, error) {
 	dst = append(dst, lenBuf[:]...)
 	dst = append(dst, a...)
 	return append(dst, b...), nil
-}
-
-// writeFrame writes one length-prefixed frame as a single Write call, so
-// the length prefix and the body can never be split into separate writes
-// onto an unbuffered connection.
-func writeFrame(w io.Writer, payload []byte) error {
-	buf, err := appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload, nil)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// writeFrameParts writes one frame into a buffered writer as prefix, a, b.
-// Callers flush once per message, so the underlying connection still sees
-// coalesced writes.
-func writeFrameParts(w *bufio.Writer, a, b []byte) error {
-	n := len(a) + len(b)
-	if n > maxFrame {
-		return fmt.Errorf("network: frame too large: %d bytes", n)
-	}
-	var lenBuf [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(n))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(a); err != nil {
-		return err
-	}
-	if len(b) > 0 {
-		if _, err := w.Write(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // readFrame reads one length-prefixed frame payload.
@@ -199,32 +114,6 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// encodePayload wraps a payload value into a legacy JSON envelope.
-func encodePayload(from Addr, v any) (envelope, error) {
-	name := typeName(v)
-	if name == "" {
-		return envelope{}, fmt.Errorf("network: payload type %T not registered", v)
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return envelope{}, fmt.Errorf("network: encode payload: %w", err)
-	}
-	return envelope{From: from, Type: name, Body: body}, nil
-}
-
-// decodePayload reconstructs the payload value of a JSON envelope.
-func decodePayload(env envelope) (any, error) {
-	info, ok := lookupType(env.Type)
-	if !ok {
-		return nil, fmt.Errorf("network: unknown payload type %q", env.Type)
-	}
-	ptr := reflect.New(info.t)
-	if err := json.Unmarshal(env.Body, ptr.Interface()); err != nil {
-		return nil, fmt.Errorf("network: decode payload %q: %w", env.Type, err)
-	}
-	return ptr.Elem().Interface(), nil
-}
-
 // Transport timing and size defaults.
 const (
 	// DefaultDialTimeout bounds connection establishment.
@@ -239,12 +128,6 @@ const (
 	DefaultIdleTimeout = 2 * time.Minute
 	// DefaultMaxMessage bounds one reassembled fragmented message (256 MiB).
 	DefaultMaxMessage = 256 << 20
-	// legacyPinTTL is how long a peer stays pinned to the legacy JSON
-	// dial-per-call path after a successful fallback, before the binary
-	// protocol is probed again. It keeps a mixed-version cluster from
-	// paying a failed probe on every call, while an upgraded peer is picked
-	// up within the TTL.
-	legacyPinTTL = time.Minute
 )
 
 // TCPOptions tunes a TCPEndpoint. The zero value of every field selects
@@ -253,13 +136,11 @@ type TCPOptions struct {
 	// DialTimeout bounds connection establishment (DefaultDialTimeout).
 	DialTimeout time.Duration
 	// CallTimeout bounds one outgoing call when the caller's context has no
-	// deadline (DefaultCallTimeout). The old transport hardcoded 30s here
-	// and on every serving connection.
+	// deadline (DefaultCallTimeout).
 	CallTimeout time.Duration
 	// IdleTimeout is the per-connection idle horizon (DefaultIdleTimeout),
 	// refreshed by every frame in either direction and suspended while
-	// requests are in flight. It replaces the old absolute 30s serve
-	// deadline that killed legitimately long syncs.
+	// requests are in flight, so a legitimately long sync is never cut off.
 	IdleTimeout time.Duration
 	// FrameLimit caps the frames this endpoint writes (the 16 MiB protocol
 	// cap when zero); larger messages are fragmented. Lowering it is mainly
@@ -269,16 +150,10 @@ type TCPOptions struct {
 	// MaxMessage bounds one reassembled message (DefaultMaxMessage). It is
 	// the effective cap on an anti-entropy rebuild image.
 	MaxMessage int
-	// ForceJSON pins every outgoing call to the legacy JSON dial-per-call
-	// path, exactly reproducing the pre-binary transport. It exists for
-	// mixed-version tests and as the benchmark baseline.
-	ForceJSON bool
 }
 
 // TCPEndpoint is a Transport backed by a TCP listener. Outgoing calls are
-// multiplexed over one pooled persistent connection per destination using
-// the binary wire protocol; peers that do not speak it are served via the
-// legacy JSON dial-per-call fallback.
+// multiplexed over one pooled persistent connection per destination.
 type TCPEndpoint struct {
 	listener net.Listener
 	addr     Addr
@@ -301,16 +176,6 @@ type TCPEndpoint struct {
 	serveMu     sync.Mutex
 	serveConns  map[net.Conn]struct{}
 	serveClosed bool
-
-	// peersMu guards the per-peer protocol knowledge below.
-	peersMu sync.Mutex
-	// binaryPeers records peers that have answered in the binary protocol;
-	// the JSON fallback is never taken for them, so a transient connection
-	// failure cannot demote an up-to-date peer.
-	binaryPeers map[Addr]bool
-	// legacyUntil pins peers whose binary probe failed but whose JSON
-	// fallback succeeded; entries expire after legacyPinTTL.
-	legacyUntil map[Addr]time.Time
 }
 
 // ListenTCP creates a TCP endpoint bound to the given address ("host:port";
@@ -326,12 +191,10 @@ func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 		return nil, fmt.Errorf("network: listen: %w", err)
 	}
 	ep := &TCPEndpoint{
-		listener:    l,
-		addr:        Addr(l.Addr().String()),
-		opts:        opts,
-		serveConns:  make(map[net.Conn]struct{}),
-		binaryPeers: make(map[Addr]bool),
-		legacyUntil: make(map[Addr]time.Time),
+		listener:   l,
+		addr:       Addr(l.Addr().String()),
+		opts:       opts,
+		serveConns: make(map[net.Conn]struct{}),
 	}
 	ep.pool = newConnPool(ep)
 	ep.wg.Add(1)
@@ -405,12 +268,6 @@ func (e *TCPEndpoint) maxMessage() int {
 	return e.opts.MaxMessage
 }
 
-func (e *TCPEndpoint) forceJSON() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts.ForceJSON
-}
-
 // Addr implements Transport.
 func (e *TCPEndpoint) Addr() Addr { return e.addr }
 
@@ -464,69 +321,6 @@ func (e *TCPEndpoint) untrackServeConn(conn net.Conn) {
 	e.serveMu.Unlock()
 }
 
-// maxPeerKnowledge bounds the per-peer protocol maps on endpoints that
-// contact an unbounded stream of ephemeral addresses (churn): beyond it,
-// half the entries are evicted. Losing an entry only costs a re-probe.
-const maxPeerKnowledge = 8192
-
-// markBinary records that a peer answered in the binary protocol.
-func (e *TCPEndpoint) markBinary(a Addr) {
-	e.peersMu.Lock()
-	if len(e.binaryPeers) >= maxPeerKnowledge {
-		n := 0
-		for k := range e.binaryPeers {
-			delete(e.binaryPeers, k)
-			if n++; n >= maxPeerKnowledge/2 {
-				break
-			}
-		}
-	}
-	e.binaryPeers[a] = true
-	delete(e.legacyUntil, a)
-	e.peersMu.Unlock()
-}
-
-// knownBinary reports whether a peer has ever answered in the binary
-// protocol.
-func (e *TCPEndpoint) knownBinary(a Addr) bool {
-	e.peersMu.Lock()
-	defer e.peersMu.Unlock()
-	return e.binaryPeers[a]
-}
-
-// pinLegacy routes a peer's calls through the JSON fallback until the pin
-// expires. Expired pins are swept opportunistically so the map stays
-// bounded by the set of recently contacted legacy peers.
-func (e *TCPEndpoint) pinLegacy(a Addr) {
-	now := time.Now()
-	e.peersMu.Lock()
-	if len(e.legacyUntil) >= maxPeerKnowledge {
-		for k, until := range e.legacyUntil {
-			if now.After(until) {
-				delete(e.legacyUntil, k)
-			}
-		}
-	}
-	e.legacyUntil[a] = now.Add(legacyPinTTL)
-	e.peersMu.Unlock()
-}
-
-// pinnedLegacy reports whether a peer currently bypasses the binary
-// protocol.
-func (e *TCPEndpoint) pinnedLegacy(a Addr) bool {
-	e.peersMu.Lock()
-	defer e.peersMu.Unlock()
-	until, ok := e.legacyUntil[a]
-	if !ok {
-		return false
-	}
-	if time.Now().After(until) {
-		delete(e.legacyUntil, a)
-		return false
-	}
-	return true
-}
-
 // acceptLoop serves incoming connections until the listener closes.
 func (e *TCPEndpoint) acceptLoop() {
 	defer e.wg.Done()
@@ -549,10 +343,9 @@ func (e *TCPEndpoint) acceptLoop() {
 	}
 }
 
-// serveConn reads frames off one incoming connection until it closes or
-// goes idle. Binary requests are dispatched concurrently and answered by
-// id; legacy JSON envelopes are answered in the legacy one-exchange-per-
-// connection protocol (the remote closes after reading its response).
+// serveConn reads frames off one incoming connection until it closes, goes
+// idle, or sends anything that is not a well-formed binary request frame.
+// Requests are dispatched concurrently and answered by id.
 func (e *TCPEndpoint) serveConn(conn net.Conn) {
 	idle := e.idleTimeout()
 	var activity, inflight atomic.Int64
@@ -573,41 +366,27 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if len(payload) > 0 && payload[0] == magicBinary {
-			fr, err := parseBinFrame(payload)
-			if err != nil {
-				return
-			}
-			msg, err := asm.add(fr)
-			if err != nil {
-				return
-			}
-			if msg == nil {
-				continue
-			}
-			if msg.flags&fResp != 0 {
-				return // a server never receives responses
-			}
-			inflight.Add(1)
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				defer inflight.Add(-1)
-				e.serveBinRequest(fw, msg)
-			}()
-		} else {
-			var env envelope
-			if err := json.Unmarshal(payload, &env); err != nil {
-				return
-			}
-			inflight.Add(1)
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				defer inflight.Add(-1)
-				e.serveJSONRequest(fw, env)
-			}()
+		fr, err := parseBinFrame(payload)
+		if err != nil {
+			return
 		}
+		msg, err := asm.add(fr)
+		if err != nil {
+			return
+		}
+		if msg == nil {
+			continue
+		}
+		if msg.flags&fResp != 0 {
+			return // a server never receives responses
+		}
+		inflight.Add(1)
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			defer inflight.Add(-1)
+			e.serveBinRequest(fw, msg)
+		}()
 	}
 }
 
@@ -643,7 +422,7 @@ func (e *TCPEndpoint) serveBinRequest(fw *frameWriter, msg *binMsg) {
 	case handler == nil:
 		fail(ErrNoHandler)
 	default:
-		req, err := decodeBinBody(msg.typ, msg.body, msg.flags&fJSON != 0)
+		req, err := decodeBinBody(msg.typ, msg.body)
 		if err != nil {
 			fail(err)
 			return
@@ -654,63 +433,24 @@ func (e *TCPEndpoint) serveBinRequest(fw *frameWriter, msg *binMsg) {
 			return
 		}
 		bp := getBodyBuf()
-		name, body, jsonBody, err := encodeBinBody((*bp)[:0], resp)
+		name, body, err := encodeBinBody((*bp)[:0], resp)
 		if err != nil {
 			putBodyBuf(bp, nil)
 			fail(err)
 			return
 		}
-		var fl byte
-		if jsonBody {
-			fl = fJSON
-		}
-		_ = fw.writeMsg(context.Background(), fResp|fl, msg.id, e.addr, name, body, e.frameLimit())
+		_ = fw.writeMsg(context.Background(), fResp, msg.id, e.addr, name, body, e.frameLimit())
 		putBodyBuf(bp, body)
 	}
 }
 
-// serveJSONRequest runs the handler for one legacy JSON request and writes
-// the JSON response envelope.
-func (e *TCPEndpoint) serveJSONRequest(fw *frameWriter, env envelope) {
-	e.mu.RLock()
-	handler := e.handler
-	closed := e.closed
-	e.mu.RUnlock()
-
-	var out envelope
-	switch {
-	case closed:
-		out = envelope{From: e.addr, Err: ErrClosed.Error()}
-	case handler == nil:
-		out = envelope{From: e.addr, Err: ErrNoHandler.Error()}
-	default:
-		req, derr := decodePayload(env)
-		if derr != nil {
-			out = envelope{From: e.addr, Err: derr.Error()}
-			break
-		}
-		resp, herr := handler(context.Background(), env.From, req)
-		if herr != nil {
-			out = envelope{From: e.addr, Err: herr.Error()}
-			break
-		}
-		var err error
-		out, err = encodePayload(e.addr, resp)
-		if err != nil {
-			out = envelope{From: e.addr, Err: err.Error()}
-		}
-	}
-	body, err := json.Marshal(out)
-	if err != nil {
-		return
-	}
-	_ = fw.writeRaw(body)
-}
-
-// Call implements Transport. Calls default to the pooled binary protocol;
-// when a peer's connection dies without it ever having spoken binary, the
-// call is retried once over the legacy JSON dial-per-call path and the peer
-// is pinned legacy for legacyPinTTL.
+// Call implements Transport: one call over the peer's pooled multiplexed
+// connection, dialing it if needed. A write failure on a cached connection
+// (the classic stale-pool race: the peer closed it while we grabbed it) is
+// retried once on a fresh connection. Once the request frame has been
+// written the call is never retried: a connection that dies before the
+// response surfaces as ErrUnreachable, so the transport delivers a request
+// at most once.
 func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	e.mu.RLock()
 	closed := e.closed
@@ -721,89 +461,8 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	e.Calls.enter()
 	defer e.Calls.exit()
 
-	if e.forceJSON() || e.pinnedLegacy(to) {
-		return e.callJSON(ctx, to, req)
-	}
-	resp, err := e.callPooled(ctx, to, req)
-	if err != nil && errorsIsConnDied(err) && !e.knownBinary(to) {
-		// The peer closed the connection without ever speaking the binary
-		// protocol — most likely a legacy JSON-only node. Retry this call
-		// over the legacy path and, if that works, pin the peer.
-		//
-		// This retry can replay a request that the remote already executed:
-		// a binary-capable peer that dies after running the handler but
-		// before responding is indistinguishable from a legacy node
-		// rejecting the frame. The overlay protocol tolerates duplicate
-		// delivery by construction (α-raced routing already duplicates
-		// requests; mutations carry dedup IDs and generation-stamped
-		// idempotent merges), so the transport trades at-most-once for
-		// mixed-version interoperability only on this first-contact path.
-		jresp, jerr := e.callJSON(ctx, to, req)
-		if jerr == nil {
-			e.pinLegacy(to)
-			return jresp, nil
-		}
-		var re *RemoteError
-		if errors.As(jerr, &re) {
-			// The peer answered over JSON with an application-level error —
-			// proof it speaks the legacy protocol. Pin it and surface the
-			// real error instead of masking it as unreachable.
-			e.pinLegacy(to)
-			return nil, jerr
-		}
-		return nil, fmt.Errorf("%w: connection closed before response", ErrUnreachable)
-	}
-	return resp, err
-}
-
-// callJSON performs one legacy dial-per-call JSON exchange.
-func (e *TCPEndpoint) callJSON(ctx context.Context, to Addr, req any) (any, error) {
-	env, err := encodePayload(e.addr, req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("network: encode frame: %w", err)
-	}
-	d := net.Dialer{Timeout: e.dialTimeout()}
-	conn, err := d.DialContext(ctx, "tcp", string(to))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(deadline)
-	} else {
-		_ = conn.SetDeadline(time.Now().Add(e.callTimeout()))
-	}
-	if err := writeFrame(conn, body); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	payload, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
-	}
-	var respEnv envelope
-	if err := json.Unmarshal(payload, &respEnv); err != nil {
-		return nil, fmt.Errorf("network: decode frame: %w", err)
-	}
-	if respEnv.Err != "" {
-		return nil, &RemoteError{Msg: respEnv.Err}
-	}
-	return decodePayload(respEnv)
-}
-
-// callPooled performs one call over the peer's pooled multiplexed
-// connection, dialing it if needed. A write failure on a cached connection
-// (the classic stale-pool race: the peer closed it while we grabbed it) is
-// retried once on a fresh connection; once the request has been written,
-// it is never retried *here* — the only replay in the transport is Call's
-// JSON fallback toward peers never seen speaking binary (see the comment
-// there for why that is safe at the protocol layer).
-func (e *TCPEndpoint) callPooled(ctx context.Context, to Addr, req any) (any, error) {
 	bp := getBodyBuf()
-	name, body, jsonBody, err := encodeBinBody((*bp)[:0], req)
+	name, body, err := encodeBinBody((*bp)[:0], req)
 	if err != nil {
 		putBodyBuf(bp, nil)
 		return nil, err
@@ -813,16 +472,11 @@ func (e *TCPEndpoint) callPooled(ctx context.Context, to Addr, req any) (any, er
 	// returns — including the retry attempt.
 	defer func() { putBodyBuf(bp, body) }()
 	// CallTimeout bounds the whole call — the write phase included — when
-	// the caller's context carries no deadline, matching what the old
-	// transport's absolute connection deadline guaranteed.
+	// the caller's context carries no deadline.
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, e.callTimeout())
 		defer cancel()
-	}
-	var flags byte
-	if jsonBody {
-		flags = fJSON
 	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
@@ -831,7 +485,7 @@ func (e *TCPEndpoint) callPooled(ctx context.Context, to Addr, req any) (any, er
 			return nil, err
 		}
 		id, ch := pc.register()
-		if err := pc.fw.writeMsg(ctx, flags, id, e.addr, name, body, e.frameLimit()); err != nil {
+		if err := pc.fw.writeMsg(ctx, 0, id, e.addr, name, body, e.frameLimit()); err != nil {
 			pc.cancel(id)
 			e.pool.drop(to, pc)
 			lastErr = err
@@ -847,7 +501,7 @@ func (e *TCPEndpoint) callPooled(ctx context.Context, to Addr, req any) (any, er
 		if msg.flags&fErr != 0 {
 			return nil, &RemoteError{Msg: string(msg.body)}
 		}
-		return decodeBinBody(msg.typ, msg.body, msg.flags&fJSON != 0)
+		return decodeBinBody(msg.typ, msg.body)
 	}
 	return nil, fmt.Errorf("%w: %v", ErrUnreachable, lastErr)
 }

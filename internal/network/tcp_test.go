@@ -3,12 +3,13 @@ package network
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,12 +20,28 @@ type tcpPing struct {
 	Value int
 }
 
+func (m tcpPing) AppendWire(b []byte) []byte { return wire.AppendVarint(b, int64(m.Value)) }
+
+func (m *tcpPing) UnmarshalWire(data []byte) error {
+	d := wire.NewDecoder(data)
+	m.Value = int(d.Varint())
+	return d.Finish()
+}
+
 type tcpPong struct {
 	Value int
 }
 
-// tcpBinPing/tcpBinPong implement the compact wire codec, exercising the
-// binary body path the overlay messages use.
+func (m tcpPong) AppendWire(b []byte) []byte { return wire.AppendVarint(b, int64(m.Value)) }
+
+func (m *tcpPong) UnmarshalWire(data []byte) error {
+	d := wire.NewDecoder(data)
+	m.Value = int(d.Varint())
+	return d.Finish()
+}
+
+// tcpBinPing/tcpBinPong carry a variable-length field, so tests can size a
+// message past the frame limit.
 type tcpBinPing struct {
 	Value uint64
 	Note  string
@@ -75,42 +92,45 @@ func TestRegisterType(t *testing.T) {
 	if name := typeName(42); name != "" {
 		t.Errorf("unregistered type should have no name, got %q", name)
 	}
-	if binaryCapable(tcpPing{}) {
-		t.Error("tcpPing has no wire codec but is marked binary capable")
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("expected panic on %s", what)
+			}
+		}()
+		f()
 	}
-	if !binaryCapable(tcpBinPing{}) {
-		t.Error("tcpBinPing implements the wire codec but is not marked binary capable")
+	mustPanic("conflicting registration", func() { RegisterType("test.ping", tcpPong{}) })
+	// The wire codec is the only body encoding: a type without it cannot be
+	// registered.
+	mustPanic("a type without the wire codec", func() { RegisterType("test.nocodec", struct{ X int }{}) })
+	if _, ok := lookupType("test.nocodec"); ok {
+		t.Error("codec-less type was registered despite the panic")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on conflicting registration")
-		}
-	}()
-	RegisterType("test.ping", tcpPong{})
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	env, err := encodePayload("me", tcpPing{Value: 7})
+	name, body, err := encodeBinBody(nil, tcpPing{Value: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(env)
+	data, err := appendBinFrames(nil, 0, 9, "me", name, body, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, body); err != nil {
-		t.Fatal(err)
-	}
-	payload, err := readFrame(&buf)
+	payload, err := readFrame(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got envelope
-	if err := json.Unmarshal(payload, &got); err != nil {
+	fr, err := parseBinFrame(payload)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decodePayload(got)
+	if fr.id != 9 || fr.from != "me" || fr.typ != "test.ping" {
+		t.Errorf("frame header = %+v", fr)
+	}
+	v, err := decodeBinBody(fr.typ, fr.body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,52 +139,54 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// countingWriter records every Write call it receives.
-type countingWriter struct {
+// countingConn records every Write call that reaches the connection.
+type countingConn struct {
+	net.Conn
 	writes int
 	bytes  bytes.Buffer
 }
 
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.writes++
-	return w.bytes.Write(p)
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.bytes.Write(p)
 }
 
-// TestWriteFrameSingleWrite pins the fix for the old transport issuing the
-// 4-byte length prefix and the body as two separate writes straight onto
-// the connection: a frame must reach the writer as exactly one Write call.
+func (c *countingConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestWriteFrameSingleWrite pins that a message's length prefix, header and
+// body reach the connection as exactly one Write call, never split into
+// separate small writes.
 func TestWriteFrameSingleWrite(t *testing.T) {
-	var w countingWriter
-	if err := writeFrame(&w, []byte(`{"type":"x"}`)); err != nil {
+	var c countingConn
+	fw := newFrameWriter(&c, time.Second, nil)
+	if err := fw.writeMsg(context.Background(), 0, 1, "me", "test.ping", []byte("body"), 0); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes != 1 {
-		t.Errorf("frame written in %d Write calls, want 1", w.writes)
+	if c.writes != 1 {
+		t.Errorf("frame written in %d Write calls, want 1", c.writes)
 	}
-	payload, err := readFrame(&w.bytes)
+	payload, err := readFrame(&c.bytes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(payload) != `{"type":"x"}` {
-		t.Errorf("payload = %q", payload)
+	fr, err := parseBinFrame(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(fr.body) != "body" {
+		t.Errorf("body = %q", fr.body)
 	}
 }
 
 func TestEncodeUnregisteredPayload(t *testing.T) {
-	if _, err := encodePayload("me", struct{ X int }{1}); err == nil {
+	if _, _, err := encodeBinBody(nil, struct{ X int }{1}); err == nil {
 		t.Error("expected error for unregistered payload type")
-	}
-	if _, _, _, err := encodeBinBody(nil, struct{ X int }{1}); err == nil {
-		t.Error("expected binary encode error for unregistered payload type")
 	}
 }
 
 func TestDecodeUnknownType(t *testing.T) {
-	if _, err := decodePayload(envelope{Type: "nope", Body: []byte("{}")}); err == nil {
+	if _, err := decodeBinBody("nope", nil); err == nil {
 		t.Error("expected error for unknown type")
-	}
-	if _, err := decodeBinBody("nope", nil, false); err == nil {
-		t.Error("expected binary decode error for unknown type")
 	}
 }
 
@@ -218,9 +240,6 @@ func TestTCPEndToEndBinaryCodec(t *testing.T) {
 	}
 	if got := resp.(tcpBinPong); got.Value != 42 || got.Note != "compact" {
 		t.Errorf("resp = %+v", got)
-	}
-	if !client.knownBinary(server.Addr()) {
-		t.Error("client should have learned the server speaks binary")
 	}
 }
 
@@ -281,7 +300,7 @@ func TestTCPConcurrentCallsMultiplex(t *testing.T) {
 
 // TestTCPFragmentedMessage sends a message whose body exceeds the client's
 // and server's frame limit, so both directions must fragment and
-// reassemble. The legacy transport failed such messages permanently.
+// reassemble.
 func TestTCPFragmentedMessage(t *testing.T) {
 	server, client := startPair(t)
 	server.SetOptions(TCPOptions{FrameLimit: 2048})
@@ -333,90 +352,69 @@ func TestTCPConcurrentFragmentedMessages(t *testing.T) {
 	}
 }
 
-// TestTCPMixedVersionInterop pins both interop directions of the JSON
-// fallback: a ForceJSON (legacy) client against a binary server, and a
-// binary client whose first probe meets a legacy-style JSON-only server.
-func TestTCPMixedVersionInterop(t *testing.T) {
+// TestTCPCallAtMostOnceAfterWrite pins the transport's delivery contract: a
+// request whose frame has been written is never sent again. The server runs
+// the handler and then loses the connection before answering; a client that
+// has never spoken to it must surface ErrUnreachable, not re-dial and have
+// the handler run a second time.
+func TestTCPCallAtMostOnceAfterWrite(t *testing.T) {
 	server, client := startPair(t)
+	var runs atomic.Int64
+	server.Handle(func(context.Context, Addr, any) (any, error) {
+		runs.Add(1)
+		server.serveMu.Lock()
+		for conn := range server.serveConns {
+			_ = conn.Close()
+		}
+		server.serveMu.Unlock()
+		return tcpPong{}, nil
+	})
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-
-	// Legacy client -> new server: JSON envelope answered in kind.
-	client.SetOptions(TCPOptions{ForceJSON: true})
-	resp, err := client.Call(ctx, server.Addr(), tcpPing{Value: 5})
-	if err != nil {
-		t.Fatalf("legacy client against new server: %v", err)
+	if _, err := client.Call(ctx, server.Addr(), tcpPing{Value: 1}); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
-	if resp.(tcpPong).Value != 10 {
-		t.Errorf("legacy resp = %v", resp)
-	}
-	client.SetOptions(TCPOptions{})
-
-	// New client -> legacy server: the binary probe dies unanswered, the
-	// call falls back to JSON and the peer is pinned legacy.
-	legacy := newLegacyJSONServer(t)
-	resp, err = client.Call(ctx, legacy.addr, tcpPing{Value: 7})
-	if err != nil {
-		t.Fatalf("binary client against legacy server: %v", err)
-	}
-	if resp.(tcpPong).Value != 14 {
-		t.Errorf("fallback resp = %v", resp)
-	}
-	if !client.pinnedLegacy(legacy.addr) {
-		t.Error("peer should be pinned legacy after a successful JSON fallback")
-	}
-	// Subsequent calls go straight through the pinned JSON path.
-	if _, err := client.Call(ctx, legacy.addr, tcpPing{Value: 8}); err != nil {
-		t.Fatalf("pinned legacy call: %v", err)
+	if n := runs.Load(); n != 1 {
+		t.Errorf("handler ran %d times, want exactly 1", n)
 	}
 }
 
-// legacyJSONServer reimplements the pre-binary transport's serving side:
-// one JSON exchange per connection, no binary understanding (a binary frame
-// kills the connection).
-type legacyJSONServer struct {
-	addr Addr
-}
-
-func newLegacyJSONServer(t *testing.T) *legacyJSONServer {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	s := &legacyJSONServer{addr: Addr(l.Addr().String())}
-	go func() {
-		for {
-			conn, err := l.Accept()
+// TestTCPNonMagicFrameClosesConnection checks that there is one wire format:
+// a frame that does not open with magicBinary — the retired JSON envelope
+// included — closes the serving connection without reaching the handler.
+func TestTCPNonMagicFrameClosesConnection(t *testing.T) {
+	server, _ := startPair(t)
+	var runs atomic.Int64
+	server.Handle(func(context.Context, Addr, any) (any, error) {
+		runs.Add(1)
+		return tcpPong{}, nil
+	})
+	for name, payload := range map[string]string{
+		"json envelope": `{"from":"old-node","type":"test.ping","body":{"Value":1}}`,
+		"garbage":       "\x00\x01not a frame",
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", string(server.Addr()))
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			go func() {
-				defer conn.Close()
-				payload, err := readFrame(conn)
-				if err != nil {
-					return
-				}
-				var env envelope
-				if err := json.Unmarshal(payload, &env); err != nil {
-					return // binary frame: legacy node closes, like the old decoder did
-				}
-				req, err := decodePayload(env)
-				if err != nil {
-					return
-				}
-				ping := req.(tcpPing)
-				out, err := encodePayload(s.addr, tcpPong{Value: ping.Value * 2})
-				if err != nil {
-					return
-				}
-				body, _ := json.Marshal(out)
-				_ = writeFrame(conn, body)
-			}()
-		}
-	}()
-	return s
+			defer conn.Close()
+			frame, err := appendFrame(nil, []byte(payload), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+				t.Errorf("read = %d bytes, err %v; want the server to close the connection", n, err)
+			}
+		})
+	}
+	if n := runs.Load(); n != 0 {
+		t.Errorf("handler ran %d times on non-magic frames, want 0", n)
+	}
 }
 
 func TestTCPRemoteError(t *testing.T) {
@@ -484,10 +482,9 @@ func TestTCPCallAfterClose(t *testing.T) {
 	}
 }
 
-// TestTCPServeOutlivesIdleTimeoutWhileInFlight pins the deadline fix: the
-// old transport pinned an absolute 30s deadline per serving connection, so
-// a handler running longer than that lost its response. Now the idle
-// horizon is suspended while a request is in flight.
+// TestTCPServeOutlivesIdleTimeoutWhileInFlight pins that the idle horizon
+// is suspended while a request is in flight: a handler running longer than
+// the idle timeout still delivers its response.
 func TestTCPServeOutlivesIdleTimeoutWhileInFlight(t *testing.T) {
 	server, err := ListenTCP("127.0.0.1:0")
 	if err != nil {

@@ -75,9 +75,6 @@ const (
 	// SyncRebuildPush means the replica was stale past this peer's GC
 	// horizon and was rebuilt from this peer's content.
 	SyncRebuildPush SyncKind = "rebuild-push"
-	// SyncFullSet means the legacy full-set exchange ran (the pre-digest
-	// baseline selected by Config.FullSyncAntiEntropy).
-	SyncFullSet SyncKind = "full-set"
 )
 
 // syncState is the initiator-side baseline of the last completed sync with
@@ -157,8 +154,7 @@ func (p *Peer) compactSyncStates() {
 }
 
 // SyncReplica reconciles the peer's partition content with one replica via
-// the digest/delta protocol and returns what happened. It is the
-// operational-phase replacement of the full-set AntiEntropy.
+// the digest/delta protocol and returns what happened.
 func (p *Peer) SyncReplica(ctx context.Context, replica network.Addr) (SyncReport, error) {
 	path := p.Path()
 	st := p.syncStateOf(replica)

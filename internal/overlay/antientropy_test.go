@@ -318,33 +318,14 @@ func TestReinsertAfterGCPropagates(t *testing.T) {
 	}
 }
 
-// TestMaintainTickUsesDigestProtocol checks the loop integration: a default
-// peer's tick reports a digest-protocol sync kind, and a legacy-configured
-// peer reports the full-set exchange.
+// TestMaintainTickUsesDigestProtocol checks the loop integration: a peer's
+// tick reports a digest-protocol sync kind.
 func TestMaintainTickUsesDigestProtocol(t *testing.T) {
-	ctx := context.Background()
-	sim := network.NewSim(network.SimConfig{Seed: 7})
-	mk := func(name string, full bool) *Peer {
-		cfg := Config{MaxKeys: 1 << 20, MinReplicas: 1, FullSyncAntiEntropy: full, Seed: 7}
-		return New(cfg, sim.Endpoint(network.Addr(name)))
-	}
-	a, b := mk("a", false), mk("b", false)
-	a.AddReplica(b.Addr())
+	a, _, _ := syncPair(t, 7)
 	a.Store().Add(fitem(0.25, "x"))
-	rep := a.MaintainTick(ctx, MaintenanceOptions{})
+	rep := a.MaintainTick(context.Background(), MaintenanceOptions{})
 	if rep.Sync != SyncWalk && rep.Sync != SyncInSync && rep.Sync != SyncDelta {
-		t.Errorf("default tick sync kind = %q, want a digest-protocol kind", rep.Sync)
-	}
-
-	c, d := mk("c", true), mk("d", true)
-	c.AddReplica(d.Addr())
-	c.Store().Add(fitem(0.75, "y"))
-	rep = c.MaintainTick(ctx, MaintenanceOptions{})
-	if rep.Sync != SyncFullSet {
-		t.Errorf("legacy tick sync kind = %q, want full-set", rep.Sync)
-	}
-	if c.Metrics.SyncsFull.Value() != 1 {
-		t.Errorf("legacy tick did not count a full sync")
+		t.Errorf("tick sync kind = %q, want a digest-protocol kind", rep.Sync)
 	}
 }
 
@@ -470,26 +451,6 @@ func TestFirstContactWithGCHistoryMergesNotReplaces(t *testing.T) {
 
 // fkeyAt mirrors fitem's key construction for assertions.
 func fkeyAt(x float64) keyspace.Key { return keyspace.MustFromFloat(x, 32) }
-
-// TestLegacyFullSyncKeepsTombstonesForever pins that the GC options are
-// disarmed under the legacy full-set protocol, whose merges would resurrect
-// pruned deletes.
-func TestLegacyFullSyncKeepsTombstonesForever(t *testing.T) {
-	ctx := context.Background()
-	sim := network.NewSim(network.SimConfig{Seed: 33})
-	cfg := Config{MaxKeys: 1 << 20, MinReplicas: 1, FullSyncAntiEntropy: true, TombstoneGCVersions: 1, Seed: 33}
-	p := New(cfg, sim.Endpoint("legacy"))
-	p.Store().Insert(fitem(0.5, "x"))
-	p.Store().Delete(fkeyAt(0.5), "x")
-	for i := 0; i < 6; i++ {
-		p.Store().Insert(fitem(0.1+float64(i)/100, fmt.Sprintf("f%d", i)))
-	}
-	rep := p.MaintainTick(ctx, MaintenanceOptions{})
-	if rep.TombstonesPruned != 0 || p.Store().TombstoneCount() != 1 {
-		t.Errorf("legacy mode pruned tombstones (pruned=%d held=%d); GC must be disarmed with full-set sync",
-			rep.TombstonesPruned, p.Store().TombstoneCount())
-	}
-}
 
 // TestDigestWalkTransfersShortKeys pins the zero-padded bucket membership:
 // a pair held only by the responder whose key is shorter than every

@@ -49,47 +49,6 @@ func (p *Peer) ReplicateItems(ctx context.Context, items []replication.Item, tar
 	return firstErr
 }
 
-// AntiEntropy reconciles the peer's partition content with one known
-// replica, returning how many items were received. It is used during the
-// operational phase to keep replicas synchronized. Tombstones travel in both
-// directions before the items, so a delete applied at either replica removes
-// the pair at both and is never resurrected by the item exchange.
-func (p *Peer) AntiEntropy(ctx context.Context, replica network.Addr) (int, error) {
-	path := p.Path()
-	req := ReplicateRequest{
-		From:        p.Addr(),
-		Path:        path,
-		Items:       p.store.ItemsWithPrefix(path),
-		Tombstones:  p.store.TombstonesWithPrefix(path),
-		AntiEntropy: true,
-		Replicas:    p.Replicas(),
-	}
-	p.Metrics.MaintenanceBytes.Add(float64(req.WireSize()))
-	resp, err := p.transport.Call(ctx, replica, req)
-	if err != nil {
-		return 0, err
-	}
-	rep, ok := resp.(ReplicateResponse)
-	if !ok {
-		return 0, errors.New("overlay: unexpected anti-entropy response type")
-	}
-	p.Metrics.MaintenanceBytes.Add(float64(rep.WireSize()))
-	p.store.AddTombstones(rep.Tombstones)
-	added := p.store.AddAll(rep.Items)
-	if !rep.Path.SamePartition(path) {
-		// The "replica" moved to a different partition (stale entry from
-		// before a split): drop it so the set stays meaningful.
-		p.removeReplica(replica)
-		return added, nil
-	}
-	p.mu.Lock()
-	for _, r := range rep.Replicas {
-		p.addReplicaLocked(r)
-	}
-	p.mu.Unlock()
-	return added, nil
-}
-
 // Interact performs one construction interaction with the given partner and
 // returns the action that resulted. Referrals are followed up to two hops,
 // as in the paper's refer interaction.

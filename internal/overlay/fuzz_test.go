@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unicode/utf8"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -28,8 +27,8 @@ func wireSeedMessages() []any {
 		BatchQueryResponse{Results: []QueryResponse{{Found: true, Hops: 1}}},
 		RangeRequest{Lo: key, Hi: key, TTL: 4},
 		RangeResponse{Items: []replication.Item{item}, Partitions: 2},
-		ReplicateRequest{From: "peer-2", Path: "10", Items: []replication.Item{item}, Tombstones: []replication.Item{item}, AntiEntropy: true},
-		ReplicateResponse{Accepted: 1, Items: []replication.Item{item}, Tombstones: []replication.Item{item}, Path: "10"},
+		ReplicateRequest{From: "peer-2", Path: "10", Items: []replication.Item{item}, Replicas: []network.Addr{"peer-2b"}},
+		ReplicateResponse{Accepted: 1, Replicas: []network.Addr{"peer-2c"}, Path: "10"},
 		InsertRequest{Item: item, TTL: 9},
 		DeleteRequest{Key: key, Value: "doc-1", TTL: 9, Direct: true},
 		MutateResponse{Found: true, Acks: 3, Replicas: 4, Hops: 2, Responsible: "peer-3", ResponsiblePath: "10"},
@@ -52,31 +51,27 @@ func wireSeedMessages() []any {
 	}
 }
 
-// FuzzWireDecode throws arbitrary bytes at the TCP transport's frame decoder
-// (the exact path every incoming message takes): it must never panic, and
-// every frame it does accept must re-encode cleanly.
-//
-// Run continuously with:
-//
-//	go test ./internal/overlay -run=^$ -fuzz=FuzzWireDecode -fuzztime=30s
+// FuzzWireDecode pins the one-format rule from the decoder's side: a frame
+// sequence whose first payload byte is not the binary magic (0xBF) never
+// decodes. Its checked-in corpus is the frames of the retired JSON envelope,
+// one per message; the in-code seeds are valid binary frames with only the
+// magic byte replaced.
 func FuzzWireDecode(f *testing.F) {
 	for _, msg := range wireSeedMessages() {
-		data, err := network.EncodeMessage("fuzz-seed", msg)
+		data, err := network.EncodeMessageBinary("fuzz-seed", msg, 0)
 		if err != nil {
 			f.Fatalf("encode seed %T: %v", msg, err)
 		}
+		data[4] = '{'
 		f.Add(data)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, payload, err := network.DecodeMessage(data)
-		if err != nil {
-			return
-		}
-		if _, err := network.EncodeMessage(from, payload); err != nil {
-			t.Fatalf("decoded payload %T does not re-encode: %v", payload, err)
+		_, payload, err := network.DecodeMessageBinary(data)
+		if err == nil && (len(data) < 5 || data[4] != 0xBF) {
+			t.Fatalf("non-magic frame decoded to %T", payload)
 		}
 	})
 }
@@ -129,12 +124,6 @@ func FuzzMutationWireRoundTrip(f *testing.F) {
 		if klen < 0 {
 			klen = -klen
 		}
-		// The JSON wire codec canonicalises invalid UTF-8 to U+FFFD; values
-		// are document identifiers, so only valid UTF-8 must round-trip
-		// bit-exactly.
-		if !utf8.ValidString(value) {
-			value = strings.ToValidUTF8(value, "�")
-		}
 		key, err := keyspace.FromBits(bits, klen)
 		if err != nil {
 			t.Fatalf("FromBits(%v, %d): %v", bits, klen, err)
@@ -145,11 +134,11 @@ func FuzzMutationWireRoundTrip(f *testing.F) {
 			QueryRequest{Key: key, Hops: hops, TTL: ttl},
 		}
 		for _, msg := range msgs {
-			data, err := network.EncodeMessage("fuzzer", msg)
+			data, err := network.EncodeMessageBinary("fuzzer", msg, 0)
 			if err != nil {
 				t.Fatalf("encode %T: %v", msg, err)
 			}
-			from, got, err := network.DecodeMessage(data)
+			from, got, err := network.DecodeMessageBinary(data)
 			if err != nil {
 				t.Fatalf("decode %T: %v", msg, err)
 			}
@@ -175,43 +164,31 @@ func FuzzMutationWireRoundTrip(f *testing.F) {
 }
 
 // TestRegenerateWireCorpus rewrites the checked-in seed corpus for
-// FuzzWireDecode from wireSeedMessages, so the corpus tracks the message
-// set. It only runs when PGRID_REGEN_CORPUS is set:
+// FuzzBinaryWireDecode from wireSeedMessages, so the corpus tracks the
+// message set. It only runs when PGRID_REGEN_CORPUS is set:
 //
 //	PGRID_REGEN_CORPUS=1 go test ./internal/overlay -run TestRegenerateWireCorpus
 func TestRegenerateWireCorpus(t *testing.T) {
 	if os.Getenv("PGRID_REGEN_CORPUS") == "" {
-		t.Skip("set PGRID_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzWireDecode")
+		t.Skip("set PGRID_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzBinaryWireDecode")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireDecode")
+	dir := filepath.Join("testdata", "fuzz", "FuzzBinaryWireDecode")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	binDir := filepath.Join("testdata", "fuzz", "FuzzBinaryWireDecode")
-	if err := os.MkdirAll(binDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	for _, msg := range wireSeedMessages() {
 		name := strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", msg), "overlay."))
-		data, err := network.EncodeMessage("corpus", msg)
+		bin, err := network.EncodeMessageBinary("corpus", msg, 0)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
 		}
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bin)
 		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		bin, err := network.EncodeMessageBinary("corpus", msg, 0)
-		if err != nil {
-			t.Fatalf("binary encode %T: %v", msg, err)
-		}
-		content = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bin)
-		if err := os.WriteFile(filepath.Join(binDir, "seed-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if frag, err := network.EncodeMessageBinary("corpus", msg, 512); err == nil && len(frag) > len(bin)+8 {
 			content = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frag)
-			if err := os.WriteFile(filepath.Join(binDir, "seed-"+name+"-frag"), []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "seed-"+name+"-frag"), []byte(content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -219,24 +196,19 @@ func TestRegenerateWireCorpus(t *testing.T) {
 }
 
 // TestWireCodecRoundTripsEveryMessage keeps the non-fuzz suite covering the
-// frame codec for the full message set (the fuzzers extend this population).
+// frame codec for the full message set (the fuzzers extend this population):
+// a decoded message re-encodes to the identical bytes.
 func TestWireCodecRoundTripsEveryMessage(t *testing.T) {
 	for _, msg := range wireSeedMessages() {
-		data, err := network.EncodeMessage("codec-test", msg)
+		data, err := network.EncodeMessageBinary("codec-test", msg, 0)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
 		}
-		if bytes.Contains(data[:4], []byte{0xff}) {
-			t.Fatalf("implausible frame length prefix for %T", msg)
-		}
-		_, payload, err := network.DecodeMessage(data)
+		_, payload, err := network.DecodeMessageBinary(data)
 		if err != nil {
 			t.Fatalf("decode %T: %v", msg, err)
 		}
-		if _, ok := payload.(error); ok {
-			t.Fatalf("payload decoded as error for %T", msg)
-		}
-		reenc, err := network.EncodeMessage("codec-test", payload)
+		reenc, err := network.EncodeMessageBinary("codec-test", payload, 0)
 		if err != nil {
 			t.Fatalf("re-encode %T: %v", msg, err)
 		}

@@ -137,27 +137,14 @@ func (p *Peer) MaintainTick(ctx context.Context, opts MaintenanceOptions) TickRe
 	}
 	if replica, ok := p.randomReplica(); ok {
 		rep.Replica = replica
-		if p.Config().FullSyncAntiEntropy {
-			n, err := p.AntiEntropy(ctx, replica)
-			if err != nil {
-				if ctx.Err() == nil && !errors.Is(err, context.Canceled) {
-					p.removeReplica(replica)
-				}
-			} else {
-				rep.ItemsReceived = n
-				rep.Sync = SyncFullSet
-				p.Metrics.SyncsFull.Add(1)
+		sres, err := p.SyncReplica(ctx, replica)
+		if err != nil {
+			if ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, errSyncAborted) {
+				p.removeReplica(replica)
 			}
 		} else {
-			sres, err := p.SyncReplica(ctx, replica)
-			if err != nil {
-				if ctx.Err() == nil && !errors.Is(err, context.Canceled) && !errors.Is(err, errSyncAborted) {
-					p.removeReplica(replica)
-				}
-			} else {
-				rep.ItemsReceived = sres.Received
-				rep.Sync = sres.Kind
-			}
+			rep.ItemsReceived = sres.Received
+			rep.Sync = sres.Kind
 		}
 	}
 	for i := 0; i < opts.Probes; i++ {

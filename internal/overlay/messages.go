@@ -258,39 +258,27 @@ type RangeResponse struct {
 func (r RangeResponse) WireSize() int { return messageBytes(len(r.Items), 0) }
 
 // ReplicateRequest pushes items to another peer during the pre-construction
-// replication phase, or runs anti-entropy between replicas afterwards.
+// replication phase.
 type ReplicateRequest struct {
 	From  network.Addr
 	Path  keyspace.Path
 	Items []replication.Item
-	// Tombstones are the initiator's deleted (key, value) pairs within Path,
-	// exchanged during anti-entropy so deletes propagate with the data and a
-	// replica that missed the delete drops its stale live copy.
-	Tombstones []replication.Item
-	// AntiEntropy requests the responder to send back items the initiator
-	// is missing.
-	AntiEntropy bool
 	// Replicas is the initiator's replica list for gossip-style discovery.
 	Replicas []network.Addr
 }
 
 // WireSize implements network.WireSizer.
-func (r ReplicateRequest) WireSize() int { return messageBytes(len(r.Items)+len(r.Tombstones), 0) }
+func (r ReplicateRequest) WireSize() int { return messageBytes(len(r.Items), 0) }
 
-// ReplicateResponse acknowledges replication and optionally returns missing
-// items.
+// ReplicateResponse acknowledges replication.
 type ReplicateResponse struct {
 	Accepted int
-	Items    []replication.Item
-	// Tombstones are the responder's deleted pairs the initiator should
-	// apply (anti-entropy only).
-	Tombstones []replication.Item
-	Replicas   []network.Addr
-	Path       keyspace.Path
+	Replicas []network.Addr
+	Path     keyspace.Path
 }
 
 // WireSize implements network.WireSizer.
-func (r ReplicateResponse) WireSize() int { return messageBytes(len(r.Items)+len(r.Tombstones), 0) }
+func (r ReplicateResponse) WireSize() int { return messageBytes(0, 0) }
 
 // PingRequest probes a peer for liveness and its current path.
 type PingRequest struct{ From network.Addr }

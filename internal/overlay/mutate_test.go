@@ -103,7 +103,7 @@ func TestDeleteNeverReturnedAfterQuorumAck(t *testing.T) {
 		t.Errorf("deleted item still returned: %v", qres.Items)
 	}
 	// Anti-entropy between the replicas must not resurrect it.
-	if _, err := r1.AntiEntropy(ctx, r2.Addr()); err != nil {
+	if _, err := r1.SyncReplica(ctx, r2.Addr()); err != nil {
 		t.Fatalf("anti-entropy: %v", err)
 	}
 	for _, p := range []*Peer{r1, r2} {
@@ -150,10 +150,10 @@ func TestDeleteAfterReinsertSurvivesStaleReplica(t *testing.T) {
 	// Reconciliation in both directions must leave the pair deleted
 	// everywhere — the stale replica's old tombstone must not lose to a
 	// resurrected copy, nor resurrect one itself.
-	if _, err := r2.AntiEntropy(ctx, r1.Addr()); err != nil {
+	if _, err := r2.SyncReplica(ctx, r1.Addr()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r1.AntiEntropy(ctx, r2.Addr()); err != nil {
+	if _, err := r1.SyncReplica(ctx, r2.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*Peer{r1, r2} {
@@ -192,7 +192,7 @@ func TestInsertByStaleCoordinatorRestamps(t *testing.T) {
 		}
 	}
 	// Reconciliation must not undo the acknowledged write.
-	if _, err := r2.AntiEntropy(ctx, r1.Addr()); err != nil {
+	if _, err := r2.SyncReplica(ctx, r1.Addr()); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*Peer{r1, r2} {

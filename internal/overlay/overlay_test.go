@@ -475,12 +475,12 @@ func TestAntiEntropy(t *testing.T) {
 	b := New(cfg, sim.Endpoint("B"))
 	a.AddItems([]replication.Item{{Key: keyspace.MustFromString("0001"), Value: "onlyA"}})
 	b.AddItems([]replication.Item{{Key: keyspace.MustFromString("0010"), Value: "onlyB"}})
-	got, err := a.AntiEntropy(context.Background(), "B")
+	got, err := a.SyncReplica(context.Background(), "B")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 1 {
-		t.Errorf("anti-entropy received %d items, want 1", got)
+	if got.Received != 1 {
+		t.Errorf("anti-entropy received %d items, want 1", got.Received)
 	}
 	if a.Store().Len() != 2 || b.Store().Len() != 2 {
 		t.Error("both replicas should hold both items")

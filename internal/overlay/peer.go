@@ -66,15 +66,6 @@ type Config struct {
 	// reported successful. 1 (the default) accepts the responsible peer
 	// alone; higher values trade write latency for durability under churn.
 	WriteQuorum int
-	// FullSyncAntiEntropy selects the legacy full-set anti-entropy exchange
-	// (every maintenance tick ships the partition's entire item and
-	// tombstone set) instead of the digest/delta protocol. It is the
-	// pre-digest baseline, kept for comparison benchmarks. The tombstone GC
-	// options are ignored in this mode (tombstones are kept forever, as the
-	// legacy protocol always did): a full-set merge cannot tell a stale
-	// live copy from a fresh write once the tombstone is pruned, so arming
-	// GC here would silently resurrect deletes.
-	FullSyncAntiEntropy bool
 	// TombstoneGCAge prunes delete tombstones older than this wall-clock
 	// age (Cassandra's gc_grace). Zero keeps tombstones forever. The
 	// horizon must comfortably exceed the maintenance interval: replicas
@@ -389,11 +380,7 @@ func NewPersistent(cfg Config, transport network.Transport) (*Peer, error) {
 		p.readRate = stats.NewRateTracker(hotRateWindow)
 		p.recruits = make(map[network.Addr]time.Time)
 	}
-	// The GC horizon is only armed with the digest/delta protocol: the
-	// legacy full-set exchange cannot tell a stale live copy from a fresh
-	// write once the tombstone is pruned, so combining them would silently
-	// resurrect deletes. The legacy mode keeps tombstones forever instead.
-	if (cfg.TombstoneGCAge > 0 || cfg.TombstoneGCVersions > 0) && !cfg.FullSyncAntiEntropy {
+	if cfg.TombstoneGCAge > 0 || cfg.TombstoneGCVersions > 0 {
 		p.store.SetGCPolicy(replication.GCPolicy{
 			MinAge:      cfg.TombstoneGCAge,
 			MinVersions: cfg.TombstoneGCVersions,
@@ -725,12 +712,8 @@ func (p *Peer) snapshotReplicasLocked() []network.Addr {
 	return out
 }
 
-// handleReplicate serves the pre-construction replication push and replica
-// anti-entropy. Tombstones carried by the request are applied before the
-// items, so a replica that missed a delete drops its stale live copy instead
-// of re-spreading it.
+// handleReplicate serves the pre-construction replication push.
 func (p *Peer) handleReplicate(req ReplicateRequest) ReplicateResponse {
-	p.store.AddTombstones(req.Tombstones)
 	accepted := p.store.AddAll(req.Items)
 	p.Metrics.KeysMoved.Add(float64(len(req.Items)))
 	resp := ReplicateResponse{Accepted: accepted, Path: p.Path()}
@@ -745,22 +728,5 @@ func (p *Peer) handleReplicate(req ReplicateRequest) ReplicateResponse {
 	}
 	resp.Replicas = p.snapshotReplicasLocked()
 	p.mu.Unlock()
-	if req.AntiEntropy {
-		// Send back the items the initiator appears to be missing within
-		// the shared partition, plus the local tombstones so deletes travel
-		// in both directions. Membership only needs the initiator's key set,
-		// not a scratch store.
-		initiator := make(map[keyspace.Key]bool, len(req.Items))
-		for _, it := range req.Items {
-			initiator[it.Key] = true
-		}
-		for _, it := range p.store.ItemsWithPrefix(req.Path) {
-			if !initiator[it.Key] {
-				resp.Items = append(resp.Items, it)
-			}
-		}
-		resp.Tombstones = p.store.TombstonesWithPrefix(req.Path)
-		p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
-	}
 	return resp
 }

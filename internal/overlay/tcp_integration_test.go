@@ -160,7 +160,7 @@ func TestMutationsAndBatchOverTCP(t *testing.T) {
 	if dres.Acks < 2 {
 		t.Errorf("delete acks over tcp = %d, want >= 2", dres.Acks)
 	}
-	if _, err := r1.AntiEntropy(ctx, r2.Addr()); err != nil {
+	if _, err := r1.SyncReplica(ctx, r2.Addr()); err != nil {
 		t.Fatalf("anti-entropy over tcp: %v", err)
 	}
 	for _, p := range []*Peer{r1, r2} {

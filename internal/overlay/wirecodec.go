@@ -479,8 +479,6 @@ func (r ReplicateRequest) AppendWire(b []byte) []byte {
 	b = appendAddr(b, r.From)
 	b = appendPath(b, r.Path)
 	b = appendItems(b, r.Items)
-	b = appendItems(b, r.Tombstones)
-	b = wire.AppendBool(b, r.AntiEntropy)
 	return appendAddrs(b, r.Replicas)
 }
 
@@ -490,8 +488,6 @@ func (r *ReplicateRequest) UnmarshalWire(data []byte) error {
 	r.From = decodeAddr(d)
 	r.Path = decodePath(d)
 	r.Items = decodeItems(d)
-	r.Tombstones = decodeItems(d)
-	r.AntiEntropy = d.Bool()
 	r.Replicas = decodeAddrs(d)
 	return d.Finish()
 }
@@ -499,8 +495,6 @@ func (r *ReplicateRequest) UnmarshalWire(data []byte) error {
 // AppendWire implements wire.Marshaler.
 func (r ReplicateResponse) AppendWire(b []byte) []byte {
 	b = wire.AppendVarint(b, int64(r.Accepted))
-	b = appendItems(b, r.Items)
-	b = appendItems(b, r.Tombstones)
 	b = appendAddrs(b, r.Replicas)
 	return appendPath(b, r.Path)
 }
@@ -509,8 +503,6 @@ func (r ReplicateResponse) AppendWire(b []byte) []byte {
 func (r *ReplicateResponse) UnmarshalWire(data []byte) error {
 	d := wire.NewDecoder(data)
 	r.Accepted = int(d.Varint())
-	r.Items = decodeItems(d)
-	r.Tombstones = decodeItems(d)
 	r.Replicas = decodeAddrs(d)
 	r.Path = decodePath(d)
 	return d.Finish()

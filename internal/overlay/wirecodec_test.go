@@ -104,9 +104,8 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
-// TestEveryMessageHasBinaryCodec keeps the registry honest: a newly added
-// protocol message that forgets its wire codec would silently fall back to
-// JSON bodies.
+// TestEveryMessageHasBinaryCodec keeps the seed list honest: every message
+// it names carries the wire codec RegisterType requires.
 func TestEveryMessageHasBinaryCodec(t *testing.T) {
 	for _, msg := range wireSeedMessages() {
 		if _, ok := msg.(wire.Marshaler); !ok {
@@ -149,36 +148,6 @@ func TestBinaryWireRoundTripsEveryMessage(t *testing.T) {
 		}
 		if !reflect.DeepEqual(payload, msg) {
 			t.Errorf("%T: fragmented round trip mismatch", msg)
-		}
-	}
-}
-
-// TestJSONBinaryCrossCompat pins what mixed-version clusters rely on: the
-// JSON and binary codecs decode the same message to the same value, so a
-// peer may receive either encoding of a message and behave identically.
-func TestJSONBinaryCrossCompat(t *testing.T) {
-	for _, msg := range wireSeedMessages() {
-		jsonData, err := network.EncodeMessage("cross", msg)
-		if err != nil {
-			t.Fatalf("json encode %T: %v", msg, err)
-		}
-		_, viaJSON, err := network.DecodeMessage(jsonData)
-		if err != nil {
-			t.Fatalf("json decode %T: %v", msg, err)
-		}
-		binData, err := network.EncodeMessageBinary("cross", msg, 0)
-		if err != nil {
-			t.Fatalf("binary encode %T: %v", msg, err)
-		}
-		_, viaBinary, err := network.DecodeMessageBinary(binData)
-		if err != nil {
-			t.Fatalf("binary decode %T: %v", msg, err)
-		}
-		if !reflect.DeepEqual(viaJSON, viaBinary) {
-			t.Errorf("%T: codecs disagree:\n json   %+v\n binary %+v", msg, viaJSON, viaBinary)
-		}
-		if len(binData) >= len(jsonData) {
-			t.Errorf("%T: binary encoding (%d B) not smaller than JSON (%d B)", msg, len(binData), len(jsonData))
 		}
 	}
 }

@@ -11,7 +11,7 @@ package replication
 //
 // Recovery protocol (OpenStore):
 //
-//  1. Load the newest valid snapshot snap-<seq>.json, if any; it covers
+//  1. Load the newest valid snapshot snap-<seq>.bin, if any; it covers
 //     every WAL segment below <seq>.
 //  2. Replay the WAL segments >= <seq> in order. Only the final record of
 //     the final segment may be torn (the expected crash artifact); an
@@ -44,9 +44,9 @@ import (
 // is rebuilt instead of walk-merged.
 type Baseline struct {
 	// Mine is the local store clock at the last completed sync.
-	Mine uint64 `json:"mine"`
+	Mine uint64
 	// Theirs is the replica's store clock at that sync.
-	Theirs uint64 `json:"theirs"`
+	Theirs uint64
 }
 
 // Defaults of PersistOptions.

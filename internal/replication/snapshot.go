@@ -9,18 +9,16 @@ package replication
 // follow it (persist.go); once a snapshot is durably on disk, the segments
 // it covers are deleted.
 //
-// Two snapshot formats exist:
+// A snapshot (snap-<seq>.bin) is a CRC-trailed stream of wire-codec records
+// — one small record per pair, encoded and written through a buffered
+// writer, so writing a checkpoint never materialises the store as one
+// contiguous image. The byte layout is: "PGSN", uvarint version, uvarint
+// clock, uvarint GC floor, tagged records (item/tombstone/baseline/meta), an
+// end tag, and a little-endian CRC-32 (IEEE) over everything before it.
 //
-//   - Version 2 (snap-<seq>.bin, written today): a CRC-trailed stream of
-//     wire-codec records — one small record per pair, encoded and written
-//     through a buffered writer, so writing a checkpoint never materialises
-//     the store as one contiguous image the way json.Marshal did. The byte
-//     layout is: "PGSN", uvarint version, uvarint clock, uvarint GC floor,
-//     tagged records (item/tombstone/baseline/meta), an end tag, and a
-//     little-endian CRC-32 (IEEE) over everything before it.
-//   - Version 1 (snap-<seq>.json, legacy): one JSON document. Still decoded
-//     on recovery, so data directories written before the binary format
-//     keep working; the next checkpoint replaces them with version 2.
+// The retired version-1 format (snap-<seq>.json) is not read. A data
+// directory whose state still lives in one is refused rather than opened
+// without it (loadLatestSnapshot).
 //
 // Snapshots are written atomically (temp file + fsync + rename + directory
 // fsync) and carry the sequence number of the first WAL segment *not*
@@ -31,7 +29,6 @@ package replication
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,13 +43,9 @@ import (
 	"pgrid/internal/wire"
 )
 
-// Snapshot format versions.
-const (
-	// snapshotVersionJSON is the legacy whole-document JSON format.
-	snapshotVersionJSON = 1
-	// snapshotVersion is the current streamed binary format.
-	snapshotVersion = 2
-)
+// snapshotVersion is the format version written after snapMagic. Version 1
+// was the retired JSON document.
+const snapshotVersion = 2
 
 // snapMagic opens every binary snapshot file.
 const snapMagic = "PGSN"
@@ -80,45 +73,43 @@ const (
 
 // snapItem is one live pair in a snapshot.
 type snapItem struct {
-	K   string `json:"k"` // key bit string
-	V   string `json:"v"`
-	Gen uint64 `json:"g,omitempty"`
-	Ver uint64 `json:"m,omitempty"` // last-modified store clock
+	K   string // key bit string
+	V   string
+	Gen uint64
+	Ver uint64 // last-modified store clock
 }
 
 // snapTomb is one tombstoned pair in a snapshot.
 type snapTomb struct {
-	K    string `json:"k"`
-	V    string `json:"v"`
-	Gen  uint64 `json:"g,omitempty"`
-	Born uint64 `json:"b,omitempty"` // store clock at recording
-	At   int64  `json:"t,omitempty"` // wall clock at recording, unix nanos
-	Ver  uint64 `json:"m,omitempty"`
+	K    string
+	V    string
+	Gen  uint64
+	Born uint64 // store clock at recording
+	At   int64  // wall clock at recording, unix nanos
+	Ver  uint64
 }
 
 // snapshotState is the in-memory form of a store's durable state, captured
-// at a WAL segment boundary and streamed to disk record by record. The
-// JSON tags are the legacy version-1 document schema.
+// at a WAL segment boundary and streamed to disk record by record.
 type snapshotState struct {
-	Version   int                 `json:"version"`
-	Seq       uint64              `json:"seq"` // first WAL segment not covered
-	Clock     uint64              `json:"clock"`
-	GCFloor   uint64              `json:"gc_floor,omitempty"`
-	Items     []snapItem          `json:"items,omitempty"`
-	Tombs     []snapTomb          `json:"tombstones,omitempty"`
-	Baselines map[string]Baseline `json:"baselines,omitempty"`
-	Meta      map[string]string   `json:"meta,omitempty"`
+	Seq       uint64 // first WAL segment not covered
+	Clock     uint64
+	GCFloor   uint64
+	Items     []snapItem
+	Tombs     []snapTomb
+	Baselines map[string]Baseline
+	Meta      map[string]string
 
 	// External-pairs mode (disk engine): the live pairs are in the segment
 	// files named by Manifest rather than inlined in Items, Count is the
 	// live pair count at the boundary, and Digests carries the dense digest
-	// tree so recovery does not scan the pairs. Binary format only.
-	External bool         `json:"-"`
-	Count    int          `json:"-"`
-	Manifest []string     `json:"-"`
-	Digests  []snapDigest `json:"-"`
+	// tree so recovery does not scan the pairs.
+	External bool
+	Count    int
+	Manifest []string
+	Digests  []snapDigest
 	// MutLog is the mutation dedup ring, oldest first (both engines).
-	MutLog []uint64 `json:"-"`
+	MutLog []uint64
 }
 
 // snapDigest is one dense digest-tree cell carried by an external-pairs
@@ -129,12 +120,9 @@ type snapDigest struct {
 	N int
 }
 
-// snapshotName renders the file name of the binary snapshot covering
-// everything before WAL segment seq.
+// snapshotName renders the file name of the snapshot covering everything
+// before WAL segment seq.
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016d.bin", seq) }
-
-// snapshotNameJSON renders the legacy JSON snapshot name for seq.
-func snapshotNameJSON(seq uint64) string { return fmt.Sprintf("snap-%016d.json", seq) }
 
 // segmentName renders the file name of WAL segment seq.
 func segmentName(seq uint64) string { return fmt.Sprintf("wal-%016d.log", seq) }
@@ -279,7 +267,7 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 	if v := d.Uvarint(); d.Err() != nil || v != snapshotVersion {
 		return nil, errSnapshotCorrupt
 	}
-	st := &snapshotState{Version: snapshotVersion}
+	st := &snapshotState{}
 	st.Clock = d.Uvarint()
 	st.GCFloor = d.Uvarint()
 	for {
@@ -360,10 +348,8 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 	}
 }
 
-// writeSnapshot atomically persists the snapshot into dir in the binary
-// format.
+// writeSnapshot atomically persists the snapshot into dir.
 func writeSnapshot(dir string, st *snapshotState) error {
-	st.Version = snapshotVersion
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
@@ -390,73 +376,59 @@ func writeSnapshot(dir string, st *snapshotState) error {
 	return syncDir(dir)
 }
 
-// snapshotFile is one snapshot found on disk.
-type snapshotFile struct {
-	seq  uint64
-	json bool
-}
-
-// listSnapshots returns the snapshots in dir, newest first; a binary
-// snapshot sorts before a JSON one of the same sequence.
-func listSnapshots(dir string) ([]snapshotFile, error) {
+// listSnapshots returns the sequence numbers of the snapshots in dir, newest
+// first: the snap-<seq>.bin files this code reads, and separately the
+// snap-<seq>.json files of the retired version-1 format.
+func listSnapshots(dir string) (bins, retired []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var snaps []snapshotFile
 	for _, e := range entries {
 		if seq, ok := parseSeq(e.Name(), "snap-", ".bin"); ok {
-			snaps = append(snaps, snapshotFile{seq: seq})
+			bins = append(bins, seq)
 		}
 		if seq, ok := parseSeq(e.Name(), "snap-", ".json"); ok {
-			snaps = append(snaps, snapshotFile{seq: seq, json: true})
+			retired = append(retired, seq)
 		}
 	}
-	sort.Slice(snaps, func(i, j int) bool {
-		if snaps[i].seq != snaps[j].seq {
-			return snaps[i].seq > snaps[j].seq
-		}
-		return !snaps[i].json && snaps[j].json
-	})
-	return snaps, nil
+	newestFirst := func(s []uint64) { sort.Slice(s, func(i, j int) bool { return s[i] > s[j] }) }
+	newestFirst(bins)
+	newestFirst(retired)
+	return bins, retired, nil
 }
 
-// loadLatestSnapshot finds and decodes the newest readable snapshot in dir,
-// binary or legacy JSON. It returns ok=false (and no error) when dir holds
-// no usable snapshot; a snapshot that fails to decode is skipped in favour
-// of an older one, so a crash mid-rename can never make recovery fail
-// outright.
+// loadLatestSnapshot finds and decodes the newest readable snapshot in dir.
+// It returns ok=false (and no error) when dir holds no usable snapshot; a
+// snapshot that fails to decode is skipped in favour of an older one, so a
+// crash mid-rename can never make recovery fail outright.
+//
+// It fails when dir holds a snap-<seq>.json (the retired version-1 format)
+// newer than the snapshot it could load: the WAL segments that file covers
+// were deleted when it was written, so recovering without it would replay
+// only the WAL tail and silently lose its content. A .json at or below the
+// loaded snapshot is superseded and ignored.
 func loadLatestSnapshot(dir string) (*snapshotState, bool, error) {
-	snaps, err := listSnapshots(dir)
+	bins, retired, err := listSnapshots(dir)
 	if err != nil {
 		return nil, false, err
 	}
-	for _, sf := range snaps {
-		name := snapshotName(sf.seq)
-		if sf.json {
-			name = snapshotNameJSON(sf.seq)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
+	var st *snapshotState
+	for _, seq := range bins {
+		data, err := os.ReadFile(filepath.Join(dir, snapshotName(seq)))
 		if err != nil {
 			continue
 		}
-		var st *snapshotState
-		if sf.json {
-			var js snapshotState
-			if err := json.Unmarshal(data, &js); err != nil || js.Version != snapshotVersionJSON {
-				continue
-			}
-			st = &js
-		} else {
-			st, err = decodeBinarySnapshot(data)
-			if err != nil {
-				continue
-			}
+		if st, err = decodeBinarySnapshot(data); err == nil {
+			st.Seq = seq
+			break
 		}
-		st.Seq = sf.seq
-		return st, true, nil
 	}
-	return nil, false, nil
+	if len(retired) > 0 && (st == nil || retired[0] > st.Seq) {
+		return nil, false, fmt.Errorf("replication: %s is in the retired JSON snapshot format and no readable snap-*.bin covers it: reopen once with the previous version and checkpoint",
+			filepath.Join(dir, fmt.Sprintf("snap-%016d.json", retired[0])))
+	}
+	return st, st != nil, nil
 }
 
 // listSegments returns the WAL segment sequence numbers present in dir, in
@@ -477,8 +449,8 @@ func listSegments(dir string) ([]uint64, error) {
 }
 
 // removeBelow deletes snapshots and WAL segments made obsolete by a durable
-// snapshot at seq (segments < seq, snapshots < seq, both formats). Best
-// effort: leftover files only cost disk space, never correctness.
+// snapshot at seq (segments < seq, snapshots < seq). Best effort: leftover
+// files only cost disk space, never correctness.
 func removeBelow(dir string, seq uint64) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -489,11 +461,6 @@ func removeBelow(dir string, seq uint64) {
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 		if s, ok := parseSeq(e.Name(), "snap-", ".bin"); ok && s < seq {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-		if s, ok := parseSeq(e.Name(), "snap-", ".json"); ok && s <= seq {
-			// A JSON snapshot at the same seq was superseded by the binary
-			// rewrite of the same boundary.
 			os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}

@@ -1,134 +1,41 @@
 package replication
 
 import (
-	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pgrid/internal/keyspace"
 )
 
-// writeJSONSnapshotV1 writes a snapshot in the legacy version-1 JSON format
-// exactly as the pre-binary code did: one marshalled snapshotState document
-// under snap-<seq>.json.
-func writeJSONSnapshotV1(t *testing.T, dir string, st *snapshotState) {
+// writeRetiredJSONSnapshot drops a snap-<seq>.json file, the version-1
+// snapshot format this code no longer reads, into dir.
+func writeRetiredJSONSnapshot(t *testing.T, dir string, seq uint64) string {
 	t.Helper()
-	st.Version = snapshotVersionJSON
-	data, err := json.Marshal(st)
-	if err != nil {
+	path := filepath.Join(dir, fmt.Sprintf("snap-%016d.json", seq))
+	doc := fmt.Sprintf(`{"version":1,"seq":%d,"clock":41,"items":[{"k":"0010","v":"alpha","m":11}]}`, seq)
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, snapshotNameJSON(st.Seq)), data, 0o644); err != nil {
+	return path
+}
+
+// writeTestSnapshot writes a binary snapshot at seq holding the single pair
+// ("01", value).
+func writeTestSnapshot(t *testing.T, dir string, seq uint64, value string) {
+	t.Helper()
+	st := &snapshotState{Seq: seq, Clock: 9, Items: []snapItem{{K: "01", V: value, Ver: 9}}}
+	if err := writeSnapshot(dir, st); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRecoverFromLegacyJSONSnapshot pins backward compatibility: a data
-// directory whose newest snapshot is the legacy JSON format (written before
-// the binary snapshot codec existed) must recover exactly, and the next
-// checkpoint must replace it with a binary snapshot that recovers to the
-// same state.
-func TestRecoverFromLegacyJSONSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	now := time.Now().UnixNano()
-	st := &snapshotState{
-		Seq:     3,
-		Clock:   41,
-		GCFloor: 7,
-		Items: []snapItem{
-			{K: "0010", V: "alpha", Gen: 2, Ver: 11},
-			{K: "1011", V: "beta", Ver: 12},
-		},
-		Tombs: []snapTomb{
-			{K: "0111", V: "gone", Gen: 5, Born: 9, At: now, Ver: 13},
-		},
-		Baselines: map[string]Baseline{
-			"127.0.0.1:9999": {Mine: 17, Theirs: 23},
-		},
-		Meta: map[string]string{"overlay.path": "01"},
-	}
-	writeJSONSnapshotV1(t, dir, st)
-
-	s, err := OpenStore(dir, PersistOptions{SyncAlways: true})
-	if err != nil {
-		t.Fatalf("open store over legacy JSON snapshot: %v", err)
-	}
-	verify := func(s *Store, phase string, wantClock uint64) {
-		t.Helper()
-		if got := s.Clock(); got != wantClock {
-			t.Errorf("%s: clock = %d, want %d", phase, got, wantClock)
-		}
-		if got := s.GCFloor(); got != 7 {
-			t.Errorf("%s: gc floor = %d, want 7", phase, got)
-		}
-		if got := s.Lookup(keyspace.MustFromString("0010")); len(got) != 1 || got[0].Value != "alpha" || got[0].Gen != 2 {
-			t.Errorf("%s: item 0010 = %v", phase, got)
-		}
-		if got := s.Lookup(keyspace.MustFromString("1011")); len(got) != 1 || got[0].Value != "beta" {
-			t.Errorf("%s: item 1011 = %v", phase, got)
-		}
-		if s.Live(keyspace.MustFromString("0111"), "gone") {
-			t.Errorf("%s: tombstoned pair is live", phase)
-		}
-		if got := s.TombstoneCount(); got != 1 {
-			t.Errorf("%s: tombstones = %d, want 1", phase, got)
-		}
-		bl := s.Baselines()
-		if got := bl["127.0.0.1:9999"]; got != (Baseline{Mine: 17, Theirs: 23}) {
-			t.Errorf("%s: baseline = %+v", phase, got)
-		}
-		if got := s.Meta("overlay.path"); got != "01" {
-			t.Errorf("%s: meta path = %q", phase, got)
-		}
-	}
-	verify(s, "legacy recovery", 41)
-
-	// A mutation after recovery and a checkpoint must rewrite the state as
-	// a binary snapshot covering it.
-	s.Insert(Item{Key: keyspace.MustFromString("1100"), Value: "post-upgrade"})
-	if err := s.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after legacy recovery: %v", err)
-	}
-	snaps, err := listSnapshots(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) == 0 || snaps[0].json {
-		t.Fatalf("newest snapshot after checkpoint should be binary, got %+v", snaps)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := OpenStore(dir, PersistOptions{SyncAlways: true})
-	if err != nil {
-		t.Fatalf("reopen after binary checkpoint: %v", err)
-	}
-	defer s2.Close()
-	verify(s2, "binary recovery", 42) // the post-upgrade insert advanced the clock
-	if got := s2.Lookup(keyspace.MustFromString("1100")); len(got) != 1 || got[0].Value != "post-upgrade" {
-		t.Errorf("binary recovery: post-upgrade item = %v", got)
-	}
-}
-
-// TestBinarySnapshotCorruptionSkipped checks the recovery ladder: a binary
-// snapshot with a flipped byte fails its CRC and recovery falls back to an
-// older JSON snapshot instead of failing or loading garbage.
-func TestBinarySnapshotCorruptionSkipped(t *testing.T) {
-	dir := t.TempDir()
-	writeJSONSnapshotV1(t, dir, &snapshotState{
-		Seq:   1,
-		Clock: 5,
-		Items: []snapItem{{K: "01", V: "old", Ver: 5}},
-	})
-	// Newer binary snapshot, corrupted.
-	bin := &snapshotState{Seq: 2, Clock: 9, Items: []snapItem{{K: "01", V: "new", Ver: 9}}}
-	if err := writeSnapshot(dir, bin); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapshotName(2))
+// corruptFile flips one byte in the middle of a file.
+func corruptFile(t *testing.T, path string) {
+	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -137,14 +44,87 @@ func TestBinarySnapshotCorruptionSkipped(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLegacyJSONSnapshotRefused pins the safety rule for the retired JSON
+// snapshot format: the WAL segments a snapshot covers are deleted when it is
+// written, so a data directory whose newest state lives in a snap-<seq>.json
+// that no readable binary snapshot supersedes must fail to open — skipping
+// the file would replay only the WAL tail and silently lose its content.
+func TestLegacyJSONSnapshotRefused(t *testing.T) {
+	for name, setup := range map[string]func(*testing.T, string){
+		"json only":    func(*testing.T, string) {},
+		"older binary": func(t *testing.T, dir string) { writeTestSnapshot(t, dir, 2, "bin") },
+		"corrupt newer binary": func(t *testing.T, dir string) {
+			writeTestSnapshot(t, dir, 4, "bin")
+			corruptFile(t, filepath.Join(dir, snapshotName(4)))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			jsonPath := writeRetiredJSONSnapshot(t, dir, 3)
+			setup(t, dir)
+			s, err := OpenStore(dir, PersistOptions{})
+			if err == nil {
+				s.Close()
+				t.Fatal("store opened over an uncovered JSON snapshot; its content would be lost")
+			}
+			for _, want := range []string{jsonPath, "reopen once with the previous version and checkpoint"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not mention %q", err, want)
+				}
+			}
+		})
+	}
+}
+
+// TestLegacyJSONSnapshotBelowBinaryIgnored is the other half of the rule: a
+// .json file at or below a readable binary snapshot is superseded, so the
+// store opens from the binary one, and checkpoints leave the file alone.
+func TestLegacyJSONSnapshotBelowBinaryIgnored(t *testing.T) {
+	for _, binSeq := range []uint64{3, 5} {
+		dir := t.TempDir()
+		jsonPath := writeRetiredJSONSnapshot(t, dir, 3)
+		writeTestSnapshot(t, dir, binSeq, "bin")
+		s, err := OpenStore(dir, PersistOptions{SyncAlways: true})
+		if err != nil {
+			t.Fatalf("binary snapshot at seq %d over a JSON one at 3: %v", binSeq, err)
+		}
+		if got := s.Lookup(keyspace.MustFromString("01")); len(got) != 1 || got[0].Value != "bin" {
+			t.Errorf("seq %d: recovered %v, want the binary snapshot's state", binSeq, got)
+		}
+		if got := s.Lookup(keyspace.MustFromString("0010")); len(got) != 0 {
+			t.Errorf("seq %d: the JSON snapshot's content was loaded: %v", binSeq, got)
+		}
+		s.Insert(Item{Key: keyspace.MustFromString("1100"), Value: "later"})
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := os.Stat(jsonPath); err != nil {
+			t.Errorf("seq %d: checkpoint removed the ignored JSON file: %v", binSeq, err)
+		}
+	}
+}
+
+// TestBinarySnapshotCorruptionSkipped checks the recovery ladder: a snapshot
+// with a flipped byte fails its CRC and recovery falls back to an older one
+// instead of failing or loading garbage.
+func TestBinarySnapshotCorruptionSkipped(t *testing.T) {
+	dir := t.TempDir()
+	writeTestSnapshot(t, dir, 1, "old")
+	writeTestSnapshot(t, dir, 2, "new")
+	corruptFile(t, filepath.Join(dir, snapshotName(2)))
 
 	s, err := OpenStore(dir, PersistOptions{})
 	if err != nil {
-		t.Fatalf("open with corrupt binary snapshot: %v", err)
+		t.Fatalf("open with corrupt newest snapshot: %v", err)
 	}
 	defer s.Close()
 	if got := s.Lookup(keyspace.MustFromString("01")); len(got) != 1 || got[0].Value != "old" {
-		t.Errorf("fallback recovery = %v, want the older JSON state", got)
+		t.Errorf("fallback recovery = %v, want the older snapshot's state", got)
 	}
 }
 

@@ -19,8 +19,7 @@ import (
 //	              WithQueryFanout
 //	Reads         WithQueryCache, WithHotReplication
 //	Writes        WithWriteQuorum
-//	Maintenance   WithMaintenanceInterval, WithTombstoneGC,
-//	              WithFullSyncAntiEntropy
+//	Maintenance   WithMaintenanceInterval, WithTombstoneGC
 //	Durability    WithPersistence, WithStorageEngine
 //	Network       WithNetworkLatency, WithMessageLoss, WithServiceCost
 //	Reproducing   WithSeed
@@ -100,13 +99,6 @@ func WithRoutingRedundancy(refs int) Option { return func(o *options) { o.overla
 // overlay.DefaultAlpha (3).
 func WithQueryAlpha(alpha int) Option { return func(o *options) { o.overlay.Alpha = alpha } }
 
-// WithQueryParallelism sets α, the per-hop lookup race width.
-//
-// Deprecated: use WithQueryAlpha, which names the paper's parameter
-// directly. This alias keeps old callers compiling and behaves
-// identically.
-func WithQueryParallelism(alpha int) Option { return WithQueryAlpha(alpha) }
-
 // WithHedgeDelay staggers the launch of the additional α lookup candidates:
 // candidate i starts i*d after the first, so extra requests are only sent
 // when the preferred reference has not answered promptly (hedged requests).
@@ -118,14 +110,6 @@ func WithHedgeDelay(d time.Duration) Option { return func(o *options) { o.overla
 // 1 restores the serial branch-after-branch behaviour; the default is
 // overlay.DefaultFanout (4).
 func WithQueryFanout(n int) Option { return func(o *options) { o.overlay.Fanout = n } }
-
-// WithRangeFanout bounds concurrent sub-tree forwards of range and batch
-// queries.
-//
-// Deprecated: use WithQueryFanout; the knob has always applied to batch
-// queries too, not only ranges. This alias keeps old callers compiling and
-// behaves identically.
-func WithRangeFanout(n int) Option { return WithQueryFanout(n) }
 
 // WithQueryCache enables the query-path answer cache on every peer: a peer
 // that forwards an exact-match lookup memoizes the answer (bounded LRU of
@@ -219,16 +203,6 @@ func WithPersistence(dir string) Option {
 // uses the PGRID_ENGINE environment variable, falling back to "mem".
 func WithStorageEngine(engine string) Option {
 	return func(o *options) { o.overlay.StorageEngine = engine }
-}
-
-// WithFullSyncAntiEntropy restores the legacy full-set anti-entropy
-// exchange, in which every maintenance tick ships the partition's entire
-// item and tombstone set to the chosen replica. It exists as the baseline
-// for benchmarking the digest/delta protocol (the default) and should not be
-// combined with WithTombstoneGC: a full-set merge cannot tell a stale live
-// copy from a fresh write once the tombstone is pruned.
-func WithFullSyncAntiEntropy() Option {
-	return func(o *options) { o.overlay.FullSyncAntiEntropy = true }
 }
 
 // WithBootstrapDegree sets the degree of the unstructured bootstrap

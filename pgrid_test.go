@@ -263,9 +263,9 @@ func TestClusterOptionCoverage(t *testing.T) {
 		WithRoutingRedundancy(2),
 		WithNetworkLatency(time.Microsecond),
 		WithMessageLoss(0),
-		WithQueryParallelism(2),
+		WithQueryAlpha(2),
 		WithHedgeDelay(time.Millisecond),
-		WithRangeFanout(6),
+		WithQueryFanout(6),
 	)
 	if err != nil {
 		t.Fatal(err)

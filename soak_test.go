@@ -8,10 +8,10 @@ import (
 )
 
 // TestSoakMaintenanceBandwidthFlat is the write+delete soak behind the
-// digest/delta anti-entropy work: as lifetime deletes grow 10×, the legacy
-// full-set exchange's maintenance bytes-per-tick grow with them (every tick
-// retransmits the ever-growing tombstone set), while the digest protocol's
-// stay approximately flat and the tombstone GC bounds the metadata itself.
+// digest/delta anti-entropy work: as lifetime deletes grow 10×, the digest
+// protocol's maintenance bytes-per-tick stay approximately flat, and the
+// tombstone GC bounds the metadata itself against a cluster that keeps
+// tombstones forever.
 //
 // The nightly workflow runs the long variant (PGRID_SOAK=1) with another 10×
 // of lifetime deletes on top.
@@ -52,7 +52,7 @@ func TestSoakMaintenanceBandwidthFlat(t *testing.T) {
 	// The version horizon is sized to the soak's write volume: long enough
 	// that every replica syncs within it, short enough that the bulk of the
 	// lifetime tombstones is pruned by the end of the run.
-	full := build(WithFullSyncAntiEntropy())
+	keep := build()
 	digest := build(WithTombstoneGC(0, 24))
 
 	maintBytes := func(c *Cluster) float64 {
@@ -84,8 +84,8 @@ func TestSoakMaintenanceBandwidthFlat(t *testing.T) {
 	done := 0
 	type sample struct {
 		deletes   int
-		full, dig float64
-		fullTombs int
+		dig       float64
+		keepTombs int
 		gcTombs   int
 	}
 	var samples []sample
@@ -93,7 +93,7 @@ func TestSoakMaintenanceBandwidthFlat(t *testing.T) {
 		for ; done < target; done++ {
 			key := FloatKey((float64(done%items) + 0.37) / float64(items))
 			val := fmt.Sprintf("churn-%d", done)
-			for _, c := range []*Cluster{full, digest} {
+			for _, c := range []*Cluster{keep, digest} {
 				_, _ = c.Insert(ctx, key, val)
 				_, _ = c.Delete(ctx, key, val)
 				if done%50 == 49 {
@@ -102,35 +102,26 @@ func TestSoakMaintenanceBandwidthFlat(t *testing.T) {
 			}
 		}
 		samples = append(samples, sample{
-			deletes: done,
-			full:    bytesPerTick(full), dig: bytesPerTick(digest),
-			fullTombs: tombstones(full), gcTombs: tombstones(digest),
+			deletes:   done,
+			dig:       bytesPerTick(digest),
+			keepTombs: tombstones(keep), gcTombs: tombstones(digest),
 		})
 	}
 	for _, s := range samples {
-		t.Logf("deletes=%d full=%.0f B/tick digest=%.0f B/tick tombstones full=%d gc=%d",
-			s.deletes, s.full, s.dig, s.fullTombs, s.gcTombs)
+		t.Logf("deletes=%d digest=%.0f B/tick tombstones no-gc=%d gc=%d",
+			s.deletes, s.dig, s.keepTombs, s.gcTombs)
 	}
 
 	first, last := samples[0], samples[len(samples)-1]
 	digestGrowth := last.dig / first.dig
-	fullGrowth := last.full / first.full
 	// The digest protocol must stay ~flat across a 10× delete growth; the
 	// margins are generous so scheduler noise cannot flake the build.
 	if digestGrowth > 1.75 {
 		t.Errorf("digest maintenance grew %.2fx across a 10x delete growth; want ~flat", digestGrowth)
 	}
-	// The legacy exchange must show the linear growth the digest protocol
-	// eliminates, and clearly outgrow it.
-	if fullGrowth < 2 {
-		t.Errorf("full-set maintenance grew only %.2fx; the baseline should grow with lifetime deletes", fullGrowth)
-	}
-	if fullGrowth < 1.5*digestGrowth {
-		t.Errorf("full-set growth %.2fx not clearly above digest growth %.2fx", fullGrowth, digestGrowth)
-	}
 	// The GC horizon must bound tombstone metadata well below the
 	// keep-forever baseline.
-	if last.gcTombs*2 >= last.fullTombs {
-		t.Errorf("GC held %d tombstones vs %d without GC; want less than half", last.gcTombs, last.fullTombs)
+	if last.gcTombs*2 >= last.keepTombs {
+		t.Errorf("GC held %d tombstones vs %d without GC; want less than half", last.gcTombs, last.keepTombs)
 	}
 }

@@ -615,37 +615,6 @@ func BenchmarkClusterQueryCacheHit(b *testing.B) {
 	}
 }
 
-// BenchmarkHotReplicaWidenedQuery measures lookups against a partition that
-// has recruited shadow replicas: the raced router spreads reads across the
-// widened set, each serve revalidating with a clock probe.
-func BenchmarkHotReplicaWidenedQuery(b *testing.B) {
-	c, err := NewCluster(WithPeers(48), WithMaxKeys(20), WithMinReplicas(2), WithSeed(1),
-		WithHotReplication(50, 3))
-	if err != nil {
-		b.Fatal(err)
-	}
-	for j := 0; j < 300; j++ {
-		_ = c.IndexFloat(float64(j)/300, fmt.Sprintf("v%d", j))
-	}
-	if _, err := c.Build(contextBackground()); err != nil {
-		b.Fatal(err)
-	}
-	// Drive the hot key's read rate over the threshold, then let one
-	// maintenance round run the widening state machine.
-	for j := 0; j < 400; j++ {
-		if _, err := c.Search(contextBackground(), FloatKey(0.5)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	c.MaintenanceRound(contextBackground())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Search(contextBackground(), FloatKey(0.5)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchSyncPeers builds two in-sync replica peers of the root partition with
 // the given number of items, for anti-entropy protocol benchmarks.
 func benchSyncPeers(b *testing.B, items int) (*overlay.Peer, *overlay.Peer) {

@@ -61,7 +61,7 @@ func main() {
 	base := flag.String("base", "", "bench output of the comparison base (required)")
 	head := flag.String("head", "", "bench output of the candidate (required)")
 	threshold := flag.Float64("threshold", 15, "maximal tolerated ns/op regression in percent on gated benchmarks")
-	match := flag.String("match", "Query|Search|Batch|Lookup|Insert|Delete|Mutation|AntiEntropy|Store|Wire|TCPCall|Engine|Cache|HotReplica",
+	match := flag.String("match", "Query|Search|Batch|Lookup|Insert|Delete|Mutation|AntiEntropy|Store|Wire|TCPCall|Engine|Cache",
 		"regexp selecting the gated hot-path benchmarks")
 	jsonOut := flag.String("json", "", "write the comparison as JSON to this file")
 	mdOut := flag.String("markdown", "", "write the comparison as a markdown table to this file (- for stdout)")

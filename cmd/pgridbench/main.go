@@ -13,7 +13,7 @@
 //	pgridbench -fig q          # concurrent query engine: α / fan-out sweep
 //	pgridbench -fig w          # live mutations: mixed read/write workload
 //	pgridbench -fig dur        # durability: WAL append / checkpoint / recovery
-//	pgridbench -fig zipf       # hot keys: answer cache + adaptive widening vs skew
+//	pgridbench -fig zipf       # hot keys: answer cache vs skew
 //	pgridbench -fig all        # everything
 //
 // The -quick flag shrinks populations and repetition counts so a full run
@@ -870,16 +870,15 @@ func durability(quick bool, seed int64) error {
 
 // zipfHotKeys measures the read path under skewed key popularity (beyond the
 // paper): exact-match latency for a uniform workload versus Zipf-skewed ones,
-// with the query answer cache and hot-key replica widening disabled and
-// enabled. The simulated network charges every endpoint a service cost per
-// message byte, so the replicas of a hot partition become a genuine queueing
-// bottleneck: without the features, p95 latency grows steeply with skew as
-// requests pile up behind the hot replicas' large answers; with them, most
-// hot-key reads collapse into a cheap one-hop clock probe served from caches
-// and recruited shadow replicas, and the tail stays near the uniform
-// baseline.
+// with the query answer cache disabled and enabled. The simulated network
+// charges every endpoint a service cost per message byte, so the replicas of
+// a hot partition become a genuine queueing bottleneck: without the cache,
+// p95 latency grows steeply with skew as requests pile up behind the hot
+// replicas' large answers; with it, most hot-key reads collapse into a cheap
+// one-hop clock probe served from the forwarding peers' caches, and the tail
+// stays near the uniform baseline.
 func zipfHotKeys(quick bool, seed int64) error {
-	header("Hot keys: answer cache + adaptive replica widening vs Zipf skew")
+	header("Hot keys: answer cache vs Zipf skew")
 	ctx := context.Background()
 	peers, vocab, valsPerKey := 48, 64, 12
 	workers, queriesPerWorker := 12, 400
@@ -902,10 +901,7 @@ func zipfHotKeys(quick bool, seed int64) error {
 			pgrid.WithServiceCost(fixedCost, byteCost),
 		}
 		if features {
-			opts = append(opts,
-				pgrid.WithQueryCache(256, 250*time.Millisecond),
-				pgrid.WithHotReplication(100, 3),
-			)
+			opts = append(opts, pgrid.WithQueryCache(256, 250*time.Millisecond))
 		}
 		c, err := pgrid.NewCluster(opts...)
 		if err != nil {
@@ -952,12 +948,9 @@ func zipfHotKeys(quick bool, seed int64) error {
 			}
 			return keys[zipf.Rank(rng)]
 		}
-		// Warm-up primes the caches and the per-partition read-rate
-		// estimates; the maintenance round in between is where the hot
-		// peers recruit their shadow replicas.
+		// Warm-up primes the caches; only the second phase is measured.
 		for phase, n := 0, queriesPerWorker/4; phase < 2; phase++ {
 			if phase == 1 {
-				c.MaintenanceRound(ctx)
 				n = queriesPerWorker
 			}
 			lat := make([][]float64, workers)
@@ -997,9 +990,9 @@ func zipfHotKeys(quick bool, seed int64) error {
 
 	fmt.Printf("%d peers, %d keys x %d values, service cost %v + %v/B, %d workers x %d queries\n",
 		peers, vocab, valsPerKey, fixedCost, byteCost, workers, queriesPerWorker)
-	fmt.Println("baseline = cache and widening disabled; features = WithQueryCache + WithHotReplication")
+	fmt.Println("baseline = cache disabled; features = WithQueryCache")
 	fmt.Println()
-	fmt.Printf("%-12s %-12s %9s %9s %9s %9s %9s\n", "config", "workload", "p50 (ms)", "p95 (ms)", "mean", "hits", "recruits")
+	fmt.Printf("%-12s %-12s %9s %9s %9s %9s\n", "config", "workload", "p50 (ms)", "p95 (ms)", "mean", "hits")
 	p95 := make(map[[2]string]float64)
 	for _, features := range []bool{false, true} {
 		name := "baseline"
@@ -1020,8 +1013,8 @@ func zipfHotKeys(quick bool, seed int64) error {
 			c.Close()
 			st := stats.Summarize(lat)
 			p95[[2]string{name, wl.name}] = st.P95
-			fmt.Printf("%-12s %-12s %9.2f %9.2f %9.2f %9.0f %9.0f\n",
-				name, wl.name, st.Median, st.P95, st.Mean, snap.CacheHits, snap.WideningRecruits)
+			fmt.Printf("%-12s %-12s %9.2f %9.2f %9.2f %9.0f\n",
+				name, wl.name, st.Median, st.P95, st.Mean, snap.CacheHits)
 		}
 	}
 	fmt.Println()

@@ -12,9 +12,8 @@ import (
 )
 
 // TestZipfCacheRegression runs a skewed read workload with the query answer
-// cache and hot-key widening enabled, against both storage engines, with
-// writes to the hottest key racing the readers. It pins the two properties
-// the features promise:
+// cache enabled, against both storage engines, with writes to the hottest
+// key racing the readers. It pins the two properties the cache promises:
 //
 //   - the cache actually serves (hit count > 0 under a Zipf workload), and
 //   - invalidation is strict: caching never extends staleness beyond the
@@ -26,8 +25,8 @@ import (
 //     entries are still inside their TTL. Only the clock-probe invalidation
 //     can make that pass.
 //
-// Run under -race this also exercises the cache/widening code for data
-// races between concurrent readers, the writer and maintenance.
+// Run under -race this also exercises the cache code for data races between
+// concurrent readers, the writer and maintenance.
 func TestZipfCacheRegression(t *testing.T) {
 	for _, engine := range []string{"mem", "disk"} {
 		t.Run(engine, func(t *testing.T) {
@@ -36,7 +35,6 @@ func TestZipfCacheRegression(t *testing.T) {
 				WithSeed(17),
 				WithStorageEngine(engine),
 				WithQueryCache(128, time.Second),
-				WithHotReplication(200, 2),
 			)
 			if err != nil {
 				t.Fatal(err)

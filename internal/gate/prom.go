@@ -202,8 +202,6 @@ func writePeerExposition(w io.Writer, s *overlay.MetricsSnapshot) {
 	counter("pgrid_peer_tombstones_pruned_total", "Tombstones removed by the GC horizon.", s.TombstonesPruned)
 	counter("pgrid_peer_cache_hits_total", "Exact lookups served from the query answer cache.", s.CacheHits)
 	counter("pgrid_peer_cache_misses_total", "Exact lookups that had to route (cache miss or revalidation failure).", s.CacheMisses)
-	counter("pgrid_peer_widening_recruits_total", "Temporary hot-key replicas enlisted by replica widening.", s.WideningRecruits)
-	counter("pgrid_peer_widening_releases_total", "Temporary hot-key replicas dismissed by replica widening.", s.WideningReleases)
 	counter("pgrid_peer_persistence_errors_total", "Maintenance ticks observing a sticky persistence failure.", s.PersistenceErrors)
 	gauge("pgrid_peer_replicas", "Peers known to replicate this partition.", float64(s.Replicas))
 	gauge("pgrid_peer_path_depth", "Partition path depth (trie level).", float64(len(s.Path)))

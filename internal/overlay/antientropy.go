@@ -541,3 +541,32 @@ func (p *Peer) handleDelta(req DeltaRequest) DeltaResponse {
 	}
 	return resp
 }
+
+// notifyTombstonePrune pushes the batch of pairs a GC compaction just
+// pruned to every known replica, so they drop the same tombstones in this
+// round instead of re-learning the prune through later digest syncs.
+func (p *Peer) notifyTombstonePrune(ctx context.Context, pruned []replication.Item) {
+	replicas := p.Replicas()
+	if len(replicas) == 0 {
+		return
+	}
+	req := TombstonePruneRequest{From: p.Addr(), Path: p.Path(), Pairs: pruned}
+	forEachBounded(p.queryFanout(), replicas, func(a network.Addr) {
+		p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(req)))
+		if raw, err := p.transport.Call(ctx, a, req); err == nil {
+			p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(raw)))
+		}
+	})
+}
+
+// handleTombstonePrune applies a cooperative prune batch from a replica.
+func (p *Peer) handleTombstonePrune(req TombstonePruneRequest) TombstonePruneResponse {
+	if !req.Path.SamePartition(p.Path()) {
+		return TombstonePruneResponse{}
+	}
+	n := p.store.DropTombstones(req.Pairs)
+	if n > 0 {
+		p.Metrics.TombstonesPruned.Add(float64(n))
+	}
+	return TombstonePruneResponse{Dropped: n}
+}

@@ -62,19 +62,7 @@ func (p *Peer) handleQueryBatch(ctx context.Context, req BatchQueryRequest) Batc
 	byLevel := make(map[int]*batchGroup)
 	for i, key := range req.Keys {
 		if p.table.Responsible(key) {
-			// Clock before Lookup, as in resolveQuery: a racing write must
-			// stale the token, never the items.
-			clock := p.store.Clock()
-			p.noteRead()
-			results[i] = QueryResponse{
-				Found:           true,
-				Items:           p.store.Lookup(key),
-				Hops:            req.Hops,
-				Responsible:     p.Addr(),
-				ResponsiblePath: p.Path(),
-				Clock:           clock,
-				Wide:            p.wideSet(),
-			}
+			results[i] = p.answerLocal(key, req.Hops)
 			continue
 		}
 		if req.TTL <= 0 {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -15,14 +14,15 @@ import (
 )
 
 // wireSeedMessages returns one instance of every protocol message, used both
-// as fuzz seeds and by the round-trip test.
+// as fuzz seeds and by the round-trip test, plus two item-carrying messages
+// large enough to fragment under the fuzzers' 512-byte frame limit.
 func wireSeedMessages() []any {
 	key := keyspace.MustFromString("1011")
 	item := replication.Item{Key: key, Value: "doc-1"}
 	return []any{
 		QueryRequest{Key: key, Hops: 1, TTL: 7, Bypass: true},
 		QueryResponse{Found: true, Items: []replication.Item{item}, Hops: 2, Responsible: "peer-1", ResponsiblePath: "10",
-			Clock: 19, Cached: true, Wide: []network.Addr{"peer-9", "peer-10"}},
+			Clock: 19, Cached: true},
 		BatchQueryRequest{Keys: []keyspace.Key{key}, TTL: 3},
 		BatchQueryResponse{Results: []QueryResponse{{Found: true, Hops: 1}}},
 		RangeRequest{Lo: key, Hi: key, TTL: 4},
@@ -44,11 +44,25 @@ func wireSeedMessages() []any {
 		DeltaResponse{Path: "10", Clock: 45, Applied: 2, Items: []replication.Item{item}},
 		ClockRequest{From: "peer-11"},
 		ClockResponse{Path: "10", Clock: 46},
-		RecruitRequest{From: "peer-12", Path: "10", Clock: 47, Lease: 10 * time.Second, Items: []replication.Item{item}},
-		RecruitResponse{Accepted: true, Path: "0"},
 		TombstonePruneRequest{From: "peer-13", Path: "10", Pairs: []replication.Item{{Key: key, Value: "gone", Gen: 5}}},
 		TombstonePruneResponse{Dropped: 1},
+		RangeResponse{Items: manyItems(40), Hops: 3, Partitions: 4},
+		DeltaResponse{Path: "10", Clock: 48, Items: manyItems(40), Tombstones: []replication.Item{{Key: key, Value: "gone", Gen: 6}}},
 	}
+}
+
+// manyItems returns n distinct items of about 18 encoded bytes each, so 40
+// of them overflow one 512-byte frame.
+func manyItems(n int) []replication.Item {
+	out := make([]replication.Item, n)
+	for i := range out {
+		out[i] = replication.Item{
+			Key:   keyspace.MustFromFloat(float64(i)/float64(n), 16),
+			Value: fmt.Sprintf("document-%03d", i),
+			Gen:   uint64(i + 1),
+		}
+	}
+	return out
 }
 
 // FuzzWireDecode pins the one-format rule from the decoder's side: a frame
@@ -92,7 +106,8 @@ func FuzzBinaryWireDecode(f *testing.F) {
 			f.Fatalf("encode seed %T: %v", msg, err)
 		}
 		f.Add(data)
-		// A fragmented encoding seeds the reassembly path.
+		// Under a 512-byte frame limit the large seeds split into several
+		// frames, which seeds the reassembly path.
 		if frag, err := network.EncodeMessageBinary("fuzz-seed", msg, 512); err == nil {
 			f.Add(frag)
 		}
@@ -165,7 +180,9 @@ func FuzzMutationWireRoundTrip(f *testing.F) {
 
 // TestRegenerateWireCorpus rewrites the checked-in seed corpus for
 // FuzzBinaryWireDecode from wireSeedMessages, so the corpus tracks the
-// message set. It only runs when PGRID_REGEN_CORPUS is set:
+// message set. A type's second seed is written as seed-<type>-large. Files
+// of unregistered types are left in place: the decoder must keep rejecting
+// them. It only runs when PGRID_REGEN_CORPUS is set:
 //
 //	PGRID_REGEN_CORPUS=1 go test ./internal/overlay -run TestRegenerateWireCorpus
 func TestRegenerateWireCorpus(t *testing.T) {
@@ -176,8 +193,13 @@ func TestRegenerateWireCorpus(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
+	seen := make(map[string]bool)
 	for _, msg := range wireSeedMessages() {
-		name := strings.ToLower(strings.TrimPrefix(fmt.Sprintf("%T", msg), "overlay."))
+		name := strings.ToLower(seedName(msg))
+		if seen[name] {
+			name += "-large"
+		}
+		seen[name] = true
 		bin, err := network.EncodeMessageBinary("corpus", msg, 0)
 		if err != nil {
 			t.Fatalf("encode %T: %v", msg, err)
@@ -186,7 +208,7 @@ func TestRegenerateWireCorpus(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if frag, err := network.EncodeMessageBinary("corpus", msg, 512); err == nil && len(frag) > len(bin)+8 {
+		if frag, err := network.EncodeMessageBinary("corpus", msg, 512); err == nil && !bytes.Equal(frag, bin) {
 			content = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frag)
 			if err := os.WriteFile(filepath.Join(dir, "seed-"+name+"-frag"), []byte(content), 0o644); err != nil {
 				t.Fatal(err)

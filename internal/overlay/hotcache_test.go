@@ -12,7 +12,7 @@ import (
 )
 
 // fakeClock is a hand-advanced time source shared by every peer of a test,
-// so cache TTLs, rate windows and recruit leases run on simulated time.
+// so cache TTLs run on simulated time.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -191,125 +191,6 @@ func TestQueryCacheEntryExpires(t *testing.T) {
 	}
 	if res.Cached {
 		t.Error("expired entry served from cache")
-	}
-}
-
-// TestHotReplicationLifecycle drives the widening state machine on a
-// simulated clock: sustained local reads recruit a routing neighbour as a
-// shadow replica, the shadow serves reads for the partition, any write
-// kills it via the clock probe, and a subsided rate releases the recruits.
-func TestHotReplicationLifecycle(t *testing.T) {
-	sim := network.NewSim(network.SimConfig{Seed: 94})
-	cfg := Config{
-		MaxKeys: 100, MinReplicas: 1, WriteQuorum: 1, Seed: 94,
-		HotReadThreshold: 5, HotMaxExtra: 2, HotReplicaLease: 5 * time.Second,
-	}
-	origin := New(cfg, sim.Endpoint("origin"))
-	hot := New(cfg, sim.Endpoint("hot"))
-	rep := New(cfg, sim.Endpoint("rep"))
-	origin.Table().SetPath("0")
-	hot.Table().SetPath("1")
-	rep.Table().SetPath("1")
-	origin.Table().Add(0, refFor(hot))
-	hot.Table().Add(0, refFor(origin))
-	rep.Table().Add(0, refFor(origin))
-	hot.AddReplica(rep.Addr())
-	rep.AddReplica(hot.Addr())
-	clk := newFakeClock()
-	for _, p := range []*Peer{origin, hot, rep} {
-		p.SetTimeSource(clk.now)
-	}
-	ctx := context.Background()
-	key := keyspace.MustFromString("1100")
-	if _, err := hot.Insert(ctx, replication.Item{Key: key, Value: "v1"}); err != nil {
-		t.Fatalf("insert: %v", err)
-	}
-
-	// Sustained local reads push the partition's rate over the threshold.
-	for i := 0; i < 20; i++ {
-		if _, err := hot.Query(ctx, key); err != nil {
-			t.Fatalf("hot read %d: %v", i, err)
-		}
-	}
-	tick := hot.MaintainTick(ctx, MaintenanceOptions{})
-	if tick.RecruitsAdded < 1 {
-		t.Fatalf("RecruitsAdded = %d, want >= 1", tick.RecruitsAdded)
-	}
-	// The replica of the same partition must never be recruited; the only
-	// eligible routing neighbour is the origin.
-	if got := hot.HotRecruits(); len(got) != 1 || got[0] != origin.Addr() {
-		t.Fatalf("HotRecruits = %v, want [origin]", got)
-	}
-	if !origin.ShadowActive() {
-		t.Fatal("origin did not install the shadow partition")
-	}
-
-	// The shadow answers reads for the partition without routing.
-	res, err := origin.Query(ctx, key)
-	if err != nil {
-		t.Fatalf("shadow query: %v", err)
-	}
-	if res.Hops != 0 || res.Responsible != hot.Addr() {
-		t.Errorf("shadow query hops=%d responsible=%s, want 0 hops attributed to hot", res.Hops, res.Responsible)
-	}
-	if !hasValue(res.Items, "v1") {
-		t.Errorf("shadow served %v, want v1", res.Items)
-	}
-
-	// A write advances the partition clock: the shadow's next probe fails,
-	// the shadow is dropped, and the read routes to the fresh answer.
-	if _, err := hot.Insert(ctx, replication.Item{Key: key, Value: "v2"}); err != nil {
-		t.Fatalf("insert v2: %v", err)
-	}
-	res, err = origin.Query(ctx, key)
-	if err != nil {
-		t.Fatalf("query after write: %v", err)
-	}
-	if !hasValue(res.Items, "v2") {
-		t.Errorf("read-your-writes violated through shadow: %v", res.Items)
-	}
-	if origin.ShadowActive() {
-		t.Error("stale shadow survived a failed clock probe")
-	}
-
-	// Two idle rate windows later the load has subsided: the hot peer
-	// dismisses its recruits.
-	clk.advance(3 * time.Second)
-	tick = hot.MaintainTick(ctx, MaintenanceOptions{})
-	if tick.RecruitsReleased < 1 {
-		t.Errorf("RecruitsReleased = %d, want >= 1", tick.RecruitsReleased)
-	}
-	if got := hot.HotRecruits(); len(got) != 0 {
-		t.Errorf("HotRecruits after release = %v, want none", got)
-	}
-	snap := hot.MetricsSnapshot()
-	if snap.WideningRecruits < 1 || snap.WideningReleases < 1 {
-		t.Errorf("widening counters = %+v, want both >= 1", snap)
-	}
-}
-
-// TestHotReplicationLeaseExpiry: a recruit that never hears the release
-// stops serving once its lease lapses.
-func TestHotReplicationLeaseExpiry(t *testing.T) {
-	sim := network.NewSim(network.SimConfig{Seed: 95})
-	clk := newFakeClock()
-	p := New(Config{MaxKeys: 100, MinReplicas: 1, Seed: 95}, sim.Endpoint("p"))
-	p.Table().SetPath("0")
-	p.SetTimeSource(clk.now)
-
-	resp := p.handleRecruit(RecruitRequest{
-		From: "remote", Path: "1", Clock: 7, Lease: 2 * time.Second,
-		Items: []replication.Item{{Key: keyspace.MustFromString("1100"), Value: "v"}},
-	})
-	if !resp.Accepted {
-		t.Fatal("recruit rejected")
-	}
-	if !p.ShadowActive() {
-		t.Fatal("shadow not active after recruit")
-	}
-	clk.advance(3 * time.Second)
-	if p.ShadowActive() {
-		t.Error("shadow outlived its lease")
 	}
 }
 

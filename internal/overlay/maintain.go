@@ -65,9 +65,6 @@ type TickReport struct {
 	// RefsProbed and RefsPruned count the routing references pinged and the
 	// ones dropped as stale.
 	RefsProbed, RefsPruned int
-	// RecruitsAdded and RecruitsReleased count the temporary hot-key
-	// replicas the tick's widening check enlisted and dismissed.
-	RecruitsAdded, RecruitsReleased int
 	// ReplicaDiscovered reports that the tick re-discovered a replica by
 	// self-lookup after the replica set had run dry.
 	ReplicaDiscovered bool
@@ -105,10 +102,6 @@ func (p *Peer) MaintainTick(ctx context.Context, opts MaintenanceOptions) TickRe
 		p.notifyTombstonePrune(ctx, pruned)
 	}
 	p.compactSyncStates()
-
-	// Replica widening: recruit temporary shadows while the partition's
-	// read rate is above the threshold, release them once it subsides.
-	rep.RecruitsAdded, rep.RecruitsReleased = p.maintainHotSet(ctx)
 
 	// Durable overlay state: re-record the partition path (no-op when
 	// unchanged) and compact the WAL into a snapshot once it outgrew the

@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"time"
-
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
 	"pgrid/internal/replication"
@@ -32,8 +30,6 @@ const (
 	msgDeltaResponse    = "pgrid.delta.response"
 	msgClockRequest     = "pgrid.clock.request"
 	msgClockResponse    = "pgrid.clock.response"
-	msgRecruitRequest   = "pgrid.recruit.request"
-	msgRecruitResponse  = "pgrid.recruit.response"
 	msgPruneRequest     = "pgrid.prune.request"
 	msgPruneResponse    = "pgrid.prune.response"
 )
@@ -60,8 +56,6 @@ func init() {
 	network.RegisterType(msgDeltaResponse, DeltaResponse{})
 	network.RegisterType(msgClockRequest, ClockRequest{})
 	network.RegisterType(msgClockResponse, ClockResponse{})
-	network.RegisterType(msgRecruitRequest, RecruitRequest{})
-	network.RegisterType(msgRecruitResponse, RecruitResponse{})
 	network.RegisterType(msgPruneRequest, TombstonePruneRequest{})
 	network.RegisterType(msgPruneResponse, TombstonePruneResponse{})
 }
@@ -163,9 +157,9 @@ type QueryRequest struct {
 	Hops int
 	// TTL bounds the remaining hops.
 	TTL int
-	// Bypass disables the answer cache and shadow replicas along the route:
-	// the query must be resolved by the responsible partition itself. Set by
-	// consistent reads (the gate's ?consistent=1).
+	// Bypass disables the answer cache along the route: the query must be
+	// resolved by the responsible partition itself. Set by consistent reads
+	// (the gate's ?consistent=1).
 	Bypass bool
 }
 
@@ -192,13 +186,10 @@ type QueryResponse struct {
 	// clock token was revalidated) rather than resolved by the responsible
 	// partition.
 	Cached bool
-	// Wide lists the responsible peer's temporary hot-key replicas, so
-	// forwarding peers spread future lookups across the widened set.
-	Wide []network.Addr
 }
 
 // WireSize implements network.WireSizer.
-func (r QueryResponse) WireSize() int { return messageBytes(len(r.Items), 0) + 16*len(r.Wide) }
+func (r QueryResponse) WireSize() int { return messageBytes(len(r.Items), 0) }
 
 // BatchQueryRequest asks the receiving peer to resolve many exact-match
 // queries at once. Keys that route through the same next hop travel together
@@ -516,44 +507,6 @@ type ClockResponse struct {
 
 // WireSize implements network.WireSizer.
 func (ClockResponse) WireSize() int { return 48 }
-
-// RecruitRequest enlists a peer outside the partition as a temporary
-// hot-key replica: the receiver stores the partition's live content as a
-// shadow and serves exact lookups for keys under Path — each serve
-// revalidated against the sender's clock — until the lease expires or a
-// Release arrives.
-type RecruitRequest struct {
-	// From is the recruiting (responsible) peer.
-	From network.Addr
-	// Path is the hot partition.
-	Path keyspace.Path
-	// Clock is the sender's store clock when Items was snapshotted; the
-	// shadow is only served while the sender's clock still matches it.
-	Clock uint64
-	// Lease bounds how long the shadow may be served without a refresh.
-	Lease time.Duration
-	// Release tears the shadow down instead of installing one (load
-	// subsided).
-	Release bool
-	// Items is the partition's live content (deletes are already absent, so
-	// no tombstones travel).
-	Items []replication.Item
-}
-
-// WireSize implements network.WireSizer.
-func (r RecruitRequest) WireSize() int { return messageBytes(len(r.Items), 0) }
-
-// RecruitResponse acknowledges a recruit or release.
-type RecruitResponse struct {
-	// Accepted reports whether the receiver installed (or tore down) the
-	// shadow.
-	Accepted bool
-	// Path is the receiver's own partition path.
-	Path keyspace.Path
-}
-
-// WireSize implements network.WireSizer.
-func (RecruitResponse) WireSize() int { return 48 }
 
 // TombstonePruneRequest tells the replicas of a partition which tombstones
 // the sender's GC compaction just dropped, so they drop theirs in the same

@@ -39,9 +39,6 @@ type MetricsSnapshot struct {
 	// had to route.
 	CacheHits   float64
 	CacheMisses float64
-	// Temporary hot-key replicas enlisted and dismissed by replica widening.
-	WideningRecruits float64
-	WideningReleases float64
 
 	// Path is the peer's partition path.
 	Path string
@@ -75,8 +72,6 @@ func (p *Peer) MetricsSnapshot() MetricsSnapshot {
 		PersistenceErrors: m.PersistenceErrors.Value(),
 		CacheHits:         m.CacheHits.Value(),
 		CacheMisses:       m.CacheMisses.Value(),
-		WideningRecruits:  m.WideningRecruits.Value(),
-		WideningReleases:  m.WideningReleases.Value(),
 		Path:              string(p.Path()),
 		Replicas:          len(p.Replicas()),
 		Store:             p.store.Stats(),
@@ -102,8 +97,6 @@ func (s MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 	s.PersistenceErrors += o.PersistenceErrors
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.WideningRecruits += o.WideningRecruits
-	s.WideningReleases += o.WideningReleases
 	s.Replicas += o.Replicas
 	s.Path = ""
 	s.Store.Items += o.Store.Items

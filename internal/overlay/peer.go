@@ -113,19 +113,6 @@ type Config struct {
 	// QueryCacheTTL bounds the lifetime of a cached answer regardless of
 	// probing (DefaultQueryCacheTTL when zero).
 	QueryCacheTTL time.Duration
-	// HotReadThreshold arms load-triggered replica widening: when the
-	// partition's locally-answered exact-lookup rate (reads/second over a
-	// sliding window) stays above this threshold, maintenance recruits up to
-	// HotMaxExtra temporary shadow replicas from the routing neighbourhood
-	// and advertises them on query answers, so the α-raced router spreads
-	// the hot partition's load. Zero (the default) disables widening.
-	HotReadThreshold float64
-	// HotMaxExtra bounds the number of temporary replicas recruited while
-	// hot (DefaultHotMaxExtra when zero).
-	HotMaxExtra int
-	// HotReplicaLease bounds how long a recruited shadow serves without a
-	// refresh from the hot peer (DefaultHotReplicaLease when zero).
-	HotReplicaLease time.Duration
 	// Seed drives the peer's local randomness.
 	Seed int64
 }
@@ -176,14 +163,6 @@ func (c Config) normalize() Config {
 	if c.QueryCacheSize > 0 && c.QueryCacheTTL <= 0 {
 		c.QueryCacheTTL = DefaultQueryCacheTTL
 	}
-	if c.HotReadThreshold > 0 {
-		if c.HotMaxExtra <= 0 {
-			c.HotMaxExtra = DefaultHotMaxExtra
-		}
-		if c.HotReplicaLease <= 0 {
-			c.HotReplicaLease = DefaultHotReplicaLease
-		}
-	}
 	return c
 }
 
@@ -203,16 +182,6 @@ const (
 	// (every serve is still clock-probed; the TTL only bounds how long an
 	// entry may occupy cache space).
 	DefaultQueryCacheTTL = 2 * time.Second
-	// DefaultHotMaxExtra is the default bound on temporary replicas
-	// recruited for a hot partition.
-	DefaultHotMaxExtra = 2
-	// DefaultHotReplicaLease is the default lease of a recruited shadow
-	// replica; the hot peer refreshes it on every maintenance tick while the
-	// load persists.
-	DefaultHotReplicaLease = 10 * time.Second
-	// hotRateWindow is the sliding window of the per-partition read-rate
-	// estimate that drives widening.
-	hotRateWindow = time.Second
 )
 
 // Metrics aggregates a peer's protocol activity for the evaluation figures.
@@ -238,8 +207,8 @@ type Metrics struct {
 	// SyncsInSync, SyncsDelta and SyncsFull classify completed anti-entropy
 	// syncs: root digests matched (nothing transferred), delta-proportional
 	// exchanges (exact deltas and digest walks), and full-set transfers
-	// (rebuilds and the legacy protocol). Together with MaintenanceBytes
-	// they quantify how much the digest protocol saves.
+	// (rebuilds). Together with MaintenanceBytes they quantify how much the
+	// digest protocol saves.
 	SyncsInSync stats.Counter
 	SyncsDelta  stats.Counter
 	SyncsFull   stats.Counter
@@ -255,10 +224,6 @@ type Metrics struct {
 	// moved).
 	CacheHits   stats.Counter
 	CacheMisses stats.Counter
-	// WideningRecruits and WideningReleases count temporary hot-key replicas
-	// enlisted and dismissed by load-triggered replica widening.
-	WideningRecruits stats.Counter
-	WideningReleases stats.Counter
 }
 
 // Peer is one P-Grid node.
@@ -283,17 +248,9 @@ type Peer struct {
 	syncStates map[network.Addr]syncState
 
 	// cache is the query answer cache (nil when disabled); now is the time
-	// source it and the widening state run on (time.Now outside tests).
+	// source its TTLs run on (time.Now outside tests).
 	cache *queryCache
 	now   func() time.Time
-	// readRate tracks the partition's locally-answered lookup rate (nil
-	// when widening is disabled).
-	readRate *stats.RateTracker
-	// hotMu guards the widening state: the recruits this peer enlisted for
-	// its own hot partition, and the shadow it serves for someone else's.
-	hotMu    sync.Mutex
-	recruits map[network.Addr]time.Time
-	shadow   *shadowPartition
 
 	// Metrics are exported counters. They are updated without holding mu:
 	// each stats.Counter is internally atomic, and MetricsSnapshot reads
@@ -375,10 +332,6 @@ func NewPersistent(cfg Config, transport network.Transport) (*Peer, error) {
 		rng:      xrand.New(cfg.Seed),
 		cache:    newQueryCache(cfg.QueryCacheSize, cfg.QueryCacheTTL),
 		now:      time.Now,
-	}
-	if cfg.HotReadThreshold > 0 {
-		p.readRate = stats.NewRateTracker(hotRateWindow)
-		p.recruits = make(map[network.Addr]time.Time)
 	}
 	if cfg.TombstoneGCAge > 0 || cfg.TombstoneGCVersions > 0 {
 		p.store.SetGCPolicy(replication.GCPolicy{
@@ -533,8 +486,8 @@ func (p *Peer) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
 	}
 }
 
-// SetTimeSource replaces the clock the answer cache and widening state run
-// on (tests with a simulated clock). Call before the peer serves traffic.
+// SetTimeSource replaces the clock the answer cache runs on (tests with a
+// simulated clock). Call before the peer serves traffic.
 func (p *Peer) SetTimeSource(now func() time.Time) {
 	if now != nil {
 		p.now = now
@@ -634,8 +587,6 @@ func (p *Peer) handle(ctx context.Context, from network.Addr, req any) (any, err
 		return p.handleAntiEntropy(req)
 	case ClockRequest:
 		return ClockResponse{Path: p.Path(), Clock: p.store.Clock()}, nil
-	case RecruitRequest:
-		return p.handleRecruit(m), nil
 	case TombstonePruneRequest:
 		return p.handleTombstonePrune(m), nil
 	case PingRequest:

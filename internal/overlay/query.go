@@ -44,8 +44,8 @@ type QueryResult struct {
 
 // QueryOptions tunes one exact-match query.
 type QueryOptions struct {
-	// Consistent bypasses the answer cache and shadow replicas along the
-	// route: the query is resolved by the responsible partition itself.
+	// Consistent bypasses the answer cache along the route: the query is
+	// resolved by the responsible partition itself.
 	Consistent bool
 }
 
@@ -85,27 +85,10 @@ func (p *Peer) handleQuery(ctx context.Context, req QueryRequest) QueryResponse 
 // tried, which is what keeps the success rate high under churn.
 func (p *Peer) resolveQuery(ctx context.Context, req QueryRequest) (QueryResponse, error) {
 	if p.table.Responsible(req.Key) {
-		// Read the clock BEFORE the items: a write landing between the two
-		// reads then leaves cached copies with a stale token (a harmless
-		// probe miss on their next serve), never with stale items under a
-		// fresh token.
-		clock := p.store.Clock()
-		p.noteRead()
-		return QueryResponse{
-			Found:           true,
-			Items:           p.store.Lookup(req.Key),
-			Hops:            req.Hops,
-			Responsible:     p.Addr(),
-			ResponsiblePath: p.Path(),
-			Clock:           clock,
-			Wide:            p.wideSet(),
-		}, nil
+		return p.answerLocal(req.Key, req.Hops), nil
 	}
 	if !req.Bypass {
 		if resp, ok := p.cacheServe(ctx, req); ok {
-			return resp, nil
-		}
-		if resp, ok := p.shadowServe(ctx, req); ok {
 			return resp, nil
 		}
 	}
@@ -123,13 +106,26 @@ func (p *Peer) resolveQuery(ctx context.Context, req QueryRequest) (QueryRespons
 		return QueryResponse{}, errNotResponsible
 	}
 	resp := raw.(QueryResponse)
-	if resp.Found {
-		p.absorbWideRefs(level, resp)
-		if !req.Bypass {
-			p.cacheFill(req.Key, resp)
-		}
+	if !req.Bypass {
+		p.cacheFill(req.Key, resp)
 	}
 	return resp, nil
+}
+
+// answerLocal builds the responsible peer's answer for key. It reads the
+// clock BEFORE the items: a write landing between the two reads then leaves
+// cached copies with a stale token (a harmless probe miss on their next
+// serve), never with stale items under a fresh token.
+func (p *Peer) answerLocal(key keyspace.Key, hops int) QueryResponse {
+	clock := p.store.Clock()
+	return QueryResponse{
+		Found:           true,
+		Items:           p.store.Lookup(key),
+		Hops:            hops,
+		Responsible:     p.Addr(),
+		ResponsiblePath: p.Path(),
+		Clock:           clock,
+	}
 }
 
 // cacheServe tries to answer the query from the local answer cache. A hit

@@ -23,7 +23,6 @@ package overlay
 
 import (
 	"math"
-	"time"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -356,8 +355,7 @@ func appendQueryResponse(b []byte, r QueryResponse) []byte {
 	b = appendAddr(b, r.Responsible)
 	b = appendPath(b, r.ResponsiblePath)
 	b = wire.AppendUvarint(b, r.Clock)
-	b = wire.AppendBool(b, r.Cached)
-	return appendAddrs(b, r.Wide)
+	return wire.AppendBool(b, r.Cached)
 }
 
 func decodeQueryResponse(d *wire.Decoder) QueryResponse {
@@ -369,7 +367,6 @@ func decodeQueryResponse(d *wire.Decoder) QueryResponse {
 	r.ResponsiblePath = decodePath(d)
 	r.Clock = d.Uvarint()
 	r.Cached = d.Bool()
-	r.Wide = decodeAddrs(d)
 	return r
 }
 
@@ -708,7 +705,7 @@ func (r *DeltaResponse) UnmarshalWire(data []byte) error {
 	return d.Finish()
 }
 
-// --- cache and hot-replication messages ---------------------------------------
+// --- cache and tombstone-prune messages -------------------------------------
 
 // AppendWire implements wire.Marshaler.
 func (r ClockRequest) AppendWire(b []byte) []byte { return appendAddr(b, r.From) }
@@ -731,42 +728,6 @@ func (r *ClockResponse) UnmarshalWire(data []byte) error {
 	d := wire.NewDecoder(data)
 	r.Path = decodePath(d)
 	r.Clock = d.Uvarint()
-	return d.Finish()
-}
-
-// AppendWire implements wire.Marshaler.
-func (r RecruitRequest) AppendWire(b []byte) []byte {
-	b = appendAddr(b, r.From)
-	b = appendPath(b, r.Path)
-	b = wire.AppendUvarint(b, r.Clock)
-	b = wire.AppendVarint(b, int64(r.Lease))
-	b = wire.AppendBool(b, r.Release)
-	return appendItems(b, r.Items)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *RecruitRequest) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	r.From = decodeAddr(d)
-	r.Path = decodePath(d)
-	r.Clock = d.Uvarint()
-	r.Lease = time.Duration(d.Varint())
-	r.Release = d.Bool()
-	r.Items = decodeItems(d)
-	return d.Finish()
-}
-
-// AppendWire implements wire.Marshaler.
-func (r RecruitResponse) AppendWire(b []byte) []byte {
-	b = wire.AppendBool(b, r.Accepted)
-	return appendPath(b, r.Path)
-}
-
-// UnmarshalWire implements wire.Unmarshaler.
-func (r *RecruitResponse) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	r.Accepted = d.Bool()
-	r.Path = decodePath(d)
 	return d.Finish()
 }
 

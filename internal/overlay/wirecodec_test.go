@@ -27,6 +27,20 @@ func seedName(msg any) string {
 	return strings.TrimPrefix(fmt.Sprintf("%T", msg), "overlay.")
 }
 
+// goldenSeeds returns the first seed of each message type: the golden file
+// pins one vector per type.
+func goldenSeeds() []any {
+	seen := map[string]bool{}
+	var out []any
+	for _, msg := range wireSeedMessages() {
+		if name := seedName(msg); !seen[name] {
+			seen[name] = true
+			out = append(out, msg)
+		}
+	}
+	return out
+}
+
 func loadGolden(t *testing.T) map[string]string {
 	t.Helper()
 	f, err := os.Open(goldenPath)
@@ -61,7 +75,7 @@ func TestGoldenWireVectors(t *testing.T) {
 		var b strings.Builder
 		b.WriteString("# Golden binary wire vectors: <message type> <hex of AppendWire(nil)>.\n")
 		b.WriteString("# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/overlay -run TestGoldenWireVectors\n")
-		for _, msg := range wireSeedMessages() {
+		for _, msg := range goldenSeeds() {
 			m, ok := msg.(wire.Marshaler)
 			if !ok {
 				t.Fatalf("%T does not implement wire.Marshaler", msg)
@@ -79,7 +93,7 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 	golden := loadGolden(t)
 	seen := map[string]bool{}
-	for _, msg := range wireSeedMessages() {
+	for _, msg := range goldenSeeds() {
 		name := seedName(msg)
 		seen[name] = true
 		m, ok := msg.(wire.Marshaler)

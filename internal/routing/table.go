@@ -224,18 +224,6 @@ func (t *Table) Responsible(key keyspace.Key) bool {
 	return divergenceLevel(t.path, key) < 0
 }
 
-// All returns every reference in the table (for diagnostics and
-// maintenance).
-func (t *Table) All() []Ref {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []Ref
-	for _, refs := range t.levels {
-		out = append(out, refs...)
-	}
-	return out
-}
-
 // MergeFrom copies the other peer's references for all levels both peers
 // share (i.e. up to the length of their common prefix), which is how peers
 // exchange routing information during encounters to add redundancy and

@@ -17,7 +17,7 @@ import (
 //	              WithCorrectedProbabilities, WithHeuristicProbabilities
 //	Routing       WithRoutingRedundancy, WithQueryAlpha, WithHedgeDelay,
 //	              WithQueryFanout
-//	Reads         WithQueryCache, WithHotReplication
+//	Reads         WithQueryCache
 //	Writes        WithWriteQuorum
 //	Maintenance   WithMaintenanceInterval, WithTombstoneGC
 //	Durability    WithPersistence, WithStorageEngine
@@ -127,20 +127,6 @@ func WithQueryCache(size int, ttl time.Duration) Option {
 	}
 }
 
-// WithHotReplication enables load-triggered replica widening: a peer whose
-// partition sustains more than threshold locally-answered exact lookups per
-// second recruits up to maxExtra temporary read replicas from its routing
-// contacts, advertises them on query answers so forwarding peers spread
-// subsequent reads across the widened set, and releases them (leases simply
-// lapse otherwise) once the rate subsides. A threshold of 0 disables
-// widening (the default); maxExtra 0 uses overlay.DefaultHotMaxExtra.
-func WithHotReplication(threshold float64, maxExtra int) Option {
-	return func(o *options) {
-		o.overlay.HotReadThreshold = threshold
-		o.overlay.HotMaxExtra = maxExtra
-	}
-}
-
 // WithWriteQuorum sets the number of replica acknowledgements (including
 // the responsible peer itself) a routed Insert or Delete needs before it is
 // reported successful. 1 (the default) accepts the responsible peer alone;
@@ -228,7 +214,7 @@ func WithMessageLoss(p float64) Option { return func(o *options) { o.loss = p } 
 // fixed + perByte×(request+response bytes) of service time, queueing FIFO
 // behind earlier requests. With a service cost configured, sustained load on
 // one peer inflates that peer's latency — which is what makes hot-key
-// experiments (and the cache/widening countermeasures) measurable in
+// experiments (and the answer-cache countermeasure) measurable in
 // simulation. Zero values disable the model (the default).
 func WithServiceCost(fixed, perByte time.Duration) Option {
 	return func(o *options) {

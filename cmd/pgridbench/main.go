@@ -674,13 +674,7 @@ func antiEntropy(quick bool, seed int64) error {
 		return err
 	}
 
-	maintBytes := func(c *pgrid.Cluster) float64 {
-		var total float64
-		for i := 0; i < c.Peers(); i++ {
-			total += c.Peer(i).Metrics.MaintenanceBytes.Value()
-		}
-		return total
-	}
+	maintBytes := func(c *pgrid.Cluster) float64 { return c.MetricsSnapshot().MaintenanceBytes }
 	tombstones := func(c *pgrid.Cluster) int {
 		n := 0
 		for i := 0; i < c.Peers(); i++ {

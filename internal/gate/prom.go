@@ -190,8 +190,8 @@ func writePeerExposition(w io.Writer, s *overlay.MetricsSnapshot) {
 	counter("pgrid_peer_query_hops_total", "Routing hops used by originated queries.", s.QueryHops)
 	counter("pgrid_peer_mutations_total", "Routed inserts and deletes originated.", s.Mutations)
 	counter("pgrid_peer_mutation_hops_total", "Routing hops used by originated mutations.", s.MutationHops)
-	counter("pgrid_peer_query_bytes_total", "Bytes sent and received on the query path.", s.QueryBytes)
-	counter("pgrid_peer_maintenance_bytes_total", "Bytes sent and received by maintenance.", s.MaintenanceBytes)
+	counter("pgrid_peer_query_bytes_total", "Encoded body bytes of the query-path calls this peer made (requests sent plus responses received).", s.QueryBytes)
+	counter("pgrid_peer_maintenance_bytes_total", "Encoded body bytes of the maintenance calls this peer made (requests sent plus responses received).", s.MaintenanceBytes)
 	counter("pgrid_peer_interactions_total", "Construction interactions initiated.", s.Interactions)
 	counter("pgrid_peer_keys_moved_total", "Data items moved during construction.", s.KeysMoved)
 	fmt.Fprintf(w, "# HELP pgrid_peer_syncs_total Completed anti-entropy syncs by protocol path.\n")

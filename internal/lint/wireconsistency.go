@@ -10,12 +10,11 @@ import (
 	"strings"
 )
 
-// WireConsistency cross-checks the four legs every wire message must have.
-// Registering a message type with network.RegisterType is only the first:
+// WireConsistency cross-checks the three legs every wire message must have.
+// Registering a message type with network.RegisterType is only the start:
 // the type also needs a hand-written binary codec (AppendWire on the value,
-// UnmarshalWire on the pointer — wirecodec.go), a WireSize estimate for the
-// sim's bandwidth accounting, a golden vector pinning its exact encoding in
-// testdata/wire_golden.txt, and a seed in the fuzz corpus
+// UnmarshalWire on the pointer — wirecodec.go), a golden vector pinning its
+// exact encoding in testdata/wire_golden.txt, and a seed in the fuzz corpus
 // (testdata/fuzz/FuzzBinaryWireDecode). A message that skips a leg ships
 // either without a binary codec (RegisterType panics at start-up; this
 // reports it at build time), without a pinned format (the next refactor
@@ -24,7 +23,7 @@ import (
 // files are exempt: test-only messages are not protocol messages.
 var WireConsistency = &Analyzer{
 	Name: "wireconsistency",
-	Doc:  "every registered wire message needs a binary codec, WireSize, a golden vector and a fuzz corpus seed",
+	Doc:  "every registered wire message needs a binary codec, a golden vector and a fuzz corpus seed",
 	Run:  runWireConsistency,
 }
 
@@ -97,7 +96,6 @@ func runWireConsistency(pass *Pass) error {
 		}{
 			{"AppendWire", false, "the binary codec's encoder (wirecodec.go)"},
 			{"UnmarshalWire", true, "the binary codec's decoder (wirecodec.go)"},
-			{"WireSize", false, "the sim bandwidth accounting (network.WireSizer)"},
 		} {
 			if !hasMethod(reg.typ, leg.method, leg.pointer) {
 				pass.Reportf(pos, "wire message %q (%s) is registered but has no %s method — %s is missing",

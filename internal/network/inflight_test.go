@@ -14,7 +14,7 @@ func TestSimInFlightGauge(t *testing.T) {
 	src := sim.Endpoint("src")
 	dst := sim.Endpoint("dst")
 	dst.Handle(func(ctx context.Context, from Addr, req any) (any, error) {
-		return "ok", nil
+		return tcpPong{Value: 1}, nil
 	})
 
 	const calls = 8
@@ -23,7 +23,7 @@ func TestSimInFlightGauge(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := src.Call(context.Background(), "dst", "ping"); err != nil {
+			if _, err := src.Call(context.Background(), "dst", tcpPing{Value: 2}); err != nil {
 				t.Errorf("call: %v", err)
 			}
 		}()
@@ -46,18 +46,18 @@ func TestSimSetLoss(t *testing.T) {
 	src := sim.Endpoint("a")
 	dst := sim.Endpoint("b")
 	dst.Handle(func(ctx context.Context, from Addr, req any) (any, error) {
-		return "ok", nil
+		return tcpPong{Value: 1}, nil
 	})
 	ctx := context.Background()
-	if _, err := src.Call(ctx, "b", "x"); err != nil {
+	if _, err := src.Call(ctx, "b", tcpPing{Value: 2}); err != nil {
 		t.Fatalf("lossless call failed: %v", err)
 	}
 	sim.SetLoss(1)
-	if _, err := src.Call(ctx, "b", "x"); err == nil {
+	if _, err := src.Call(ctx, "b", tcpPing{Value: 2}); err == nil {
 		t.Fatal("call should be dropped at loss probability 1")
 	}
 	sim.SetLoss(0)
-	if _, err := src.Call(ctx, "b", "x"); err != nil {
+	if _, err := src.Call(ctx, "b", tcpPing{Value: 2}); err != nil {
 		t.Fatalf("call after disabling loss failed: %v", err)
 	}
 }

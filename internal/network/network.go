@@ -6,18 +6,21 @@
 //     loss. This stands in for the PlanetLab deployment of Section 5 (see
 //     docs/ARCHITECTURE.md) and supports taking peers offline to model
 //     churn.
-//   - TCP, a real transport over net.Conn with a length-prefixed JSON codec,
-//     used by the cmd/pgridnode binary to run an actual distributed
-//     deployment of the protocol.
+//   - TCP, a real transport over pooled net.Conn connections carrying
+//     length-prefixed binary frames, used by the cmd/pgridnode binary to run
+//     an actual distributed deployment of the protocol.
 //
 // Both expose the same request/response Transport interface so the overlay
-// protocol code is transport agnostic.
+// protocol code is transport agnostic, and both move the same bytes: every
+// payload crosses either transport as its registered wire encoding, and the
+// caller counts those body bytes per request type.
 package network
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -42,19 +45,11 @@ type Transport interface {
 	Handle(h Handler)
 	// Close shuts the endpoint down; subsequent calls fail.
 	Close() error
+	// BytesByType returns the encoded body bytes of the calls this endpoint
+	// made — requests sent plus responses received — keyed by the request's
+	// registered type name.
+	BytesByType() map[string]int64
 }
-
-// WireSizer lets message types report their approximate wire size in bytes
-// so the simulated network can account bandwidth the way the PlanetLab
-// experiment measured it. Messages that do not implement WireSizer are
-// accounted with DefaultMessageSize bytes.
-type WireSizer interface {
-	WireSize() int
-}
-
-// DefaultMessageSize is the bandwidth accounted for messages that do not
-// implement WireSizer (roughly a small control message with headers).
-const DefaultMessageSize = 64
 
 // Errors returned by transports.
 var (
@@ -107,12 +102,44 @@ func (g *InFlightGauge) Current() int64 { return g.cur.Load() }
 // simultaneously.
 func (g *InFlightGauge) Peak() int64 { return g.peak.Load() }
 
-// MessageSize returns the accounted size of a request or response value:
-// its WireSize when the type implements WireSizer, DefaultMessageSize
-// otherwise.
-func MessageSize(v any) int {
-	if ws, ok := v.(WireSizer); ok {
-		return ws.WireSize()
+// callBytes counts the body bytes of the calls one endpoint made: the
+// request's when it is sent and the response's when it arrives, both under
+// the request's registered type name. Only the caller counts, so every byte
+// a call moves is counted once, on the endpoint that asked for it.
+type callBytes struct {
+	mu     sync.Mutex
+	byType map[string]int64
+}
+
+// add counts n body bytes of a call whose request is registered as typ.
+func (c *callBytes) add(typ string, n int) {
+	c.mu.Lock()
+	if c.byType == nil {
+		c.byType = make(map[string]int64)
 	}
-	return DefaultMessageSize
+	c.byType[typ] += int64(n)
+	c.mu.Unlock()
+}
+
+// snapshot returns a copy of the counts.
+func (c *callBytes) snapshot() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, len(c.byType))
+	for typ, n := range c.byType {
+		out[typ] = n
+	}
+	return out
+}
+
+// MessageSize returns the length of v's encoded wire body — the bytes the
+// transports count for it — or 0 when v's type is not registered.
+func MessageSize(v any) int {
+	bp := getBodyBuf()
+	_, body, err := encodeBinBody((*bp)[:0], v)
+	putBodyBuf(bp, body)
+	if err != nil {
+		return 0
+	}
+	return len(body)
 }

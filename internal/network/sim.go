@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"time"
-
-	"pgrid/internal/stats"
 )
 
 // LatencyModel produces a one-way message delay for a (from, to) pair.
@@ -30,16 +28,17 @@ func PlanetLabLatency(base time.Duration) LatencyModel {
 
 // ServiceModel parameterises receiver-side processing capacity: each
 // delivered request occupies the destination endpoint for
-// Fixed + PerByte*(request+response bytes) of virtual service time, and
-// requests queue FIFO while the endpoint is busy. This is what makes load
-// matter in the simulation — a hot endpoint's queue grows with sustained
-// traffic, so skewed workloads inflate tail latency the way a saturated
-// real server would. The zero value disables the model entirely (no
-// behaviour change for latency-only simulations).
+// Fixed + PerByte*(encoded request + response bytes) of virtual service
+// time, and requests queue FIFO while the endpoint is busy. This is what
+// makes load matter in the simulation — a hot endpoint's queue grows with
+// sustained traffic, so skewed workloads inflate tail latency the way a
+// saturated real server would. The zero value disables the model entirely
+// (no behaviour change for latency-only simulations).
 type ServiceModel struct {
 	// Fixed is the per-request processing cost regardless of size.
 	Fixed time.Duration
-	// PerByte is the additional cost per byte of request plus response.
+	// PerByte is the additional cost per encoded body byte of request plus
+	// response.
 	PerByte time.Duration
 }
 
@@ -59,8 +58,8 @@ type SimConfig struct {
 	// multi-hour timeline in seconds of wall-clock time (e.g. a TimeScale
 	// of 600 turns 10 minutes into one second). Zero or negative means 1.
 	TimeScale float64
-	// Service models receiver-side processing capacity and queueing; the
-	// zero value disables it.
+	// Service models receiver-side processing capacity and queueing, charged
+	// per encoded request + response byte; the zero value disables it.
 	Service ServiceModel
 }
 
@@ -74,9 +73,6 @@ type Sim struct {
 	rng       *rand.Rand
 	rngMu     sync.Mutex
 
-	// Bytes and Messages account total traffic (requests and responses).
-	Bytes    stats.Counter
-	Messages stats.Counter
 	// Calls tracks the calls currently in flight across the whole network
 	// and their high-water mark (how much the concurrent query engine
 	// actually overlaps).
@@ -120,10 +116,9 @@ type SimEndpoint struct {
 	online  bool
 	closed  bool
 
-	// BytesSent counts the traffic this endpoint originated (requests it
-	// sent plus responses it produced), matching the per-peer bandwidth
-	// accounting of Figure 8.
-	BytesSent stats.Counter
+	// bytes counts the calls this endpoint made (BytesByType). The endpoint
+	// outlives any peer bound to it, so a restarted peer keeps counting on.
+	bytes callBytes
 
 	// svcMu guards busyUntil, the virtual-FIFO service queue horizon used
 	// by SimConfig.Service: a request delivered while the endpoint is busy
@@ -282,24 +277,44 @@ func (e *SimEndpoint) Close() error {
 	return nil
 }
 
-// Call implements Transport: it delivers the request to the destination
-// endpoint's handler after the simulated latency and returns its response
-// after the return latency.
+// BytesByType implements Transport.
+func (e *SimEndpoint) BytesByType() map[string]int64 { return e.bytes.snapshot() }
+
+// transcode carries v across the simulated wire: it encodes v into a pooled
+// body buffer exactly as a TCP frame body, and decodes the receiver's copy
+// from it, so caller and callee never share a slice. Recycling the buffer
+// right after the decode is safe because the decoded value holds none of
+// its bytes — every overlay codec reads strings through
+// wire.Decoder.String, which copies.
+func transcode(v any) (typ string, size int, out any, err error) {
+	bp := getBodyBuf()
+	typ, body, err := encodeBinBody((*bp)[:0], v)
+	if err == nil {
+		out, err = decodeBinBody(typ, body)
+	}
+	putBodyBuf(bp, body)
+	return typ, len(body), out, err
+}
+
+// Call implements Transport: it delivers the decoded request to the
+// destination endpoint's handler after the simulated latency and returns the
+// decoded response after the return latency. An unregistered request type
+// fails here exactly as it does on TCP.
 func (e *SimEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	if !e.Online() {
 		return nil, ErrClosed
 	}
 	e.net.Calls.enter()
 	defer e.net.Calls.exit()
+	typ, reqSize, delivered, err := transcode(req)
+	if err != nil {
+		return nil, err
+	}
 	dst := e.net.Lookup(to)
 	if dst == nil {
 		return nil, ErrUnreachable
 	}
-	// Account request traffic.
-	sz := float64(MessageSize(req))
-	e.net.Bytes.Add(sz)
-	e.net.Messages.Add(1)
-	e.BytesSent.Add(sz)
+	e.bytes.add(typ, reqSize)
 
 	if err := sleepCtx(ctx, e.net.delay(e.addr, to)); err != nil {
 		return nil, err
@@ -323,27 +338,27 @@ func (e *SimEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	// peer in simulation.
 	svc := e.net.cfg.Service
 	if svc.Enabled() {
-		cost := svc.Fixed + svc.PerByte*time.Duration(MessageSize(req))
+		cost := svc.Fixed + svc.PerByte*time.Duration(reqSize)
 		wait := dst.reserve(time.Now(), time.Duration(float64(cost)/e.net.cfg.TimeScale))
 		if err := sleepCtx(ctx, wait); err != nil {
 			return nil, err
 		}
 	}
-	resp, err := handler(ctx, e.addr, req)
+	resp, err := handler(ctx, e.addr, delivered)
 	if err != nil {
 		return nil, &RemoteError{Msg: err.Error()}
 	}
-	// Account response traffic, attributed to the responder.
-	rsz := float64(MessageSize(resp))
-	e.net.Bytes.Add(rsz)
-	e.net.Messages.Add(1)
-	dst.BytesSent.Add(rsz)
+	// A response the responder cannot encode fails remotely, as on TCP.
+	_, respSize, answer, err := transcode(resp)
+	if err != nil {
+		return nil, &RemoteError{Msg: err.Error()}
+	}
 
 	// The response's bytes occupy the responder too (serialisation and
 	// upstream bandwidth): large answers make a hot peer slower for
 	// everyone, tiny probe responses barely register.
-	if svc.Enabled() && rsz > 0 {
-		cost := svc.PerByte * time.Duration(rsz)
+	if svc.Enabled() && respSize > 0 {
+		cost := svc.PerByte * time.Duration(respSize)
 		wait := dst.reserve(time.Now(), time.Duration(float64(cost)/e.net.cfg.TimeScale))
 		if err := sleepCtx(ctx, wait); err != nil {
 			return nil, err
@@ -359,7 +374,8 @@ func (e *SimEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	if !e.Online() {
 		return nil, ErrClosed
 	}
-	return resp, nil
+	e.bytes.add(typ, respSize)
+	return answer, nil
 }
 
 // sleepCtx sleeps for d or until the context is cancelled.

@@ -3,26 +3,44 @@ package network
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"pgrid/internal/wire"
 )
 
+// echoReq is the sim tests' message; Vals gives it a slice field, so tests
+// can check that caller and callee never share one.
 type echoReq struct {
 	Text string
-	Size int
+	Vals []uint64
 }
 
-func (e echoReq) WireSize() int {
-	if e.Size > 0 {
-		return e.Size
+func (e echoReq) AppendWire(b []byte) []byte {
+	b = wire.AppendString(b, e.Text)
+	b = wire.AppendUvarint(b, uint64(len(e.Vals)))
+	for _, v := range e.Vals {
+		b = wire.AppendUvarint(b, v)
 	}
-	return DefaultMessageSize
+	return b
 }
+
+func (e *echoReq) UnmarshalWire(data []byte) error {
+	d := wire.NewDecoder(data)
+	e.Text = d.String()
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		e.Vals = append(e.Vals, d.Uvarint())
+	}
+	return d.Finish()
+}
+
+func init() { RegisterType("test.echo", echoReq{}) }
 
 func echoHandler(_ context.Context, from Addr, req any) (any, error) {
 	r := req.(echoReq)
-	return echoReq{Text: "echo:" + r.Text, Size: r.Size}, nil
+	return echoReq{Text: "echo:" + r.Text, Vals: r.Vals}, nil
 }
 
 func TestSimBasicCall(t *testing.T) {
@@ -37,8 +55,50 @@ func TestSimBasicCall(t *testing.T) {
 	if resp.(echoReq).Text != "echo:hi" {
 		t.Errorf("resp = %v", resp)
 	}
-	if sim.Messages.Value() != 2 {
-		t.Errorf("messages = %v", sim.Messages.Value())
+}
+
+// TestSimUnregisteredPayload checks that the sim, like TCP, only carries
+// registered message types.
+func TestSimUnregisteredPayload(t *testing.T) {
+	sim := NewSim(SimConfig{})
+	a := sim.Endpoint("a")
+	b := sim.Endpoint("b")
+	b.Handle(func(context.Context, Addr, any) (any, error) { return struct{ X int }{1}, nil })
+	if _, err := a.Call(context.Background(), "b", "not registered"); err == nil {
+		t.Error("call with an unregistered request type succeeded")
+	}
+	var re *RemoteError
+	if _, err := a.Call(context.Background(), "b", echoReq{}); !errors.As(err, &re) {
+		t.Errorf("unregistered response type: err = %v, want a RemoteError", err)
+	}
+}
+
+// TestSimCallDoesNotAlias checks that a call hands each side its own decoded
+// copy: a handler that writes to a slice after the call returned — its
+// response's, or the request's — leaves the caller's values untouched.
+func TestSimCallDoesNotAlias(t *testing.T) {
+	sim := NewSim(SimConfig{})
+	a := sim.Endpoint("a")
+	b := sim.Endpoint("b")
+	var kept echoReq
+	var sent []uint64
+	b.Handle(func(_ context.Context, _ Addr, req any) (any, error) {
+		kept = req.(echoReq)
+		sent = []uint64{7, 8, 9}
+		return echoReq{Text: "resp", Vals: sent}, nil
+	})
+	req := echoReq{Text: "req", Vals: []uint64{1, 2, 3}}
+	resp, err := a.Call(context.Background(), "b", req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent[0] = 99
+	kept.Vals[0] = 99
+	if got := resp.(echoReq).Vals; !reflect.DeepEqual(got, []uint64{7, 8, 9}) {
+		t.Errorf("caller's response Vals = %v after the handler wrote to its slice, want [7 8 9]", got)
+	}
+	if !reflect.DeepEqual(req.Vals, []uint64{1, 2, 3}) {
+		t.Errorf("caller's request Vals = %v after the handler wrote to its copy, want [1 2 3]", req.Vals)
 	}
 }
 
@@ -159,14 +219,17 @@ func TestSimBandwidthAccounting(t *testing.T) {
 	a := sim.Endpoint("a")
 	b := sim.Endpoint("b")
 	b.Handle(echoHandler)
-	if _, err := a.Call(context.Background(), "b", echoReq{Text: "x", Size: 500}); err != nil {
+	if _, err := a.Call(context.Background(), "b", echoReq{Text: "x", Vals: []uint64{300}}); err != nil {
 		t.Fatal(err)
 	}
-	if sim.Bytes.Value() != 1000 {
-		t.Errorf("total bytes = %v, want 1000", sim.Bytes.Value())
+	// Request body: "x" (1+1) + one value (1+2) = 5 bytes; response body:
+	// "echo:x" (1+6) + the same value (1+2) = 10 bytes. Only the caller
+	// counts, both under the request's type.
+	if got := a.BytesByType(); !reflect.DeepEqual(got, map[string]int64{"test.echo": 15}) {
+		t.Errorf("caller bytes = %v, want test.echo: 15", got)
 	}
-	if a.BytesSent.Value() != 500 || b.BytesSent.Value() != 500 {
-		t.Errorf("per-peer bytes = %v/%v", a.BytesSent.Value(), b.BytesSent.Value())
+	if got := b.BytesByType(); len(got) != 0 {
+		t.Errorf("callee bytes = %v, want none", got)
 	}
 }
 

@@ -168,6 +168,8 @@ type TCPEndpoint struct {
 	// Calls tracks this endpoint's outgoing calls in flight and their
 	// high-water mark, mirroring the simulated network's accounting.
 	Calls InFlightGauge
+	// bytes counts the calls this endpoint made (BytesByType).
+	bytes callBytes
 
 	pool *connPool
 
@@ -270,6 +272,9 @@ func (e *TCPEndpoint) maxMessage() int {
 
 // Addr implements Transport.
 func (e *TCPEndpoint) Addr() Addr { return e.addr }
+
+// BytesByType implements Transport.
+func (e *TCPEndpoint) BytesByType() map[string]int64 { return e.bytes.snapshot() }
 
 // Handle implements Transport.
 func (e *TCPEndpoint) Handle(h Handler) {
@@ -494,6 +499,7 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 			}
 			return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
 		}
+		e.bytes.add(name, len(body))
 		msg, err := pc.await(ctx, id, ch)
 		if err != nil {
 			return nil, err
@@ -501,6 +507,7 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 		if msg.flags&fErr != 0 {
 			return nil, &RemoteError{Msg: string(msg.body)}
 		}
+		e.bytes.add(name, len(msg.body))
 		return decodeBinBody(msg.typ, msg.body)
 	}
 	return nil, fmt.Errorf("%w: %v", ErrUnreachable, lastErr)

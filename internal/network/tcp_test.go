@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,8 +191,20 @@ func TestDecodeUnknownType(t *testing.T) {
 	}
 }
 
-// startPair returns a connected server/client endpoint pair with a doubling
-// handler installed on the server.
+// doublingHandler answers a ping with its value doubled.
+func doublingHandler(_ context.Context, _ Addr, req any) (any, error) {
+	switch m := req.(type) {
+	case tcpPing:
+		return tcpPong{Value: m.Value * 2}, nil
+	case tcpBinPing:
+		return tcpBinPong{Value: m.Value * 2, Note: m.Note}, nil
+	default:
+		return nil, fmt.Errorf("unexpected request %T", req)
+	}
+}
+
+// startPair returns a connected server/client endpoint pair with
+// doublingHandler installed on the server.
 func startPair(t *testing.T) (server, client *TCPEndpoint) {
 	t.Helper()
 	server, err := ListenTCP("127.0.0.1:0")
@@ -199,16 +212,7 @@ func startPair(t *testing.T) (server, client *TCPEndpoint) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { server.Close() })
-	server.Handle(func(_ context.Context, from Addr, req any) (any, error) {
-		switch m := req.(type) {
-		case tcpPing:
-			return tcpPong{Value: m.Value * 2}, nil
-		case tcpBinPing:
-			return tcpBinPong{Value: m.Value * 2, Note: m.Note}, nil
-		default:
-			return nil, fmt.Errorf("unexpected request %T", req)
-		}
-	})
+	server.Handle(doublingHandler)
 	client, err = ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -605,6 +609,50 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		}
 		if got := payload.(tcpBinPing); got != msg {
 			t.Errorf("limit %d: round trip mismatch", limit)
+		}
+	}
+}
+
+// TestSimTCPByteParity checks that the two transports count the same bytes
+// for the same call: the body lengths of the request and response frames
+// EncodeMessageBinary builds, under the request's type, at the caller only.
+func TestSimTCPByteParity(t *testing.T) {
+	bodyLen := func(v any) int64 {
+		t.Helper()
+		frame, err := EncodeMessageBinary("x", v, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fr, err := parseBinFrame(frame[frameHeaderLen:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(len(fr.body))
+	}
+	req := tcpBinPing{Value: 21, Note: "parity"}
+	want := map[string]int64{"test.binping": bodyLen(req) + bodyLen(tcpBinPong{Value: 42, Note: "parity"})}
+
+	server, client := startPair(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := client.Call(ctx, server.Addr(), req); err != nil {
+		t.Fatal(err)
+	}
+	sim := NewSim(SimConfig{})
+	a := sim.Endpoint("a")
+	b := sim.Endpoint("b")
+	b.Handle(doublingHandler)
+	if _, err := a.Call(ctx, "b", req); err != nil {
+		t.Fatal(err)
+	}
+	for name, ep := range map[string]Transport{"tcp client": client, "sim caller": a} {
+		if got := ep.BytesByType(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s counted %v, want %v", name, got, want)
+		}
+	}
+	for name, ep := range map[string]Transport{"tcp server": server, "sim callee": b} {
+		if got := ep.BytesByType(); len(got) != 0 {
+			t.Errorf("%s counted %v, want nothing", name, got)
 		}
 	}
 }

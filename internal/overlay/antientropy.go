@@ -170,7 +170,7 @@ func (p *Peer) SyncReplica(ctx context.Context, replica network.Addr) (SyncRepor
 		Buckets:  []replication.BucketDigest{{Prefix: keyspace.Path(path), Hash: rootHash, Count: rootCount}},
 		Replicas: p.Replicas(),
 	}
-	raw, err := p.maintCall(ctx, replica, req)
+	raw, err := p.transport.Call(ctx, replica, req)
 	if err != nil {
 		return SyncReport{}, err
 	}
@@ -337,7 +337,7 @@ func (p *Peer) digestWalk(ctx context.Context, replica network.Addr, path keyspa
 			break
 		}
 		req := DigestRequest{From: p.Addr(), Path: path, Clock: myClock, Buckets: buckets}
-		raw, err := p.maintCall(ctx, replica, req)
+		raw, err := p.transport.Call(ctx, replica, req)
 		if err != nil {
 			return SyncReport{}, err
 		}
@@ -371,9 +371,10 @@ func (p *Peer) digestWalk(ctx context.Context, replica network.Addr, path keyspa
 	return SyncReport{Kind: SyncWalk, Received: received, Sent: len(items) + len(tombs)}, nil
 }
 
-// callDelta sends a DeltaRequest with maintenance byte accounting.
+// callDelta sends a DeltaRequest and checks the responder still shares the
+// partition.
 func (p *Peer) callDelta(ctx context.Context, replica network.Addr, req DeltaRequest) (DeltaResponse, error) {
-	raw, err := p.maintCall(ctx, replica, req)
+	raw, err := p.transport.Call(ctx, replica, req)
 	if err != nil {
 		return DeltaResponse{}, err
 	}
@@ -387,18 +388,6 @@ func (p *Peer) callDelta(ctx context.Context, replica network.Addr, req DeltaReq
 	}
 	p.absorbReplicas(resp.Replicas)
 	return resp, nil
-}
-
-// maintCall performs one transport call with maintenance byte accounting on
-// both directions.
-func (p *Peer) maintCall(ctx context.Context, to network.Addr, req any) (any, error) {
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(req)))
-	raw, err := p.transport.Call(ctx, to, req)
-	if err != nil {
-		return nil, err
-	}
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(raw)))
-	return raw, nil
 }
 
 // applyContent merges received tombstones before items, so a delete and its
@@ -552,10 +541,7 @@ func (p *Peer) notifyTombstonePrune(ctx context.Context, pruned []replication.It
 	}
 	req := TombstonePruneRequest{From: p.Addr(), Path: p.Path(), Pairs: pruned}
 	forEachBounded(p.queryFanout(), replicas, func(a network.Addr) {
-		p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(req)))
-		if raw, err := p.transport.Call(ctx, a, req); err == nil {
-			p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(raw)))
-		}
+		_, _ = p.transport.Call(ctx, a, req)
 	})
 }
 

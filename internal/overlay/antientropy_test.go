@@ -81,7 +81,7 @@ func TestSyncReplicaInSteadyState(t *testing.T) {
 	}
 	// The whole exchange must cost a constant few hundred bytes, not the
 	// O(items) of the legacy full-set protocol.
-	if bytes := a.Metrics.MaintenanceBytes.Value(); bytes > 1024 {
+	if _, bytes := a.Bandwidth(); bytes > 1024 {
 		t.Errorf("steady-state sync cost %.0f bytes for 100 items; digest exchange should be item-count independent", bytes)
 	}
 }

@@ -41,7 +41,6 @@ func (p *Peer) ReplicateItems(ctx context.Context, items []replication.Item, tar
 		}
 		req := ReplicateRequest{From: p.Addr(), Path: p.Path(), Items: items, Replicas: p.Replicas()}
 		p.Metrics.KeysMoved.Add(float64(len(items)))
-		p.Metrics.MaintenanceBytes.Add(float64(req.WireSize()))
 		if _, err := p.transport.Call(ctx, t, req); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -80,7 +79,6 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 		Done:        done,
 	}
 	p.Metrics.Interactions.Add(1)
-	p.Metrics.MaintenanceBytes.Add(float64(req.WireSize()))
 	raw, err := p.transport.Call(ctx, partner, req)
 	if err != nil {
 		return ActionNone, err
@@ -89,7 +87,6 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 	if !ok {
 		return ActionNone, errors.New("overlay: unexpected exchange response type")
 	}
-	p.Metrics.MaintenanceBytes.Add(float64(resp.WireSize()))
 	action := p.applyExchange(req, resp)
 	p.persistPathMeta() // the exchange may have moved the path
 

@@ -238,12 +238,10 @@ func (p *Peer) discoverReplica(ctx context.Context) bool {
 		return false
 	}
 	req := QueryRequest{Key: key, TTL: p.cfg.QueryTTL}
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(req)))
 	raw, err := p.transport.Call(ctx, ref.Addr, req)
 	if err != nil {
 		return false
 	}
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(raw)))
 	resp, ok := raw.(QueryResponse)
 	if !ok || !resp.Found || resp.Responsible == p.Addr() {
 		return false
@@ -271,7 +269,6 @@ func (p *Peer) probeRef(ctx context.Context) (probed, pruned bool) {
 		return false, false
 	}
 	req := PingRequest{From: p.Addr()}
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(req)))
 	raw, err := p.transport.Call(ctx, ref.Addr, req)
 	if err != nil {
 		if ctx.Err() == nil && !errors.Is(err, context.Canceled) {
@@ -280,7 +277,6 @@ func (p *Peer) probeRef(ctx context.Context) (probed, pruned bool) {
 		}
 		return false, false
 	}
-	p.Metrics.MaintenanceBytes.Add(float64(network.MessageSize(raw)))
 	pong, ok := raw.(PingResponse)
 	if !ok {
 		return true, false

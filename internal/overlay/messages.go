@@ -60,6 +60,17 @@ func init() {
 	network.RegisterType(msgPruneResponse, TombstonePruneResponse{})
 }
 
+// queryPath names the requests whose call bytes are query traffic in the
+// Figure 8 bandwidth split; every other request is maintenance.
+var queryPath = map[string]bool{
+	msgQueryRequest:  true,
+	msgBatchRequest:  true,
+	msgRangeRequest:  true,
+	msgInsertRequest: true,
+	msgDeleteRequest: true,
+	msgClockRequest:  true,
+}
+
 // Action describes the outcome of an exchange interaction.
 type Action string
 
@@ -105,9 +116,6 @@ type ExchangeRequest struct {
 	Done bool
 }
 
-// WireSize implements network.WireSizer.
-func (r ExchangeRequest) WireSize() int { return messageBytes(len(r.Items), refCount(r.RoutingRefs)) }
-
 // ExchangeResponse is the contacted peer's reply.
 type ExchangeResponse struct {
 	// Action is the interaction outcome.
@@ -139,11 +147,6 @@ type ExchangeResponse struct {
 	ResponderDone bool
 }
 
-// WireSize implements network.WireSizer.
-func (r ExchangeResponse) WireSize() int {
-	return messageBytes(len(r.Items), refCount(r.RoutingRefs)+len(r.Refs))
-}
-
 // LevelRef is a routing reference tagged with its level.
 type LevelRef struct {
 	Level int
@@ -162,9 +165,6 @@ type QueryRequest struct {
 	// (the gate's ?consistent=1).
 	Bypass bool
 }
-
-// WireSize implements network.WireSizer.
-func (QueryRequest) WireSize() int { return 96 }
 
 // QueryResponse carries the query result.
 type QueryResponse struct {
@@ -188,9 +188,6 @@ type QueryResponse struct {
 	Cached bool
 }
 
-// WireSize implements network.WireSizer.
-func (r QueryResponse) WireSize() int { return messageBytes(len(r.Items), 0) }
-
 // BatchQueryRequest asks the receiving peer to resolve many exact-match
 // queries at once. Keys that route through the same next hop travel together
 // in a single message instead of as independent lookups, which is what lets
@@ -203,22 +200,10 @@ type BatchQueryRequest struct {
 	TTL int
 }
 
-// WireSize implements network.WireSizer.
-func (r BatchQueryRequest) WireSize() int { return 64 + 40*len(r.Keys) }
-
 // BatchQueryResponse carries one QueryResponse per requested key, aligned
 // with the request's Keys by index.
 type BatchQueryResponse struct {
 	Results []QueryResponse
-}
-
-// WireSize implements network.WireSizer.
-func (r BatchQueryResponse) WireSize() int {
-	n := 32
-	for _, q := range r.Results {
-		n += q.WireSize()
-	}
-	return n
 }
 
 // RangeRequest asks for all items with keys in [Lo, Hi).
@@ -229,9 +214,6 @@ type RangeRequest struct {
 	Hops        int
 	TTL         int
 }
-
-// WireSize implements network.WireSizer.
-func (RangeRequest) WireSize() int { return 128 }
 
 // RangeResponse carries a (partial) range query result.
 type RangeResponse struct {
@@ -245,9 +227,6 @@ type RangeResponse struct {
 	Incomplete bool
 }
 
-// WireSize implements network.WireSizer.
-func (r RangeResponse) WireSize() int { return messageBytes(len(r.Items), 0) }
-
 // ReplicateRequest pushes items to another peer during the pre-construction
 // replication phase.
 type ReplicateRequest struct {
@@ -258,9 +237,6 @@ type ReplicateRequest struct {
 	Replicas []network.Addr
 }
 
-// WireSize implements network.WireSizer.
-func (r ReplicateRequest) WireSize() int { return messageBytes(len(r.Items), 0) }
-
 // ReplicateResponse acknowledges replication.
 type ReplicateResponse struct {
 	Accepted int
@@ -268,23 +244,14 @@ type ReplicateResponse struct {
 	Path     keyspace.Path
 }
 
-// WireSize implements network.WireSizer.
-func (r ReplicateResponse) WireSize() int { return messageBytes(0, 0) }
-
 // PingRequest probes a peer for liveness and its current path.
 type PingRequest struct{ From network.Addr }
-
-// WireSize implements network.WireSizer.
-func (PingRequest) WireSize() int { return 32 }
 
 // PingResponse answers a ping.
 type PingResponse struct {
 	Path keyspace.Path
 	Done bool
 }
-
-// WireSize implements network.WireSizer.
-func (PingResponse) WireSize() int { return 48 }
 
 // InsertRequest routes a live write towards the partition responsible for
 // the item's key. The responsible peer applies the write locally, fans it out
@@ -306,9 +273,6 @@ type InsertRequest struct {
 	// write locally without routing it any further.
 	Direct bool
 }
-
-// WireSize implements network.WireSizer.
-func (InsertRequest) WireSize() int { return messageBytes(1, 0) }
 
 // DeleteRequest routes a live delete of one (key, value) pair towards the
 // responsible partition. Deletes are tombstoned at every replica that applies
@@ -334,9 +298,6 @@ type DeleteRequest struct {
 	Direct bool
 }
 
-// WireSize implements network.WireSizer.
-func (DeleteRequest) WireSize() int { return messageBytes(1, 0) }
-
 // MutateResponse acknowledges an Insert or Delete.
 type MutateResponse struct {
 	// Found reports whether a responsible peer was reached.
@@ -358,9 +319,6 @@ type MutateResponse struct {
 	// ResponsiblePath is that peer's path.
 	ResponsiblePath keyspace.Path
 }
-
-// WireSize implements network.WireSizer.
-func (MutateResponse) WireSize() int { return 96 }
 
 // DigestRequest opens or continues the digest phase of the delta
 // anti-entropy protocol. The opening round (Root) carries the digest of the
@@ -388,9 +346,6 @@ type DigestRequest struct {
 	Replicas []network.Addr
 }
 
-// WireSize implements network.WireSizer.
-func (r DigestRequest) WireSize() int { return 96 + 34*len(r.Buckets) + 16*len(r.Replicas) }
-
 // DigestResponse answers one digest round.
 type DigestResponse struct {
 	// Path is the responder's partition path (the initiator drops the
@@ -413,9 +368,6 @@ type DigestResponse struct {
 	// Replicas is the responder's replica list.
 	Replicas []network.Addr
 }
-
-// WireSize implements network.WireSizer.
-func (r DigestResponse) WireSize() int { return 96 + 12*len(r.Mismatch) + 16*len(r.Replicas) }
 
 // DeltaRequest transfers the initiator's side of the differing content and
 // asks for the responder's: an exact delta (Since), the mismatched buckets
@@ -452,11 +404,6 @@ type DeltaRequest struct {
 	Replicas []network.Addr
 }
 
-// WireSize implements network.WireSizer.
-func (r DeltaRequest) WireSize() int {
-	return messageBytes(len(r.Items)+len(r.Tombstones), 0) + 12*len(r.Prefixes) + 16*len(r.Replicas)
-}
-
 // DeltaResponse carries the responder's side of the content exchange.
 type DeltaResponse struct {
 	// Path is the responder's partition path.
@@ -479,11 +426,6 @@ type DeltaResponse struct {
 	Replicas []network.Addr
 }
 
-// WireSize implements network.WireSizer.
-func (r DeltaResponse) WireSize() int {
-	return messageBytes(len(r.Items)+len(r.Tombstones), 0) + 16*len(r.Replicas)
-}
-
 // ClockRequest asks a peer for its store's logical clock — the one-hop
 // freshness probe of the query answer cache. It is deliberately tiny: a
 // probe must cost the (possibly hot) responsible peer a few dozen bytes,
@@ -493,9 +435,6 @@ type ClockRequest struct {
 	From network.Addr
 }
 
-// WireSize implements network.WireSizer.
-func (ClockRequest) WireSize() int { return 32 }
-
 // ClockResponse answers a clock probe.
 type ClockResponse struct {
 	// Path is the responder's partition path; a probe also checks the
@@ -504,9 +443,6 @@ type ClockResponse struct {
 	// Clock is the responder's store clock.
 	Clock uint64
 }
-
-// WireSize implements network.WireSizer.
-func (ClockResponse) WireSize() int { return 48 }
 
 // TombstonePruneRequest tells the replicas of a partition which tombstones
 // the sender's GC compaction just dropped, so they drop theirs in the same
@@ -522,31 +458,8 @@ type TombstonePruneRequest struct {
 	Pairs []replication.Item
 }
 
-// WireSize implements network.WireSizer.
-func (r TombstonePruneRequest) WireSize() int { return messageBytes(len(r.Pairs), 0) }
-
 // TombstonePruneResponse acknowledges a cooperative prune.
 type TombstonePruneResponse struct {
 	// Dropped is the number of tombstones the receiver removed.
 	Dropped int
-}
-
-// WireSize implements network.WireSizer.
-func (TombstonePruneResponse) WireSize() int { return 32 }
-
-// messageBytes approximates the wire size of a protocol message carrying
-// nItems data items and nRefs routing references: a fixed header plus ~24
-// bytes per item (8-byte key, length, short value) and ~20 bytes per
-// reference.
-func messageBytes(nItems, nRefs int) int {
-	return 64 + 24*nItems + 20*nRefs
-}
-
-// refCount counts the references of a routing snapshot.
-func refCount(levels [][]routing.Ref) int {
-	n := 0
-	for _, l := range levels {
-		n += len(l)
-	}
-	return n
 }

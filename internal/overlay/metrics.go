@@ -24,7 +24,9 @@ type MetricsSnapshot struct {
 	// Routed mutations this peer originated, and their routing hops.
 	Mutations    float64
 	MutationHops float64
-	// Bandwidth by purpose, in bytes.
+	// Bandwidth by purpose (Peer.Bandwidth): the encoded body bytes of the
+	// calls this peer made, requests plus responses, classified by request
+	// type.
 	MaintenanceBytes float64
 	QueryBytes       float64
 	// Completed anti-entropy syncs by protocol path.
@@ -56,6 +58,7 @@ type MetricsSnapshot struct {
 // queries, mutations and maintenance run concurrently.
 func (p *Peer) MetricsSnapshot() MetricsSnapshot {
 	m := &p.Metrics
+	query, maintenance := p.Bandwidth()
 	return MetricsSnapshot{
 		Interactions:      m.Interactions.Value(),
 		KeysMoved:         m.KeysMoved.Value(),
@@ -63,8 +66,8 @@ func (p *Peer) MetricsSnapshot() MetricsSnapshot {
 		QueryHops:         m.QueryHops.Value(),
 		Mutations:         m.Mutations.Value(),
 		MutationHops:      m.MutationHops.Value(),
-		MaintenanceBytes:  m.MaintenanceBytes.Value(),
-		QueryBytes:        m.QueryBytes.Value(),
+		MaintenanceBytes:  maintenance,
+		QueryBytes:        query,
 		SyncsInSync:       m.SyncsInSync.Value(),
 		SyncsDelta:        m.SyncsDelta.Value(),
 		SyncsFull:         m.SyncsFull.Value(),
@@ -76,6 +79,21 @@ func (p *Peer) MetricsSnapshot() MetricsSnapshot {
 		Replicas:          len(p.Replicas()),
 		Store:             p.store.Stats(),
 	}
+}
+
+// Bandwidth returns the encoded body bytes of the calls this peer made —
+// requests sent plus responses received, as its transport counted them —
+// split by request type into query traffic and maintenance (Figure 8). A
+// peer restarted on the same endpoint continues its predecessor's count.
+func (p *Peer) Bandwidth() (query, maintenance float64) {
+	for typ, n := range p.transport.BytesByType() {
+		if queryPath[typ] {
+			query += float64(n)
+		} else {
+			maintenance += float64(n)
+		}
+	}
+	return query, maintenance
 }
 
 // Merge adds the counters of o into s and sums the size gauges (items,

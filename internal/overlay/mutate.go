@@ -283,7 +283,6 @@ func (p *Peer) fanOutMutation(ctx context.Context, hops int, req any) MutateResp
 	maxGen := uint64(0)
 	var mu sync.Mutex
 	forEachBounded(p.queryFanout(), replicas, func(addr network.Addr) {
-		p.Metrics.QueryBytes.Add(float64(network.MessageSize(req)))
 		raw, err := p.transport.Call(ctx, addr, req)
 		if err != nil {
 			if ctx.Err() == nil && !errors.Is(err, context.Canceled) {
@@ -291,7 +290,6 @@ func (p *Peer) fanOutMutation(ctx context.Context, hops int, req any) MutateResp
 			}
 			return
 		}
-		p.Metrics.QueryBytes.Add(float64(network.MessageSize(raw)))
 		if resp, ok := raw.(MutateResponse); ok {
 			mu.Lock()
 			if resp.Acks > 0 {

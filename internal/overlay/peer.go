@@ -185,6 +185,8 @@ const (
 )
 
 // Metrics aggregates a peer's protocol activity for the evaluation figures.
+// Bandwidth is not among them: the transport counts the bytes (see
+// Peer.Bandwidth).
 type Metrics struct {
 	// Interactions is the number of construction interactions initiated.
 	Interactions stats.Counter
@@ -200,15 +202,11 @@ type Metrics struct {
 	// partition.
 	Mutations    stats.Counter
 	MutationHops stats.Counter
-	// MaintenanceBytes and QueryBytes separate bandwidth by purpose
-	// (Figure 8).
-	MaintenanceBytes stats.Counter
-	QueryBytes       stats.Counter
 	// SyncsInSync, SyncsDelta and SyncsFull classify completed anti-entropy
 	// syncs: root digests matched (nothing transferred), delta-proportional
 	// exchanges (exact deltas and digest walks), and full-set transfers
-	// (rebuilds). Together with MaintenanceBytes they quantify how much the
-	// digest protocol saves.
+	// (rebuilds). Together with the maintenance bytes of Bandwidth they
+	// quantify how much the digest protocol saves.
 	SyncsInSync stats.Counter
 	SyncsDelta  stats.Counter
 	SyncsFull   stats.Counter

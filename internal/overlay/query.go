@@ -143,10 +143,8 @@ func (p *Peer) cacheServe(ctx context.Context, req QueryRequest) (QueryResponse,
 		return QueryResponse{}, false
 	}
 	probe := ClockRequest{From: p.Addr()}
-	p.Metrics.QueryBytes.Add(float64(network.MessageSize(probe)))
 	raw, err := p.transport.Call(ctx, ent.responsible, probe)
 	if err == nil {
-		p.Metrics.QueryBytes.Add(float64(network.MessageSize(raw)))
 		if cr, ok := raw.(ClockResponse); ok && cr.Clock == ent.clock && cr.Path.SamePartition(ent.path) {
 			p.Metrics.CacheHits.Add(1)
 			return QueryResponse{
@@ -227,7 +225,6 @@ func (p *Peer) launchRace(rctx context.Context, refs []routing.Ref, req any) <-c
 				if rctx.Err() != nil {
 					return
 				}
-				p.Metrics.QueryBytes.Add(float64(network.MessageSize(req)))
 				raw, err := p.transport.Call(rctx, ref.Addr, req)
 				if err != nil {
 					// Only prune on genuine transport failures: a call
@@ -239,7 +236,6 @@ func (p *Peer) launchRace(rctx context.Context, refs []routing.Ref, req any) <-c
 					results <- raceOutcome{}
 					continue
 				}
-				p.Metrics.QueryBytes.Add(float64(network.MessageSize(raw)))
 				results <- raceOutcome{raw: raw}
 			}
 		}(time.Duration(i) * hedge)
@@ -339,7 +335,6 @@ func (p *Peer) handleRange(ctx context.Context, req RangeRequest) RangeResponse 
 		out.Items = append(out.Items, it)
 		return true
 	})
-	p.Metrics.QueryBytes.Add(float64(out.WireSize()))
 	if req.TTL <= 0 {
 		out.Incomplete = true
 		return out
@@ -402,7 +397,6 @@ func (p *Peer) handleRange(ctx context.Context, req RangeRequest) RangeResponse 
 // queried exactly once; the concurrency lives across branches.
 func (p *Peer) forwardRangeBranch(ctx context.Context, br rangeBranch) (RangeResponse, bool) {
 	for _, ref := range p.shuffledRefs(br.level) {
-		p.Metrics.QueryBytes.Add(float64(br.forward.WireSize()))
 		raw, err := p.transport.Call(ctx, ref.Addr, br.forward)
 		if err != nil {
 			if ctx.Err() == nil && !errors.Is(err, context.Canceled) {
@@ -414,7 +408,6 @@ func (p *Peer) forwardRangeBranch(ctx context.Context, br rangeBranch) (RangeRes
 		if !ok {
 			continue
 		}
-		p.Metrics.QueryBytes.Add(float64(resp.WireSize()))
 		return resp, true
 	}
 	return RangeResponse{}, false

@@ -20,7 +20,7 @@ const footprintPeers = 2000
 // BenchmarkSimPeerFootprint measures the retained heap per simulated peer
 // right after experiment construction — the number that decides how many
 // peers one pgridsim process can hold. It reports bytes/peer as a custom
-// metric so benchdiff and the nightly logs track the memory diet
+// metric so the nightly logs track the memory diet
 // (per-peer RNG state, digest-tree keying, routing-ref interning) instead
 // of only wall-clock time.
 func BenchmarkSimPeerFootprint(b *testing.B) {

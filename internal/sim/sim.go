@@ -137,7 +137,8 @@ type Experiment struct {
 	OriginalItems [][]replication.Item
 	// Retired accumulates the metric counters of peers replaced by
 	// RestartPeer (whose fresh counters restart at zero), so aggregate
-	// series stay monotonic across restarts.
+	// series stay monotonic across restarts. Bandwidth needs no such help:
+	// the endpoint that counts it outlives the restart.
 	Retired RetiredMetrics
 	rng     *rand.Rand
 }
@@ -145,7 +146,6 @@ type Experiment struct {
 // RetiredMetrics sums the counters of peers that were replaced by
 // RestartPeer.
 type RetiredMetrics struct {
-	MaintenanceBytes, QueryBytes                         float64
 	SyncsInSync, SyncsDelta, SyncsFull, TombstonesPruned float64
 }
 
@@ -219,8 +219,6 @@ func (e *Experiment) RestartPeer(i int) error {
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("sim: close peer %d: %w", i, err)
 	}
-	e.Retired.MaintenanceBytes += old.Metrics.MaintenanceBytes.Value()
-	e.Retired.QueryBytes += old.Metrics.QueryBytes.Value()
 	e.Retired.SyncsInSync += old.Metrics.SyncsInSync.Value()
 	e.Retired.SyncsDelta += old.Metrics.SyncsDelta.Value()
 	e.Retired.SyncsFull += old.Metrics.SyncsFull.Value()

@@ -390,13 +390,14 @@ func RunTimeline(cfg TimelineConfig) (*TimelineResult, error) {
 		}
 		tick++
 
-		// Figure 8: bandwidth per second, split by purpose, from the peers'
-		// byte counters (plus the counters retired with restarted peers, so
+		// Figure 8: bandwidth per second, split by purpose, from the bytes
+		// the peers' endpoints counted (an endpoint outlives a restart, so
 		// the cumulative series never jumps backwards).
-		maintenance, query := e.Retired.MaintenanceBytes, e.Retired.QueryBytes
+		var maintenance, query float64
 		for _, p := range e.Peers {
-			maintenance += p.Metrics.MaintenanceBytes.Value()
-			query += p.Metrics.QueryBytes.Value()
+			q, m := p.Bandwidth()
+			maintenance += m
+			query += q
 		}
 		res.MaintenanceBandwidth.Add(now, (maintenance-lastMaintenance)/cfg.Step.Seconds())
 		res.QueryBandwidth.Add(now, (query-lastQuery)/cfg.Step.Seconds())

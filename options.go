@@ -211,7 +211,7 @@ func WithMessageLoss(p float64) Option { return func(o *options) { o.loss = p } 
 
 // WithServiceCost gives every simulated endpoint a finite processing
 // capacity: each delivered request occupies its receiver for
-// fixed + perByte×(request+response bytes) of service time, queueing FIFO
+// fixed + perByte×(encoded request+response bytes) of service time, queueing FIFO
 // behind earlier requests. With a service cost configured, sustained load on
 // one peer inflates that peer's latency — which is what makes hot-key
 // experiments (and the answer-cache countermeasure) measurable in

@@ -55,13 +55,7 @@ func TestSoakMaintenanceBandwidthFlat(t *testing.T) {
 	keep := build()
 	digest := build(WithTombstoneGC(0, 24))
 
-	maintBytes := func(c *Cluster) float64 {
-		var total float64
-		for i := 0; i < c.Peers(); i++ {
-			total += c.Peer(i).Metrics.MaintenanceBytes.Value()
-		}
-		return total
-	}
+	maintBytes := func(c *Cluster) float64 { return c.MetricsSnapshot().MaintenanceBytes }
 	tombstones := func(c *Cluster) int {
 		n := 0
 		for i := 0; i < c.Peers(); i++ {

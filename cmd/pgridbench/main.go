@@ -36,6 +36,7 @@ import (
 	"pgrid"
 	"pgrid/internal/churn"
 	"pgrid/internal/core"
+	"pgrid/internal/overlay"
 	"pgrid/internal/replication"
 	"pgrid/internal/routing"
 	"pgrid/internal/sim"
@@ -723,14 +724,9 @@ func antiEntropy(quick bool, seed int64) error {
 		gb := bytesPerTick(gc)
 		fmt.Printf("%16d %18.0f %18.0f %16d %16d\n", done, kb, gb, tombstones(keep), tombstones(gc))
 	}
-	var insync, delta, fullSyncs float64
-	for i := 0; i < gc.Peers(); i++ {
-		m := &gc.Peer(i).Metrics
-		insync += m.SyncsInSync.Value()
-		delta += m.SyncsDelta.Value()
-		fullSyncs += m.SyncsFull.Value()
-	}
-	fmt.Printf("\ngc cluster sync rounds: %.0f in-sync, %.0f delta, %.0f full\n", insync, delta, fullSyncs)
+	syncs := gc.MetricsSnapshot().Counts
+	fmt.Printf("\ngc cluster sync rounds: %.0f in-sync, %.0f delta, %.0f full\n",
+		syncs[overlay.SyncsInSync], syncs[overlay.SyncsDelta], syncs[overlay.SyncsFull])
 	return nil
 }
 
@@ -850,15 +846,12 @@ func durability(quick bool, seed int64) error {
 	for i := 0; i < 3; i++ {
 		cluster.MaintenanceRound(ctx)
 	}
-	var insync, delta, full float64
+	var syncs overlay.Counts
 	for _, i := range []int{1, 5, 9, 13} {
-		m := &cluster.Peer(i).Metrics
-		insync += m.SyncsInSync.Value()
-		delta += m.SyncsDelta.Value()
-		full += m.SyncsFull.Value()
+		syncs.Add(cluster.Peer(i).Counts())
 	}
 	fmt.Printf("\ncluster restart (4/16 peers): %.1f ms; post-restart syncs: %.0f in-sync, %.0f delta, %.0f full\n",
-		restartMS, insync, delta, full)
+		restartMS, syncs[overlay.SyncsInSync], syncs[overlay.SyncsDelta], syncs[overlay.SyncsFull])
 	return nil
 }
 
@@ -1008,7 +1001,7 @@ func zipfHotKeys(quick bool, seed int64) error {
 			st := stats.Summarize(lat)
 			p95[[2]string{name, wl.name}] = st.P95
 			fmt.Printf("%-12s %-12s %9.2f %9.2f %9.2f %9.0f\n",
-				name, wl.name, st.Median, st.P95, st.Mean, snap.CacheHits)
+				name, wl.name, st.Median, st.P95, st.Mean, snap.Counts[overlay.CacheHits])
 		}
 	}
 	fmt.Println()

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"pgrid"
+	"pgrid/internal/overlay"
 )
 
 func main() {
@@ -111,12 +112,7 @@ func main() {
 // digest/delta protocol's outcomes: in steady state almost every round is a
 // constant-cost digest match, and only divergent replicas pay for content.
 func printSyncStats(cluster *pgrid.Cluster) {
-	var insync, delta, full float64
-	for i := 0; i < cluster.Peers(); i++ {
-		m := &cluster.Peer(i).Metrics
-		insync += m.SyncsInSync.Value()
-		delta += m.SyncsDelta.Value()
-		full += m.SyncsFull.Value()
-	}
-	fmt.Printf("anti-entropy rounds: %.0f in-sync (digest only), %.0f delta, %.0f full\n", insync, delta, full)
+	syncs := cluster.MetricsSnapshot().Counts
+	fmt.Printf("anti-entropy rounds: %.0f in-sync (digest only), %.0f delta, %.0f full\n",
+		syncs[overlay.SyncsInSync], syncs[overlay.SyncsDelta], syncs[overlay.SyncsFull])
 }

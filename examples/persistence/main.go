@@ -18,6 +18,7 @@ import (
 	"os"
 
 	"pgrid"
+	"pgrid/internal/overlay"
 )
 
 func main() {
@@ -99,8 +100,8 @@ func main() {
 	// And the rejoins ran through the cheap paths: in-sync or exact delta,
 	// never a full-set rebuild.
 	for _, i := range restarted {
-		p := cluster.Peer(i)
+		c := cluster.Peer(i).Counts()
 		fmt.Printf("  peer %2d post-restart syncs: in-sync=%.0f delta=%.0f full=%.0f\n",
-			i, p.Metrics.SyncsInSync.Value(), p.Metrics.SyncsDelta.Value(), p.Metrics.SyncsFull.Value())
+			i, c[overlay.SyncsInSync], c[overlay.SyncsDelta], c[overlay.SyncsFull])
 	}
 }

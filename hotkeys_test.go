@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pgrid/internal/overlay"
 	"pgrid/internal/workload"
 )
 
@@ -116,8 +117,8 @@ func TestZipfCacheRegression(t *testing.T) {
 			}
 
 			snap := c.MetricsSnapshot()
-			if snap.CacheHits == 0 {
-				t.Errorf("Zipf workload produced no cache hits (misses=%v)", snap.CacheMisses)
+			if snap.Counts[overlay.CacheHits] == 0 {
+				t.Errorf("Zipf workload produced no cache hits (misses=%v)", snap.Counts[overlay.CacheMisses])
 			}
 		})
 	}

@@ -417,7 +417,7 @@ var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[a-zA-Z_][a-zA-Z0
 func TestMetricsExposition(t *testing.T) {
 	fb := newFakeBackend()
 	mb := metricsFake{fakeBackend: fb, snap: overlay.MetricsSnapshot{
-		Queries:  42,
+		Counts:   overlay.Counts{overlay.Queries: 42},
 		Replicas: 3,
 		Store:    replication.StoreStats{Items: 7, Tombstones: 1, WALSegments: 2},
 	}}

@@ -176,9 +176,9 @@ func (g *gateMetrics) writeExposition(w io.Writer, ready bool, snap *overlay.Met
 }
 
 // writePeerExposition renders an overlay MetricsSnapshot as Prometheus
-// text: protocol counters plus the replication gauges (store size,
-// tombstones, WAL shape, disk-engine segments) that were previously
-// invisible to scrapers.
+// text: the protocol counters as overlay.Counters declares them, the
+// bandwidth counters, and the replication gauges (store size, tombstones,
+// WAL shape, disk-engine segments).
 func writePeerExposition(w io.Writer, s *overlay.MetricsSnapshot) {
 	counter := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, fmtFloat(v))
@@ -186,23 +186,20 @@ func writePeerExposition(w io.Writer, s *overlay.MetricsSnapshot) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %s\n", name, help, name, name, fmtFloat(v))
 	}
-	counter("pgrid_peer_queries_total", "Exact-match and range queries originated.", s.Queries)
-	counter("pgrid_peer_query_hops_total", "Routing hops used by originated queries.", s.QueryHops)
-	counter("pgrid_peer_mutations_total", "Routed inserts and deletes originated.", s.Mutations)
-	counter("pgrid_peer_mutation_hops_total", "Routing hops used by originated mutations.", s.MutationHops)
+	family := ""
+	for c, info := range overlay.Counters {
+		if info.Family != family {
+			family = info.Family
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", family, info.Help, family)
+		}
+		series := family
+		if info.Label != "" {
+			series += "{" + info.Label + "}"
+		}
+		fmt.Fprintf(w, "%s %s\n", series, fmtFloat(s.Counts[c]))
+	}
 	counter("pgrid_peer_query_bytes_total", "Encoded body bytes of the query-path calls this peer made (requests sent plus responses received).", s.QueryBytes)
 	counter("pgrid_peer_maintenance_bytes_total", "Encoded body bytes of the maintenance calls this peer made (requests sent plus responses received).", s.MaintenanceBytes)
-	counter("pgrid_peer_interactions_total", "Construction interactions initiated.", s.Interactions)
-	counter("pgrid_peer_keys_moved_total", "Data items moved during construction.", s.KeysMoved)
-	fmt.Fprintf(w, "# HELP pgrid_peer_syncs_total Completed anti-entropy syncs by protocol path.\n")
-	fmt.Fprintf(w, "# TYPE pgrid_peer_syncs_total counter\n")
-	fmt.Fprintf(w, "pgrid_peer_syncs_total{kind=\"insync\"} %s\n", fmtFloat(s.SyncsInSync))
-	fmt.Fprintf(w, "pgrid_peer_syncs_total{kind=\"delta\"} %s\n", fmtFloat(s.SyncsDelta))
-	fmt.Fprintf(w, "pgrid_peer_syncs_total{kind=\"full\"} %s\n", fmtFloat(s.SyncsFull))
-	counter("pgrid_peer_tombstones_pruned_total", "Tombstones removed by the GC horizon.", s.TombstonesPruned)
-	counter("pgrid_peer_cache_hits_total", "Exact lookups served from the query answer cache.", s.CacheHits)
-	counter("pgrid_peer_cache_misses_total", "Exact lookups that had to route (cache miss or revalidation failure).", s.CacheMisses)
-	counter("pgrid_peer_persistence_errors_total", "Maintenance ticks observing a sticky persistence failure.", s.PersistenceErrors)
 	gauge("pgrid_peer_replicas", "Peers known to replicate this partition.", float64(s.Replicas))
 	gauge("pgrid_peer_path_depth", "Partition path depth (trie level).", float64(len(s.Path)))
 	gauge("pgrid_store_items", "Live pairs in the replica store.", float64(s.Store.Items))

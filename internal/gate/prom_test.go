@@ -16,23 +16,25 @@ import (
 // field or drops out of the exposition changes the rendered text.
 func goldenSnapshot() overlay.MetricsSnapshot {
 	return overlay.MetricsSnapshot{
-		Interactions:      1,
-		KeysMoved:         2,
-		Queries:           3,
-		QueryHops:         4,
-		Mutations:         5,
-		MutationHops:      6,
-		SyncsInSync:       7,
-		SyncsDelta:        8,
-		SyncsFull:         9,
-		TombstonesPruned:  10,
-		PersistenceErrors: 11,
-		CacheHits:         12,
-		CacheMisses:       13,
-		QueryBytes:        1400,
-		MaintenanceBytes:  1500,
-		Replicas:          16,
-		Path:              "01101001011010010", // depth 17
+		Counts: overlay.Counts{
+			overlay.Interactions:      1,
+			overlay.KeysMoved:         2,
+			overlay.Queries:           3,
+			overlay.QueryHops:         4,
+			overlay.Mutations:         5,
+			overlay.MutationHops:      6,
+			overlay.SyncsInSync:       7,
+			overlay.SyncsDelta:        8,
+			overlay.SyncsFull:         9,
+			overlay.TombstonesPruned:  10,
+			overlay.PersistenceErrors: 11,
+			overlay.CacheHits:         12,
+			overlay.CacheMisses:       13,
+		},
+		QueryBytes:       1400,
+		MaintenanceBytes: 1500,
+		Replicas:         16,
+		Path:             "01101001011010010", // depth 17
 		Store: replication.StoreStats{
 			Items:       18,
 			Tombstones:  19,
@@ -61,5 +63,32 @@ func TestPeerExpositionGolden(t *testing.T) {
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("peer exposition differs from testdata/peer_metrics.golden; got:\n%s", strings.Join(got, "\n"))
+	}
+
+	// Every declared counter is described, distinct, and exported exactly
+	// once.
+	seen := make(map[string]overlay.Counter)
+	for c := overlay.Counter(0); c < overlay.NumCounters; c++ {
+		info := overlay.Counters[c]
+		if info.Help == "" {
+			t.Errorf("counter %d (%s) has no help string", c, info.Family)
+		}
+		series := info.Family
+		if info.Label != "" {
+			series += "{" + info.Label + "}"
+		}
+		if prev, dup := seen[series]; dup {
+			t.Errorf("counters %d and %d both export %s", prev, c, series)
+		}
+		seen[series] = c
+		n := 0
+		for _, line := range got {
+			if strings.HasPrefix(line, series+" ") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("counter %d (%s) appears %d times in the exposition, want 1", c, series, n)
+		}
 	}
 }

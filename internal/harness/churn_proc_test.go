@@ -108,7 +108,7 @@ func runChurnCrash(t *testing.T, engine string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm.StoreClock < 1 {
-		t.Errorf("node 0 store clock %v after churn workload", nm.StoreClock)
+	if v := nm.Value("pgrid_store_clock", ""); v < 1 {
+		t.Errorf("node 0 store clock %v after churn workload", v)
 	}
 }

@@ -60,8 +60,8 @@ func TestCrashRecoveryDeltaSync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nm.StoreItems > best {
-			best, victim = nm.StoreItems, n
+		if items := nm.Value("pgrid_store_items", ""); items > best {
+			best, victim = items, n
 		}
 	}
 	if best < 1 {
@@ -139,8 +139,8 @@ func TestCrashRecoveryDeltaSync(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			delta += nm.SyncsDelta
-			full += nm.SyncsFull
+			delta += nm.Value("pgrid_peer_syncs_total", `{kind="delta"}`)
+			full += nm.Value("pgrid_peer_syncs_total", `{kind="full"}`)
 		}
 		return delta, full
 	}

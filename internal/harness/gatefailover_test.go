@@ -80,8 +80,8 @@ func TestGateFailoverRealProcessDeath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gm.Search503 < 1 {
-		t.Errorf("gate 503 counter %v, want >= 1", gm.Search503)
+	if v := gm.Sum("pgrid_gate_requests_total", `route="search"`, `code="503"`); v < 1 {
+		t.Errorf("gate 503 counter %v, want >= 1", v)
 	}
 
 	// Bring the entry peers back; the same gateway process must recover

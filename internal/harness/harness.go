@@ -7,7 +7,7 @@
 // (graceful SIGTERM, hard SIGKILL mid-write, restart with the same data
 // dir and address, rolling churn at a configurable rate) and cluster-wide
 // assertions (key convergence through a fronting pgridgate, /metrics
-// scraped into typed snapshots).
+// scraped and read by series name).
 //
 // The default suite in this package replaces the hand-rolled
 // scripts/smoke.sh logic; the 50+ process churn/crash suite is gated

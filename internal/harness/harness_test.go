@@ -13,7 +13,7 @@ import (
 // scrape / clean-shutdown / recovery path that scripts/smoke.sh used to
 // hand-roll in bash now runs through the same harness the churn suites
 // use. Three pgridnode processes over the pooled TCP transport, one
-// pgridgate, an HTTP workload, typed metrics assertions, then a SIGTERM
+// pgridgate, an HTTP workload, metrics assertions, then a SIGTERM
 // checkpointed shutdown and a snapshot-only restart.
 func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
@@ -118,28 +118,28 @@ func TestClusterSmoke(t *testing.T) {
 		t.Errorf("-get probe: %v", err)
 	}
 
-	// Typed metrics snapshots, gateway and node.
+	// Metrics scrapes, gateway and node.
 	gm, err := c.Gate.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gm.InsertOK < 6 {
-		t.Errorf("gate insert counter %v, want >= 6", gm.InsertOK)
+	if v := gm.Sum("pgrid_gate_requests_total", `route="insert"`, `code="200"`); v < 6 {
+		t.Errorf("gate insert counter %v, want >= 6", v)
 	}
-	if gm.SearchOK < 1 {
-		t.Errorf("gate search counter %v, want >= 1", gm.SearchOK)
+	if v := gm.Sum("pgrid_gate_requests_total", `route="search"`, `code="200"`); v < 1 {
+		t.Errorf("gate search counter %v, want >= 1", v)
 	}
-	if gm.Raw.Sum("pgrid_gate_request_duration_seconds_bucket") == 0 {
+	if gm.Sum("pgrid_gate_request_duration_seconds_bucket") == 0 {
 		t.Error("gate latency histogram missing")
 	}
 	nm, err := c.Nodes[0].Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm.StoreClock < 1 {
-		t.Errorf("node 0 store clock %v after workload, want >= 1", nm.StoreClock)
+	if v := nm.Value("pgrid_store_clock", ""); v < 1 {
+		t.Errorf("node 0 store clock %v after workload, want >= 1", v)
 	}
-	if _, ok := nm.Raw["pgrid_peer_queries_total"]; !ok {
+	if _, ok := nm["pgrid_peer_queries_total"]; !ok {
 		t.Error("node 0 peer counters missing")
 	}
 
@@ -178,10 +178,10 @@ func TestClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nm.WALRecords != 0 {
-		t.Errorf("WAL tail not empty after checkpointed shutdown: %v records", nm.WALRecords)
+	if v := nm.Value("pgrid_store_wal_records", ""); v != 0 {
+		t.Errorf("WAL tail not empty after checkpointed shutdown: %v records", v)
 	}
-	if nm.StoreItems < 1 {
+	if nm.Value("pgrid_store_items", "") < 1 {
 		t.Error("restarted node recovered no items")
 	}
 }

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 )
 
 // Metrics is one parsed Prometheus-text /metrics scrape: sample name plus
-// raw label block ("" for unlabelled samples) to value. It underlies the
-// typed snapshots; assertions on metrics the snapshot does not surface go
-// through Value/Sum.
+// raw label block ("" for unlabelled samples) to value. Tests read it by
+// series name through Value and Sum.
 type Metrics map[string]map[string]float64
 
 // Value returns the sample with the exact label block (e.g.
@@ -39,16 +37,6 @@ func (m Metrics) Sum(name string, labelContains ...string) float64 {
 		}
 	}
 	return total
-}
-
-// Names returns the scraped metric names, sorted (diagnostics).
-func (m Metrics) Names() []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // parseMetrics reads Prometheus text exposition into a Metrics map. It
@@ -97,85 +85,15 @@ func ScrapeMetrics(url string) (Metrics, error) {
 	return parseMetrics(resp.Body)
 }
 
-// NodeMetrics is the typed snapshot of one node's /metrics scrape — the
-// counters and gauges the churn and crash suites assert on, by name, with
-// the full parse kept for everything else.
-type NodeMetrics struct {
-	// Store gauges.
-	StoreItems      float64
-	StoreTombstones float64
-	StoreClock      float64
-	WALRecords      float64
-	WALSegments     float64
-	// Anti-entropy sync classification (pgrid_peer_syncs_total by kind).
-	SyncsInSync float64
-	SyncsDelta  float64
-	SyncsFull   float64
-	// Protocol activity.
-	Queries          float64
-	Mutations        float64
-	TombstonesPruned float64
-	PathDepth        float64
-	Replicas         float64
-
-	Raw Metrics
-}
-
-// Metrics scrapes the node's /metrics into a typed snapshot. The node
-// must serve the HTTP API.
-func (n *Node) Metrics() (*NodeMetrics, error) {
+// Metrics scrapes the node's /metrics. The node must serve the HTTP API.
+func (n *Node) Metrics() (Metrics, error) {
 	if n.HTTPAddr == "" {
 		return nil, fmt.Errorf("harness: %s serves no HTTP API to scrape", n.proc.name)
 	}
-	raw, err := ScrapeMetrics("http://" + n.HTTPAddr)
-	if err != nil {
-		return nil, err
-	}
-	return &NodeMetrics{
-		StoreItems:       raw.Value("pgrid_store_items", ""),
-		StoreTombstones:  raw.Value("pgrid_store_tombstones", ""),
-		StoreClock:       raw.Value("pgrid_store_clock", ""),
-		WALRecords:       raw.Value("pgrid_store_wal_records", ""),
-		WALSegments:      raw.Value("pgrid_store_wal_segments", ""),
-		SyncsInSync:      raw.Value("pgrid_peer_syncs_total", `{kind="insync"}`),
-		SyncsDelta:       raw.Value("pgrid_peer_syncs_total", `{kind="delta"}`),
-		SyncsFull:        raw.Value("pgrid_peer_syncs_total", `{kind="full"}`),
-		Queries:          raw.Value("pgrid_peer_queries_total", ""),
-		Mutations:        raw.Value("pgrid_peer_mutations_total", ""),
-		TombstonesPruned: raw.Value("pgrid_peer_tombstones_pruned_total", ""),
-		PathDepth:        raw.Value("pgrid_peer_path_depth", ""),
-		Replicas:         raw.Value("pgrid_peer_replicas", ""),
-		Raw:              raw,
-	}, nil
+	return ScrapeMetrics("http://" + n.HTTPAddr)
 }
 
-// GateMetrics is the typed snapshot of the gateway's /metrics scrape.
-type GateMetrics struct {
-	Ready         float64
-	Inflight      float64
-	Shed          float64
-	SearchOK      float64
-	Search503     float64
-	InsertOK      float64
-	RequestsTotal float64
-
-	Raw Metrics
-}
-
-// Metrics scrapes the gateway's /metrics into a typed snapshot.
-func (g *Gate) Metrics() (*GateMetrics, error) {
-	raw, err := ScrapeMetrics(g.URL)
-	if err != nil {
-		return nil, err
-	}
-	return &GateMetrics{
-		Ready:         raw.Value("pgrid_gate_ready", ""),
-		Inflight:      raw.Value("pgrid_gate_inflight_requests", ""),
-		Shed:          raw.Value("pgrid_gate_shed_total", ""),
-		SearchOK:      raw.Sum("pgrid_gate_requests_total", `route="search"`, `code="200"`),
-		Search503:     raw.Sum("pgrid_gate_requests_total", `route="search"`, `code="503"`),
-		InsertOK:      raw.Sum("pgrid_gate_requests_total", `route="insert"`, `code="200"`),
-		RequestsTotal: raw.Sum("pgrid_gate_requests_total"),
-		Raw:           raw,
-	}, nil
+// Metrics scrapes the gateway's /metrics.
+func (g *Gate) Metrics() (Metrics, error) {
+	return ScrapeMetrics(g.URL)
 }

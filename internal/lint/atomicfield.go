@@ -7,9 +7,10 @@ import (
 )
 
 // AtomicField enforces the access discipline of fields documented as
-// atomic: stats.Counter metrics, network.InFlightGauge call gauges, and
-// raw sync/atomic values. Such a field may only be touched through its
-// atomic accessors (Add/Value/Load/Store/...) or have its address taken;
+// atomic: network.InFlightGauge call gauges and sync/atomic values, alone or
+// in arrays (a peer's counters). Such a field, or an element of such an
+// array, may only be touched through its atomic accessors
+// (Add/Value/Load/Store/...) or have its address taken;
 // a raw read gets a torn or stale value and a raw assignment is a data
 // race that -race only catches when a test happens to collide. Copying a
 // struct that contains these fields is govet copylocks' job (the atomic
@@ -17,7 +18,7 @@ import (
 // copylocks cannot see.
 var AtomicField = &Analyzer{
 	Name: "atomicfield",
-	Doc:  "fields of atomic types (stats.Counter, network.InFlightGauge, sync/atomic values) may only be used via their accessor methods",
+	Doc:  "fields of atomic types (network.InFlightGauge, sync/atomic values, arrays of them) may only be used via their accessor methods",
 	Run:  runAtomicField,
 }
 
@@ -45,7 +46,15 @@ func runAtomicField(pass *Pass) error {
 			if len(stack) < 2 {
 				return true
 			}
-			switch parent := stack[len(stack)-2].(type) {
+			// x.f[i] on an array of atomics is judged like x.f itself.
+			node, up := ast.Node(sel), 2
+			if ix, ok := stack[len(stack)-2].(*ast.IndexExpr); ok && ix.X == sel {
+				node, up = ix, 3
+			}
+			if len(stack) < up {
+				return true
+			}
+			switch parent := stack[len(stack)-up].(type) {
 			case *ast.SelectorExpr:
 				// x.f.Method(...): the accessor path. Field selections
 				// through f (it has none on the known atomic types) would
@@ -60,7 +69,7 @@ func runAtomicField(pass *Pass) error {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range parent.Lhs {
-					if lhs == n {
+					if lhs == node {
 						pass.Reportf(sel.Pos(), "raw assignment to atomic field %s.%s; atomic fields have no store accessor by design — restructure so the field is only ever advanced via its methods",
 							named(selection.Recv()), field.Name())
 						return true
@@ -76,9 +85,12 @@ func runAtomicField(pass *Pass) error {
 }
 
 // isAtomicType reports whether t is one of the project's atomic value
-// types: anything in sync/atomic, the lock-free stats.Counter, or the
-// transports' InFlightGauge.
+// types — anything in sync/atomic or the transports' InFlightGauge — or an
+// array of them.
 func isAtomicType(t types.Type) bool {
+	if a, ok := t.(*types.Array); ok {
+		return isAtomicType(a.Elem())
+	}
 	n, ok := t.(*types.Named)
 	if !ok {
 		return false
@@ -91,8 +103,7 @@ func isAtomicType(t types.Type) bool {
 	case "sync/atomic":
 		return true
 	}
-	return (obj.Name() == "Counter" && pkgPathMatches(obj.Pkg().Path(), "stats")) ||
-		(obj.Name() == "InFlightGauge" && pkgPathMatches(obj.Pkg().Path(), "network"))
+	return obj.Name() == "InFlightGauge" && pkgPathMatches(obj.Pkg().Path(), "network")
 }
 
 // named renders a receiver type compactly for diagnostics.

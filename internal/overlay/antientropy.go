@@ -189,7 +189,7 @@ func (p *Peer) SyncReplica(ctx context.Context, replica network.Addr) (SyncRepor
 	switch {
 	case resp.InSync:
 		p.noteSync(replica, syncState{mine: myClock, theirs: resp.Clock})
-		p.Metrics.SyncsInSync.Add(1)
+		p.counters[SyncsInSync].Add(1)
 		return SyncReport{Kind: SyncInSync}, nil
 
 	case st.mine > 0 && p.store.GCFloor() > st.mine:
@@ -245,7 +245,7 @@ func (p *Peer) rebuildPush(ctx context.Context, replica network.Addr, path keysp
 		return SyncReport{}, err
 	}
 	p.noteSync(replica, syncState{mine: myClock, theirs: resp.Clock})
-	p.Metrics.SyncsFull.Add(1)
+	p.counters[SyncsFull].Add(1)
 	return SyncReport{Kind: SyncRebuildPush, Received: received, Sent: len(items) + len(tombs)}, nil
 }
 
@@ -265,7 +265,7 @@ func (p *Peer) rebuildPull(ctx context.Context, replica network.Addr, path keysp
 	// delta-visible for the next push.
 	clock := p.store.ReplaceWithin(path, resp.Items, resp.Tombstones)
 	p.noteSync(replica, syncState{mine: clock, theirs: resp.Clock})
-	p.Metrics.SyncsFull.Add(1)
+	p.counters[SyncsFull].Add(1)
 	return SyncReport{Kind: SyncRebuildPull, Received: len(resp.Items) + len(resp.Tombstones)}, nil
 }
 
@@ -292,7 +292,7 @@ func (p *Peer) deltaExchange(ctx context.Context, replica network.Addr, path key
 	}
 	received := p.applyContent(resp.Items, resp.Tombstones)
 	p.noteSync(replica, syncState{mine: myClock, theirs: resp.Clock})
-	p.Metrics.SyncsDelta.Add(1)
+	p.counters[SyncsDelta].Add(1)
 	return SyncReport{Kind: SyncDelta, Received: received, Sent: len(items) + len(tombs)}, nil
 }
 
@@ -367,7 +367,7 @@ func (p *Peer) digestWalk(ctx context.Context, replica network.Addr, path keyspa
 	}
 	received := p.applyContent(resp.Items, resp.Tombstones)
 	p.noteSync(replica, syncState{mine: myClock, theirs: resp.Clock})
-	p.Metrics.SyncsDelta.Add(1)
+	p.counters[SyncsDelta].Add(1)
 	return SyncReport{Kind: SyncWalk, Received: received, Sent: len(items) + len(tombs)}, nil
 }
 
@@ -552,7 +552,7 @@ func (p *Peer) handleTombstonePrune(req TombstonePruneRequest) TombstonePruneRes
 	}
 	n := p.store.DropTombstones(req.Pairs)
 	if n > 0 {
-		p.Metrics.TombstonesPruned.Add(float64(n))
+		p.counters[TombstonesPruned].Add(uint64(n))
 	}
 	return TombstonePruneResponse{Dropped: n}
 }

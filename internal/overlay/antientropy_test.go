@@ -345,7 +345,7 @@ func TestMaintainTickPrunesTombstones(t *testing.T) {
 	if rep.TombstonesPruned != 1 {
 		t.Errorf("tick pruned %d tombstones, want 1", rep.TombstonesPruned)
 	}
-	if p.Metrics.TombstonesPruned.Value() != 1 {
+	if p.Counts()[TombstonesPruned] != 1 {
 		t.Errorf("prune not counted in metrics")
 	}
 	if p.Store().TombstoneCount() != 0 {

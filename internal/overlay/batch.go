@@ -30,7 +30,7 @@ type BatchResult struct {
 // for are answered locally; the rest are grouped by divergence level and
 // each group travels the overlay as a single message per hop.
 func (p *Peer) QueryBatch(ctx context.Context, keys []keyspace.Key) []BatchResult {
-	resp := p.handleQueryBatch(ctx, BatchQueryRequest{Keys: keys, TTL: p.cfg.QueryTTL})
+	resp := p.handleQueryBatch(ctx, BatchQueryRequest{Keys: keys, TTL: queryTTL})
 	out := make([]BatchResult, len(keys))
 	for i := range keys {
 		qr := resp.Results[i]
@@ -38,8 +38,8 @@ func (p *Peer) QueryBatch(ctx context.Context, keys []keyspace.Key) []BatchResul
 			out[i].Err = errNotResponsible
 			continue
 		}
-		p.Metrics.Queries.Add(1)
-		p.Metrics.QueryHops.Add(float64(qr.Hops))
+		p.counters[Queries].Add(1)
+		p.counters[QueryHops].Add(uint64(qr.Hops))
 		out[i].QueryResult = QueryResult{Items: qr.Items, Hops: qr.Hops, Responsible: qr.Responsible}
 	}
 	return out

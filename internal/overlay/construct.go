@@ -40,7 +40,7 @@ func (p *Peer) ReplicateItems(ctx context.Context, items []replication.Item, tar
 			continue
 		}
 		req := ReplicateRequest{From: p.Addr(), Path: p.Path(), Items: items, Replicas: p.Replicas()}
-		p.Metrics.KeysMoved.Add(float64(len(items)))
+		p.counters[KeysMoved].Add(uint64(len(items)))
 		if _, err := p.transport.Call(ctx, t, req); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -78,7 +78,7 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 		Replicas:    replicas,
 		Done:        done,
 	}
-	p.Metrics.Interactions.Add(1)
+	p.counters[Interactions].Add(1)
 	raw, err := p.transport.Call(ctx, partner, req)
 	if err != nil {
 		return ActionNone, err
@@ -122,7 +122,7 @@ func (p *Peer) applyExchange(req ExchangeRequest, resp ExchangeResponse) Action 
 			// Concurrent interaction already moved this peer on; keep the
 			// data we received but do not change the path again.
 			p.store.AddAll(resp.Items)
-			p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
+			p.counters[KeysMoved].Add(uint64(len(resp.Items)))
 			return ActionNone
 		}
 		newPath := resp.NewPath
@@ -135,7 +135,7 @@ func (p *Peer) applyExchange(req ExchangeRequest, resp ExchangeResponse) Action 
 			p.table.Add(lr.Level, lr.Ref)
 		}
 		p.store.AddAll(resp.Items)
-		p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
+		p.counters[KeysMoved].Add(uint64(len(resp.Items)))
 		if resp.TakenOver {
 			// The responder absorbed the items outside our new path, so we
 			// can drop our copies.
@@ -147,7 +147,7 @@ func (p *Peer) applyExchange(req ExchangeRequest, resp ExchangeResponse) Action 
 
 	case ActionReplicate:
 		added := p.store.AddAll(resp.Items)
-		p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
+		p.counters[KeysMoved].Add(uint64(len(resp.Items)))
 		if pathUnchanged {
 			p.addReplicaLocked(resp.From)
 			for _, r := range resp.Replicas {
@@ -166,7 +166,7 @@ func (p *Peer) applyExchange(req ExchangeRequest, resp ExchangeResponse) Action 
 
 	case ActionRefer:
 		p.store.AddAll(resp.Items)
-		p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
+		p.counters[KeysMoved].Add(uint64(len(resp.Items)))
 		for _, lr := range resp.Refs {
 			p.table.Add(lr.Level, lr.Ref)
 		}

@@ -78,7 +78,7 @@ func (p *Peer) respondSamePath(req ExchangeRequest, resp *ExchangeResponse) {
 
 	overloaded := partitionLoad > float64(p.cfg.MaxKeys) || localLoad > p.cfg.MaxKeys
 	enoughPeers := replicaEstimate >= 2*float64(p.cfg.MinReplicas)
-	canDeepen := path.Depth() < p.cfg.MaxDepth
+	canDeepen := path.Depth() < MaxDepth
 
 	if overloaded && enoughPeers && canDeepen {
 		// Decide the split parameters from both peers' views of the load.
@@ -115,7 +115,7 @@ func (p *Peer) respondSamePath(req ExchangeRequest, resp *ExchangeResponse) {
 	// Become replicas: absorb the initiator's items, return what it lacks,
 	// and remember each other as replicas.
 	newItems := p.store.AddAll(req.Items)
-	p.Metrics.KeysMoved.Add(float64(len(req.Items)))
+	p.counters[KeysMoved].Add(uint64(len(req.Items)))
 	have := make(map[keyspace.Key]bool, len(req.Items))
 	for _, it := range req.Items {
 		have[it.Key] = true
@@ -125,7 +125,7 @@ func (p *Peer) respondSamePath(req ExchangeRequest, resp *ExchangeResponse) {
 			resp.Items = append(resp.Items, it)
 		}
 	}
-	p.Metrics.KeysMoved.Add(float64(len(resp.Items)))
+	p.counters[KeysMoved].Add(uint64(len(resp.Items)))
 	p.addReplicaLocked(req.From)
 	for _, r := range req.Replicas {
 		p.addReplicaLocked(r)
@@ -162,7 +162,7 @@ func (p *Peer) performSplit(req ExchangeRequest, resp *ExchangeResponse, sd core
 	taken := filterItems(req.Items, myNew)
 	p.store.AddAll(taken)
 	give := p.store.RemovePrefix(theirNew)
-	p.Metrics.KeysMoved.Add(float64(len(taken) + len(give)))
+	p.counters[KeysMoved].Add(uint64(len(taken) + len(give)))
 
 	// Extend the responder's own path and reference the initiator at the
 	// split level; the replica list is stale after a split.
@@ -206,7 +206,7 @@ func (p *Peer) respondInitiatorBehind(req ExchangeRequest, resp *ExchangeRespons
 		taken := filterItems(req.Items, req.Path.Child(myBit))
 		p.store.AddAll(taken)
 		give := p.store.RemovePrefix(newPath)
-		p.Metrics.KeysMoved.Add(float64(len(taken) + len(give)))
+		p.counters[KeysMoved].Add(uint64(len(taken) + len(give)))
 		p.table.Add(level, routing.Ref{Addr: req.From, Path: newPath})
 		resp.Items = give
 		resp.TakenOver = true
@@ -238,7 +238,7 @@ func (p *Peer) respondInitiatorBehind(req ExchangeRequest, resp *ExchangeRespons
 func (p *Peer) respondResponderBehind(req ExchangeRequest, resp *ExchangeResponse) {
 	myPath := p.table.Path()
 	level := myPath.Depth()
-	if level >= p.cfg.MaxDepth || req.Path.Depth() <= level {
+	if level >= MaxDepth || req.Path.Depth() <= level {
 		resp.Action = ActionNone
 		return
 	}
@@ -268,13 +268,13 @@ func (p *Peer) respondResponderBehind(req ExchangeRequest, resp *ExchangeRespons
 	// Absorb initiator items on the responder's side.
 	taken := filterItems(req.Items, newPath)
 	p.store.AddAll(taken)
-	p.Metrics.KeysMoved.Add(float64(len(taken)))
+	p.counters[KeysMoved].Add(uint64(len(taken)))
 	if newBit != theirBit {
 		// The peers ended up on complementary sides of the split level:
 		// hand over any items the responder no longer covers and exchange
 		// mutual references.
 		give := p.store.RemovePrefix(req.Path)
-		p.Metrics.KeysMoved.Add(float64(len(give)))
+		p.counters[KeysMoved].Add(uint64(len(give)))
 		resp.Items = give
 		resp.Refs = []LevelRef{{Level: level, Ref: routing.Ref{Addr: p.Addr(), Path: newPath}}}
 	}
@@ -300,7 +300,7 @@ func (p *Peer) respondRefer(req ExchangeRequest, resp *ExchangeResponse) {
 	give := p.store.RemovePrefix(req.Path)
 	if len(give) > 0 {
 		resp.Items = give
-		p.Metrics.KeysMoved.Add(float64(len(give)))
+		p.counters[KeysMoved].Add(uint64(len(give)))
 	}
 	resp.Action = ActionRefer
 }

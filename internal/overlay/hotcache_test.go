@@ -94,7 +94,7 @@ func TestQueryCacheHitAfterFill(t *testing.T) {
 	if !hasValue(second.Items, "v1") {
 		t.Errorf("cached items = %v, want v1", second.Items)
 	}
-	if hits := origin.MetricsSnapshot().CacheHits; hits < 1 {
+	if hits := origin.Counts()[CacheHits]; hits < 1 {
 		t.Errorf("CacheHits = %v, want >= 1", hits)
 	}
 }

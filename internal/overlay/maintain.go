@@ -98,7 +98,7 @@ func (p *Peer) MaintainTick(ctx context.Context, opts MaintenanceOptions) TickRe
 	// sync round.
 	if pruned := p.store.CompactTombstonesCollect(); len(pruned) > 0 {
 		rep.TombstonesPruned = len(pruned)
-		p.Metrics.TombstonesPruned.Add(float64(len(pruned)))
+		p.counters[TombstonesPruned].Add(uint64(len(pruned)))
 		p.notifyTombstonePrune(ctx, pruned)
 	}
 	p.compactSyncStates()
@@ -117,7 +117,7 @@ func (p *Peer) MaintainTick(ctx context.Context, opts MaintenanceOptions) TickRe
 			rep.PersistenceErr = err
 		}
 		if rep.PersistenceErr != nil {
-			p.Metrics.PersistenceErrors.Add(1)
+			p.counters[PersistenceErrors].Add(1)
 		}
 	}
 
@@ -237,7 +237,7 @@ func (p *Peer) discoverReplica(ctx context.Context) bool {
 	if !ok {
 		return false
 	}
-	req := QueryRequest{Key: key, TTL: p.cfg.QueryTTL}
+	req := QueryRequest{Key: key, TTL: queryTTL}
 	raw, err := p.transport.Call(ctx, ref.Addr, req)
 	if err != nil {
 		return false

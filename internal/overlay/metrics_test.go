@@ -67,7 +67,7 @@ func TestMetricsSnapshotUnderConcurrentWorkload(t *testing.T) {
 		for _, p := range c.peers {
 			agg = agg.Merge(p.MetricsSnapshot())
 		}
-		if agg.Queries < last.Queries || agg.Mutations < last.Mutations {
+		if agg.Counts[Queries] < last.Counts[Queries] || agg.Counts[Mutations] < last.Counts[Mutations] {
 			t.Errorf("aggregate counters went backwards: %+v then %+v", last, agg)
 		}
 		last = agg
@@ -75,7 +75,7 @@ func TestMetricsSnapshotUnderConcurrentWorkload(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if last.Queries == 0 {
+	if last.Counts[Queries] == 0 {
 		t.Error("no queries counted during the workload")
 	}
 	if last.Store.Items == 0 {

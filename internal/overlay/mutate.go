@@ -67,7 +67,7 @@ func (p *Peer) writeQuorum() int {
 // acknowledged it, and errNotResponsible-wrapped failure when no route
 // exists.
 func (p *Peer) Insert(ctx context.Context, it replication.Item) (MutateResult, error) {
-	resp, err := p.resolveInsert(ctx, InsertRequest{Item: it, ID: p.mutationID(), TTL: p.cfg.QueryTTL})
+	resp, err := p.resolveInsert(ctx, InsertRequest{Item: it, ID: p.mutationID(), TTL: queryTTL})
 	if err != nil {
 		return MutateResult{}, err
 	}
@@ -78,7 +78,7 @@ func (p *Peer) Insert(ctx context.Context, it replication.Item) (MutateResult, e
 // partition, tombstoning it at every replica that acknowledges. Quorum
 // semantics match Insert.
 func (p *Peer) Delete(ctx context.Context, key keyspace.Key, value string) (MutateResult, error) {
-	resp, err := p.resolveDelete(ctx, DeleteRequest{Key: key, Value: value, ID: p.mutationID(), TTL: p.cfg.QueryTTL})
+	resp, err := p.resolveDelete(ctx, DeleteRequest{Key: key, Value: value, ID: p.mutationID(), TTL: queryTTL})
 	if err != nil {
 		return MutateResult{}, err
 	}
@@ -115,8 +115,8 @@ func (p *Peer) finishMutation(resp MutateResponse) (MutateResult, error) {
 	if !resp.Found {
 		return MutateResult{}, errNotResponsible
 	}
-	p.Metrics.Mutations.Add(1)
-	p.Metrics.MutationHops.Add(float64(resp.Hops))
+	p.counters[Mutations].Add(1)
+	p.counters[MutationHops].Add(uint64(resp.Hops))
 	res := MutateResult{
 		Acks:        resp.Acks,
 		Replicas:    resp.Replicas,

@@ -546,8 +546,8 @@ func TestMetricsAccounting(t *testing.T) {
 	c.construct(t, 40)
 	var interactions, keysMoved float64
 	for _, p := range c.peers {
-		interactions += p.Metrics.Interactions.Value()
-		keysMoved += p.Metrics.KeysMoved.Value()
+		interactions += p.Counts()[Interactions]
+		keysMoved += p.Counts()[KeysMoved]
 	}
 	if interactions == 0 {
 		t.Error("no interactions recorded")
@@ -559,7 +559,7 @@ func TestMetricsAccounting(t *testing.T) {
 
 func TestConfigNormalize(t *testing.T) {
 	c := Config{}.normalize()
-	if c.MaxKeys <= 0 || c.MinReplicas <= 0 || c.MaxDepth <= 0 || c.MaxRefs <= 0 || c.DoneAfterIdle <= 0 || c.QueryTTL <= 0 {
+	if c.MaxKeys <= 0 || c.MinReplicas <= 0 || c.MaxRefs <= 0 || c.DoneAfterIdle <= 0 {
 		t.Errorf("normalize left zero values: %+v", c)
 	}
 	d := DefaultConfig()

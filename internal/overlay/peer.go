@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pgrid/internal/core"
@@ -15,7 +16,6 @@ import (
 	"pgrid/internal/network"
 	"pgrid/internal/replication"
 	"pgrid/internal/routing"
-	"pgrid/internal/stats"
 	"pgrid/internal/xrand"
 )
 
@@ -28,8 +28,6 @@ type Config struct {
 	// partition; splits only happen while the estimated replica count
 	// leaves at least MinReplicas on each side.
 	MinReplicas int
-	// MaxDepth bounds the peer's path length (0 means 32).
-	MaxDepth int
 	// MaxRefs is the number of routing references kept per level.
 	MaxRefs int
 	// Samples is the number of local keys sampled when estimating load
@@ -44,8 +42,6 @@ type Config struct {
 	// after which a peer considers its construction converged (paper: a
 	// fixed small number such as 2).
 	DoneAfterIdle int
-	// QueryTTL bounds the number of routing hops per query (0 means 64).
-	QueryTTL int
 	// Alpha is the number of routing references raced concurrently per
 	// forwarding step of an exact-match (or batch) query. The first
 	// responsible answer wins and stale references encountered along the
@@ -85,17 +81,9 @@ type Config struct {
 	// memory. Only NewPersistent reports persistence errors; New panics on
 	// them.
 	DataDir string
-	// WALSyncInterval batches WAL fsyncs: appends flush immediately but
-	// fsync at most once per interval
-	// (replication.DefaultWALSyncInterval when zero).
-	WALSyncInterval time.Duration
 	// WALSyncAlways fsyncs the WAL on every mutation, trading write
 	// latency for a zero crash-loss window.
 	WALSyncAlways bool
-	// SnapshotThreshold is the number of WAL records after which a
-	// maintenance tick compacts the log into a snapshot
-	// (replication.DefaultSnapshotThreshold when zero).
-	SnapshotThreshold int
 	// StorageEngine selects the store's pair-storage engine:
 	// replication.EngineMem (in-memory map) or replication.EngineDisk
 	// (log-structured on-disk segments, for partitions far larger than
@@ -136,17 +124,11 @@ func (c Config) normalize() Config {
 	if c.MinReplicas <= 0 {
 		c.MinReplicas = 5
 	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 32
-	}
 	if c.MaxRefs <= 0 {
 		c.MaxRefs = routing.DefaultMaxRefs
 	}
 	if c.DoneAfterIdle <= 0 {
 		c.DoneAfterIdle = 2
-	}
-	if c.QueryTTL <= 0 {
-		c.QueryTTL = 64
 	}
 	if c.Alpha <= 0 {
 		c.Alpha = DefaultAlpha
@@ -166,8 +148,13 @@ func (c Config) normalize() Config {
 	return c
 }
 
-// Default concurrency parameters of the query engine.
+// Fixed bounds of the overlay and default concurrency parameters of the
+// query engine.
 const (
+	// MaxDepth bounds a peer's path length.
+	MaxDepth = 32
+	// queryTTL bounds the routing hops of one query or mutation.
+	queryTTL = 64
 	// DefaultAlpha is the default number of references raced per
 	// forwarding step (the α of Kademlia-style parallel lookups).
 	DefaultAlpha = 3
@@ -183,46 +170,6 @@ const (
 	// entry may occupy cache space).
 	DefaultQueryCacheTTL = 2 * time.Second
 )
-
-// Metrics aggregates a peer's protocol activity for the evaluation figures.
-// Bandwidth is not among them: the transport counts the bytes (see
-// Peer.Bandwidth).
-type Metrics struct {
-	// Interactions is the number of construction interactions initiated.
-	Interactions stats.Counter
-	// KeysMoved counts data items sent or received during construction
-	// (Figure 6(f)).
-	KeysMoved stats.Counter
-	// Queries and QueryHops count exact-match queries answered locally or
-	// forwarded, and the hops they took.
-	Queries   stats.Counter
-	QueryHops stats.Counter
-	// Mutations and MutationHops count routed Insert/Delete operations this
-	// peer originated, and the hops they took to reach the responsible
-	// partition.
-	Mutations    stats.Counter
-	MutationHops stats.Counter
-	// SyncsInSync, SyncsDelta and SyncsFull classify completed anti-entropy
-	// syncs: root digests matched (nothing transferred), delta-proportional
-	// exchanges (exact deltas and digest walks), and full-set transfers
-	// (rebuilds). Together with the maintenance bytes of Bandwidth they
-	// quantify how much the digest protocol saves.
-	SyncsInSync stats.Counter
-	SyncsDelta  stats.Counter
-	SyncsFull   stats.Counter
-	// TombstonesPruned counts tombstones removed by the GC horizon.
-	TombstonesPruned stats.Counter
-	// PersistenceErrors counts maintenance ticks that observed a sticky
-	// persistence failure (WAL append/rotation error): the peer keeps
-	// serving from memory but its mutations are no longer durable.
-	PersistenceErrors stats.Counter
-	// CacheHits and CacheMisses count exact lookups served from the query
-	// answer cache (after a successful clock probe) versus lookups that had
-	// to route (no entry, expired entry, or a probe that found the clock
-	// moved).
-	CacheHits   stats.Counter
-	CacheMisses stats.Counter
-}
 
 // Peer is one P-Grid node.
 type Peer struct {
@@ -250,11 +197,10 @@ type Peer struct {
 	cache *queryCache
 	now   func() time.Time
 
-	// Metrics are exported counters. They are updated without holding mu:
-	// each stats.Counter is internally atomic, and MetricsSnapshot reads
-	// them through the same atomic loads, so concurrent scrapes never see
-	// a half-updated figure.
-	Metrics Metrics
+	// counters are the peer's protocol counters, indexed by Counter. They
+	// are advanced with atomic adds without holding mu, and Counts reads them
+	// with atomic loads.
+	counters [NumCounters]atomic.Uint64
 }
 
 // New creates a peer bound to the given transport. It panics when
@@ -301,10 +247,8 @@ func NewPersistent(cfg Config, transport network.Transport) (*Peer, error) {
 	if cfg.DataDir != "" {
 		var err error
 		store, err = replication.OpenStore(cfg.DataDir, replication.PersistOptions{
-			SyncInterval:      cfg.WALSyncInterval,
-			SyncAlways:        cfg.WALSyncAlways,
-			SnapshotThreshold: cfg.SnapshotThreshold,
-			Engine:            cfg.StorageEngine,
+			SyncAlways: cfg.WALSyncAlways,
+			Engine:     cfg.StorageEngine,
 		})
 		if err != nil {
 			return nil, err
@@ -664,7 +608,7 @@ func (p *Peer) snapshotReplicasLocked() []network.Addr {
 // handleReplicate serves the pre-construction replication push.
 func (p *Peer) handleReplicate(req ReplicateRequest) ReplicateResponse {
 	accepted := p.store.AddAll(req.Items)
-	p.Metrics.KeysMoved.Add(float64(len(req.Items)))
+	p.counters[KeysMoved].Add(uint64(len(req.Items)))
 	resp := ReplicateResponse{Accepted: accepted, Path: p.Path()}
 	p.mu.Lock()
 	if req.From != "" && req.Path.SamePartition(p.table.Path()) {

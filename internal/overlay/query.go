@@ -57,15 +57,15 @@ func (p *Peer) Query(ctx context.Context, key keyspace.Key) (QueryResult, error)
 
 // QueryWith resolves an exact-match query with explicit options.
 func (p *Peer) QueryWith(ctx context.Context, key keyspace.Key, opts QueryOptions) (QueryResult, error) {
-	resp, err := p.resolveQuery(ctx, QueryRequest{Key: key, TTL: p.cfg.QueryTTL, Bypass: opts.Consistent})
+	resp, err := p.resolveQuery(ctx, QueryRequest{Key: key, TTL: queryTTL, Bypass: opts.Consistent})
 	if err != nil {
 		return QueryResult{}, err
 	}
 	if !resp.Found {
 		return QueryResult{}, errNotResponsible
 	}
-	p.Metrics.Queries.Add(1)
-	p.Metrics.QueryHops.Add(float64(resp.Hops))
+	p.counters[Queries].Add(1)
+	p.counters[QueryHops].Add(uint64(resp.Hops))
 	return QueryResult{Items: resp.Items, Hops: resp.Hops, Responsible: resp.Responsible, Cached: resp.Cached}, nil
 }
 
@@ -139,14 +139,14 @@ func (p *Peer) cacheServe(ctx context.Context, req QueryRequest) (QueryResponse,
 	}
 	ent, ok := p.cache.get(req.Key, p.now())
 	if !ok {
-		p.Metrics.CacheMisses.Add(1)
+		p.counters[CacheMisses].Add(1)
 		return QueryResponse{}, false
 	}
 	probe := ClockRequest{From: p.Addr()}
 	raw, err := p.transport.Call(ctx, ent.responsible, probe)
 	if err == nil {
 		if cr, ok := raw.(ClockResponse); ok && cr.Clock == ent.clock && cr.Path.SamePartition(ent.path) {
-			p.Metrics.CacheHits.Add(1)
+			p.counters[CacheHits].Add(1)
 			return QueryResponse{
 				Found:           true,
 				Items:           ent.items,
@@ -159,7 +159,7 @@ func (p *Peer) cacheServe(ctx context.Context, req QueryRequest) (QueryResponse,
 		}
 	}
 	p.cache.invalidate(req.Key)
-	p.Metrics.CacheMisses.Add(1)
+	p.counters[CacheMisses].Add(1)
 	return QueryResponse{}, false
 }
 
@@ -307,11 +307,11 @@ type RangeResult struct {
 // restricted sub-range to one reference per overlapping complementary
 // sub-tree, with up to Fanout sub-trees queried concurrently).
 func (p *Peer) RangeQuery(ctx context.Context, r keyspace.Range) (RangeResult, error) {
-	req := RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: p.cfg.QueryTTL}
+	req := RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: queryTTL}
 	resp := p.handleRange(ctx, req)
 	items := dedupeItems(resp.Items)
-	p.Metrics.Queries.Add(1)
-	p.Metrics.QueryHops.Add(float64(resp.Hops))
+	p.counters[Queries].Add(1)
+	p.counters[QueryHops].Add(uint64(resp.Hops))
 	return RangeResult{Items: items, Hops: resp.Hops, Partitions: resp.Partitions, Incomplete: resp.Incomplete}, nil
 }
 

@@ -87,7 +87,7 @@ func TestRestartResumesDeltaSync(t *testing.T) {
 	if !b2.Store().Live(missed.Key, missed.Value) {
 		t.Error("restarted peer did not receive the missed write")
 	}
-	if full := b2.Metrics.SyncsFull.Value(); full != 0 {
+	if full := b2.Counts()[SyncsFull]; full != 0 {
 		t.Errorf("restarted peer ran %v full syncs, want 0", full)
 	}
 }
@@ -250,7 +250,7 @@ func TestRestartMidWriteOverTCP(t *testing.T) {
 	if rep.Kind != SyncDelta {
 		t.Fatalf("post-restart TCP sync took %q, want delta", rep.Kind)
 	}
-	if full := b2.Metrics.SyncsFull.Value(); full != 0 {
+	if full := b2.Counts()[SyncsFull]; full != 0 {
 		t.Errorf("restarted peer ran %v full syncs, want 0", full)
 	}
 	if !b2.Store().Live(item07(5, "during-1").Key, "during-1") ||

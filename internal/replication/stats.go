@@ -1,13 +1,12 @@
 package replication
 
 // This file is the store's observability read path: plain-value snapshots
-// of the gauges that were previously invisible outside the package (live
-// pair count, tombstones, logical clock, WAL shape, disk-engine segment and
-// memtable sizes), consumed by the overlay's MetricsSnapshot and ultimately
-// the HTTP gateway's Prometheus endpoint. Every field is read under the
-// appropriate lock and copied out, so a scrape never observes a
-// half-updated figure and never blocks a mutation for longer than one
-// gauge read.
+// of its gauges (live pair count, tombstones, logical clock, WAL shape,
+// disk-engine segment and memtable sizes), consumed by the overlay's
+// MetricsSnapshot and ultimately the HTTP gateway's Prometheus endpoint.
+// Every field is read under the appropriate lock and copied out, so a
+// scrape never observes a half-updated figure and never blocks a mutation
+// for longer than one gauge read.
 
 import (
 	"os"

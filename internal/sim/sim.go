@@ -135,18 +135,12 @@ type Experiment struct {
 	// OriginalItems is the multiset of items initially assigned to peers
 	// (before replication), one slice per peer.
 	OriginalItems [][]replication.Item
-	// Retired accumulates the metric counters of peers replaced by
-	// RestartPeer (whose fresh counters restart at zero), so aggregate
-	// series stay monotonic across restarts. Bandwidth needs no such help:
-	// the endpoint that counts it outlives the restart.
-	Retired RetiredMetrics
+	// Retired sums the counters of peers replaced by RestartPeer (whose
+	// fresh counters restart at zero), so aggregate series stay monotonic
+	// across restarts. Bandwidth needs no such help: the endpoint that
+	// counts it outlives the restart.
+	Retired overlay.Counts
 	rng     *rand.Rand
-}
-
-// RetiredMetrics sums the counters of peers that were replaced by
-// RestartPeer.
-type RetiredMetrics struct {
-	SyncsInSync, SyncsDelta, SyncsFull, TombstonesPruned float64
 }
 
 // New creates the deployment: simulated network, peers with their initial
@@ -219,10 +213,7 @@ func (e *Experiment) RestartPeer(i int) error {
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("sim: close peer %d: %w", i, err)
 	}
-	e.Retired.SyncsInSync += old.Metrics.SyncsInSync.Value()
-	e.Retired.SyncsDelta += old.Metrics.SyncsDelta.Value()
-	e.Retired.SyncsFull += old.Metrics.SyncsFull.Value()
-	e.Retired.TombstonesPruned += old.Metrics.TombstonesPruned.Value()
+	e.Retired.Add(old.Counts())
 	peer, err := overlay.NewPersistent(e.peerConfig(i), e.Sim.Endpoint(old.Addr()))
 	if err != nil {
 		return fmt.Errorf("sim: reopen peer %d: %w", i, err)
@@ -319,7 +310,7 @@ func (e *Experiment) ReferenceTree() (*trie.Tree, error) {
 	params := trie.Params{
 		MaxKeys:     e.Peers[0].Config().MaxKeys,
 		MinReplicas: e.Peers[0].Config().MinReplicas,
-		MaxDepth:    e.Peers[0].Config().MaxDepth,
+		MaxDepth:    overlay.MaxDepth,
 	}
 	return trie.Build(keys, float64(len(e.Peers)), params)
 }
@@ -472,11 +463,11 @@ func (e *Experiment) Measure(rounds int) (*Result, error) {
 		Replication: trie.Replication(ref, assignment),
 		Rounds:      rounds,
 	}
-	var interactions, keysMoved, pathLen, converged float64
+	var pathLen, converged float64
+	var total overlay.Counts
 	maxPath := 0
 	for _, p := range e.Peers {
-		interactions += p.Metrics.Interactions.Value()
-		keysMoved += p.Metrics.KeysMoved.Value()
+		total.Add(p.Counts())
 		d := p.Path().Depth()
 		pathLen += float64(d)
 		if d > maxPath {
@@ -487,8 +478,8 @@ func (e *Experiment) Measure(rounds int) (*Result, error) {
 		}
 	}
 	n := float64(len(e.Peers))
-	res.InteractionsPerPeer = interactions / n
-	res.KeysMovedPerPeer = keysMoved / n
+	res.InteractionsPerPeer = total[overlay.Interactions] / n
+	res.KeysMovedPerPeer = total[overlay.KeysMoved] / n
 	res.MeanPathLength = pathLen / n
 	res.MaxPathLength = maxPath
 	res.ConvergedFraction = converged / n

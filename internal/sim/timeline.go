@@ -113,26 +113,20 @@ type TimelineResult struct {
 	// query read back — the timeline's convergence signal for live writes
 	// under churn.
 	ReadYourWrites float64
-	// InSyncRounds, DeltaSyncs and FullSyncs classify the anti-entropy
-	// rounds the maintenance ticks ran: root digests matched (nothing
-	// moved), delta-proportional exchanges, and full-set transfers
-	// (rebuilds or the legacy protocol). With the digest protocol the vast
-	// majority of rounds should land in the first bucket.
-	InSyncRounds, DeltaSyncs, FullSyncs float64
-	// TombstonesPruned is the total number of tombstones the GC horizon
-	// removed, and TombstonesHeld the number still held at the end of the
-	// run (bounded when GC is on, growing with lifetime deletes otherwise).
-	TombstonesPruned float64
-	TombstonesHeld   int
+	// Counts sums every peer's protocol counters over the run, restarted
+	// peers' predecessors included. With the digest protocol the vast
+	// majority of anti-entropy rounds land in SyncsInSync.
+	Counts overlay.Counts
+	// TombstonesHeld is the number of tombstones held at the end of the run
+	// (bounded when GC is on, growing with lifetime deletes otherwise).
+	TombstonesHeld int
 	// RestartedPeers is the number of peers the restart scenario bounced
 	// (zero when RestartAt is unset).
 	RestartedPeers int
-	// PostRestartInSyncRounds, PostRestartDeltaSyncs and
-	// PostRestartFullSyncs classify the anti-entropy rounds the restarted
-	// peers completed after coming back: with persistence the rejoins run
-	// through the in-sync/delta paths and full rebuilds stay at zero,
-	// which is the durability tentpole's acceptance signal.
-	PostRestartInSyncRounds, PostRestartDeltaSyncs, PostRestartFullSyncs float64
+	// PostRestart sums the counters of the restarted peers since they came
+	// back: with persistence their anti-entropy rejoins run through the
+	// in-sync/delta paths and SyncsFull stays at zero.
+	PostRestart overlay.Counts
 }
 
 // RunTimeline replays the full experiment timeline.
@@ -426,23 +420,15 @@ func RunTimeline(cfg TimelineConfig) (*TimelineResult, error) {
 	if readbackN > 0 {
 		res.ReadYourWrites = readbackOK / readbackN
 	}
-	res.InSyncRounds = e.Retired.SyncsInSync
-	res.DeltaSyncs = e.Retired.SyncsDelta
-	res.FullSyncs = e.Retired.SyncsFull
-	res.TombstonesPruned = e.Retired.TombstonesPruned
+	res.Counts = e.Retired
 	for _, p := range e.Peers {
-		res.InSyncRounds += p.Metrics.SyncsInSync.Value()
-		res.DeltaSyncs += p.Metrics.SyncsDelta.Value()
-		res.FullSyncs += p.Metrics.SyncsFull.Value()
-		res.TombstonesPruned += p.Metrics.TombstonesPruned.Value()
+		res.Counts.Add(p.Counts())
 		res.TombstonesHeld += p.Store().TombstoneCount()
 	}
 	// Restarted peers' counters were zeroed at the restart, so what they
-	// show now is exactly their post-restart sync behaviour.
+	// show now is exactly their post-restart behaviour.
 	for _, i := range restartedIdx {
-		res.PostRestartInSyncRounds += e.Peers[i].Metrics.SyncsInSync.Value()
-		res.PostRestartDeltaSyncs += e.Peers[i].Metrics.SyncsDelta.Value()
-		res.PostRestartFullSyncs += e.Peers[i].Metrics.SyncsFull.Value()
+		res.PostRestart.Add(e.Peers[i].Counts())
 	}
 	return res, nil
 }
@@ -465,13 +451,15 @@ func (r *TimelineResult) Summary() string {
 		fmt.Fprintf(&b, "write success before churn: %.2f during churn: %.2f read-your-writes: %.2f\n",
 			r.WriteSuccessBeforeChurn, r.WriteSuccessDuringChurn, r.ReadYourWrites)
 	}
-	if r.InSyncRounds+r.DeltaSyncs+r.FullSyncs > 0 {
+	c := r.Counts
+	if c[overlay.SyncsInSync]+c[overlay.SyncsDelta]+c[overlay.SyncsFull] > 0 {
 		fmt.Fprintf(&b, "anti-entropy rounds: %.0f in-sync, %.0f delta, %.0f full; tombstones pruned: %.0f held: %d\n",
-			r.InSyncRounds, r.DeltaSyncs, r.FullSyncs, r.TombstonesPruned, r.TombstonesHeld)
+			c[overlay.SyncsInSync], c[overlay.SyncsDelta], c[overlay.SyncsFull], c[overlay.TombstonesPruned], r.TombstonesHeld)
 	}
 	if r.RestartedPeers > 0 {
+		pr := r.PostRestart
 		fmt.Fprintf(&b, "restarted peers: %d (post-restart syncs: %.0f in-sync, %.0f delta, %.0f full)\n",
-			r.RestartedPeers, r.PostRestartInSyncRounds, r.PostRestartDeltaSyncs, r.PostRestartFullSyncs)
+			r.RestartedPeers, pr[overlay.SyncsInSync], pr[overlay.SyncsDelta], pr[overlay.SyncsFull])
 	}
 	lat := r.QueryLatency.Buckets()
 	if len(lat) > 0 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pgrid/internal/churn"
+	"pgrid/internal/overlay"
 )
 
 // TestTimelineRestartScenario runs the timeline with persistence enabled
@@ -36,12 +37,12 @@ func TestTimelineRestartScenario(t *testing.T) {
 	if res.RestartedPeers == 0 {
 		t.Fatal("restart scenario bounced no peers")
 	}
-	if res.PostRestartInSyncRounds+res.PostRestartDeltaSyncs == 0 {
+	if pr := res.PostRestart; pr[overlay.SyncsInSync]+pr[overlay.SyncsDelta] == 0 {
 		t.Error("restarted peers completed no in-sync/delta rounds after recovery")
 	}
-	if res.PostRestartFullSyncs > 0 {
+	if full := res.PostRestart[overlay.SyncsFull]; full > 0 {
 		t.Errorf("restarted peers ran %.0f full syncs; durable baselines should have kept them on the delta path",
-			res.PostRestartFullSyncs)
+			full)
 	}
 	// Reads keep succeeding across the restart wave.
 	if res.SuccessDuringChurn < 0.8 {

@@ -154,21 +154,3 @@ func TestTimeSeriesConcurrent(t *testing.T) {
 		t.Errorf("lost samples: %d", total)
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for g := 0; g < 10; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				c.Add(1)
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Value() != 1000 {
-		t.Errorf("counter = %v", c.Value())
-	}
-}

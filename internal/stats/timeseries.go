@@ -2,11 +2,9 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -93,29 +91,4 @@ func (ts *TimeSeries) Table() string {
 		fmt.Fprintf(&b, "%10v %8d %12.2f %12.2f %12.2f\n", bs.Start, bs.Count, bs.Sum, bs.Mean, bs.Std)
 	}
 	return b.String()
-}
-
-// Counter is a concurrency-safe monotonically increasing counter used for
-// bandwidth and message accounting. It is lock-free: the value lives in an
-// atomic word holding float64 bits, so the query hot path increments it
-// without contending on a mutex and exporters read a consistent snapshot
-// with a single atomic load.
-type Counter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta float64) {
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current counter value.
-func (c *Counter) Value() float64 {
-	return math.Float64frombits(c.bits.Load())
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"pgrid/internal/overlay"
 )
 
 // TestClusterPersistenceRestart exercises the public durability surface:
@@ -77,11 +79,11 @@ func TestClusterPersistenceRestart(t *testing.T) {
 	}
 	// The rejoins must not have degraded to full-set transfers.
 	for _, i := range restarted {
-		p := cluster.Peer(i)
-		if full := p.Metrics.SyncsFull.Value(); full != 0 {
+		c := cluster.Peer(i).Counts()
+		if full := c[overlay.SyncsFull]; full != 0 {
 			t.Errorf("restarted peer %d ran %v full syncs", i, full)
 		}
-		if p.Metrics.SyncsInSync.Value()+p.Metrics.SyncsDelta.Value() == 0 {
+		if c[overlay.SyncsInSync]+c[overlay.SyncsDelta] == 0 {
 			t.Errorf("restarted peer %d completed no in-sync/delta rounds", i)
 		}
 	}

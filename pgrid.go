@@ -345,7 +345,8 @@ func (c *Cluster) Build(ctx context.Context) (BuildReport, error) {
 func (c *Cluster) report(rounds int) BuildReport {
 	rep := BuildReport{Rounds: rounds}
 	counts := map[Path]int{}
-	var pathLen, interactions, keysMoved float64
+	var pathLen float64
+	var total overlay.Counts
 	peers := c.peerList()
 	for _, p := range peers {
 		d := p.Path().Depth()
@@ -354,8 +355,7 @@ func (c *Cluster) report(rounds int) BuildReport {
 			rep.MaxPathLength = d
 		}
 		counts[p.Path()]++
-		interactions += p.Metrics.Interactions.Value()
-		keysMoved += p.Metrics.KeysMoved.Value()
+		total.Add(p.Counts())
 	}
 	n := float64(len(peers))
 	rep.MeanPathLength = pathLen / n
@@ -363,8 +363,8 @@ func (c *Cluster) report(rounds int) BuildReport {
 	if len(counts) > 0 {
 		rep.MeanReplicasPerPartition = n / float64(len(counts))
 	}
-	rep.InteractionsPerPeer = interactions / n
-	rep.KeysMovedPerPeer = keysMoved / n
+	rep.InteractionsPerPeer = total[overlay.Interactions] / n
+	rep.KeysMovedPerPeer = total[overlay.KeysMoved] / n
 	return rep
 }
 

@@ -282,10 +282,11 @@ type DeleteRequest struct {
 	Key keyspace.Key
 	// Value selects the stored value to delete under the key.
 	Value string
-	// Gen is the coordinator's generation stamp for the tombstone,
-	// meaningful on the Direct fan-out leg: replicas apply this exact stamp
-	// so the delete orders consistently against re-inserts even where the
-	// local tombstone history is stale.
+	// Gen is the coordinator's generation stamp for the tombstone on the
+	// Direct fan-out leg: replicas apply this exact stamp so the delete
+	// orders consistently against re-inserts even where the local tombstone
+	// history is stale. On a routed request it is the lowest stamp the
+	// sender accepts, as InsertRequest's Item.Gen (0 for any).
 	Gen uint64
 	// ID identifies the mutation end to end for duplicate suppression; see
 	// InsertRequest.ID.

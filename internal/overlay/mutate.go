@@ -18,9 +18,12 @@ import (
 // Fanout), and acknowledges with the number of replicas that applied it. The
 // originator compares that count against the configured WriteQuorum.
 //
-// Deletes are tombstoned at every replica that applies them (see
-// replication.Store), so the anti-entropy maintenance loop spreads deletes
-// exactly like inserts instead of resurrecting removed items.
+// An insert and a delete differ only in the state they give the pair (live
+// or tombstoned), so both run through one coordinator and one Direct
+// applier. Which state wins at each replica, what the coordinator stamps,
+// and when it retries are decided by replication.Merge and
+// replication.Restamp (internal/replication/pair.go); deletes are
+// tombstones, so anti-entropy spreads them like inserts.
 
 // ErrNoQuorum is returned by Insert and Delete when the responsible peer was
 // reached but fewer replicas than the configured WriteQuorum acknowledged the
@@ -67,7 +70,7 @@ func (p *Peer) writeQuorum() int {
 // acknowledged it, and errNotResponsible-wrapped failure when no route
 // exists.
 func (p *Peer) Insert(ctx context.Context, it replication.Item) (MutateResult, error) {
-	resp, err := p.resolveInsert(ctx, InsertRequest{Item: it, ID: p.mutationID(), TTL: queryTTL})
+	resp, err := p.resolveMutation(ctx, insertMutation(InsertRequest{Item: it, ID: p.mutationID(), TTL: queryTTL}))
 	if err != nil {
 		return MutateResult{}, err
 	}
@@ -78,7 +81,7 @@ func (p *Peer) Insert(ctx context.Context, it replication.Item) (MutateResult, e
 // partition, tombstoning it at every replica that acknowledges. Quorum
 // semantics match Insert.
 func (p *Peer) Delete(ctx context.Context, key keyspace.Key, value string) (MutateResult, error) {
-	resp, err := p.resolveDelete(ctx, DeleteRequest{Key: key, Value: value, ID: p.mutationID(), TTL: queryTTL})
+	resp, err := p.resolveMutation(ctx, deleteMutation(DeleteRequest{Key: key, Value: value, ID: p.mutationID(), TTL: queryTTL}))
 	if err != nil {
 		return MutateResult{}, err
 	}
@@ -94,19 +97,6 @@ func (p *Peer) mutationID() uint64 {
 			return id
 		}
 	}
-}
-
-// markMutation records a mutation ID and reports whether it was new. The
-// α-raced routing can deliver duplicates of one mutation to several
-// responsible peers; IDs spread with the Direct fan-out, so a late duplicate
-// reaching another replica of the partition is recognised instead of being
-// re-coordinated (which could re-stamp a delete above a newer acknowledged
-// re-insert). The ring lives in the store — WAL-logged and snapshotted with
-// the rest of the replica state — so a restarted replica still recognises
-// duplicates of mutations it coordinated before the crash. A zero ID is
-// never deduplicated.
-func (p *Peer) markMutation(id uint64) bool {
-	return p.store.MarkMutation(id)
 }
 
 // finishMutation converts the wire response into a MutateResult and applies
@@ -129,130 +119,128 @@ func (p *Peer) finishMutation(resp MutateResponse) (MutateResult, error) {
 	return res, nil
 }
 
+// mutation is what InsertRequest and DeleteRequest share: the pair, the
+// state the write gives it, and its routing envelope. Every mutation runs
+// through one coordinator (coordinate) and one Direct applier (applyDirect),
+// whatever its kind.
+type mutation struct {
+	key   keyspace.Key
+	value string
+	// kind is replication.Live for an insert, Tombstoned for a delete.
+	kind replication.PairKind
+	// gen is the coordinator's stamp on a Direct leg; on a routed request it
+	// is the lowest stamp the client accepts (0 for any).
+	gen uint64
+	// id is marked in the store's dedup ring (Store.MarkMutation) by the
+	// coordinator and by every Direct leg. The α-raced routing can deliver
+	// duplicates of one mutation to several responsible peers; a replica
+	// that marked the ID suppresses a late duplicate instead of
+	// re-coordinating it, also after a restart (the ring is persisted).
+	id        uint64
+	hops, ttl int
+	direct    bool
+}
+
+func insertMutation(req InsertRequest) mutation {
+	return mutation{key: req.Item.Key, value: req.Item.Value, kind: replication.Live, gen: req.Item.Gen,
+		id: req.ID, hops: req.Hops, ttl: req.TTL, direct: req.Direct}
+}
+
+func deleteMutation(req DeleteRequest) mutation {
+	return mutation{key: req.Key, value: req.Value, kind: replication.Tombstoned, gen: req.Gen,
+		id: req.ID, hops: req.Hops, ttl: req.TTL, direct: req.Direct}
+}
+
+// request encodes the mutation as its wire message.
+func (m mutation) request() any {
+	if m.kind == replication.Live {
+		return InsertRequest{Item: replication.Item{Key: m.key, Value: m.value, Gen: m.gen},
+			ID: m.id, Hops: m.hops, TTL: m.ttl, Direct: m.direct}
+	}
+	return DeleteRequest{Key: m.key, Value: m.value, Gen: m.gen, ID: m.id, Hops: m.hops, TTL: m.ttl, Direct: m.direct}
+}
+
 // handleInsert serves an insert received from another peer.
 func (p *Peer) handleInsert(ctx context.Context, req InsertRequest) MutateResponse {
-	if req.Direct {
-		// Replica fan-out leg: apply the coordinator's generation-stamped
-		// copy locally, never route further (the coordinator already owns
-		// the routing decision). The ack reflects the pair's actual state: a
-		// replica that refused the copy because it holds a newer tombstone
-		// must not count towards the write quorum — it reports its
-		// generation instead so the coordinator can re-stamp.
-		p.markMutation(req.ID)
-		p.store.Add(req.Item)
-		acks := 0
-		if p.store.Live(req.Item.Key, req.Item.Value) {
-			acks = 1
-		}
-		return MutateResponse{
-			Found:           true,
-			Acks:            acks,
-			Replicas:        1,
-			Gen:             p.store.PairGen(req.Item.Key, req.Item.Value),
-			Hops:            req.Hops,
-			Responsible:     p.Addr(),
-			ResponsiblePath: p.Path(),
-		}
-	}
-	resp, err := p.resolveInsert(ctx, req)
-	if err != nil {
-		return MutateResponse{Found: false, Hops: req.Hops}
-	}
-	return resp
+	return p.handleMutation(ctx, insertMutation(req))
 }
 
 // handleDelete serves a delete received from another peer.
 func (p *Peer) handleDelete(ctx context.Context, req DeleteRequest) MutateResponse {
-	if req.Direct {
-		// Apply the coordinator's stamped tombstone so the delete carries
-		// the same generation everywhere; a replica holding an even newer
-		// live re-insert keeps it, does not ack, and reports its generation
-		// so the coordinator can re-stamp.
-		p.markMutation(req.ID)
-		p.store.AddTombstones([]replication.Item{{Key: req.Key, Value: req.Value, Gen: req.Gen}})
-		acks := 0
-		if !p.store.Live(req.Key, req.Value) {
-			acks = 1
-		}
-		return MutateResponse{
-			Found:           true,
-			Acks:            acks,
-			Replicas:        1,
-			Gen:             p.store.PairGen(req.Key, req.Value),
-			Hops:            req.Hops,
-			Responsible:     p.Addr(),
-			ResponsiblePath: p.Path(),
-		}
+	return p.handleMutation(ctx, deleteMutation(req))
+}
+
+func (p *Peer) handleMutation(ctx context.Context, m mutation) MutateResponse {
+	if m.direct {
+		return p.applyDirect(m)
 	}
-	resp, err := p.resolveDelete(ctx, req)
+	resp, err := p.resolveMutation(ctx, m)
 	if err != nil {
-		return MutateResponse{Found: false, Hops: req.Hops}
+		return MutateResponse{Found: false, Hops: m.hops}
 	}
 	return resp
 }
 
-// resolveInsert applies the insert locally when this peer is responsible for
-// the key (coordinating the replica fan-out), and otherwise forwards it along
-// the same α-raced routing path an exact-match query takes.
-func (p *Peer) resolveInsert(ctx context.Context, req InsertRequest) (MutateResponse, error) {
-	if p.table.Responsible(req.Item.Key) {
-		if !p.markMutation(req.ID) {
-			// A duplicate of an already-coordinated mutation (delivered by
-			// the α-race): suppress it entirely. Answering Found here could
-			// outrace the original coordination's response with an
-			// underreported ack count; the race's real answer is
-			// authoritative.
-			return MutateResponse{}, errNotResponsible
-		}
-		// The coordinator stamps the write's generation (above any local
-		// tombstone) and fans the stamped copy out, so every replica orders
-		// it consistently against earlier deletes of the same pair. A
-		// replica whose history is ahead (a tombstone this coordinator never
-		// saw) refuses and reports its generation; one re-stamped retry
-		// lifts the write above it.
-		stamped := p.store.Insert(req.Item)
-		resp := p.fanOutMutation(ctx, req.Hops, InsertRequest{Item: stamped, ID: req.ID, Direct: true})
-		if resp.Acks < resp.Replicas && resp.Gen >= stamped.Gen {
-			stamped = p.store.Insert(replication.Item{Key: req.Item.Key, Value: req.Item.Value, Gen: resp.Gen + 1})
-			resp = p.fanOutMutation(ctx, req.Hops, InsertRequest{Item: stamped, ID: req.ID, Direct: true})
-		}
-		return resp, nil
+// applyDirect serves the replica fan-out leg: it applies the coordinator's
+// stamped state locally as a replicated copy and never routes further (the
+// coordinator owns the routing decision). The ack and generation come from
+// that one apply: a replica whose state is newer (replication.Merge) keeps
+// it, does not count towards the write quorum, and reports its generation
+// so the coordinator can re-stamp.
+func (p *Peer) applyDirect(m mutation) MutateResponse {
+	p.store.MarkMutation(m.id)
+	out := p.store.Apply(m.key, m.value, replication.Event{Op: replication.Replicate, Kind: m.kind, Gen: m.gen})
+	acks := 0
+	if out.Acked {
+		acks = 1
 	}
-	if req.TTL <= 0 {
-		return MutateResponse{}, errNotResponsible
+	return MutateResponse{
+		Found:           true,
+		Acks:            acks,
+		Replicas:        1,
+		Gen:             out.Gen,
+		Hops:            m.hops,
+		Responsible:     p.Addr(),
+		ResponsiblePath: p.Path(),
 	}
-	forward := req
-	forward.Hops++
-	forward.TTL--
-	return p.forwardMutation(ctx, req.Item.Key, forward)
 }
 
-// resolveDelete is the delete counterpart of resolveInsert.
-func (p *Peer) resolveDelete(ctx context.Context, req DeleteRequest) (MutateResponse, error) {
-	if p.table.Responsible(req.Key) {
-		if !p.markMutation(req.ID) {
-			// Duplicate delivery; see resolveInsert.
-			return MutateResponse{}, errNotResponsible
-		}
-		// The coordinator stamps the tombstone's generation above its local
-		// state and fans that exact stamp out, mirroring resolveInsert —
-		// including the re-stamp retry when a replica holds a newer live
-		// copy this coordinator never saw.
-		stamped := p.store.DeleteStamped(req.Key, req.Value, 0)
-		resp := p.fanOutMutation(ctx, req.Hops, DeleteRequest{Key: req.Key, Value: req.Value, Gen: stamped.Gen, ID: req.ID, Direct: true})
-		if resp.Acks < resp.Replicas && resp.Gen >= stamped.Gen {
-			stamped = p.store.DeleteStamped(req.Key, req.Value, resp.Gen)
-			resp = p.fanOutMutation(ctx, req.Hops, DeleteRequest{Key: req.Key, Value: req.Value, Gen: stamped.Gen, ID: req.ID, Direct: true})
-		}
-		return resp, nil
+// resolveMutation coordinates the mutation when this peer is responsible for
+// the key, and otherwise forwards it along the same α-raced routing path an
+// exact-match query takes.
+func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse, error) {
+	if p.table.Responsible(m.key) {
+		return p.coordinate(ctx, m)
 	}
-	if req.TTL <= 0 {
+	if m.ttl <= 0 {
 		return MutateResponse{}, errNotResponsible
 	}
-	forward := req
-	forward.Hops++
-	forward.TTL--
-	return p.forwardMutation(ctx, req.Key, forward)
+	m.hops++
+	m.ttl--
+	return p.forwardMutation(ctx, m.key, m.request())
+}
+
+// coordinate runs a mutation at a responsible peer: mark its ID, stamp the
+// pair locally above every state this peer has seen, fan the stamped state
+// out to the replica set, and retry once per replication.Restamp when a
+// replica whose history is ahead (a state this peer never saw) refused.
+func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, error) {
+	if !p.store.MarkMutation(m.id) {
+		// A duplicate of an already-coordinated mutation (delivered by the
+		// α-race): suppress it entirely. Answering Found here could outrace
+		// the original coordination's response with an underreported ack
+		// count; the race's real answer is authoritative.
+		return MutateResponse{}, errNotResponsible
+	}
+	ev := replication.Event{Op: replication.Stamp, Kind: m.kind, Gen: m.gen}
+	leg := mutation{key: m.key, value: m.value, kind: m.kind, id: m.id, direct: true}
+	leg.gen = p.store.Apply(m.key, m.value, ev).Gen
+	resp := p.fanOutMutation(ctx, m.hops, leg.request())
+	if retry, ok := replication.Restamp(ev, leg.gen, resp.Gen, resp.Acks, resp.Replicas); ok {
+		leg.gen = p.store.Apply(m.key, m.value, retry).Gen
+		resp = p.fanOutMutation(ctx, m.hops, leg.request())
+	}
+	return resp, nil
 }
 
 // forwardMutation routes a mutation request one hop closer to the
@@ -294,12 +282,12 @@ func (p *Peer) fanOutMutation(ctx context.Context, hops int, req any) MutateResp
 			mu.Lock()
 			if resp.Acks > 0 {
 				acks++
-			} else if resp.Gen > maxGen {
+			} else {
 				// Only refusals feed the re-stamp signal: an acking replica
 				// reports the stamp it just applied, which must not trigger
 				// a pointless retry when some other replica was merely
 				// unreachable.
-				maxGen = resp.Gen
+				maxGen = max(maxGen, resp.Gen)
 			}
 			mu.Unlock()
 		}

@@ -295,7 +295,8 @@ func TestReinsertRacingGCHorizon(t *testing.T) {
 	}
 
 	// The coordinator re-stamps above the refusing replica's generation
-	// (mirroring resolveInsert's retry) and both replicas converge live.
+	// (mirroring the coordinator's Restamp retry) and both replicas converge
+	// live.
 	restamped := a.Insert(Item{Key: key, Value: "x", Gen: b.PairGen(key, "x") + 1})
 	if !b.Add(restamped) {
 		t.Fatal("B refused the re-stamped insert")

@@ -646,18 +646,18 @@ func (s *Store) applyWAL(payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch walOp(payload[0]) {
-	case opAdd:
+	case opAdd, opTomb:
 		ks, value, gen := walPair(d)
-		if d.Err() == nil {
-			s.addLocked(ks, Item{Key: keyspace.MustFromString(ks), Value: value, Gen: gen})
+		kind := Live
+		if walOp(payload[0]) == opTomb {
+			kind = Tombstoned
 		}
-	case opTomb:
-		ks, value, gen := walPair(d)
 		if d.Err() == nil {
-			s.applyTombLocked(ks, value, gen)
+			s.applyLocked(ks, value, Event{Op: Replicate, Kind: kind, Gen: gen})
 		}
 	case opPrune:
 		n := d.Uvarint()
+		var pruned []prunedPair
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			ks := d.String()
 			value := d.String()
@@ -665,21 +665,14 @@ func (s *Store) applyWAL(payload []byte) error {
 				break
 			}
 			if t, ok := s.tombs[ks][value]; ok {
-				s.digestXorLocked(ks, tombHash(ks, value, t.gen), -1)
-				delete(s.tombs[ks], value)
-				if len(s.tombs[ks]) == 0 {
-					delete(s.tombs, ks)
-				}
+				s.pruneTombLocked(ks, value, t)
+				pruned = append(pruned, prunedPair{ks: ks, value: value})
 			}
 		}
 		floor := d.Uvarint()
 		if d.Err() == nil {
-			if floor > s.gcFloor {
-				s.gcFloor = floor
-			}
-			if n > 0 {
-				s.clock++
-			}
+			s.gcFloor = max(s.gcFloor, floor)
+			s.endPruneLocked(pruned)
 		}
 	case opRemovePrefix:
 		p := keyspace.Path(d.String())
@@ -812,31 +805,18 @@ func (s *Store) loadSnapshot(st *snapshotState) {
 		for _, dc := range st.Digests {
 			s.dig[densePrefixIndex(dc.P)] = digestCell{hash: dc.H, n: dc.N}
 		}
-		// The carried cells already include the tombstones' contributions.
-		if s.tombs == nil && len(st.Tombs) > 0 {
-			s.tombs = make(map[string]map[string]tombstone)
-		}
-		for _, tb := range st.Tombs {
-			if s.tombs[tb.K] == nil {
-				s.tombs[tb.K] = make(map[string]tombstone)
-			}
-			s.tombs[tb.K][tb.V] = tombstone{gen: tb.Gen, born: tb.Born, at: time.Unix(0, tb.At), ver: tb.Ver}
-		}
 	} else {
 		for _, si := range st.Items {
 			s.digestXorLocked(si.K, liveHash(si.K, si.V, si.Gen), 1)
 			s.eng.Put(PairRecord{Key: si.K, Value: si.V, Gen: si.Gen, Ver: si.Ver}, true)
 		}
-		if s.tombs == nil && len(st.Tombs) > 0 {
-			s.tombs = make(map[string]map[string]tombstone)
-		}
-		for _, tb := range st.Tombs {
-			if s.tombs[tb.K] == nil {
-				s.tombs[tb.K] = make(map[string]tombstone)
-			}
+	}
+	for _, tb := range st.Tombs {
+		// External snapshots' carried cells already include the tombstones.
+		if !st.External {
 			s.digestXorLocked(tb.K, tombHash(tb.K, tb.V, tb.Gen), 1)
-			s.tombs[tb.K][tb.V] = tombstone{gen: tb.Gen, born: tb.Born, at: time.Unix(0, tb.At), ver: tb.Ver}
 		}
+		s.putTombLocked(tb.K, tb.V, tombstone{gen: tb.Gen, born: tb.Born, at: time.Unix(0, tb.At), ver: tb.Ver})
 	}
 	s.clock = st.Clock
 	s.gcFloor = st.GCFloor

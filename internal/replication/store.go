@@ -117,12 +117,10 @@ type digestCell struct {
 
 // Store is a peer's local data store. It is safe for concurrent use.
 //
-// Deletions are remembered as generation-stamped tombstones: a deleted
-// (key, value) pair can only be brought back by a copy with a strictly
-// higher generation — replication of a stale live copy is refused, so a
-// delete that reached one replica cannot be undone by anti-entropy, while a
-// deliberate re-insert (which bumps the generation above the tombstone's)
-// propagates and wins everywhere.
+// Deletions are remembered as generation-stamped tombstones. Which state of
+// a pair wins is decided by Merge (pair.go) and nowhere else: every write
+// reads the pair's state, merges one event into it and writes the
+// difference (applyLocked).
 //
 // The store additionally maintains, incrementally on every mutation:
 //
@@ -299,39 +297,17 @@ func (s *Store) CompactTombstonesCollect() []Item {
 	var pruned []Item
 	for ks, vals := range s.tombs {
 		for v, t := range vals {
-			expired := false
-			if s.gc.MinAge > 0 && now.Sub(t.at) >= s.gc.MinAge {
-				expired = true
-			}
-			if s.gc.MinVersions > 0 && s.clock-t.born >= s.gc.MinVersions {
-				expired = true
-			}
+			expired := s.gc.MinAge > 0 && now.Sub(t.at) >= s.gc.MinAge ||
+				s.gc.MinVersions > 0 && s.clock-t.born >= s.gc.MinVersions
 			if !expired {
 				continue
 			}
-			// The floor must cover the pruned tombstone's last-modified
-			// version, not the prune-time clock: a replica that synced any
-			// time during the tombstone's lifetime has seen it and remains
-			// delta-comparable; only replicas that missed the whole window
-			// (offline longer than the horizon) must rebuild.
-			if t.ver > s.gcFloor {
-				s.gcFloor = t.ver
-			}
-			s.digestXorLocked(ks, tombHash(ks, v, t.gen), -1)
-			delete(vals, v)
+			s.pruneTombLocked(ks, v, t)
 			prunedPairs = append(prunedPairs, prunedPair{ks: ks, value: v})
 			pruned = append(pruned, Item{Key: keyspace.MustFromString(ks), Value: v, Gen: t.gen})
 		}
-		if len(vals) == 0 {
-			delete(s.tombs, ks)
-		}
 	}
-	if len(prunedPairs) > 0 {
-		// A prune changes the digest without touching any pair's version;
-		// advance the clock so clock-validated digest caches notice.
-		s.clock++
-		s.logPruneLocked(prunedPairs, s.gcFloor)
-	}
+	s.endPruneLocked(prunedPairs)
 	return pruned
 }
 
@@ -344,32 +320,15 @@ func (s *Store) CompactTombstonesCollect() []Item {
 func (s *Store) DropTombstones(pairs []Item) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var prunedPairs []prunedPair
+	var pruned []prunedPair
 	for _, p := range pairs {
 		ks := p.Key.String()
-		vals, ok := s.tombs[ks]
-		if !ok {
-			continue
+		if s.applyLocked(ks, p.Value, Event{Op: Drop, Gen: p.Gen}).New {
+			pruned = append(pruned, prunedPair{ks: ks, value: p.Value})
 		}
-		t, ok := vals[p.Value]
-		if !ok || t.gen > p.Gen {
-			continue
-		}
-		if t.ver > s.gcFloor {
-			s.gcFloor = t.ver
-		}
-		s.digestXorLocked(ks, tombHash(ks, p.Value, t.gen), -1)
-		delete(vals, p.Value)
-		if len(vals) == 0 {
-			delete(s.tombs, ks)
-		}
-		prunedPairs = append(prunedPairs, prunedPair{ks: ks, value: p.Value})
 	}
-	if len(prunedPairs) > 0 {
-		s.clock++
-		s.logPruneLocked(prunedPairs, s.gcFloor)
-	}
-	return len(prunedPairs)
+	s.endPruneLocked(pruned)
+	return len(pruned)
 }
 
 // FNV-1a constants for the pair digests.
@@ -461,9 +420,8 @@ func underDigest(ks, prefix string) bool {
 
 // digestXorLocked folds a pair-state hash into the digest cells of every
 // tracked prefix of the (padded) key, adjusting the pair count by dn (+1
-// when the pair state appears, -1 when it disappears, 0 when it is
-// replaced — callers fold the old and the new hash separately). Callers
-// must hold mu.
+// when the pair state appears, -1 when it disappears; a replaced state is
+// one of each). Callers must hold mu.
 func (s *Store) digestXorLocked(ks string, h uint64, dn int) {
 	// Keys shorter than the dense depth are zero-padded for bucketing (the
 	// dyadic lower edge — see underDigest), which here just means missing
@@ -491,136 +449,141 @@ func (s *Store) digestXorLocked(ks string, h uint64, dn int) {
 	}
 }
 
-// tombLocked returns the pair's tombstone (callers must hold mu).
-func (s *Store) tombLocked(ks, value string) (tombstone, bool) {
-	t, ok := s.tombs[ks][value]
-	return t, ok
+// stateLocked reads the pair's state, and its tombstone when it has one
+// (callers must hold mu). A pair is never both live and tombstoned, so a
+// tombstone answers without an engine read.
+func (s *Store) stateLocked(ks, value string) (PairState, tombstone) {
+	if t, ok := s.tombs[ks][value]; ok {
+		return PairState{Kind: Tombstoned, Gen: t.gen}, t
+	}
+	if rec, ok := s.eng.Get(ks, value); ok {
+		return PairState{Kind: Live, Gen: rec.Gen}, tombstone{}
+	}
+	return PairState{}, tombstone{}
 }
 
-// clearTombLocked removes the pair's tombstone, maintaining the digest
-// (callers must hold mu).
-func (s *Store) clearTombLocked(ks, value string) {
-	if vals, ok := s.tombs[ks]; ok {
-		if t, ok := vals[value]; ok {
-			s.digestXorLocked(ks, tombHash(ks, value, t.gen), -1)
-			delete(vals, value)
-			if len(vals) == 0 {
-				delete(s.tombs, ks)
-			}
-		}
+// applyLocked reads the pair's state, merges the event into it (pair.go)
+// and writes the difference (callers must hold mu): the engine copy, the
+// tombstone, the digest, one clock tick stamping the pair's version, and
+// one WAL record — opAdd for a live result, opTomb for a tombstone. A new
+// tombstone is born at the clock before the tick; a re-stamped one keeps
+// its birth. A dropped tombstone goes the way of every prune
+// (pruneTombLocked), whose clock tick and WAL record the caller issues for
+// the batch.
+func (s *Store) applyLocked(ks, value string, ev Event) Outcome {
+	cur, t := s.stateLocked(ks, value)
+	next, out := Merge(cur, ev)
+	switch {
+	case next == cur:
+		return out
+	case next.Kind == Absent:
+		s.pruneTombLocked(ks, value, t)
+		return out
 	}
+	if cur.Kind != Absent {
+		s.digestXorLocked(ks, pairHash(ks, value, cur.Gen, cur.Kind == Live), -1)
+	}
+	s.digestXorLocked(ks, pairHash(ks, value, next.Gen, next.Kind == Live), 1)
+	born := s.clock
+	s.clock++
+	if next.Kind == Live {
+		if cur.Kind == Tombstoned {
+			s.deleteTombLocked(ks, value)
+		}
+		s.eng.Put(PairRecord{Key: ks, Value: value, Gen: next.Gen, Ver: s.clock}, cur.Kind != Live)
+		s.logPairLocked(opAdd, ks, value, next.Gen)
+		return out
+	}
+	if cur.Kind == Live {
+		s.eng.Delete(ks, value)
+	}
+	if cur.Kind == Tombstoned {
+		born = t.born
+	} else {
+		t.at = s.now()
+	}
+	s.putTombLocked(ks, value, tombstone{gen: next.Gen, born: born, at: t.at, ver: s.clock})
+	s.logPairLocked(opTomb, ks, value, next.Gen)
+	return out
 }
 
-// stampTombLocked records or re-stamps a tombstone, maintaining the digest,
-// and advances the clock, stamping the tombstone's last-modified version
-// (callers must hold mu). A new tombstone's born clock is the clock value
-// before the advance — the recording instant.
-func (s *Store) stampTombLocked(ks, value string, gen uint64) {
-	if old, ok := s.tombs[ks][value]; ok {
-		if old.gen != gen {
-			s.digestXorLocked(ks, tombHash(ks, value, old.gen), 0)
-			s.digestXorLocked(ks, tombHash(ks, value, gen), 0)
-		}
-		s.clock++
-		s.tombs[ks][value] = tombstone{gen: gen, born: old.born, at: old.at, ver: s.clock}
-		return
-	}
+// putTombLocked records the pair's tombstone (callers must hold mu and
+// maintain the digest).
+func (s *Store) putTombLocked(ks, value string, t tombstone) {
 	if s.tombs == nil {
 		s.tombs = make(map[string]map[string]tombstone)
 	}
 	if s.tombs[ks] == nil {
 		s.tombs[ks] = make(map[string]tombstone)
 	}
-	s.digestXorLocked(ks, tombHash(ks, value, gen), 1)
-	born := s.clock
-	s.clock++
-	s.tombs[ks][value] = tombstone{gen: gen, born: born, at: s.now(), ver: s.clock}
+	s.tombs[ks][value] = t
 }
 
-// removeLiveLocked drops the live copy of the pair if present, maintaining
-// the digest (callers must hold mu). It returns whether a copy was removed.
-func (s *Store) removeLiveLocked(ks, value string) bool {
-	rec, ok := s.eng.Delete(ks, value)
-	if !ok {
-		return false
+// deleteTombLocked removes the pair's tombstone record (callers must hold
+// mu and maintain the digest).
+func (s *Store) deleteTombLocked(ks, value string) {
+	delete(s.tombs[ks], value)
+	if len(s.tombs[ks]) == 0 {
+		delete(s.tombs, ks)
 	}
-	s.digestXorLocked(ks, liveHash(ks, value, rec.Gen), -1)
-	return true
 }
 
-// putLiveLocked upserts a live copy through the engine, maintaining the
-// digest and stamping the pair's version from a fresh clock tick (callers
-// must hold mu). isNew tells the engine whether the pair is currently
-// absent; oldGen is only meaningful when it is not.
-func (s *Store) putLiveLocked(ks, value string, gen, oldGen uint64, isNew bool) {
-	if isNew {
-		s.digestXorLocked(ks, liveHash(ks, value, gen), 1)
-	} else {
-		s.digestXorLocked(ks, liveHash(ks, value, oldGen), 0)
-		s.digestXorLocked(ks, liveHash(ks, value, gen), 0)
+// pruneTombLocked removes a tombstone the way GC does — local compaction,
+// a cooperative drop and WAL replay of either alike: the GC floor advances
+// to the tombstone's last-modified version, its digest contribution goes,
+// and the record is deleted (callers must hold mu, and finish the batch
+// with endPruneLocked).
+func (s *Store) pruneTombLocked(ks, value string, t tombstone) {
+	// The floor must cover the pruned tombstone's last-modified version,
+	// not the prune-time clock: a replica that synced any time during the
+	// tombstone's lifetime has seen it and remains delta-comparable; only
+	// replicas that missed the whole window (offline longer than the
+	// horizon) must rebuild.
+	s.gcFloor = max(s.gcFloor, t.ver)
+	s.digestXorLocked(ks, tombHash(ks, value, t.gen), -1)
+	s.deleteTombLocked(ks, value)
+}
+
+// endPruneLocked closes a batch of prunes: a prune changes the digest
+// without touching any pair's version, so the clock advances once for
+// clock-validated digest caches to notice, and the batch is logged as one
+// record (callers must hold mu).
+func (s *Store) endPruneLocked(pruned []prunedPair) {
+	if len(pruned) == 0 {
+		return
 	}
 	s.clock++
-	s.eng.Put(PairRecord{Key: ks, Value: value, Gen: gen, Ver: s.clock}, isNew)
+	s.logPruneLocked(pruned, s.gcFloor)
+}
+
+// Apply merges one event into the (key, value) pair (see Merge) and
+// returns its outcome. The overlay's Direct fan-out leg uses it to take its
+// ack and generation from the apply itself.
+func (s *Store) Apply(key keyspace.Key, value string, ev Event) Outcome {
+	ks := key.String()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.applyLocked(ks, value, ev)
 }
 
 // Add inserts a replicated item. Duplicate (key, value) pairs are ignored so
 // that replica reconciliation is idempotent, and pairs tombstoned at the
 // same or a higher generation are refused so that reconciliation cannot
 // resurrect deleted items; a copy carrying a higher generation than the
-// tombstone (a deliberate re-insert elsewhere) clears it and wins.
+// tombstone (a deliberate re-insert elsewhere) clears it and wins. It
+// reports whether the pair became live.
 func (s *Store) Add(it Item) bool {
-	ks := it.Key.String()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addLocked(ks, it)
-}
-
-func (s *Store) addLocked(ks string, it Item) bool {
-	if t, ok := s.tombLocked(ks, it.Value); ok {
-		if it.Gen <= t.gen {
-			return false
-		}
-		s.clearTombLocked(ks, it.Value)
-	}
-	if existing, ok := s.eng.Get(ks, it.Value); ok {
-		if it.Gen > existing.Gen {
-			s.putLiveLocked(ks, it.Value, it.Gen, existing.Gen, false)
-			s.logPairLocked(opAdd, ks, it.Value, it.Gen)
-		}
-		return false
-	}
-	s.putLiveLocked(ks, it.Value, it.Gen, 0, true)
-	s.logPairLocked(opAdd, ks, it.Value, it.Gen)
-	return true
+	return s.Apply(it.Key, it.Value, Event{Op: Replicate, Kind: Live, Gen: it.Gen}).New
 }
 
 // Insert is a live write: it stamps the pair with a generation above any
-// local tombstone or live copy — so a pair that was deleted earlier is
-// deliberately re-inserted and the new generation propagates through
-// reconciliation — and returns the stamped item for replica fan-out.
+// local tombstone or live copy, and at least it.Gen — so a pair that was
+// deleted earlier is deliberately re-inserted and the new generation
+// propagates through reconciliation — and returns the stamped item for
+// replica fan-out.
 func (s *Store) Insert(it Item) Item {
-	ks := it.Key.String()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen := it.Gen
-	if gen == 0 {
-		gen = 1 // a live write is always stamped above never-mutated data
-	}
-	if t, ok := s.tombLocked(ks, it.Value); ok && t.gen >= gen {
-		gen = t.gen + 1
-	}
-	if existing, ok := s.eng.Get(ks, it.Value); ok {
-		if existing.Gen >= gen {
-			gen = existing.Gen + 1
-		}
-		s.putLiveLocked(ks, it.Value, gen, existing.Gen, false)
-		s.logPairLocked(opAdd, ks, it.Value, gen)
-		return Item{Key: it.Key, Value: it.Value, Gen: gen}
-	}
-	s.clearTombLocked(ks, it.Value)
-	s.putLiveLocked(ks, it.Value, gen, 0, true)
-	s.logPairLocked(opAdd, ks, it.Value, gen)
-	return Item{Key: it.Key, Value: it.Value, Gen: gen}
+	it.Gen = s.Apply(it.Key, it.Value, Event{Op: Stamp, Kind: Live, Gen: it.Gen}).Gen
+	return it
 }
 
 // Delete removes the (key, value) pair and records a tombstone stamped
@@ -628,8 +591,7 @@ func (s *Store) Insert(it Item) Item {
 // the store changed visibly: a live copy was removed or the tombstone is
 // new (re-stamping an existing tombstone does not count).
 func (s *Store) Delete(key keyspace.Key, value string) bool {
-	_, changed := s.deleteStamped(key, value, 0)
-	return changed
+	return s.Apply(key, value, Event{Op: Stamp, Kind: Tombstoned}).New
 }
 
 // DeleteStamped is Delete returning the generation-stamped tombstone as an
@@ -639,45 +601,15 @@ func (s *Store) Delete(key keyspace.Key, value string) bool {
 // the highest generation the coordinator has seen reported elsewhere (0 when
 // none); the stamp always ends up strictly above it.
 func (s *Store) DeleteStamped(key keyspace.Key, value string, floor uint64) Item {
-	it, _ := s.deleteStamped(key, value, floor)
-	return it
-}
-
-func (s *Store) deleteStamped(key keyspace.Key, value string, floor uint64) (Item, bool) {
-	ks := key.String()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Stamp above the floor, the live copy and any existing tombstone: an
-	// explicit delete re-asserts the removal even when this store's
-	// tombstone is stale (e.g. it missed a re-insert that happened
-	// elsewhere).
-	gen := floor
-	if t, ok := s.tombLocked(ks, value); ok && t.gen > gen {
-		gen = t.gen
-	}
-	changed := false
-	if live, ok := s.eng.Get(ks, value); ok {
-		if live.Gen > gen {
-			gen = live.Gen
-		}
-		s.digestXorLocked(ks, liveHash(ks, value, live.Gen), -1)
-		s.eng.Delete(ks, value)
-		changed = true
-	}
-	if _, ok := s.tombLocked(ks, value); !ok {
-		changed = true
-	}
-	gen++
-	s.stampTombLocked(ks, value, gen)
-	s.logPairLocked(opTomb, ks, value, gen)
-	return Item{Key: key, Value: value, Gen: gen}, changed
+	out := s.Apply(key, value, Event{Op: Stamp, Kind: Tombstoned, Gen: floor + 1})
+	return Item{Key: key, Value: value, Gen: out.Gen}
 }
 
 // Deleted reports whether the (key, value) pair is tombstoned.
 func (s *Store) Deleted(key keyspace.Key, value string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.tombLocked(key.String(), value)
+	_, ok := s.tombs[key.String()][value]
 	return ok
 }
 
@@ -690,19 +622,12 @@ func (s *Store) Live(key keyspace.Key, value string) bool {
 }
 
 // PairGen returns the highest generation this store has seen for the
-// (key, value) pair — live or tombstoned — and 0 for an unknown pair. A
-// write coordinator uses it to learn how far a refusing replica is ahead.
+// (key, value) pair — live or tombstoned — and 0 for an unknown pair.
 func (s *Store) PairGen(key keyspace.Key, value string) uint64 {
-	ks := key.String()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if t, ok := s.tombLocked(ks, value); ok {
-		return t.gen
-	}
-	if rec, ok := s.eng.Get(ks, value); ok {
-		return rec.Gen
-	}
-	return 0
+	st, _ := s.stateLocked(key.String(), value)
+	return st.Gen
 }
 
 // Tombstones returns the deleted (key, value) pairs as generation-stamped
@@ -746,36 +671,11 @@ func (s *Store) AddTombstones(items []Item) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, it := range items {
-		if s.applyTombLocked(it.Key.String(), it.Value, it.Gen) {
+		if s.applyLocked(it.Key.String(), it.Value, Event{Op: Replicate, Kind: Tombstoned, Gen: it.Gen}).New {
 			n++
 		}
 	}
 	return n
-}
-
-// applyTombLocked applies one generation-stamped tombstone (callers must
-// hold mu): re-stamp an existing tombstone upwards, yield to a strictly
-// newer live write, or drop the live copy and record the tombstone. It
-// returns whether the tombstone newly applied (the AddTombstones count);
-// both mutating branches are WAL-logged.
-func (s *Store) applyTombLocked(ks, value string, gen uint64) bool {
-	if t, ok := s.tombLocked(ks, value); ok {
-		if gen > t.gen {
-			s.stampTombLocked(ks, value, gen)
-			s.logPairLocked(opTomb, ks, value, gen)
-		}
-		return false
-	}
-	if existing, ok := s.eng.Get(ks, value); ok {
-		if existing.Gen > gen {
-			return false // a newer live write supersedes this tombstone
-		}
-		s.digestXorLocked(ks, liveHash(ks, value, existing.Gen), -1)
-		s.eng.Delete(ks, value)
-	}
-	s.stampTombLocked(ks, value, gen)
-	s.logPairLocked(opTomb, ks, value, gen)
-	return true
 }
 
 // MarkMutation records a coordinated mutation ID in the store's dedup ring
@@ -1081,7 +981,7 @@ func (s *Store) digestLocked(prefix keyspace.Path) (uint64, int) {
 // DigestChildren returns the digests of all 2^width extensions of the
 // prefix, including empty ones, so two replicas can compare the same bucket
 // set during the anti-entropy digest walk. Bucket membership follows the
-// zero-padding rule (see digestKey), so the children exactly partition the
+// zero-padding rule (see underDigest), so the children exactly partition the
 // parent even in the presence of keys shorter than the child depth.
 func (s *Store) DigestChildren(prefix keyspace.Path, width int) []BucketDigest {
 	if width < 1 {
@@ -1259,18 +1159,14 @@ func (s *Store) replaceWithinLocked(p keyspace.Path, items, tombs []Item) uint64
 	}
 	s.clock++
 	for _, it := range tombs {
-		ks := it.Key.String()
-		if !underDigest(ks, string(p)) {
-			continue
+		if ks := it.Key.String(); underDigest(ks, string(p)) {
+			s.applyLocked(ks, it.Value, Event{Op: Replicate, Kind: Tombstoned, Gen: it.Gen})
 		}
-		s.stampTombLocked(ks, it.Value, it.Gen)
 	}
 	for _, it := range items {
-		ks := it.Key.String()
-		if !underDigest(ks, string(p)) {
-			continue
+		if ks := it.Key.String(); underDigest(ks, string(p)) {
+			s.applyLocked(ks, it.Value, Event{Op: Replicate, Kind: Live, Gen: it.Gen})
 		}
-		s.addLocked(ks, it)
 	}
 	return s.clock
 }
@@ -1310,9 +1206,8 @@ func (s *Store) Diff(other *Store) []Item {
 // with the union of their items minus the union of their tombstones (deletes
 // win over stale live copies, so a removed item cannot be resurrected). It
 // returns the number of items transferred in each direction (for bandwidth
-// accounting). This is the full-set exchange; the overlay's maintenance loop
-// uses the digest/delta protocol instead and keeps Reconcile as the
-// baseline.
+// accounting). This is the full-set exchange, which only tests use (with
+// Diff): the overlay's maintenance loop runs the digest/delta protocol.
 func Reconcile(a, b *Store) (toA, toB int) {
 	b.AddTombstones(a.Tombstones())
 	a.AddTombstones(b.Tombstones())

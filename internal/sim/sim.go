@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sync"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -36,7 +38,7 @@ type Config struct {
 	// Overlay is the per-peer configuration (d_max, n_min, sampling,
 	// corrected vs. heuristic probabilities, ...).
 	Overlay overlay.Config
-	// MaxRounds bounds the number of construction rounds.
+	// MaxRounds bounds the number of construction rounds (0 means 80).
 	MaxRounds int
 	// Queries is the number of exact-match queries evaluated after
 	// construction.
@@ -82,6 +84,14 @@ func DefaultConfig() Config {
 	}
 }
 
+// maxRounds returns the construction round budget.
+func (c Config) maxRounds() int {
+	if c.MaxRounds <= 0 {
+		return 80
+	}
+	return c.MaxRounds
+}
+
 // Result aggregates the measurements of one construction experiment.
 type Result struct {
 	// Deviation is the load-balancing deviation from the optimal
@@ -124,14 +134,18 @@ func (r *Result) String() string {
 		r.Deviation, r.InteractionsPerPeer, r.KeysMovedPerPeer, r.MeanPathLength, r.MeanQueryHops, r.QuerySuccessRate, r.MeanReplicasPerPartition, r.DistinctPaths)
 }
 
-// Experiment is a fully constructed in-memory deployment, exposed so that
-// the timeline runner, examples and benchmarks can drive additional
-// workload against it after construction.
+// Experiment is an in-memory deployment and the one driver of a cluster's
+// lifecycle: it opens, restarts and closes the peers, runs the replication
+// phase and the construction rounds, and summarises the resulting trie.
+// pgrid.Cluster, the timeline runner, examples and benchmarks all drive
+// their peers through it.
 type Experiment struct {
 	Config Config
 	Sim    *network.Sim
 	Graph  *unstructured.Graph
-	Peers  []*overlay.Peer
+	// Peers is replaced, never modified in place: RestartPeer installs a
+	// copy, so a slice obtained from Snapshot stays immutable.
+	Peers []*overlay.Peer
 	// OriginalItems is the multiset of items initially assigned to peers
 	// (before replication), one slice per peer.
 	OriginalItems [][]replication.Item
@@ -140,50 +154,63 @@ type Experiment struct {
 	// across restarts. Bandwidth needs no such help: the endpoint that
 	// counts it outlives the restart.
 	Retired overlay.Counts
-	rng     *rand.Rand
+	// mu guards Peers and Retired for readers on other goroutines than
+	// the one calling RestartPeer; see Snapshot and Counts.
+	mu  sync.RWMutex
+	rng *rand.Rand
 }
 
 // New creates the deployment: simulated network, peers with their initial
 // data, and the unstructured bootstrap overlay.
 func New(cfg Config) (*Experiment, error) {
-	if cfg.Peers < 2 {
-		return nil, errors.New("sim: need at least two peers")
-	}
 	if cfg.KeysPerPeer <= 0 {
 		return nil, errors.New("sim: KeysPerPeer must be positive")
 	}
 	if cfg.Distribution == nil {
 		return nil, errors.New("sim: missing key distribution")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	simNet := network.NewSim(network.SimConfig{Seed: cfg.Seed})
-	e := &Experiment{Config: cfg, Sim: simNet, rng: rng}
-
-	addrs := make([]network.Addr, cfg.Peers)
-	for i := 0; i < cfg.Peers; i++ {
-		addr := network.Addr(fmt.Sprintf("peer-%05d", i))
-		addrs[i] = addr
-		peer, err := overlay.NewPersistent(e.peerConfig(i), simNet.Endpoint(addr))
-		if err != nil {
-			_ = e.Close() // release the WALs of the peers already opened
-			return nil, fmt.Errorf("sim: open peer %d: %w", i, err)
-		}
+	e, err := Open(cfg, network.NewSim(network.SimConfig{Seed: cfg.Seed}))
+	if err != nil {
+		return nil, err
+	}
+	for i, peer := range e.Peers {
 		items := make([]replication.Item, cfg.KeysPerPeer)
 		for k := range items {
 			items[k] = replication.Item{
-				Key:   keyspace.MustFromFloat(cfg.Distribution.Sample(rng), keyspace.DefaultDepth),
+				Key:   keyspace.MustFromFloat(cfg.Distribution.Sample(e.rng), keyspace.DefaultDepth),
 				Value: fmt.Sprintf("item-%d-%d", i, k),
 			}
 		}
 		peer.AddItems(items)
+		e.OriginalItems[i] = items
+	}
+	return e, nil
+}
+
+// Open creates a deployment of cfg.Peers peers, holding no items yet, over
+// a simulated network the caller built, plus the unstructured bootstrap
+// overlay. Config.KeysPerPeer and Config.Distribution are not used.
+func Open(cfg Config, net *network.Sim) (*Experiment, error) {
+	if cfg.Peers < 2 {
+		return nil, errors.New("sim: need at least two peers")
+	}
+	e := &Experiment{
+		Config:        cfg,
+		Sim:           net,
+		OriginalItems: make([][]replication.Item, cfg.Peers),
+		rng:           rand.New(rand.NewSource(cfg.Seed)),
+	}
+	addrs := make([]network.Addr, cfg.Peers)
+	for i := range addrs {
+		addrs[i] = network.Addr(fmt.Sprintf("peer-%05d", i))
+		peer, err := overlay.NewPersistent(e.peerConfig(i), net.Endpoint(addrs[i]))
+		if err != nil {
+			_ = e.Close() // release the WALs of the peers already opened
+			return nil, fmt.Errorf("sim: open peer %d: %w", i, err)
+		}
 		e.Peers = append(e.Peers, peer)
-		e.OriginalItems = append(e.OriginalItems, items)
 	}
-	degree := cfg.Degree
-	if degree <= 0 {
-		degree = unstructured.DefaultDegree
-	}
-	e.Graph = unstructured.NewGraph(addrs, degree, cfg.Seed+1)
+	e.Graph = unstructured.NewGraph(addrs, cfg.Degree, cfg.Seed+1)
 	return e, nil
 }
 
@@ -198,12 +225,36 @@ func (e *Experiment) peerConfig(i int) overlay.Config {
 	return pcfg
 }
 
+// Snapshot returns the current peer list. It is safe to call while
+// RestartPeer runs on another goroutine: the list is never modified in
+// place.
+func (e *Experiment) Snapshot() []*overlay.Peer {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.Peers
+}
+
+// Counts sums Retired and every current peer's counters. It is safe to
+// call while RestartPeer runs on another goroutine, and no counter it
+// returns is lower than in an earlier call: the peers are read under the
+// same lock that RestartPeer holds to fold a replaced peer into Retired.
+func (e *Experiment) Counts() overlay.Counts {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	total := e.Retired
+	for _, p := range e.Peers {
+		total.Add(p.Counts())
+	}
+	return total
+}
+
 // RestartPeer simulates a process crash and restart of peer i: the running
-// peer's persistence is flushed and closed, its metric counters are folded
-// into Retired, and a fresh peer is bound to the same simulated endpoint.
-// With Config.DataDir the new peer recovers its items, tombstones,
-// partition path and anti-entropy baselines from disk; without it the peer
-// rejoins empty.
+// peer's persistence is flushed and closed, a fresh peer is bound to the
+// same simulated endpoint, and the old peer's metric counters are folded
+// into Retired as the new peer replaces it in a fresh copy of Peers. With
+// Config.DataDir the new peer recovers its items, tombstones, partition
+// path and anti-entropy baselines from disk; without it the peer rejoins
+// empty. Calls to RestartPeer must not overlap.
 func (e *Experiment) RestartPeer(i int) error {
 	old := e.Peers[i]
 	// Fail in-flight calls like churn while the store closes and reopens;
@@ -213,12 +264,16 @@ func (e *Experiment) RestartPeer(i int) error {
 	if err := old.Close(); err != nil {
 		return fmt.Errorf("sim: close peer %d: %w", i, err)
 	}
-	e.Retired.Add(old.Counts())
 	peer, err := overlay.NewPersistent(e.peerConfig(i), e.Sim.Endpoint(old.Addr()))
 	if err != nil {
 		return fmt.Errorf("sim: reopen peer %d: %w", i, err)
 	}
-	e.Peers[i] = peer
+	next := slices.Clone(e.Peers)
+	next[i] = peer
+	e.mu.Lock()
+	e.Peers = next
+	e.Retired.Add(old.Counts())
+	e.mu.Unlock()
 	e.Sim.SetOnline(old.Addr(), true)
 	return nil
 }
@@ -238,11 +293,14 @@ func (e *Experiment) Close() error {
 // Replicate runs the pre-construction replication phase: every peer pushes
 // its original items to MinReplicas peers selected by random walks on the
 // unstructured overlay. Peers that are offline (have not joined yet, or
-// churned out) are skipped; unreachable targets are tolerated, as in a real
-// deployment.
+// churned out) or hold no items are skipped; unreachable targets and lost
+// pushes are tolerated, as in a real deployment.
 func (e *Experiment) Replicate(ctx context.Context) error {
 	nmin := e.Peers[0].Config().MinReplicas
 	for i, p := range e.Peers {
+		if len(e.OriginalItems[i]) == 0 {
+			continue
+		}
 		if ep := e.Sim.Lookup(p.Addr()); ep != nil && !ep.Online() {
 			continue
 		}
@@ -256,7 +314,7 @@ func (e *Experiment) Replicate(ctx context.Context) error {
 				targets = append(targets, cand)
 			}
 		}
-		// Best effort: unreachable targets simply receive no copy.
+		// Best effort: an unreachable target or a lost push costs one copy.
 		_ = p.ReplicateItems(ctx, e.OriginalItems[i], targets)
 	}
 	return nil
@@ -286,10 +344,7 @@ func (e *Experiment) ConstructRound(ctx context.Context) int {
 // Construct runs construction rounds until every peer converged or the
 // round budget is exhausted. It returns the number of rounds used.
 func (e *Experiment) Construct(ctx context.Context) int {
-	maxRounds := e.Config.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 80
-	}
+	maxRounds := e.Config.maxRounds()
 	for round := 0; round < maxRounds; round++ {
 		if e.ConstructRound(ctx) == 0 {
 			return round
@@ -451,48 +506,49 @@ func (e *Experiment) TakeOffline(fraction float64) []int {
 	return offline
 }
 
-// Measure collects the construction-quality metrics of the experiment.
-func (e *Experiment) Measure(rounds int) (*Result, error) {
-	ref, err := e.ReferenceTree()
-	if err != nil {
-		return nil, err
-	}
-	assignment := e.Assignment()
-	res := &Result{
-		Deviation:   trie.Deviation(ref, assignment),
-		Replication: trie.Replication(ref, assignment),
-		Rounds:      rounds,
-	}
+// Summary measures the constructed trie's shape and the construction cost:
+// every Result field that needs neither the reference trie of Algorithm 1
+// nor a query phase.
+func (e *Experiment) Summary(rounds int) *Result {
+	res := &Result{Rounds: rounds}
 	var pathLen, converged float64
 	var total overlay.Counts
-	maxPath := 0
+	counts := map[keyspace.Path]int{}
 	for _, p := range e.Peers {
 		total.Add(p.Counts())
 		d := p.Path().Depth()
 		pathLen += float64(d)
-		if d > maxPath {
-			maxPath = d
-		}
+		res.MaxPathLength = max(res.MaxPathLength, d)
 		if p.Done() {
 			converged++
 		}
+		counts[p.Path()]++
 	}
 	n := float64(len(e.Peers))
 	res.InteractionsPerPeer = total[overlay.Interactions] / n
 	res.KeysMovedPerPeer = total[overlay.KeysMoved] / n
 	res.MeanPathLength = pathLen / n
-	res.MaxPathLength = maxPath
 	res.ConvergedFraction = converged / n
-	counts := map[keyspace.Path]int{}
-	for _, p := range e.Peers {
-		counts[p.Path()]++
-	}
 	res.DistinctPaths = len(counts)
 	var replicaCounts []float64
 	for _, c := range counts {
 		replicaCounts = append(replicaCounts, float64(c))
 	}
 	res.MeanReplicasPerPartition = stats.Mean(replicaCounts)
+	return res
+}
+
+// Measure collects the construction-quality metrics of the experiment: the
+// Summary plus the deviation from, and replication of, the reference trie.
+func (e *Experiment) Measure(rounds int) (*Result, error) {
+	ref, err := e.ReferenceTree()
+	if err != nil {
+		return nil, err
+	}
+	assignment := e.Assignment()
+	res := e.Summary(rounds)
+	res.Deviation = trie.Deviation(ref, assignment)
+	res.Replication = trie.Replication(ref, assignment)
 	return res, nil
 }
 

@@ -171,11 +171,7 @@ func RunTimeline(cfg TimelineConfig) (*TimelineResult, error) {
 	if constructTicks <= 0 {
 		constructTicks = 1
 	}
-	maxRounds := cfg.Experiment.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 80
-	}
-	roundsPerTick := float64(maxRounds) / float64(constructTicks)
+	roundsPerTick := float64(cfg.Experiment.maxRounds()) / float64(constructTicks)
 	roundsDone := 0
 	roundBudget := 0.0
 	constructionFinished := false
@@ -420,9 +416,8 @@ func RunTimeline(cfg TimelineConfig) (*TimelineResult, error) {
 	if readbackN > 0 {
 		res.ReadYourWrites = readbackOK / readbackN
 	}
-	res.Counts = e.Retired
+	res.Counts = e.Counts()
 	for _, p := range e.Peers {
-		res.Counts.Add(p.Counts())
 		res.TombstonesHeld += p.Store().TombstoneCount()
 	}
 	// Restarted peers' counters were zeroed at the restart, so what they

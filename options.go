@@ -5,7 +5,7 @@ import (
 
 	"pgrid/internal/network"
 	"pgrid/internal/overlay"
-	"pgrid/internal/unstructured"
+	"pgrid/internal/sim"
 )
 
 // options holds the tunable parameters of a Cluster.
@@ -24,31 +24,28 @@ import (
 //	Network       WithNetworkLatency, WithMessageLoss, WithServiceCost
 //	Reproducing   WithSeed
 type options struct {
-	peers         int
-	overlay       overlay.Config
-	degree        int
-	maxRounds     int
-	seed          int64
-	latency       network.LatencyModel
-	loss          float64
-	service       network.ServiceModel
+	// cluster configures the peers and the construction; its KeysPerPeer,
+	// Distribution and query fields are unused.
+	cluster sim.Config
+	// network configures the simulated network; its seed is the cluster's.
+	network       network.SimConfig
 	maintainEvery time.Duration
-	dataDir       string
 }
 
 // defaultOptions returns the paper's parameters: n_min = 5,
 // d_max = 10*n_min, 32 peers.
 func defaultOptions() options {
 	return options{
-		peers: 32,
-		overlay: overlay.Config{
-			MaxKeys:     50,
-			MinReplicas: 5,
-			MaxRefs:     3,
+		cluster: sim.Config{
+			Peers: 32,
+			Overlay: overlay.Config{
+				MaxKeys:     50,
+				MinReplicas: 5,
+				MaxRefs:     3,
+			},
+			MaxRounds: 100,
+			Seed:      1,
 		},
-		degree:        unstructured.DefaultDegree,
-		maxRounds:     100,
-		seed:          1,
 		maintainEvery: 100 * time.Millisecond,
 	}
 }
@@ -57,38 +54,40 @@ func defaultOptions() options {
 type Option func(*options)
 
 // WithPeers sets the number of peers in the cluster.
-func WithPeers(n int) Option { return func(o *options) { o.peers = n } }
+func WithPeers(n int) Option { return func(o *options) { o.cluster.Peers = n } }
 
 // WithSeed makes the cluster's randomness reproducible.
-func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
+func WithSeed(seed int64) Option { return func(o *options) { o.cluster.Seed = seed } }
 
 // WithMaxKeys sets d_max, the storage-load threshold above which a
 // partition is split.
-func WithMaxKeys(d int) Option { return func(o *options) { o.overlay.MaxKeys = d } }
+func WithMaxKeys(d int) Option { return func(o *options) { o.cluster.Overlay.MaxKeys = d } }
 
 // WithMinReplicas sets n_min, the minimal number of replica peers per
 // partition.
-func WithMinReplicas(n int) Option { return func(o *options) { o.overlay.MinReplicas = n } }
+func WithMinReplicas(n int) Option { return func(o *options) { o.cluster.Overlay.MinReplicas = n } }
 
 // WithSampleSize sets the number of locally stored keys sampled when peers
 // estimate load fractions (0 = use all local keys).
-func WithSampleSize(s int) Option { return func(o *options) { o.overlay.Samples = s } }
+func WithSampleSize(s int) Option { return func(o *options) { o.cluster.Overlay.Samples = s } }
 
 // WithCorrectedProbabilities enables the bias-corrected decision
 // probabilities (the paper's COR variant).
 func WithCorrectedProbabilities() Option {
-	return func(o *options) { o.overlay.UseCorrection = true }
+	return func(o *options) { o.cluster.Overlay.UseCorrection = true }
 }
 
 // WithHeuristicProbabilities replaces the analytical decision probabilities
 // by the naive heuristic ones (the Figure 6(d) ablation).
 func WithHeuristicProbabilities() Option {
-	return func(o *options) { o.overlay.UseHeuristic = true }
+	return func(o *options) { o.cluster.Overlay.UseHeuristic = true }
 }
 
 // WithRoutingRedundancy sets the number of routing references kept per
 // trie level.
-func WithRoutingRedundancy(refs int) Option { return func(o *options) { o.overlay.MaxRefs = refs } }
+func WithRoutingRedundancy(refs int) Option {
+	return func(o *options) { o.cluster.Overlay.MaxRefs = refs }
+}
 
 // WithQueryAlpha sets α, the number of routing references an exact-match
 // (or batch) query races concurrently at every forwarding step. The first
@@ -97,19 +96,21 @@ func WithRoutingRedundancy(refs int) Option { return func(o *options) { o.overla
 // a full timeout before an alternative is tried. 1 restores the sequential
 // try-one-reference-at-a-time behaviour; the default is
 // overlay.DefaultAlpha (3).
-func WithQueryAlpha(alpha int) Option { return func(o *options) { o.overlay.Alpha = alpha } }
+func WithQueryAlpha(alpha int) Option { return func(o *options) { o.cluster.Overlay.Alpha = alpha } }
 
 // WithHedgeDelay staggers the launch of the additional α lookup candidates:
 // candidate i starts i*d after the first, so extra requests are only sent
 // when the preferred reference has not answered promptly (hedged requests).
 // A zero delay (the default) races all α candidates immediately.
-func WithHedgeDelay(d time.Duration) Option { return func(o *options) { o.overlay.HedgeDelay = d } }
+func WithHedgeDelay(d time.Duration) Option {
+	return func(o *options) { o.cluster.Overlay.HedgeDelay = d }
+}
 
 // WithQueryFanout bounds how many overlapping sub-trees a range ("shower")
 // query — or next-hop groups of a batch query — forwards to concurrently.
 // 1 restores the serial branch-after-branch behaviour; the default is
 // overlay.DefaultFanout (4).
-func WithQueryFanout(n int) Option { return func(o *options) { o.overlay.Fanout = n } }
+func WithQueryFanout(n int) Option { return func(o *options) { o.cluster.Overlay.Fanout = n } }
 
 // WithQueryCache enables the query-path answer cache on every peer: a peer
 // that forwards an exact-match lookup memoizes the answer (bounded LRU of
@@ -122,8 +123,8 @@ func WithQueryFanout(n int) Option { return func(o *options) { o.overlay.Fanout 
 // overlay.DefaultQueryCacheTTL.
 func WithQueryCache(size int, ttl time.Duration) Option {
 	return func(o *options) {
-		o.overlay.QueryCacheSize = size
-		o.overlay.QueryCacheTTL = ttl
+		o.cluster.Overlay.QueryCacheSize = size
+		o.cluster.Overlay.QueryCacheTTL = ttl
 	}
 }
 
@@ -133,7 +134,7 @@ func WithQueryCache(size int, ttl time.Duration) Option {
 // higher values trade write latency for durability under churn. Writes that
 // miss the quorum return ErrNoQuorum but still reach the replicas that
 // acknowledged, and background maintenance spreads them further.
-func WithWriteQuorum(n int) Option { return func(o *options) { o.overlay.WriteQuorum = n } }
+func WithWriteQuorum(n int) Option { return func(o *options) { o.cluster.Overlay.WriteQuorum = n } }
 
 // WithMaintenanceInterval sets the mean pause between two background
 // maintenance ticks per peer (anti-entropy with a random replica plus
@@ -159,8 +160,8 @@ func WithMaintenanceInterval(d time.Duration) Option {
 // this option tombstones are kept forever.
 func WithTombstoneGC(age time.Duration, versions uint64) Option {
 	return func(o *options) {
-		o.overlay.TombstoneGCAge = age
-		o.overlay.TombstoneGCVersions = versions
+		o.cluster.Overlay.TombstoneGCAge = age
+		o.cluster.Overlay.TombstoneGCVersions = versions
 	}
 }
 
@@ -174,7 +175,7 @@ func WithTombstoneGC(age time.Duration, versions uint64) Option {
 // first-contact walk or a post-GC rebuild. Call Cluster.Close when done to
 // flush the logs.
 func WithPersistence(dir string) Option {
-	return func(o *options) { o.dataDir = dir }
+	return func(o *options) { o.cluster.DataDir = dir }
 }
 
 // WithStorageEngine selects the pair-storage engine backing every peer's
@@ -188,26 +189,26 @@ func WithPersistence(dir string) Option {
 // recovers from them without rescanning every pair. An empty engine name
 // uses the PGRID_ENGINE environment variable, falling back to "mem".
 func WithStorageEngine(engine string) Option {
-	return func(o *options) { o.overlay.StorageEngine = engine }
+	return func(o *options) { o.cluster.Overlay.StorageEngine = engine }
 }
 
 // WithBootstrapDegree sets the degree of the unstructured bootstrap
 // overlay.
-func WithBootstrapDegree(d int) Option { return func(o *options) { o.degree = d } }
+func WithBootstrapDegree(d int) Option { return func(o *options) { o.cluster.Degree = d } }
 
 // WithMaxConstructionRounds bounds the number of construction rounds Build
-// will run.
-func WithMaxConstructionRounds(r int) Option { return func(o *options) { o.maxRounds = r } }
+// will run (default 100; a non-positive r means 80).
+func WithMaxConstructionRounds(r int) Option { return func(o *options) { o.cluster.MaxRounds = r } }
 
 // WithNetworkLatency applies a constant one-way message latency to the
 // cluster's simulated network.
 func WithNetworkLatency(d time.Duration) Option {
-	return func(o *options) { o.latency = network.ConstantLatency(d) }
+	return func(o *options) { o.network.Latency = network.ConstantLatency(d) }
 }
 
 // WithMessageLoss drops each message independently with the given
 // probability.
-func WithMessageLoss(p float64) Option { return func(o *options) { o.loss = p } }
+func WithMessageLoss(p float64) Option { return func(o *options) { o.network.LossProbability = p } }
 
 // WithServiceCost gives every simulated endpoint a finite processing
 // capacity: each delivered request occupies its receiver for
@@ -218,6 +219,6 @@ func WithMessageLoss(p float64) Option { return func(o *options) { o.loss = p } 
 // simulation. Zero values disable the model (the default).
 func WithServiceCost(fixed, perByte time.Duration) Option {
 	return func(o *options) {
-		o.service = network.ServiceModel{Fixed: fixed, PerByte: perByte}
+		o.network.Service = network.ServiceModel{Fixed: fixed, PerByte: perByte}
 	}
 }

@@ -3,6 +3,7 @@ package pgrid
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 
 	"pgrid/internal/overlay"
@@ -126,4 +127,76 @@ func TestClusterRestartWithBackgroundMaintenance(t *testing.T) {
 	if hits, err := cluster.SearchString(ctx, "beta"); err != nil || len(hits) == 0 {
 		t.Errorf("search after concurrent restart: hits=%d err=%v", len(hits), err)
 	}
+}
+
+// TestClusterCountersSurviveRestart requires the cluster-wide counters to be
+// cumulative: restarting a peer replaces it with one whose counters start at
+// zero, and MetricsSnapshot must still never report a counter lower than an
+// earlier snapshot did — also while searches and restarts run concurrently
+// with the scrapes.
+func TestClusterCountersSurviveRestart(t *testing.T) {
+	ctx := context.Background()
+	cluster, err := NewCluster(WithPeers(8), WithSeed(5), WithPersistence(t.TempDir()), WithMinReplicas(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, term := range []string{"alpha", "beta", "gamma", "delta"} {
+		if err := cluster.IndexString(term, "doc-"+term); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cluster.Build(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cluster.MaintenanceRound(ctx)
+	before := cluster.MetricsSnapshot().Counts
+	if before[overlay.Interactions] == 0 {
+		t.Fatal("construction recorded no interactions")
+	}
+	noDecrease := func(prev, next overlay.Counts) {
+		for c := overlay.Counter(0); c < overlay.NumCounters; c++ {
+			if next[c] < prev[c] {
+				t.Errorf("%s %s went backwards: %v -> %v",
+					overlay.Counters[c].Family, overlay.Counters[c].Label, prev[c], next[c])
+			}
+		}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_, _ = cluster.SearchString(ctx, "alpha")
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		prev := before
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				next := cluster.MetricsSnapshot().Counts
+				noDecrease(prev, next)
+				prev = next
+			}
+		}
+	}()
+	for i := 0; i < cluster.Peers(); i += 3 {
+		if err := cluster.RestartPeer(i); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	noDecrease(before, cluster.MetricsSnapshot().Counts)
 }

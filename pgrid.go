@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -46,7 +45,6 @@ import (
 	"pgrid/internal/overlay"
 	"pgrid/internal/replication"
 	"pgrid/internal/sim"
-	"pgrid/internal/unstructured"
 )
 
 // Key is an order-preserving binary key in [0,1).
@@ -81,19 +79,12 @@ func Uint64Key(v uint64) Key {
 // Cluster is an in-process P-Grid deployment: a set of peers connected by
 // the simulated message-passing network, an unstructured bootstrap overlay,
 // and the machinery to construct the structured overlay from the data that
-// has been indexed.
+// has been indexed. It is a locked façade over sim.Experiment, which drives
+// the peers' lifecycle and the construction.
 type Cluster struct {
-	cfg     options
-	net     *network.Sim
-	graph   *unstructured.Graph
-	pending [][]Item
-	built   bool
-
-	// peersMu guards peers, which RestartPeer replaces copy-on-write: a
-	// snapshot taken under the read lock stays immutable, so queries and
-	// mutations can keep using it without holding the lock.
-	peersMu sync.RWMutex
-	peers   []*overlay.Peer
+	cfg   options
+	exp   *sim.Experiment
+	built bool
 
 	// rngMu guards rng: queries and live mutations pick random origin peers
 	// and may run concurrently.
@@ -104,7 +95,7 @@ type Cluster struct {
 	// are safe to call from concurrent goroutines.
 	maintMu sync.Mutex
 	// maintStops, when non-nil, stops the running background maintenance
-	// loop of each peer (indexed like peers).
+	// loop of each peer (indexed like the peer list).
 	maintStops []func()
 }
 
@@ -149,61 +140,15 @@ func NewCluster(opts ...Option) (*Cluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.peers < 2 {
+	if cfg.cluster.Peers < 2 {
 		return nil, errors.New("pgrid: a cluster needs at least two peers")
 	}
-	c := &Cluster{
-		cfg: cfg,
-		net: network.NewSim(network.SimConfig{Seed: cfg.seed, Latency: cfg.latency, LossProbability: cfg.loss, Service: cfg.service}),
-		rng: rand.New(rand.NewSource(cfg.seed)),
+	cfg.network.Seed = cfg.cluster.Seed
+	exp, err := sim.Open(cfg.cluster, network.NewSim(cfg.network))
+	if err != nil {
+		return nil, fmt.Errorf("pgrid: %w", err)
 	}
-	addrs := make([]network.Addr, cfg.peers)
-	for i := 0; i < cfg.peers; i++ {
-		addr := network.Addr(fmt.Sprintf("peer-%05d", i))
-		addrs[i] = addr
-		p, err := overlay.NewPersistent(c.peerConfig(i), c.net.Endpoint(addr))
-		if err != nil {
-			_ = c.closePeers() // release the WALs of the peers already opened
-			return nil, fmt.Errorf("pgrid: open peer %d: %w", i, err)
-		}
-		c.peers = append(c.peers, p)
-	}
-	c.pending = make([][]Item, cfg.peers)
-	c.graph = unstructured.NewGraph(addrs, cfg.degree, cfg.seed+1)
-	return c, nil
-}
-
-// peerConfig returns the overlay configuration of the i-th peer, including
-// its persistence directory when WithPersistence is set.
-func (c *Cluster) peerConfig(i int) overlay.Config {
-	pcfg := c.cfg.overlay
-	pcfg.Seed = c.cfg.seed + int64(i)*31337
-	if c.cfg.dataDir != "" {
-		pcfg.DataDir = filepath.Join(c.cfg.dataDir, fmt.Sprintf("peer-%05d", i))
-	}
-	return pcfg
-}
-
-// peerList returns a race-free snapshot of the peer slice (RestartPeer
-// replaces it copy-on-write, so a snapshot stays immutable).
-func (c *Cluster) peerList() []*overlay.Peer {
-	c.peersMu.RLock()
-	defer c.peersMu.RUnlock()
-	return c.peers
-}
-
-// closePeers closes every peer's persistence, keeping the first error.
-func (c *Cluster) closePeers() error {
-	var first error
-	for _, p := range c.peerList() {
-		if p == nil {
-			continue
-		}
-		if err := p.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return &Cluster{cfg: cfg, exp: exp, rng: rand.New(rand.NewSource(cfg.cluster.Seed))}, nil
 }
 
 // randIntn draws a uniform int from [0, n) under the RNG lock, so queries
@@ -214,31 +159,24 @@ func (c *Cluster) randIntn(n int) int {
 	return c.rng.Intn(n)
 }
 
-// randPerm draws a random permutation under the RNG lock.
-func (c *Cluster) randPerm(n int) []int {
-	c.rngMu.Lock()
-	defer c.rngMu.Unlock()
-	return c.rng.Perm(n)
-}
-
 // randomPeer picks a uniformly random peer as the origin of an operation.
 func (c *Cluster) randomPeer() *overlay.Peer {
-	peers := c.peerList()
+	peers := c.exp.Snapshot()
 	return peers[c.randIntn(len(peers))]
 }
 
 // Peers returns the number of peers in the cluster.
-func (c *Cluster) Peers() int { return len(c.peerList()) }
+func (c *Cluster) Peers() int { return len(c.exp.Snapshot()) }
 
 // Peer returns the i-th peer (for advanced use and inspection).
 func (c *Cluster) Peer(i int) *overlay.Peer {
-	peers := c.peerList()
+	peers := c.exp.Snapshot()
 	return peers[i%len(peers)]
 }
 
 // Paths returns the current path of every peer.
 func (c *Cluster) Paths() []Path {
-	peers := c.peerList()
+	peers := c.exp.Snapshot()
 	out := make([]Path, len(peers))
 	for i, p := range peers {
 		out[i] = p.Path()
@@ -252,10 +190,10 @@ func (c *Cluster) Paths() []Path {
 // stored at the responsible partition directly.
 func (c *Cluster) Index(key Key, value string) error {
 	it := Item{Key: key, Value: value}
-	peers := c.peerList()
+	peers := c.exp.Snapshot()
 	owner := c.randIntn(len(peers))
 	if !c.built {
-		c.pending[owner] = append(c.pending[owner], it)
+		c.exp.OriginalItems[owner] = append(c.exp.OriginalItems[owner], it)
 		peers[owner].AddItems([]Item{it})
 		return nil
 	}
@@ -291,81 +229,27 @@ func (c *Cluster) IndexFloat(x float64, value string) error {
 // Build constructs the structured overlay from the indexed data: the
 // pre-construction replication phase followed by rounds of random
 // encounters until every peer converges (Sections 2.2 and 4 of the paper).
+// Replication is best effort: a push lost to churn or message loss costs
+// one copy, not the build.
 func (c *Cluster) Build(ctx context.Context) (BuildReport, error) {
 	if c.built {
 		return BuildReport{}, errors.New("pgrid: cluster already built; create a new cluster to re-index")
 	}
-	// Replication phase: push each peer's own items to MinReplicas peers.
-	nmin := c.cfg.overlay.MinReplicas
-	if nmin <= 0 {
-		nmin = 5
+	if err := c.exp.Replicate(ctx); err != nil {
+		return BuildReport{}, err
 	}
-	peers := c.peerList()
-	for i, p := range peers {
-		if len(c.pending[i]) == 0 {
-			continue
-		}
-		targets := make([]network.Addr, 0, nmin)
-		for attempts := 0; len(targets) < nmin && attempts < 10*nmin; attempts++ {
-			cand, err := c.graph.RandomWalk(p.Addr(), 0, nil)
-			if err == nil && cand != p.Addr() {
-				targets = append(targets, cand)
-			}
-		}
-		if err := p.ReplicateItems(ctx, c.pending[i], targets); err != nil {
-			return BuildReport{}, err
-		}
-	}
-	// Construction phase.
-	rounds := 0
-	maxRounds := c.cfg.maxRounds
-	for ; rounds < maxRounds; rounds++ {
-		active := 0
-		for _, idx := range c.randPerm(len(peers)) {
-			p := peers[idx]
-			if p.Done() {
-				continue
-			}
-			partner, err := c.graph.RandomWalk(p.Addr(), 0, nil)
-			if err != nil || partner == p.Addr() {
-				continue
-			}
-			active++
-			_, _ = p.Interact(ctx, partner)
-		}
-		if active == 0 {
-			break
-		}
-	}
+	rounds := c.exp.Construct(ctx)
 	c.built = true
-	return c.report(rounds), nil
-}
-
-// report assembles a BuildReport from the peers' state.
-func (c *Cluster) report(rounds int) BuildReport {
-	rep := BuildReport{Rounds: rounds}
-	counts := map[Path]int{}
-	var pathLen float64
-	var total overlay.Counts
-	peers := c.peerList()
-	for _, p := range peers {
-		d := p.Path().Depth()
-		pathLen += float64(d)
-		if d > rep.MaxPathLength {
-			rep.MaxPathLength = d
-		}
-		counts[p.Path()]++
-		total.Add(p.Counts())
-	}
-	n := float64(len(peers))
-	rep.MeanPathLength = pathLen / n
-	rep.DistinctPartitions = len(counts)
-	if len(counts) > 0 {
-		rep.MeanReplicasPerPartition = n / float64(len(counts))
-	}
-	rep.InteractionsPerPeer = total[overlay.Interactions] / n
-	rep.KeysMovedPerPeer = total[overlay.KeysMoved] / n
-	return rep
+	s := c.exp.Summary(rounds)
+	return BuildReport{
+		Rounds:                   rounds,
+		MeanPathLength:           s.MeanPathLength,
+		MaxPathLength:            s.MaxPathLength,
+		DistinctPartitions:       s.DistinctPaths,
+		MeanReplicasPerPartition: s.MeanReplicasPerPartition,
+		InteractionsPerPeer:      s.InteractionsPerPeer,
+		KeysMovedPerPeer:         s.KeysMovedPerPeer,
+	}, nil
 }
 
 // Built reports whether the overlay has been constructed.
@@ -395,14 +279,16 @@ var ErrUnreachable = overlay.ErrUnreachable
 // MetricsSnapshot aggregates every peer's protocol counters and replication
 // gauges into one cluster-wide overlay.MetricsSnapshot: counters sum, size
 // gauges (items, tombstones, replica links, WAL shape) sum, and the
-// per-peer partition path is cleared. Each peer is snapshotted with atomic
-// loads, so this is safe to call while searches, mutations and maintenance
-// run.
+// per-peer partition path is cleared. Counters include those of peers
+// replaced by RestartPeer, so none goes backwards across a restart. Each
+// peer is snapshotted with atomic loads, so this is safe to call while
+// searches, mutations, maintenance and restarts run.
 func (c *Cluster) MetricsSnapshot() overlay.MetricsSnapshot {
 	var agg overlay.MetricsSnapshot
-	for _, p := range c.peerList() {
+	for _, p := range c.exp.Snapshot() {
 		agg = agg.Merge(p.MetricsSnapshot())
 	}
+	agg.Counts = c.exp.Counts()
 	return agg
 }
 
@@ -471,7 +357,7 @@ func (c *Cluster) StartMaintenance() {
 	if c.maintStops != nil {
 		return
 	}
-	peers := c.peerList()
+	peers := c.exp.Snapshot()
 	c.maintStops = make([]func(), len(peers))
 	for i, p := range peers {
 		c.maintStops[i] = p.StartMaintenance(overlay.MaintenanceOptions{Interval: c.cfg.maintainEvery})
@@ -495,7 +381,7 @@ func (c *Cluster) StopMaintenance() {
 // does continuously in the background, exposed for deterministic tests and
 // virtual-clock simulations.
 func (c *Cluster) MaintenanceRound(ctx context.Context) {
-	for _, p := range c.peerList() {
+	for _, p := range c.exp.Snapshot() {
 		p.MaintainTick(ctx, overlay.MaintenanceOptions{})
 	}
 }
@@ -512,33 +398,16 @@ func (c *Cluster) MaintenanceRound(ctx context.Context) {
 func (c *Cluster) RestartPeer(i int) error {
 	c.maintMu.Lock()
 	defer c.maintMu.Unlock()
-	peers := c.peerList()
-	i = ((i % len(peers)) + len(peers)) % len(peers)
-	old := peers[i]
-	// Take the address offline before touching the store: in-flight
-	// protocol calls must fail like churn rather than be acknowledged into
-	// a closing store (a false ack would advance the sender's sync
-	// baseline past a write that is on neither disk nor the new peer).
-	c.net.SetOnline(old.Addr(), false)
+	n := c.Peers()
+	i = ((i % n) + n) % n
 	if c.maintStops != nil {
 		c.maintStops[i]()
 	}
-	if err := old.Close(); err != nil {
-		return fmt.Errorf("pgrid: close peer %d: %w", i, err)
+	if err := c.exp.RestartPeer(i); err != nil {
+		return fmt.Errorf("pgrid: %w", err)
 	}
-	p, err := overlay.NewPersistent(c.peerConfig(i), c.net.Endpoint(old.Addr()))
-	if err != nil {
-		return fmt.Errorf("pgrid: reopen peer %d: %w", i, err)
-	}
-	c.net.SetOnline(old.Addr(), true)
-	next := make([]*overlay.Peer, len(peers))
-	copy(next, peers)
-	next[i] = p
-	c.peersMu.Lock()
-	c.peers = next
-	c.peersMu.Unlock()
 	if c.maintStops != nil {
-		c.maintStops[i] = p.StartMaintenance(overlay.MaintenanceOptions{Interval: c.cfg.maintainEvery})
+		c.maintStops[i] = c.Peer(i).StartMaintenance(overlay.MaintenanceOptions{Interval: c.cfg.maintainEvery})
 	}
 	return nil
 }
@@ -548,7 +417,7 @@ func (c *Cluster) RestartPeer(i int) error {
 // beyond maintenance shutdown for in-memory clusters.
 func (c *Cluster) Close() error {
 	c.StopMaintenance()
-	return c.closePeers()
+	return c.exp.Close()
 }
 
 // Search resolves an exact-match query for the key, starting from a random
@@ -559,11 +428,16 @@ func (c *Cluster) Search(ctx context.Context, key Key) ([]SearchHit, error) {
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]SearchHit, 0, len(res.Items))
-	for _, it := range res.Items {
-		hits = append(hits, SearchHit{Key: it.Key, Value: it.Value, Hops: res.Hops})
+	return searchHits(res.Items, res.Hops), nil
+}
+
+// searchHits turns the items a query returned into hits.
+func searchHits(items []Item, hops int) []SearchHit {
+	hits := make([]SearchHit, 0, len(items))
+	for _, it := range items {
+		hits = append(hits, SearchHit{Key: it.Key, Value: it.Value, Hops: hops})
 	}
-	return hits, nil
+	return hits
 }
 
 // SearchString resolves an exact-match query for a string key.
@@ -590,11 +464,7 @@ func (c *Cluster) SearchMany(ctx context.Context, keys []Key) ([][]SearchHit, er
 			continue
 		}
 		resolved++
-		hits := make([]SearchHit, 0, len(res.Items))
-		for _, it := range res.Items {
-			hits = append(hits, SearchHit{Key: it.Key, Value: it.Value, Hops: res.Hops})
-		}
-		out[i] = hits
+		out[i] = searchHits(res.Items, res.Hops)
 	}
 	if resolved == 0 {
 		return out, errors.New("pgrid: no key of the batch could be resolved")
@@ -618,7 +488,7 @@ func (c *Cluster) SearchManyStrings(ctx context.Context, terms []string) ([][]Se
 // lookup candidates. Non-positive alpha or fanout and negative hedge keep
 // the current value.
 func (c *Cluster) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
-	for _, p := range c.peerList() {
+	for _, p := range c.exp.Snapshot() {
 		p.SetQueryConcurrency(alpha, fanout, hedge)
 	}
 }
@@ -631,10 +501,7 @@ func (c *Cluster) SearchRange(ctx context.Context, lo, hi Key) ([]SearchHit, err
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]SearchHit, 0, len(res.Items))
-	for _, it := range res.Items {
-		hits = append(hits, SearchHit{Key: it.Key, Value: it.Value, Hops: res.Hops})
-	}
+	hits := searchHits(res.Items, res.Hops)
 	sort.Slice(hits, func(i, j int) bool { return hits[i].Key.Compare(hits[j].Key) < 0 })
 	return hits, nil
 }
@@ -648,11 +515,11 @@ func (c *Cluster) SearchStringRange(ctx context.Context, loTerm, hiTerm string) 
 
 // SetOnline switches a peer on- or offline, simulating churn.
 func (c *Cluster) SetOnline(i int, online bool) {
-	c.net.SetOnline(c.Peer(i).Addr(), online)
+	c.exp.Sim.SetOnline(c.Peer(i).Addr(), online)
 }
 
 // OnlinePeers returns the number of peers currently online.
-func (c *Cluster) OnlinePeers() int { return c.net.OnlineCount() }
+func (c *Cluster) OnlinePeers() int { return c.exp.Sim.OnlineCount() }
 
 // Experiment exposes the research-grade experiment harness used to
 // reproduce the paper's evaluation; see the sim package for details.

@@ -401,3 +401,28 @@ func TestRunExperimentFacade(t *testing.T) {
 		t.Errorf("experiment facade returned implausible result: %+v", res)
 	}
 }
+
+// TestBuildUnderMessageLoss builds over a lossy network: a lost
+// pre-construction replica push costs one copy, not the whole build.
+func TestBuildUnderMessageLoss(t *testing.T) {
+	ctx := context.Background()
+	for seed := int64(1); seed <= 10; seed++ {
+		c, err := NewCluster(WithPeers(32), WithSeed(seed), WithMessageLoss(0.01))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			if err := c.IndexString(fmt.Sprintf("term-%03d", i), fmt.Sprintf("doc-%d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		report, err := c.Build(ctx)
+		if err != nil {
+			t.Errorf("seed %d: build failed under 1%% message loss: %v", seed, err)
+			continue
+		}
+		if report.DistinctPartitions < 2 {
+			t.Errorf("seed %d: %d partitions, want at least 2", seed, report.DistinctPartitions)
+		}
+	}
+}

@@ -1,22 +1,18 @@
 // Command pgridvet runs the project's custom static-analysis suite
-// (internal/lint): wireconsistency, lockrpc, atomicfield, ctxflow and
-// senterr. It speaks two protocols:
+// (internal/lint): lockrpc, atomicfield, ctxflow and senterr.
 //
-//	go vet -vettool=$(command -v pgridvet) ./...   # unitchecker mode
-//	pgridvet [-tests] [packages]                   # standalone mode
+//	pgridvet [-tests=false] [-<analyzer>...] [packages]
 //
-// In unitchecker mode cmd/go drives the tool over every compilation unit
-// in the build graph and caches results by the tool's build ID; standalone
-// mode loads packages itself via `go list -export` and is what CI and the
-// analyzer fixtures use.
+// It loads packages itself via `go list -deps -export`, the same driver
+// the analyzer fixture tests use. Naming one or more analyzer flags narrows
+// the run to those analyzers. The exit code is 0 when clean, 1 on a driver
+// error and 2 when diagnostics were reported.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pgrid/internal/lint"
 )
@@ -26,98 +22,41 @@ func main() {
 }
 
 func run(args []string) int {
-	// cmd/go probes the tool before using it: -V=full for the build ID,
-	// -flags for the flag schema. Handle both before normal flag parsing.
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			if err := lint.PrintVersion(os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return 1
-			}
-			return 0
-		case "-flags", "--flags":
-			return printFlagSchema()
-		}
-	}
-
 	all := lint.All()
 	fs := flag.NewFlagSet("pgridvet", flag.ContinueOnError)
 	enabled := make(map[string]*bool, len(all))
 	for _, a := range all {
 		enabled[a.Name] = fs.Bool(a.Name, false, "enable only the "+a.Name+" analyzer: "+a.Doc)
 	}
-	tests := fs.Bool("tests", true, "standalone mode: include _test.go files and test packages")
+	tests := fs.Bool("tests", true, "include _test.go files and test packages")
 	if err := fs.Parse(args); err != nil {
 		return 1
 	}
 
-	// Like unitchecker: naming any analyzer flag narrows the run to the
-	// named set; otherwise the whole suite runs.
-	selected := all
-	if anySet(enabled) {
-		selected = nil
-		for _, a := range all {
-			if *enabled[a.Name] {
-				selected = append(selected, a)
-			}
+	var selected []*lint.Analyzer
+	for _, a := range all {
+		if *enabled[a.Name] {
+			selected = append(selected, a)
 		}
 	}
-
-	rest := fs.Args()
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		return lint.RunVetTool(selected, rest[0])
+	if selected == nil {
+		selected = all
 	}
 
-	patterns := rest
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	diags, err := lint.RunPatterns(wd, selected, patterns, *tests)
+	diags, err := lint.RunPatterns("", selected, patterns, *tests)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pgridvet:", err)
 		return 1
 	}
-	if len(diags) == 0 {
-		return 0
-	}
 	for _, d := range diags {
 		fmt.Fprintln(os.Stderr, d)
 	}
-	return 2
-}
-
-func anySet(m map[string]*bool) bool {
-	for _, v := range m {
-		if *v {
-			return true
-		}
+	if len(diags) > 0 {
+		return 2
 	}
-	return false
-}
-
-// printFlagSchema implements `-flags`: the JSON flag inventory cmd/go uses
-// to validate vet pass-through flags.
-func printFlagSchema() int {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	var out []jsonFlag
-	for _, a := range lint.All() {
-		out = append(out, jsonFlag{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	data, err := json.MarshalIndent(out, "", "\t")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Println(string(data))
 	return 0
 }

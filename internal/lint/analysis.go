@@ -1,16 +1,14 @@
 // Package lint implements pgridvet, the project's custom static-analysis
 // suite. It machine-checks the hand-maintained invariants the stock linters
-// cannot see: wire-protocol completeness (every registered message has a
-// binary codec, a golden vector and fuzz corpus seeds), lock discipline (no
-// blocking RPC while a mutex is held), atomic-field access, context
-// threading on request paths, and errors.Is usage for exported sentinels.
+// cannot see: lock discipline (no blocking RPC while a mutex is held),
+// atomic-field access, context threading on request paths, and errors.Is
+// usage for exported sentinels.
 //
 // The package is deliberately dependency-free: it reimplements the small
 // slice of the golang.org/x/tools go/analysis contract that pgridvet needs —
-// an Analyzer/Pass API, object facts that flow between packages, a
-// `go vet -vettool` unitchecker protocol driver (unitchecker.go) and a
-// standalone `go list`-based loader (driver.go) — on top of go/ast,
-// go/types and go/importer alone, so the module keeps its empty go.mod.
+// an Analyzer/Pass API, object facts that flow between packages, and one
+// `go list`-based driver (driver.go) — on top of go/ast, go/types and
+// go/importer alone, so the module keeps its empty go.mod.
 //
 // # Suppressing a finding
 //
@@ -43,7 +41,7 @@ type Analyzer struct {
 	// Doc is a short description; its first line is the usage summary.
 	Doc string
 	// UsesFacts marks analyzers that exchange object facts across package
-	// boundaries. Only these run on dependency-only (VetxOnly) packages.
+	// boundaries. Only these run on dependency-only packages.
 	UsesFacts bool
 	// Run performs the check on one package.
 	Run func(*Pass) error
@@ -84,11 +82,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
-	// Dir is the package's source directory, used by manifest checks
-	// (golden vectors, fuzz corpora) that live next to the code.
-	Dir string
 
-	facts *factStore
+	facts factStore
 	diags *[]Diagnostic
 	// std marks the standard-library import paths in this unit's dependency
 	// closure; analyzers use it to keep invariants scoped to project code.
@@ -115,7 +110,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // ImportFact returns the fact recorded for obj by this analyzer, in this
 // package or any dependency.
 func (p *Pass) ImportFact(obj types.Object) (string, bool) {
-	return p.facts.get(p.Analyzer.Name, ObjectID(obj))
+	return p.facts.get(p.Analyzer.Name, objectID(obj))
 }
 
 // ExportFact records a fact about an object of the current package, making
@@ -124,7 +119,7 @@ func (p *Pass) ExportFact(obj types.Object, value string) {
 	if obj == nil || obj.Pkg() != p.Pkg {
 		return
 	}
-	p.facts.set(p.Analyzer.Name, ObjectID(obj), value)
+	p.facts.set(p.Analyzer.Name, objectID(obj), value)
 }
 
 // isStdPkg reports whether pkg is a standard-library package.
@@ -191,14 +186,14 @@ func HasAllow(doc *ast.CommentGroup, analyzer string) bool {
 
 // All is the full pgridvet suite in the order diagnostics are grouped.
 func All() []*Analyzer {
-	return []*Analyzer{WireConsistency, LockRPC, AtomicField, CtxFlow, SentErr}
+	return []*Analyzer{LockRPC, AtomicField, CtxFlow, SentErr}
 }
 
 // analyzePackage runs the given analyzers over one type-checked package,
 // appending diagnostics and recording exported facts into facts. When
 // factsOnly is set, only fact-exporting analyzers run and no diagnostics
-// are collected (the unitchecker's VetxOnly mode for dependency packages).
-func analyzePackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, dir string, facts *factStore, std map[string]bool, factsOnly bool) ([]Diagnostic, error) {
+// are collected (a dependency analyzed only for the facts it exports).
+func analyzePackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, facts factStore, std map[string]bool, factsOnly bool) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	sink := &diags
 	if factsOnly {
@@ -214,7 +209,6 @@ func analyzePackage(analyzers []*Analyzer, fset *token.FileSet, files []*ast.Fil
 			Files:    files,
 			Pkg:      pkg,
 			Info:     info,
-			Dir:      dir,
 			facts:    facts,
 			diags:    sink,
 			std:      std,

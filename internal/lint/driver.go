@@ -15,14 +15,12 @@ import (
 	"strings"
 )
 
-// This file is the standalone driver: `pgridvet ./...` without a vet.cfg
-// argument. It shells out to `go list -deps -export -json` to obtain the
+// This file is pgridvet's one driver, used by the binary and the fixture
+// tests alike. It shells out to `go list -deps -export -json` to obtain the
 // dependency closure with compiled export data, type-checks every in-module
 // package from source in dependency order (go list already emits
 // dependencies first), imports standard-library packages from their export
 // data, and threads analyzer facts from each package to its dependents.
-// The `go vet -vettool` path (unitchecker.go) is the CI entry point; this
-// driver is what developers and the fixture tests run.
 
 // listPackage is the subset of `go list -json` output the driver consumes.
 type listPackage struct {
@@ -53,7 +51,7 @@ func RunPatterns(dir string, analyzers []*Analyzer, patterns []string, includeTe
 		fset:    token.NewFileSet(),
 		byPath:  make(map[string]*listPackage, len(pkgs)),
 		sources: make(map[string]*types.Package),
-		facts:   newFactStore(),
+		facts:   factStore{},
 	}
 	ld.gcImporter = importer.ForCompiler(ld.fset, "gc", func(path string) (io.ReadCloser, error) {
 		lp := ld.byPath[path]
@@ -85,11 +83,10 @@ func RunPatterns(dir string, analyzers []*Analyzer, patterns []string, includeTe
 			}
 			return nil, err
 		}
-		pkgDiags, err := analyzePackage(analyzers, ld.fset, files, pkg, info, lp.Dir, ld.facts, std, lp.DepOnly)
+		pkgDiags, err := analyzePackage(analyzers, ld.fset, files, pkg, info, ld.facts, std, lp.DepOnly)
 		if err != nil {
 			return nil, err
 		}
-		ld.facts.promoteExports()
 		if lp.DepOnly {
 			continue
 		}
@@ -128,7 +125,7 @@ type loader struct {
 	byPath     map[string]*listPackage
 	sources    map[string]*types.Package
 	gcImporter types.Importer
-	facts      *factStore
+	facts      factStore
 }
 
 // check type-checks one in-module package from source, caching the result
@@ -154,10 +151,7 @@ func (ld *loader) check(lp *listPackage) (*types.Package, *types.Info, []*ast.Fi
 	if i := strings.IndexByte(pkgPath, ' '); i >= 0 {
 		pkgPath = pkgPath[:i]
 	}
-	pkg, info, _ := checkPackage(ld.fset, pkgPath, files, imp, "")
-	if pkg == nil {
-		return nil, nil, nil, fmt.Errorf("lint: typecheck %s failed", lp.ImportPath)
-	}
+	pkg, info := checkPackage(ld.fset, pkgPath, files, imp)
 	ld.sources[lp.ImportPath] = pkg
 	return pkg, info, files, nil
 }

@@ -1,110 +1,44 @@
 package lint
 
-import (
-	"encoding/json"
-	"fmt"
-	"go/types"
-	"os"
-)
+import "go/types"
 
-// Facts is the serialized fact format exchanged between package analyses:
-// analyzer name → object ID → fact value. In unitchecker mode one Facts
-// value is written per package (the .vetx file go vet caches and feeds to
-// dependent packages); the standalone driver keeps a single in-memory store
-// and analyzes packages in dependency order.
+// factStore holds the object facts of one run: analyzer name → object ID →
+// fact value. The driver analyzes packages in dependency order over a
+// single store, so a fact exported by a dependency is visible to every
+// later package, and intra-package fact use works the same as
+// cross-package.
 //
-// Fact values are strings rather than typed payloads: the only current
-// producer (lockrpc) records the human-readable reason a function may
-// block, which doubles as the explanation in downstream diagnostics.
-type Facts map[string]map[string]string
+// Fact values are strings rather than typed payloads: the only producer
+// (lockrpc) records the human-readable reason a function may block, which
+// doubles as the explanation in downstream diagnostics.
+type factStore map[string]map[string]string
 
-// factStore accumulates facts during a run: those imported from dependency
-// packages and those exported by the package under analysis. Lookups see
-// both, so intra-package fact use works the same as cross-package.
-type factStore struct {
-	imported Facts
-	exported Facts
-}
-
-func newFactStore() *factStore {
-	return &factStore{imported: Facts{}, exported: Facts{}}
-}
-
-func (s *factStore) get(analyzer, id string) (string, bool) {
+func (s factStore) get(analyzer, id string) (string, bool) {
 	if id == "" {
 		return "", false
 	}
-	if v, ok := s.exported[analyzer][id]; ok {
-		return v, true
-	}
-	v, ok := s.imported[analyzer][id]
+	v, ok := s[analyzer][id]
 	return v, ok
 }
 
-func (s *factStore) set(analyzer, id, value string) {
+func (s factStore) set(analyzer, id, value string) {
 	if id == "" {
 		return
 	}
-	m := s.exported[analyzer]
+	m := s[analyzer]
 	if m == nil {
 		m = make(map[string]string)
-		s.exported[analyzer] = m
+		s[analyzer] = m
 	}
 	m[id] = value
 }
 
-// merge folds src into the store's imported facts.
-func (s *factStore) merge(src Facts) {
-	for analyzer, objs := range src {
-		m := s.imported[analyzer]
-		if m == nil {
-			m = make(map[string]string, len(objs))
-			s.imported[analyzer] = m
-		}
-		for id, v := range objs {
-			m[id] = v
-		}
-	}
-}
-
-// promoteExports moves the exported facts into the imported set, preparing
-// the store for the next package in a standalone dependency-order run.
-func (s *factStore) promoteExports() {
-	s.merge(s.exported)
-	s.exported = Facts{}
-}
-
-// readFactsFile loads one serialized Facts file. A missing or corrupt file
-// degrades to no facts: the analyzers weaken rather than fail.
-func readFactsFile(path string) Facts {
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		return nil
-	}
-	var f Facts
-	if json.Unmarshal(data, &f) != nil {
-		return nil
-	}
-	return f
-}
-
-// writeFactsFile serializes facts to path. An empty file is valid and must
-// still be written: go vet expects every analysis run to produce its .vetx
-// output.
-func writeFactsFile(path string, f Facts) error {
-	data, err := json.Marshal(f)
-	if err != nil {
-		return fmt.Errorf("lint: encode facts: %w", err)
-	}
-	return os.WriteFile(path, data, 0o666)
-}
-
-// ObjectID names a package-level object (or method) stably across
-// compilation units: "pkgpath.Name" for package-level declarations and
+// objectID names a package-level object (or method) stably across
+// packages: "pkgpath.Name" for package-level declarations and
 // "pkgpath.(*Recv).Name" / "pkgpath.(Recv).Name" for methods, including
 // interface methods. The empty string means the object has no stable ID
 // (builtins, locals).
-func ObjectID(obj types.Object) string {
+func objectID(obj types.Object) string {
 	if obj == nil || obj.Pkg() == nil {
 		return ""
 	}

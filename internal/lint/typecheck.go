@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -33,30 +32,17 @@ func parseFiles(fset *token.FileSet, filenames []string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// checkPackage type-checks one package from source. Soft type errors are
-// tolerated as long as the checker produces a package: the analyzers guard
+// checkPackage type-checks one package from source. Type errors are
+// tolerated: the checker still produces the package, the analyzers guard
 // every types.Info lookup, and a partially checked dependency merely
-// weakens facts. The returned error is the first hard failure.
-func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types.Importer, goVersion string) (*types.Package, *types.Info, error) {
+// weakens facts.
+func checkPackage(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info) {
 	info := newInfo()
-	var firstErr error
-	conf := types.Config{
-		Importer:  imp,
-		GoVersion: goVersion,
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil && firstErr == nil {
-		firstErr = err
-	}
-	if pkg == nil {
-		return nil, nil, fmt.Errorf("lint: typecheck %s: %w", path, firstErr)
-	}
-	return pkg, info, firstErr
+	// A non-nil Error handler makes the checker continue past the first
+	// error instead of stopping there.
+	conf := types.Config{Importer: imp, Error: func(error) {}}
+	pkg, _ := conf.Check(path, fset, files, info)
+	return pkg, info
 }
 
 // importerFunc adapts a function to the types.Importer interface.

@@ -6,69 +6,57 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pgrid/internal/lint"
 )
 
-// buildPgridvet compiles cmd/pgridvet into a temp dir and returns the
-// binary path.
-func buildPgridvet(t *testing.T) (bin, root string) {
-	t.Helper()
+// TestTreeIsClean runs the whole suite over every package of the module,
+// tests included, exactly as `pgridvet ./...` does at the repository root:
+// the tree must carry no finding.
+func TestTreeIsClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin = filepath.Join(t.TempDir(), "pgridvet")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/pgridvet")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building pgridvet: %v\n%s", err, out)
+	diags, err := lint.RunPatterns(root, lint.All(), []string{"./..."}, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return bin, root
-}
-
-// TestGoVetIntegration drives the real `go vet -vettool` protocol — the
-// -V=full fingerprint handshake, per-unit vet.cfg analysis and .vetx fact
-// files — over the wire-protocol and transport packages, which must be
-// clean.
-func TestGoVetIntegration(t *testing.T) {
-	if testing.Short() {
-		t.Skip("compiles the tree under go vet")
-	}
-	bin, root := buildPgridvet(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/overlay/...", "./internal/network/...")
-	cmd.Dir = root
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool=pgridvet failed: %v\n%s", err, out)
+	for _, d := range diags {
+		t.Error(d)
 	}
 }
 
-// TestBrokenInvariantFails proves the acceptance criterion that a
-// deliberately broken invariant fails the run with a message naming the
-// missing leg: the wireconsistency fixture registers a message with no
-// binary codec.
+// TestBrokenInvariantFails proves that a deliberately broken invariant
+// fails the pgridvet binary with exit code 2 and a diagnostic naming the
+// analyzer: the senterr fixture compares errors to a sentinel with ==.
 func TestBrokenInvariantFails(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles pgridvet")
 	}
-	bin, _ := buildPgridvet(t)
-	fixture, err := filepath.Abs("testdata/src/wireconsistency")
+	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(bin, "-wireconsistency", "./...")
-	cmd.Dir = fixture
+	bin := filepath.Join(t.TempDir(), "pgridvet")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/pgridvet")
+	build.Dir = root
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building pgridvet: %v\n%s", err, out)
+	}
+	cmd := exec.Command(bin, "-senterr", "./...")
+	cmd.Dir = filepath.Join(root, "internal/lint/testdata/src/senterr")
 	out, err := cmd.CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 		t.Fatalf("want exit code 2 on broken invariant, got %v\n%s", err, out)
 	}
-	for _, leg := range []string{
-		"has no AppendWire method",
-		"has no UnmarshalWire method",
-		"has no golden vector",
-		"has no fuzz corpus seed",
-	} {
-		if !strings.Contains(string(out), leg) {
-			t.Errorf("diagnostics do not name the missing leg %q:\n%s", leg, out)
+	for _, want := range []string{"senterr.go:18:5: comparison with sentinel error ErrNotFound uses ==", "[pgridvet:senterr]"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("diagnostics do not contain %q:\n%s", want, out)
 		}
 	}
 }

@@ -187,10 +187,9 @@ func FuzzMutationWireRoundTrip(f *testing.F) {
 //	PGRID_REGEN_CORPUS=1 go test ./internal/overlay -run TestRegenerateWireCorpus
 func TestRegenerateWireCorpus(t *testing.T) {
 	if os.Getenv("PGRID_REGEN_CORPUS") == "" {
-		t.Skip("set PGRID_REGEN_CORPUS=1 to rewrite testdata/fuzz/FuzzBinaryWireDecode")
+		t.Skip("set PGRID_REGEN_CORPUS=1 to rewrite " + corpusDir)
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzBinaryWireDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(corpusDir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool)
@@ -205,12 +204,12 @@ func TestRegenerateWireCorpus(t *testing.T) {
 			t.Fatalf("encode %T: %v", msg, err)
 		}
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", bin)
-		if err := os.WriteFile(filepath.Join(dir, "seed-"+name), []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(corpusDir, "seed-"+name), []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if frag, err := network.EncodeMessageBinary("corpus", msg, 512); err == nil && !bytes.Equal(frag, bin) {
 			content = fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frag)
-			if err := os.WriteFile(filepath.Join(dir, "seed-"+name+"-frag"), []byte(content), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(corpusDir, "seed-"+name+"-frag"), []byte(content), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -34,30 +34,44 @@ const (
 	msgPruneResponse    = "pgrid.prune.response"
 )
 
+// wireMessages is the overlay's protocol: every message type it sends,
+// under its wire name. init registers exactly these rows. RegisterType
+// panics on a row without the wire codec, and TestWireMessageChecklist
+// fails on a row without a round-trip seed (which TestGoldenWireVectors
+// pins) or a fuzz corpus seed.
+var wireMessages = []struct {
+	name   string
+	sample any
+}{
+	{msgExchangeRequest, ExchangeRequest{}},
+	{msgExchangeResponse, ExchangeResponse{}},
+	{msgQueryRequest, QueryRequest{}},
+	{msgQueryResponse, QueryResponse{}},
+	{msgBatchRequest, BatchQueryRequest{}},
+	{msgBatchResponse, BatchQueryResponse{}},
+	{msgRangeRequest, RangeRequest{}},
+	{msgRangeResponse, RangeResponse{}},
+	{msgReplicateRequest, ReplicateRequest{}},
+	{msgReplicateReply, ReplicateResponse{}},
+	{msgPingRequest, PingRequest{}},
+	{msgPingResponse, PingResponse{}},
+	{msgInsertRequest, InsertRequest{}},
+	{msgDeleteRequest, DeleteRequest{}},
+	{msgMutateResponse, MutateResponse{}},
+	{msgDigestRequest, DigestRequest{}},
+	{msgDigestResponse, DigestResponse{}},
+	{msgDeltaRequest, DeltaRequest{}},
+	{msgDeltaResponse, DeltaResponse{}},
+	{msgClockRequest, ClockRequest{}},
+	{msgClockResponse, ClockResponse{}},
+	{msgPruneRequest, TombstonePruneRequest{}},
+	{msgPruneResponse, TombstonePruneResponse{}},
+}
+
 func init() {
-	network.RegisterType(msgExchangeRequest, ExchangeRequest{})
-	network.RegisterType(msgExchangeResponse, ExchangeResponse{})
-	network.RegisterType(msgQueryRequest, QueryRequest{})
-	network.RegisterType(msgQueryResponse, QueryResponse{})
-	network.RegisterType(msgBatchRequest, BatchQueryRequest{})
-	network.RegisterType(msgBatchResponse, BatchQueryResponse{})
-	network.RegisterType(msgRangeRequest, RangeRequest{})
-	network.RegisterType(msgRangeResponse, RangeResponse{})
-	network.RegisterType(msgReplicateRequest, ReplicateRequest{})
-	network.RegisterType(msgReplicateReply, ReplicateResponse{})
-	network.RegisterType(msgPingRequest, PingRequest{})
-	network.RegisterType(msgPingResponse, PingResponse{})
-	network.RegisterType(msgInsertRequest, InsertRequest{})
-	network.RegisterType(msgDeleteRequest, DeleteRequest{})
-	network.RegisterType(msgMutateResponse, MutateResponse{})
-	network.RegisterType(msgDigestRequest, DigestRequest{})
-	network.RegisterType(msgDigestResponse, DigestResponse{})
-	network.RegisterType(msgDeltaRequest, DeltaRequest{})
-	network.RegisterType(msgDeltaResponse, DeltaResponse{})
-	network.RegisterType(msgClockRequest, ClockRequest{})
-	network.RegisterType(msgClockResponse, ClockResponse{})
-	network.RegisterType(msgPruneRequest, TombstonePruneRequest{})
-	network.RegisterType(msgPruneResponse, TombstonePruneResponse{})
+	for _, m := range wireMessages {
+		network.RegisterType(m.name, m.sample)
+	}
 }
 
 // queryPath names the requests whose call bytes are query traffic in the

@@ -118,6 +118,69 @@ func TestGoldenWireVectors(t *testing.T) {
 	}
 }
 
+// corpusDir is FuzzBinaryWireDecode's checked-in seed corpus.
+const corpusDir = "testdata/fuzz/FuzzBinaryWireDecode"
+
+// wireChecklist returns one line per leg a registered message lacks beyond
+// its codec (RegisterType panics without one): a seed in wireSeedMessages,
+// from which the round-trip tests, the fuzzers and TestGoldenWireVectors
+// start, and a file in the fuzz corpus. TestGoldenWireVectors then
+// requires a golden vector for every seed and a seed for every vector.
+func wireChecklist(registered, seeds []any, corpus string) []string {
+	seeded := make(map[string]bool, len(seeds))
+	for _, msg := range seeds {
+		seeded[seedName(msg)] = true
+	}
+	var gaps []string
+	for _, sample := range registered {
+		name := seedName(sample)
+		if !seeded[name] {
+			gaps = append(gaps, name+" has no seed in wireSeedMessages")
+		}
+		seed := filepath.Join(corpus, "seed-"+strings.ToLower(name))
+		if _, err := os.Stat(seed); err != nil {
+			gaps = append(gaps, fmt.Sprintf("%s has no fuzz corpus seed %s; regenerate with PGRID_REGEN_CORPUS=1 go test ./internal/overlay -run TestRegenerateWireCorpus", name, seed))
+		}
+	}
+	return gaps
+}
+
+// registeredSamples returns the sample value of every registered message.
+func registeredSamples() []any {
+	out := make([]any, len(wireMessages))
+	for i, m := range wireMessages {
+		out[i] = m.sample
+	}
+	return out
+}
+
+// TestWireMessageChecklist holds every registered wire message to the legs
+// wireChecklist names.
+func TestWireMessageChecklist(t *testing.T) {
+	for _, gap := range wireChecklist(registeredSamples(), wireSeedMessages(), corpusDir) {
+		t.Error(gap)
+	}
+}
+
+// TestWireMessageChecklistNamesMissingLeg hands the checklist one extra
+// message with neither a seed nor a corpus file: it must name both gaps.
+func TestWireMessageChecklistNamesMissingLeg(t *testing.T) {
+	type OrphanMsg struct{}
+	gaps := wireChecklist(append(registeredSamples(), OrphanMsg{}), wireSeedMessages(), corpusDir)
+	want := []string{
+		"OrphanMsg has no seed in wireSeedMessages",
+		"OrphanMsg has no fuzz corpus seed " + corpusDir + "/seed-orphanmsg",
+	}
+	if len(gaps) != len(want) {
+		t.Fatalf("checklist reports %d gaps, want %d:\n%s", len(gaps), len(want), strings.Join(gaps, "\n"))
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(gaps[i], w) {
+			t.Errorf("gap %d = %q, want prefix %q", i, gaps[i], w)
+		}
+	}
+}
+
 // TestEveryMessageHasBinaryCodec keeps the seed list honest: every message
 // it names carries the wire codec RegisterType requires.
 func TestEveryMessageHasBinaryCodec(t *testing.T) {

@@ -11,37 +11,58 @@ import (
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
 	"pgrid/internal/replication"
+	"pgrid/internal/routing"
 )
 
-// wireSeedMessages returns one instance of every protocol message, used both
-// as fuzz seeds and by the round-trip test, plus two item-carrying messages
-// large enough to fragment under the fuzzers' 512-byte frame limit.
+// wireSeedMessages returns the protocol's message seeds, used as fuzz seeds,
+// by the round-trip tests and, for the first seed of each type, by
+// TestGoldenWireVectors. Every first seed sets every field and fills every
+// slice, so a field-order slip in any codec changes a golden vector; the
+// nested cases ride along: an empty routing level, a negative LevelRef
+// level, and 0-bit and 64-bit keys. Two item-carrying messages at the end
+// are large enough to fragment under the fuzzers' 512-byte frame limit.
 func wireSeedMessages() []any {
 	key := keyspace.MustFromString("1011")
-	item := replication.Item{Key: key, Value: "doc-1"}
+	key64, err := keyspace.FromBits(0xF00DFACEDEADBEEF, 64)
+	if err != nil {
+		panic(err)
+	}
+	item := replication.Item{Key: key, Value: "doc-1", Gen: 2}
+	ref := func(a network.Addr, p keyspace.Path) routing.Ref { return routing.Ref{Addr: a, Path: p} }
+	answer := QueryResponse{Found: true, Items: []replication.Item{item}, Hops: 2, Responsible: "peer-1",
+		ResponsiblePath: "10", Clock: 19, Cached: true}
 	return []any{
 		QueryRequest{Key: key, Hops: 1, TTL: 7, Bypass: true},
-		QueryResponse{Found: true, Items: []replication.Item{item}, Hops: 2, Responsible: "peer-1", ResponsiblePath: "10",
-			Clock: 19, Cached: true},
-		BatchQueryRequest{Keys: []keyspace.Key{key}, TTL: 3},
-		BatchQueryResponse{Results: []QueryResponse{{Found: true, Hops: 1}}},
-		RangeRequest{Lo: key, Hi: key, TTL: 4},
-		RangeResponse{Items: []replication.Item{item}, Partitions: 2},
+		answer,
+		BatchQueryRequest{Keys: []keyspace.Key{key, {}, key64}, Hops: 2, TTL: 3},
+		BatchQueryResponse{Results: []QueryResponse{answer, {Found: true, Hops: 1}}},
+		RangeRequest{Lo: key, Hi: key64, HiUnbounded: true, Hops: 1, TTL: 4},
+		RangeResponse{Items: []replication.Item{item}, Hops: 3, Partitions: 2, Incomplete: true},
 		ReplicateRequest{From: "peer-2", Path: "10", Items: []replication.Item{item}, Replicas: []network.Addr{"peer-2b"}},
 		ReplicateResponse{Accepted: 1, Replicas: []network.Addr{"peer-2c"}, Path: "10"},
-		InsertRequest{Item: item, TTL: 9},
-		DeleteRequest{Key: key, Value: "doc-1", TTL: 9, Direct: true},
-		MutateResponse{Found: true, Acks: 3, Replicas: 4, Hops: 2, Responsible: "peer-3", ResponsiblePath: "10"},
+		InsertRequest{Item: item, ID: 0xABCDEF, Hops: 2, TTL: 9, Direct: true},
+		DeleteRequest{Key: key, Value: "doc-1", Gen: 7, ID: 77, Hops: 3, TTL: 9, Direct: true},
+		MutateResponse{Found: true, Acks: 3, Replicas: 4, Gen: 8, Hops: 2, Responsible: "peer-3", ResponsiblePath: "10"},
 		PingRequest{From: "peer-4"},
 		PingResponse{Path: "101", Done: true},
-		ExchangeRequest{From: "peer-5", Path: "1", Estimate: 0.25, Items: []replication.Item{item}},
-		ExchangeResponse{Action: ActionSplit, From: "peer-6", NewPath: "11", NewPathSet: true},
+		ExchangeRequest{From: "peer-5", Path: "1", Estimate: 0.25, Items: []replication.Item{item}, RoutingPath: "10",
+			RoutingRefs: [][]routing.Ref{{ref("peer-5a", "0")}, nil, {ref("peer-5b", "111"), ref("peer-5c", "110")}},
+			Replicas:    []network.Addr{"peer-5d"}, Done: true},
+		ExchangeResponse{Action: ActionSplit, From: "peer-6", ResponderPath: "10", NewPath: "11", NewPathSet: true,
+			Items: []replication.Item{item}, TakenOver: true,
+			Refs:        []LevelRef{{Level: -1, Ref: ref("peer-6a", "0")}, {Level: 2, Ref: ref("peer-6b", "100")}},
+			RoutingPath: "10", RoutingRefs: [][]routing.Ref{nil, {ref("peer-6c", "11")}},
+			Replicas: []network.Addr{"peer-6d"}, Referral: "peer-6e", ResponderDone: true},
 		DigestRequest{From: "peer-7", Path: "10", Root: true, Clock: 42, Since: 17,
-			Buckets: []replication.BucketDigest{{Prefix: "10", Hash: 0xFEEDFACECAFEBEEF, Count: 12}}},
-		DigestResponse{Path: "10", Clock: 43, DeltaOK: true, Mismatch: []keyspace.Path{"100", "1011"}},
+			Buckets:  []replication.BucketDigest{{Prefix: "10", Hash: 0xFEEDFACECAFEBEEF, Count: 12}},
+			Replicas: []network.Addr{"peer-7b"}},
+		DigestResponse{Path: "10", Clock: 43, InSync: true, Incomparable: true, DeltaOK: true,
+			Mismatch: []keyspace.Path{"100", "1011"}, Replicas: []network.Addr{"peer-7c"}},
 		DeltaRequest{From: "peer-8", Path: "10", Clock: 44, Since: 17, Prefixes: []keyspace.Path{"100"},
-			Items: []replication.Item{item}, Tombstones: []replication.Item{{Key: key, Value: "gone", Gen: 3}}},
-		DeltaResponse{Path: "10", Clock: 45, Applied: 2, Items: []replication.Item{item}},
+			Full: true, Rebuild: true, Pull: true, Items: []replication.Item{item},
+			Tombstones: []replication.Item{{Key: key, Value: "gone", Gen: 3}}, Replicas: []network.Addr{"peer-8b"}},
+		DeltaResponse{Path: "10", Clock: 45, Incomparable: true, Applied: 2, Items: []replication.Item{item},
+			Tombstones: []replication.Item{{Key: key64, Value: "gone", Gen: 4}}, Replicas: []network.Addr{"peer-9"}},
 		ClockRequest{From: "peer-11"},
 		ClockResponse{Path: "10", Clock: 46},
 		TombstonePruneRequest{From: "peer-13", Path: "10", Pairs: []replication.Item{{Key: key, Value: "gone", Gen: 5}}},
@@ -94,7 +115,7 @@ func FuzzWireDecode(f *testing.F) {
 // envelope parsing, fragment reassembly and the hand-written typed codecs —
 // which is the exact path every incoming message takes on the pooled
 // transport: it must never panic, and every message it does accept must
-// re-encode cleanly.
+// re-encode to bytes that decode and re-encode to themselves.
 //
 // Run continuously with:
 //
@@ -121,8 +142,22 @@ func FuzzBinaryWireDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := network.EncodeMessageBinary(from, payload, 0); err != nil {
+		enc, err := network.EncodeMessageBinary(from, payload, 0)
+		if err != nil {
 			t.Fatalf("decoded payload %T does not re-encode: %v", payload, err)
+		}
+		// The re-encoding is canonical: it decodes and re-encodes to itself.
+		// Bytes are compared, not values, because an Estimate may be NaN.
+		_, again, err := network.DecodeMessageBinary(enc)
+		if err != nil {
+			t.Fatalf("re-encoded %T does not decode: %v", payload, err)
+		}
+		reenc, err := network.EncodeMessageBinary(from, again, 0)
+		if err != nil {
+			t.Fatalf("re-decoded %T does not re-encode: %v", payload, err)
+		}
+		if !bytes.Equal(enc, reenc) {
+			t.Fatalf("%T is not a fixed point:\n first  %x\n second %x", payload, enc, reenc)
 		}
 	})
 }

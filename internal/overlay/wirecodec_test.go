@@ -73,7 +73,7 @@ func loadGolden(t *testing.T) map[string]string {
 func TestGoldenWireVectors(t *testing.T) {
 	if os.Getenv("PGRID_REGEN_GOLDEN") != "" {
 		var b strings.Builder
-		b.WriteString("# Golden binary wire vectors: <message type> <hex of AppendWire(nil)>.\n")
+		b.WriteString("# Golden binary wire vectors: <message type> <hex of its wire body>.\n")
 		b.WriteString("# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/overlay -run TestGoldenWireVectors\n")
 		for _, msg := range goldenSeeds() {
 			m, ok := msg.(wire.Marshaler)
@@ -114,6 +114,20 @@ func TestGoldenWireVectors(t *testing.T) {
 	for name := range golden {
 		if !seen[name] {
 			t.Errorf("golden vector %s has no seed message", name)
+		}
+	}
+}
+
+// TestWireSeedsSetEveryField keeps the golden vectors meaningful: the
+// first seed of each message sets every field and fills every slice, so a
+// field-order slip in the codec changes a pinned byte.
+func TestWireSeedsSetEveryField(t *testing.T) {
+	for _, msg := range goldenSeeds() {
+		v := reflect.ValueOf(msg)
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.IsZero() || (f.Kind() == reflect.Slice && f.Len() == 0) {
+				t.Errorf("%s seed leaves %s empty", seedName(msg), v.Type().Field(i).Name)
+			}
 		}
 	}
 }
@@ -264,5 +278,52 @@ func TestKeyCodecExhaustiveLengths(t *testing.T) {
 		if !got.Equal(k) {
 			t.Errorf("len %d: round trip %v != %v", length, got, k)
 		}
+	}
+}
+
+// Allocation ceilings of one EncodeMessageBinary + DecodeMessageBinary
+// round trip of the golden seed of each message on the query, mutation and
+// cache-probe paths. They may only go down.
+const (
+	queryRequestCodecAllocs   = 11
+	queryResponseCodecAllocs  = 18
+	insertRequestCodecAllocs  = 14
+	mutateResponseCodecAllocs = 15
+	clockRequestCodecAllocs   = 12
+	clockResponseCodecAllocs  = 12
+)
+
+// TestWireCodecAllocCeiling holds the frame codec of the hot-path messages
+// to their allocation ceilings.
+func TestWireCodecAllocCeiling(t *testing.T) {
+	ceilings := map[string]int{
+		"QueryRequest":   queryRequestCodecAllocs,
+		"QueryResponse":  queryResponseCodecAllocs,
+		"InsertRequest":  insertRequestCodecAllocs,
+		"MutateResponse": mutateResponseCodecAllocs,
+		"ClockRequest":   clockRequestCodecAllocs,
+		"ClockResponse":  clockResponseCodecAllocs,
+	}
+	for _, msg := range goldenSeeds() {
+		ceiling, ok := ceilings[seedName(msg)]
+		if !ok {
+			continue
+		}
+		delete(ceilings, seedName(msg))
+		got := testing.AllocsPerRun(200, func() {
+			data, err := network.EncodeMessageBinary("peer-0", msg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := network.DecodeMessageBinary(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > float64(ceiling) {
+			t.Errorf("%s codec round trip allocates %.1f times, ceiling %d", seedName(msg), got, ceiling)
+		}
+	}
+	for name := range ceilings {
+		t.Errorf("no golden seed for %s", name)
 	}
 }

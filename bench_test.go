@@ -836,7 +836,7 @@ func BenchmarkWireEncodeBinary(b *testing.B) {
 }
 
 // BenchmarkWireDecodeBinary measures the binary decode path (frame parse,
-// reassembly bookkeeping, hand-written typed codec).
+// reassembly bookkeeping, the codec derived from the message struct).
 func BenchmarkWireDecodeBinary(b *testing.B) {
 	data, err := network.EncodeMessageBinary("bench", benchWireMessage(), 0)
 	if err != nil {

@@ -20,9 +20,8 @@ package network
 // fMore; the receiver reassembles them per id up to MaxMessage. This is what
 // lets anti-entropy ship a rebuild image larger than one frame.
 //
-// The body is the message type's compact wire encoding (wire.Marshaler /
-// wire.Unmarshaler, which RegisterType requires) — no reflection walks any
-// field on this path.
+// The body is the message's wire encoding, by the codec RegisterType
+// derived from its type (wire.Compile).
 
 import (
 	"bufio"
@@ -30,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -194,24 +192,24 @@ func putBodyBuf(b *[]byte, body []byte) {
 // encodeBinBody appends a registered payload value's wire encoding to dst
 // (pass nil to allocate) and returns it with the type's registered name.
 func encodeBinBody(dst []byte, v any) (name string, body []byte, err error) {
-	name = typeName(v)
-	if name == "" {
+	r := lookupValue(v)
+	if r.codec == nil {
 		return "", nil, fmt.Errorf("network: payload type %T not registered", v)
 	}
-	return name, v.(wire.Marshaler).AppendWire(dst), nil
+	return r.name, r.codec.Append(dst, v), nil
 }
 
 // decodeBinBody reconstructs the payload value of a frame body.
 func decodeBinBody(typ string, body []byte) (any, error) {
-	t, ok := lookupType(typ)
+	codec, ok := lookupCodec(typ)
 	if !ok {
 		return nil, fmt.Errorf("network: unknown payload type %q", typ)
 	}
-	ptr := reflect.New(t)
-	if err := ptr.Interface().(wire.Unmarshaler).UnmarshalWire(body); err != nil {
+	v, err := codec.Decode(body)
+	if err != nil {
 		return nil, fmt.Errorf("network: decode payload %q: %w", typ, err)
 	}
-	return ptr.Elem().Interface(), nil
+	return v, nil
 }
 
 // binFrameIter yields the frame sequence of one message: a first frame

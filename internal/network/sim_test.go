@@ -7,8 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pgrid/internal/wire"
 )
 
 // echoReq is the sim tests' message; Vals gives it a slice field, so tests
@@ -16,24 +14,6 @@ import (
 type echoReq struct {
 	Text string
 	Vals []uint64
-}
-
-func (e echoReq) AppendWire(b []byte) []byte {
-	b = wire.AppendString(b, e.Text)
-	b = wire.AppendUvarint(b, uint64(len(e.Vals)))
-	for _, v := range e.Vals {
-		b = wire.AppendUvarint(b, v)
-	}
-	return b
-}
-
-func (e *echoReq) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	e.Text = d.String()
-	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
-		e.Vals = append(e.Vals, d.Uvarint())
-	}
-	return d.Finish()
 }
 
 func init() { RegisterType("test.echo", echoReq{}) }

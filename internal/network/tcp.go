@@ -25,52 +25,58 @@ import (
 // Message payload types must be registered with RegisterType so they can be
 // reconstructed on the receiving side.
 
-// typeRegistry maps symbolic type names to payload types; typeNames is the
-// reverse index, so resolving a value's wire name on every outgoing message
-// is one map lookup instead of a linear scan of the registry.
+// typeRegistry maps symbolic type names to the registered payload types;
+// typeNames is the reverse index, so resolving a value's wire name and codec
+// on every outgoing message is one map lookup instead of a registry scan.
 var (
 	typeRegistryMu sync.RWMutex
-	typeRegistry   = map[string]reflect.Type{}
-	typeNames      = map[reflect.Type]string{}
+	typeRegistry   = map[string]registered{}
+	typeNames      = map[reflect.Type]registered{}
 )
 
-// wireUnmarshalerType is the interface a payload's pointer type must
-// implement.
-var wireUnmarshalerType = reflect.TypeOf((*wire.Unmarshaler)(nil)).Elem()
+// registered is one registry entry.
+type registered struct {
+	name  string
+	typ   reflect.Type
+	codec *wire.Codec
+}
 
 // RegisterType registers a payload type under a symbolic name for use with
-// the TCP transport. The sample value is used only for its type; register
-// the value type (not a pointer). Registering the same name twice with the
-// same type is a no-op. It panics — both are always programming errors —
-// when a name is re-registered with a different type, or when the type does
-// not carry the wire codec (wire.Marshaler on the value, wire.Unmarshaler on
-// its pointer): the codec is the only body encoding the transport has.
+// the transports and compiles its wire codec from the type's declaration.
+// The sample value is used only for its type; register the value type (not
+// a pointer). Registering the same name twice with the same type is a
+// no-op. It panics — both are always programming errors — when a name is
+// re-registered with a different type, or when the type has no wire
+// encoding (the panic names the field): the codec is the only body encoding
+// the transport has.
 func RegisterType(name string, sample any) {
 	t := reflect.TypeOf(sample)
-	if _, marshals := sample.(wire.Marshaler); !marshals || !reflect.PointerTo(t).Implements(wireUnmarshalerType) {
-		panic(fmt.Sprintf("network: type %v registered as %q lacks the wire codec (AppendWire / pointer UnmarshalWire)", t, name))
+	codec, err := wire.Compile(t)
+	if err != nil {
+		panic(fmt.Sprintf("network: type %v registered as %q: %v", t, name, err))
 	}
 	typeRegistryMu.Lock()
 	defer typeRegistryMu.Unlock()
-	if prev, ok := typeRegistry[name]; ok && prev != t {
-		panic(fmt.Sprintf("network: type name %q already registered with %v", name, prev))
+	if prev, ok := typeRegistry[name]; ok && prev.typ != t {
+		panic(fmt.Sprintf("network: type name %q already registered with %v", name, prev.typ))
 	}
-	typeRegistry[name] = t
-	typeNames[t] = name
+	r := registered{name: name, typ: t, codec: codec}
+	typeRegistry[name] = r
+	typeNames[t] = r
 }
 
-// lookupType resolves a registered type name.
-func lookupType(name string) (reflect.Type, bool) {
+// lookupCodec resolves a registered type name to its codec.
+func lookupCodec(name string) (*wire.Codec, bool) {
 	typeRegistryMu.RLock()
 	defer typeRegistryMu.RUnlock()
-	t, ok := typeRegistry[name]
-	return t, ok
+	r, ok := typeRegistry[name]
+	return r.codec, ok
 }
 
-// typeName returns the registered name for a value's type, or "" if it is
-// not registered. It is on the hot path of every outgoing message, hence
-// the reverse map rather than a registry scan.
-func typeName(v any) string {
+// lookupValue returns the registry entry of a value's type; the zero entry
+// when it is not registered. It is on the hot path of every outgoing
+// message, hence the reverse map rather than a registry scan.
+func lookupValue(v any) registered {
 	t := reflect.TypeOf(v)
 	typeRegistryMu.RLock()
 	defer typeRegistryMu.RUnlock()

@@ -13,32 +13,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pgrid/internal/wire"
 )
 
 type tcpPing struct {
 	Value int
 }
 
-func (m tcpPing) AppendWire(b []byte) []byte { return wire.AppendVarint(b, int64(m.Value)) }
-
-func (m *tcpPing) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	m.Value = int(d.Varint())
-	return d.Finish()
-}
-
 type tcpPong struct {
 	Value int
-}
-
-func (m tcpPong) AppendWire(b []byte) []byte { return wire.AppendVarint(b, int64(m.Value)) }
-
-func (m *tcpPong) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	m.Value = int(d.Varint())
-	return d.Finish()
 }
 
 // tcpBinPing/tcpBinPong carry a variable-length field, so tests can size a
@@ -48,33 +30,9 @@ type tcpBinPing struct {
 	Note  string
 }
 
-func (m tcpBinPing) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Value)
-	return wire.AppendString(b, m.Note)
-}
-
-func (m *tcpBinPing) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	m.Value = d.Uvarint()
-	m.Note = d.String()
-	return d.Finish()
-}
-
 type tcpBinPong struct {
 	Value uint64
 	Note  string
-}
-
-func (m tcpBinPong) AppendWire(b []byte) []byte {
-	b = wire.AppendUvarint(b, m.Value)
-	return wire.AppendString(b, m.Note)
-}
-
-func (m *tcpBinPong) UnmarshalWire(data []byte) error {
-	d := wire.NewDecoder(data)
-	m.Value = d.Uvarint()
-	m.Note = d.String()
-	return d.Finish()
 }
 
 func init() {
@@ -87,27 +45,49 @@ func init() {
 func TestRegisterType(t *testing.T) {
 	// Re-registering the same type is a no-op.
 	RegisterType("test.ping", tcpPing{})
-	if name := typeName(tcpPing{}); name != "test.ping" {
-		t.Errorf("typeName = %q", name)
+	if name := lookupValue(tcpPing{}).name; name != "test.ping" {
+		t.Errorf("registered name = %q", name)
 	}
-	if name := typeName(42); name != "" {
-		t.Errorf("unregistered type should have no name, got %q", name)
+	if r := lookupValue(42); r.codec != nil {
+		t.Errorf("unregistered type should have no entry, got %q", r.name)
 	}
-	mustPanic := func(what string, f func()) {
+	mustPanic := func(what, want string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			t.Helper()
+			r := recover()
+			if r == nil {
 				t.Errorf("expected panic on %s", what)
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+				t.Errorf("panic on %s = %q, want it to name %q", what, msg, want)
 			}
 		}()
 		f()
 	}
-	mustPanic("conflicting registration", func() { RegisterType("test.ping", tcpPong{}) })
-	// The wire codec is the only body encoding: a type without it cannot be
-	// registered.
-	mustPanic("a type without the wire codec", func() { RegisterType("test.nocodec", struct{ X int }{}) })
-	if _, ok := lookupType("test.nocodec"); ok {
-		t.Error("codec-less type was registered despite the panic")
+	mustPanic("conflicting registration", "test.ping", func() { RegisterType("test.ping", tcpPong{}) })
+	// The wire codec is the only body encoding: a type the codec cannot be
+	// derived for is refused at registration, naming the field.
+	type withMap struct{ M map[string]int }
+	type withPointer struct{ P *int }
+	type withUnexported struct {
+		Value int
+		note  string
+	}
+	type recursive struct{ Kids []recursive }
+	refused := []struct {
+		name, field string
+		sample      any
+	}{
+		{"test.map", ".M", withMap{}},
+		{"test.pointer", ".P", withPointer{}},
+		{"test.unexported", ".note", withUnexported{note: "x"}},
+		{"test.recursive", ".Kids", recursive{}},
+	}
+	for _, c := range refused {
+		mustPanic(c.name, c.field, func() { RegisterType(c.name, c.sample) })
+		if _, ok := lookupCodec(c.name); ok {
+			t.Errorf("%s was registered despite the panic", c.name)
+		}
 	}
 }
 

@@ -112,7 +112,7 @@ func FuzzWireDecode(f *testing.F) {
 }
 
 // FuzzBinaryWireDecode throws arbitrary bytes at the binary frame decoder —
-// envelope parsing, fragment reassembly and the hand-written typed codecs —
+// envelope parsing, fragment reassembly and the struct-derived codecs —
 // which is the exact path every incoming message takes on the pooled
 // transport: it must never panic, and every message it does accept must
 // re-encode to bytes that decode and re-encode to themselves.

@@ -36,7 +36,9 @@ const (
 
 // wireMessages is the overlay's protocol: every message type it sends,
 // under its wire name. init registers exactly these rows. RegisterType
-// panics on a row without the wire codec, and TestWireMessageChecklist
+// derives each row's codec from its struct declaration, so the order of
+// the exported fields below, nested structs included, is the wire format.
+// It panics on a type with no wire encoding, and TestWireMessageChecklist
 // fails on a row without a round-trip seed (which TestGoldenWireVectors
 // pins) or a fuzz corpus seed.
 var wireMessages = []struct {

@@ -16,10 +16,10 @@ import (
 )
 
 // goldenPath is the checked-in file pinning the exact binary encoding of
-// every protocol message. The field order inside each codec is the wire
-// format: if this test fails, the encoding changed and deployed clusters
-// would disagree — bump the protocol deliberately (and regenerate with
-// PGRID_REGEN_GOLDEN=1) only when that is intended.
+// every protocol message. The field order of each message struct is the
+// wire format: if this test fails, the encoding changed and deployed
+// clusters would disagree — bump the protocol deliberately (and regenerate
+// with PGRID_REGEN_GOLDEN=1) only when that is intended.
 const goldenPath = "testdata/wire_golden.txt"
 
 // seedName renders a stable per-message label for the golden file.
@@ -39,6 +39,17 @@ func goldenSeeds() []any {
 		}
 	}
 	return out
+}
+
+// wireBody returns the hex of msg's wire body, by the codec the transport
+// derives for its type.
+func wireBody(t *testing.T, msg any) string {
+	t.Helper()
+	codec, err := wire.Compile(reflect.TypeOf(msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hex.EncodeToString(codec.Append(nil, msg))
 }
 
 func loadGolden(t *testing.T) map[string]string {
@@ -76,11 +87,7 @@ func TestGoldenWireVectors(t *testing.T) {
 		b.WriteString("# Golden binary wire vectors: <message type> <hex of its wire body>.\n")
 		b.WriteString("# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/overlay -run TestGoldenWireVectors\n")
 		for _, msg := range goldenSeeds() {
-			m, ok := msg.(wire.Marshaler)
-			if !ok {
-				t.Fatalf("%T does not implement wire.Marshaler", msg)
-			}
-			fmt.Fprintf(&b, "%s %s\n", seedName(msg), hex.EncodeToString(m.AppendWire(nil)))
+			fmt.Fprintf(&b, "%s %s\n", seedName(msg), wireBody(t, msg))
 		}
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -96,12 +103,7 @@ func TestGoldenWireVectors(t *testing.T) {
 	for _, msg := range goldenSeeds() {
 		name := seedName(msg)
 		seen[name] = true
-		m, ok := msg.(wire.Marshaler)
-		if !ok {
-			t.Errorf("%s does not implement wire.Marshaler", name)
-			continue
-		}
-		got := hex.EncodeToString(m.AppendWire(nil))
+		got := wireBody(t, msg)
 		want, ok := golden[name]
 		if !ok {
 			t.Errorf("%s missing from golden vectors (regenerate with PGRID_REGEN_GOLDEN=1)", name)
@@ -196,15 +198,11 @@ func TestWireMessageChecklistNamesMissingLeg(t *testing.T) {
 }
 
 // TestEveryMessageHasBinaryCodec keeps the seed list honest: every message
-// it names carries the wire codec RegisterType requires.
+// it names is registered, so the transport carries it.
 func TestEveryMessageHasBinaryCodec(t *testing.T) {
 	for _, msg := range wireSeedMessages() {
-		if _, ok := msg.(wire.Marshaler); !ok {
-			t.Errorf("%T lacks AppendWire", msg)
-		}
-		ptr := reflect.New(reflect.TypeOf(msg)).Interface()
-		if _, ok := ptr.(wire.Unmarshaler); !ok {
-			t.Errorf("*%T lacks UnmarshalWire", msg)
+		if network.MessageSize(msg) == 0 {
+			t.Errorf("%T is not registered", msg)
 		}
 	}
 }
@@ -244,38 +242,43 @@ func TestBinaryWireRoundTripsEveryMessage(t *testing.T) {
 }
 
 // TestBinaryDecodeRejectsCorruptKeys checks the key decoder's domain
-// validation: a length beyond 64 bits or non-canonical spare bits must be
-// rejected, never panic or mis-decode.
+// validation: a QueryRequest whose key has a length beyond 64 bits or
+// non-canonical spare bits must be rejected, never panic or mis-decode.
 func TestBinaryDecodeRejectsCorruptKeys(t *testing.T) {
+	codec, err := wire.Compile(reflect.TypeOf(QueryRequest{}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]byte{
 		wire.AppendUvarint(wire.AppendUvarint(nil, 65), 0),    // length 65
 		wire.AppendUvarint(wire.AppendUvarint(nil, 2), 0b101), // 3 bits under length 2
 		wire.AppendUvarint(wire.AppendUvarint(nil, 0), 1),     // bits under length 0
 	}
-	for i, data := range cases {
-		d := wire.NewDecoder(data)
-		decodeKey(d)
-		if d.Err() == nil {
-			t.Errorf("case %d: corrupt key accepted", i)
+	for i, key := range cases {
+		body := append(key, 0, 0, 0) // Hops, TTL, Bypass
+		if v, err := codec.Decode(body); err == nil {
+			t.Errorf("case %d: corrupt key accepted as %+v", i, v)
 		}
 	}
 }
 
 // TestKeyCodecExhaustiveLengths round-trips keys of every length through
-// the compact encoding.
+// the transport's frame codec.
 func TestKeyCodecExhaustiveLengths(t *testing.T) {
 	for length := 0; length <= 64; length++ {
-		bits := uint64(0xA5A5A5A5A5A5A5A5)
-		k, err := keyspace.FromBits(bits, length)
+		k, err := keyspace.FromBits(0xA5A5A5A5A5A5A5A5, length)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := wire.NewDecoder(appendKey(nil, k))
-		got := decodeKey(d)
-		if err := d.Finish(); err != nil {
+		data, err := network.EncodeMessageBinary("codec-test", QueryRequest{Key: k}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, got, err := network.DecodeMessageBinary(data)
+		if err != nil {
 			t.Fatalf("len %d: %v", length, err)
 		}
-		if !got.Equal(k) {
+		if got := got.(QueryRequest).Key; !got.Equal(k) {
 			t.Errorf("len %d: round trip %v != %v", length, got, k)
 		}
 	}

@@ -92,8 +92,9 @@ type BucketDigest struct {
 	Prefix keyspace.Path
 	// Hash is the order-independent XOR digest over every (key, value, gen,
 	// live/tombstoned) pair under Prefix. Two replicas hold identical state
-	// under the prefix exactly when their hashes match.
-	Hash uint64
+	// under the prefix exactly when their hashes match. A hash is uniform
+	// over 64 bits, so on the wire it is 8 fixed bytes, not a varint.
+	Hash uint64 `wire:"fixed64"`
 	// Count is the number of pairs (live plus tombstoned) under Prefix.
 	Count int
 }

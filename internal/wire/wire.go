@@ -1,20 +1,27 @@
 // Package wire implements the compact binary encoding shared by the TCP
 // transport's message frames, the replication WAL's record payloads and the
-// binary snapshot format. It is deliberately minimal: length-delimited
-// fields, unsigned varints for integers, no schema metadata and no
-// reflection — every message type hand-writes its field order, which is
-// what pins the encoding (and lets golden-vector tests detect accidental
-// format changes).
+// binary snapshot format: length-delimited fields, varints for integers, no
+// schema metadata.
 //
-// The encoding primitives are:
+// A message's encoding is derived from its struct declaration (Compile):
+// the exported fields in declaration order, each encoded by its type.
 //
-//   - uvarint: unsigned base-128 varint (encoding/binary.AppendUvarint)
-//   - string/bytes: uvarint length followed by the raw bytes
-//   - bool: one byte, 0 or 1
+//   - string kinds: uvarint length followed by the bytes
+//   - int: zigzag varint
+//   - uint64: unsigned varint, or 8 little-endian bytes under the field
+//     tag `wire:"fixed64"`
+//   - float64: its IEEE bit pattern as 8 little-endian bytes
+//   - bool: one byte, 0 or 1; decoding rejects any other value
+//   - slice: uvarint element count followed by the elements; an empty slice
+//     decodes to nil
+//   - struct: its fields, in the same way
+//   - keyspace.Key: keyspace.AppendWire's bit length plus right-aligned bits
 //
-// Types opt into the codec by implementing Marshaler on the value and
-// Unmarshaler on the pointer. Decoders carry a sticky error, so a message
-// decoder reads all fields unconditionally and checks Err once at the end.
+// Nothing else has an encoding, and decoding fails on trailing bytes. The
+// field order is the format, which is why golden vectors pin the bytes of
+// every message. The WAL and snapshot records use the primitives below
+// directly. Decoders carry a sticky error, so a decoder reads all fields
+// unconditionally and checks Err once at the end.
 package wire
 
 import (
@@ -22,19 +29,6 @@ import (
 	"errors"
 	"fmt"
 )
-
-// Marshaler is implemented by message types that can append their binary
-// wire encoding to a buffer. Implementations must be deterministic: the
-// same value always produces the same bytes.
-type Marshaler interface {
-	AppendWire(b []byte) []byte
-}
-
-// Unmarshaler is implemented (on the pointer type) by message types that
-// can reconstruct themselves from their binary wire encoding.
-type Unmarshaler interface {
-	UnmarshalWire(data []byte) error
-}
 
 // ErrShort reports a truncated or malformed field encoding.
 var ErrShort = errors.New("wire: short or malformed encoding")
@@ -108,12 +102,6 @@ func (d *Decoder) fail() {
 		d.err = ErrShort
 	}
 }
-
-// Reject marks the decoder failed. Message decoders use it when a field
-// decodes structurally but violates a domain constraint (e.g. a key length
-// beyond 64 bits), so the failure surfaces through the same sticky-error
-// path as a short buffer.
-func (d *Decoder) Reject() { d.fail() }
 
 // Uvarint consumes one unsigned varint.
 func (d *Decoder) Uvarint() uint64 {

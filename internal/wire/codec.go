@@ -150,8 +150,9 @@ func (n *node) append(b []byte, v reflect.Value) []byte {
 		// The fields are read one by one: v.Interface() would box the key.
 		return keyspace.AppendWire(b, keyspace.Key{Bits: v.Field(0).Uint(), Len: int(v.Field(1).Int())})
 	case opSlice:
-		b = AppendUvarint(b, uint64(v.Len()))
-		for i := 0; i < v.Len(); i++ {
+		count := v.Len()
+		b = AppendUvarint(b, uint64(count))
+		for i := 0; i < count; i++ {
 			b = n.elem.append(b, v.Index(i))
 		}
 	case opStruct:

@@ -222,3 +222,39 @@ func TestStoreMutationAllocCeiling(t *testing.T) {
 		t.Errorf("mutation round allocates %.1f times, ceiling %d", got, storeMutationAllocCeiling)
 	}
 }
+
+// walMutationAllocCeiling is the allocation count of the same round plus a
+// MarkMutation on a persistent store, which encodes and appends five WAL
+// records (fsync batched out of the measurement). It may only go down.
+const walMutationAllocCeiling = 19
+
+// TestWALMutationAllocCeiling holds the WAL-logged mutation path to its
+// allocation ceiling.
+func TestWALMutationAllocCeiling(t *testing.T) {
+	s, err := OpenStore(t.TempDir(), PersistOptions{Engine: EngineMem, SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := keyspace.MustFromString("0110")
+	s.Insert(Item{Key: key, Value: "v"})
+	tomb := []Item{{Key: key, Value: "v"}}
+	id := uint64(1)
+	// Fill the dedup ring, so the measured marks evict rather than grow it.
+	for ; id <= mutationDedupWindow; id++ {
+		s.MarkMutation(id)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		it := s.Insert(Item{Key: key, Value: "v"})
+		d := s.DeleteStamped(key, "v", 0)
+		s.Add(Item{Key: key, Value: "v", Gen: d.Gen + 1})
+		tomb[0].Gen = it.Gen + 2
+		s.AddTombstones(tomb)
+		s.MarkMutation(id)
+		id++
+	})
+	if got > walMutationAllocCeiling {
+		t.Errorf("logged mutation round allocates %.1f times, ceiling %d", got, walMutationAllocCeiling)
+	}
+	t.Logf("logged mutation round: %.1f allocations", got)
+}

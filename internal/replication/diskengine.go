@@ -101,6 +101,17 @@ func openDiskEngine(dir string, manifest []string, count int) (*diskEngine, erro
 		}
 		eng.segs = append(eng.segs, seg)
 	}
+	// The count comes from a snapshot and sizes reads (Store.Items): hold
+	// it to what the segments can hold, one index entry per segIndexEvery
+	// records.
+	bound := 0
+	for _, seg := range eng.segs {
+		bound += len(seg.index) * segIndexEvery
+	}
+	if count > bound {
+		eng.Close()
+		return nil, fmt.Errorf("replication: snapshot counts %d pairs, its segments hold at most %d: %w", count, bound, errSnapshotCorrupt)
+	}
 	return eng, nil
 }
 

@@ -215,13 +215,13 @@ func OpenStore(dir string, opts PersistOptions) (*Store, error) {
 // append frames one record into the current segment. Failures are sticky:
 // once an append fails the persistence is considered broken and the error
 // resurfaces from Sync, Checkpoint and Close.
-func (p *Persistence) append(payload []byte) {
+func (p *Persistence) append(op byte, rec any) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return
 	}
-	if err := p.w.append(payload); err != nil {
+	if err := p.w.append(op, rec); err != nil {
 		p.err = err
 	}
 }
@@ -491,32 +491,26 @@ func (s *Store) CheckpointIfNeeded() (bool, error) {
 func (s *Store) RecordBaseline(replica string, b Baseline) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.baselines[replica]; ok && old == b {
+	// An absent entry reads as the zero Baseline, which is never stored.
+	if s.baselines[replica] == b {
 		return
 	}
-	if b == (Baseline{}) {
-		if _, ok := s.baselines[replica]; !ok {
-			return
-		}
-		delete(s.baselines, replica)
-		var e walEncoder
-		e.op(opBaseline)
-		e.string(replica)
-		e.uint(0)
-		e.uint(0)
-		s.logLocked(e.buf)
+	rec := baselineRecord{Replica: replica, Baseline: b}
+	s.setBaselineLocked(rec)
+	s.logLocked(opBaseline, rec)
+}
+
+// setBaselineLocked installs or, for the zero Baseline, deletes one
+// replica's baseline (callers must hold s.mu).
+func (s *Store) setBaselineLocked(rec baselineRecord) {
+	if rec.Baseline == (Baseline{}) {
+		delete(s.baselines, rec.Replica)
 		return
 	}
 	if s.baselines == nil {
 		s.baselines = make(map[string]Baseline)
 	}
-	s.baselines[replica] = b
-	var e walEncoder
-	e.op(opBaseline)
-	e.string(replica)
-	e.uint(b.Mine)
-	e.uint(b.Theirs)
-	s.logLocked(e.buf)
+	s.baselines[rec.Replica] = rec.Baseline
 }
 
 // Baselines returns a copy of the recorded per-replica sync baselines
@@ -540,15 +534,17 @@ func (s *Store) SetMeta(key, value string) {
 	if old, ok := s.metadata[key]; ok && old == value {
 		return
 	}
+	rec := metaRecord{Key: key, Value: value}
+	s.setMetaLocked(rec)
+	s.logLocked(opMeta, rec)
+}
+
+// setMetaLocked records one metadata pair (callers must hold s.mu).
+func (s *Store) setMetaLocked(rec metaRecord) {
 	if s.metadata == nil {
 		s.metadata = make(map[string]string)
 	}
-	s.metadata[key] = value
-	var e walEncoder
-	e.op(opMeta)
-	e.string(key)
-	e.string(value)
-	s.logLocked(e.buf)
+	s.metadata[rec.Key] = rec.Value
 }
 
 // Meta returns the recorded metadata value for key ("" when absent).
@@ -558,78 +554,16 @@ func (s *Store) Meta(key string) string {
 	return s.metadata[key]
 }
 
-// --- WAL record construction (called with s.mu held) ------------------------
+// --- WAL records -------------------------------------------------------------
 
-// logLocked appends an encoded record to the WAL if persistence is
-// attached. Callers must hold s.mu, which orders records exactly like the
-// mutations they describe.
-func (s *Store) logLocked(payload []byte) {
+// logLocked appends one record — the op tag and the op's record struct
+// (wal.go) — to the WAL if persistence is attached. Callers must hold
+// s.mu, which orders records exactly like the mutations they describe.
+func (s *Store) logLocked(op byte, rec any) {
 	if s.persist != nil && !s.muted {
-		s.persist.append(payload)
+		s.persist.append(op, rec)
 	}
 }
-
-// logPairLocked logs a live upsert (opAdd) or tombstone upsert (opTomb).
-func (s *Store) logPairLocked(op walOp, ks, value string, gen uint64) {
-	if s.persist == nil || s.muted {
-		return
-	}
-	var e walEncoder
-	e.op(op)
-	e.pair(ks, value, gen)
-	s.logLocked(e.buf)
-}
-
-// prunedPair identifies one tombstone removed by GC.
-type prunedPair struct{ ks, value string }
-
-// logPruneLocked logs one GC compaction outcome.
-func (s *Store) logPruneLocked(pruned []prunedPair, floor uint64) {
-	if s.persist == nil || len(pruned) == 0 {
-		return
-	}
-	var e walEncoder
-	e.op(opPrune)
-	e.uint(uint64(len(pruned)))
-	for _, pr := range pruned {
-		e.string(pr.ks)
-		e.string(pr.value)
-	}
-	e.uint(floor)
-	s.logLocked(e.buf)
-}
-
-// logPrefixLocked logs a RemovePrefix/RetainPrefix handover.
-func (s *Store) logPrefixLocked(op walOp, p keyspace.Path) {
-	if s.persist == nil {
-		return
-	}
-	var e walEncoder
-	e.op(op)
-	e.string(string(p))
-	s.logLocked(e.buf)
-}
-
-// logReplaceLocked logs a wholesale partition rebuild with its inputs.
-func (s *Store) logReplaceLocked(p keyspace.Path, items, tombs []Item) {
-	if s.persist == nil {
-		return
-	}
-	var e walEncoder
-	e.op(opReplace)
-	e.string(string(p))
-	e.uint(uint64(len(items)))
-	for _, it := range items {
-		e.pair(it.Key.String(), it.Value, it.Gen)
-	}
-	e.uint(uint64(len(tombs)))
-	for _, it := range tombs {
-		e.pair(it.Key.String(), it.Value, it.Gen)
-	}
-	s.logLocked(e.buf)
-}
-
-// --- WAL replay --------------------------------------------------------------
 
 // applyWAL decodes one record payload and re-applies its mutation. Replay
 // happens before persistence is attached, so nothing is re-logged; because
@@ -639,112 +573,83 @@ func (s *Store) logReplaceLocked(p keyspace.Path, items, tombs []Item) {
 // wall-clock ages restart from the replay time, which can only delay age-
 // based GC — the safe direction.)
 func (s *Store) applyWAL(payload []byte) error {
-	if len(payload) == 0 {
-		return errWALCorrupt
-	}
-	d := wire.NewDecoder(payload[1:])
+	d := wire.NewDecoder(payload)
+	op := d.Byte()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch walOp(payload[0]) {
+	switch op {
 	case opAdd, opTomb:
-		ks, value, gen := walPair(d)
+		var rec walPair
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
+		}
 		kind := Live
-		if walOp(payload[0]) == opTomb {
+		if op == opTomb {
 			kind = Tombstoned
 		}
-		if d.Err() == nil {
-			s.applyLocked(ks, value, Event{Op: Replicate, Kind: kind, Gen: gen})
-		}
+		s.applyLocked(rec.K, rec.V, Event{Op: Replicate, Kind: kind, Gen: rec.Gen})
 	case opPrune:
-		n := d.Uvarint()
+		var rec walPrune
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
+		}
 		var pruned []prunedPair
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			ks := d.String()
-			value := d.String()
-			if d.Err() != nil {
-				break
-			}
-			if t, ok := s.tombs[ks][value]; ok {
-				s.pruneTombLocked(ks, value, t)
-				pruned = append(pruned, prunedPair{ks: ks, value: value})
+		for _, pr := range rec.Pairs {
+			if t, ok := s.tombs[pr.K][pr.V]; ok {
+				s.pruneTombLocked(pr.K, pr.V, t)
+				pruned = append(pruned, pr)
 			}
 		}
-		floor := d.Uvarint()
-		if d.Err() == nil {
-			s.gcFloor = max(s.gcFloor, floor)
-			s.endPruneLocked(pruned)
+		s.gcFloor = max(s.gcFloor, rec.Floor)
+		s.endPruneLocked(pruned)
+	case opRemovePrefix, opRetainPrefix:
+		var rec walPrefix
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
 		}
-	case opRemovePrefix:
-		p := keyspace.Path(d.String())
-		if d.Err() == nil {
-			s.removePrefixLocked(p)
-		}
-	case opRetainPrefix:
-		p := keyspace.Path(d.String())
-		if d.Err() == nil {
-			s.retainPrefixLocked(p)
+		if op == opRemovePrefix {
+			s.removePrefixLocked(keyspace.Path(rec.P))
+		} else {
+			s.retainPrefixLocked(keyspace.Path(rec.P))
 		}
 	case opReplace:
-		p := keyspace.Path(d.String())
-		items := walItems(d)
-		tombs := walItems(d)
-		if d.Err() == nil {
-			s.replaceWithinLocked(p, items, tombs)
+		var rec walReplace
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
 		}
+		s.replaceWithinLocked(rec)
 	case opBaseline:
-		replica := d.String()
-		b := Baseline{Mine: d.Uvarint(), Theirs: d.Uvarint()}
-		if d.Err() == nil {
-			if b == (Baseline{}) {
-				delete(s.baselines, replica)
-				break
-			}
-			if s.baselines == nil {
-				s.baselines = make(map[string]Baseline)
-			}
-			s.baselines[replica] = b
+		var rec baselineRecord
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
 		}
+		s.setBaselineLocked(rec)
 	case opMeta:
-		key := d.String()
-		value := d.String()
-		if d.Err() == nil {
-			if s.metadata == nil {
-				s.metadata = make(map[string]string)
-			}
-			s.metadata[key] = value
+		var rec metaRecord
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
 		}
+		s.setMetaLocked(rec)
 	case opMutSeen:
-		id := d.Uvarint()
-		if d.Err() == nil {
-			s.markMutationLocked(id)
+		var rec walMutation
+		if err := readWALRecord(d, op, &rec); err != nil {
+			return err
 		}
+		s.markMutationLocked(rec.ID)
 	default:
-		return fmt.Errorf("replication: unknown WAL op %d", payload[0])
+		return fmt.Errorf("%w: unknown WAL op %d", errWALCorrupt, op)
 	}
-	return d.Err()
+	return nil
 }
 
-// walItems decodes a length-prefixed item list. The initial capacity is
-// bounded so a corrupt count cannot drive a huge allocation before the
-// decoder runs out of buffer.
-func walItems(d *wire.Decoder) []Item {
-	n := d.Uvarint()
-	if d.Err() != nil || n > uint64(maxWALRecord) {
-		return nil
+// readWALRecord decodes the rest of a payload, which must be exactly one
+// record of op's struct, into rec.
+func readWALRecord(d *wire.Decoder, op byte, rec any) error {
+	walRecords[op].Read(d, rec)
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("%w: op %d record: %v", errWALCorrupt, op, err)
 	}
-	hint := n
-	if hint > 4096 {
-		hint = 4096
-	}
-	out := make([]Item, 0, hint)
-	for i := uint64(0); i < n; i++ {
-		ks, value, gen := walPair(d)
-		if d.Err() != nil {
-			return nil
-		}
-		out = append(out, Item{Key: keyspace.MustFromString(ks), Value: value, Gen: gen})
-	}
-	return out
+	return nil
 }
 
 // --- snapshot capture and restore -------------------------------------------
@@ -767,7 +672,7 @@ func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
 		st.Count = s.eng.Len()
 		st.Digests = make([]snapDigest, 0, len(s.dig))
 		for p, cell := range s.dig {
-			st.Digests = append(st.Digests, snapDigest{P: densePrefixString(p), H: cell.hash, N: cell.n})
+			st.Digests = append(st.Digests, snapDigest{P: densePrefixString(p), H: cell.hash, N: uint64(cell.n)})
 		}
 	}
 	for ks, vals := range s.tombs {
@@ -803,7 +708,7 @@ func (s *Store) loadSnapshot(st *snapshotState) {
 			s.dig = make(map[uint16]digestCell, len(st.Digests))
 		}
 		for _, dc := range st.Digests {
-			s.dig[densePrefixIndex(dc.P)] = digestCell{hash: dc.H, n: dc.N}
+			s.dig[densePrefixIndex(dc.P)] = digestCell{hash: dc.H, n: int(dc.N)}
 		}
 	} else {
 		for _, si := range st.Items {

@@ -9,12 +9,14 @@ package replication
 // follow it (persist.go); once a snapshot is durably on disk, the segments
 // it covers are deleted.
 //
-// A snapshot (snap-<seq>.bin) is a CRC-trailed stream of wire-codec records
-// — one small record per pair, encoded and written through a buffered
-// writer, so writing a checkpoint never materialises the store as one
-// contiguous image. The byte layout is: "PGSN", uvarint version, uvarint
-// clock, uvarint GC floor, tagged records (item/tombstone/baseline/meta), an
-// end tag, and a little-endian CRC-32 (IEEE) over everything before it.
+// A snapshot (snap-<seq>.bin) is a CRC-trailed stream of records — one
+// small record per pair, encoded and written through a buffered writer, so
+// writing a checkpoint never materialises the store as one contiguous
+// image. The byte layout is: "PGSN", the header (snapHeader), tagged
+// records (a tag byte followed by the record struct, snapRecords), an end
+// tag, and a little-endian CRC-32 (IEEE) over everything before it. Every
+// record is the wire encoding (internal/wire) of a struct declared below,
+// so each struct's field order is its on-disk format.
 //
 // The retired version-1 format (snap-<seq>.json) is not read. A data
 // directory whose state still lives in one is refused rather than opened
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,23 +74,56 @@ const (
 	snapTagMutation byte = 7
 )
 
-// snapItem is one live pair in a snapshot.
+// snapHeader follows snapMagic.
+type snapHeader struct{ Version, Clock, GCFloor uint64 }
+
+// snapItem is the record of snapTagItem: one live pair.
 type snapItem struct {
-	K   string // key bit string
+	K   string `wire:"bits"`
 	V   string
 	Gen uint64
 	Ver uint64 // last-modified store clock
 }
 
-// snapTomb is one tombstoned pair in a snapshot.
+// snapTomb is the record of snapTagTomb: one tombstoned pair.
 type snapTomb struct {
-	K    string
+	K    string `wire:"bits"`
 	V    string
 	Gen  uint64
 	Born uint64 // store clock at recording
 	At   int64  // wall clock at recording, unix nanos
 	Ver  uint64
 }
+
+// snapEngine is the record of snapTagEngine.
+type snapEngine struct {
+	Count    uint64
+	Manifest []string
+}
+
+// snapDigest is the record of snapTagDigest: one dense digest-tree cell.
+type snapDigest struct {
+	P string
+	H uint64 `wire:"fixed64"`
+	N uint64
+}
+
+// snapMutations is the record of snapTagMutation.
+type snapMutations struct{ IDs []uint64 }
+
+// snapHeaderCodec and snapRecords encode the header and the tagged records.
+var (
+	snapHeaderCodec = wire.MustCompile(snapHeader{})
+	snapRecords     = wire.NewRecords(map[byte]any{
+		snapTagItem:     snapItem{},
+		snapTagTomb:     snapTomb{},
+		snapTagBaseline: baselineRecord{},
+		snapTagMeta:     metaRecord{},
+		snapTagEngine:   snapEngine{},
+		snapTagDigest:   snapDigest{},
+		snapTagMutation: snapMutations{},
+	})
+)
 
 // snapshotState is the in-memory form of a store's durable state, captured
 // at a WAL segment boundary and streamed to disk record by record.
@@ -110,14 +146,6 @@ type snapshotState struct {
 	Digests  []snapDigest
 	// MutLog is the mutation dedup ring, oldest first (both engines).
 	MutLog []uint64
-}
-
-// snapDigest is one dense digest-tree cell carried by an external-pairs
-// snapshot.
-type snapDigest struct {
-	P string
-	H uint64
-	N int
 }
 
 // snapshotName renders the file name of the snapshot covering everything
@@ -158,88 +186,40 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
 	bw := bufio.NewWriterSize(w, 256<<10)
 	cw := &crcWriter{w: bw}
-	var scratch []byte
-	emit := func(b []byte) error {
-		_, err := cw.Write(b)
-		return err
-	}
-	scratch = append(scratch[:0], snapMagic...)
-	scratch = wire.AppendUvarint(scratch, snapshotVersion)
-	scratch = wire.AppendUvarint(scratch, st.Clock)
-	scratch = wire.AppendUvarint(scratch, st.GCFloor)
-	if err := emit(scratch); err != nil {
-		return err
+	scratch := append(make([]byte, 0, 256), snapMagic...) // reused for every record
+	scratch = snapHeaderCodec.Append(scratch, snapHeader{Version: snapshotVersion, Clock: st.Clock, GCFloor: st.GCFloor})
+	_, err := cw.Write(scratch)
+	emit := func(tag byte, rec any) {
+		if err == nil {
+			scratch = snapRecords.Append(scratch[:0], tag, rec)
+			_, err = cw.Write(scratch)
+		}
 	}
 	for _, it := range st.Items {
-		scratch = append(scratch[:0], snapTagItem)
-		scratch = wire.AppendString(scratch, it.K)
-		scratch = wire.AppendString(scratch, it.V)
-		scratch = wire.AppendUvarint(scratch, it.Gen)
-		scratch = wire.AppendUvarint(scratch, it.Ver)
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagItem, it)
 	}
 	for _, tb := range st.Tombs {
-		scratch = append(scratch[:0], snapTagTomb)
-		scratch = wire.AppendString(scratch, tb.K)
-		scratch = wire.AppendString(scratch, tb.V)
-		scratch = wire.AppendUvarint(scratch, tb.Gen)
-		scratch = wire.AppendUvarint(scratch, tb.Born)
-		scratch = wire.AppendVarint(scratch, tb.At)
-		scratch = wire.AppendUvarint(scratch, tb.Ver)
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagTomb, tb)
 	}
 	for addr, b := range st.Baselines {
-		scratch = append(scratch[:0], snapTagBaseline)
-		scratch = wire.AppendString(scratch, addr)
-		scratch = wire.AppendUvarint(scratch, b.Mine)
-		scratch = wire.AppendUvarint(scratch, b.Theirs)
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagBaseline, baselineRecord{Replica: addr, Baseline: b})
 	}
 	for k, v := range st.Meta {
-		scratch = append(scratch[:0], snapTagMeta)
-		scratch = wire.AppendString(scratch, k)
-		scratch = wire.AppendString(scratch, v)
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagMeta, metaRecord{Key: k, Value: v})
 	}
 	if st.External {
-		scratch = append(scratch[:0], snapTagEngine)
-		scratch = wire.AppendUvarint(scratch, uint64(st.Count))
-		scratch = wire.AppendUvarint(scratch, uint64(len(st.Manifest)))
-		for _, name := range st.Manifest {
-			scratch = wire.AppendString(scratch, name)
-		}
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagEngine, snapEngine{Count: uint64(st.Count), Manifest: st.Manifest})
 		for _, dc := range st.Digests {
-			scratch = append(scratch[:0], snapTagDigest)
-			scratch = wire.AppendString(scratch, dc.P)
-			scratch = wire.AppendFixed64(scratch, dc.H)
-			scratch = wire.AppendUvarint(scratch, uint64(dc.N))
-			if err := emit(scratch); err != nil {
-				return err
-			}
+			emit(snapTagDigest, dc)
 		}
 	}
 	if len(st.MutLog) > 0 {
-		scratch = append(scratch[:0], snapTagMutation)
-		scratch = wire.AppendUvarint(scratch, uint64(len(st.MutLog)))
-		for _, id := range st.MutLog {
-			scratch = wire.AppendUvarint(scratch, id)
-		}
-		if err := emit(scratch); err != nil {
-			return err
-		}
+		emit(snapTagMutation, snapMutations{IDs: st.MutLog})
 	}
-	if err := emit([]byte{snapTagEnd}); err != nil {
+	if err == nil {
+		_, err = cw.Write([]byte{snapTagEnd})
+	}
+	if err != nil {
 		return err
 	}
 	var crcBuf [4]byte
@@ -254,7 +234,8 @@ func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
 // favour of an older one.
 var errSnapshotCorrupt = errors.New("replication: snapshot corrupt")
 
-// decodeBinarySnapshot parses a version-2 snapshot file.
+// decodeBinarySnapshot parses a version-2 snapshot file. Counts that do not
+// fit an int, and digest cells before the engine record, are corruption.
 func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 	if len(data) < len(snapMagic)+5 || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, errSnapshotCorrupt
@@ -264,20 +245,18 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 		return nil, errSnapshotCorrupt
 	}
 	d := wire.NewDecoder(body[len(snapMagic):])
-	if v := d.Uvarint(); d.Err() != nil || v != snapshotVersion {
+	var h snapHeader
+	snapHeaderCodec.Read(d, &h)
+	if d.Err() != nil || h.Version != snapshotVersion {
 		return nil, errSnapshotCorrupt
 	}
-	st := &snapshotState{}
-	st.Clock = d.Uvarint()
-	st.GCFloor = d.Uvarint()
+	st := &snapshotState{Clock: h.Clock, GCFloor: h.GCFloor}
 	for {
-		if d.Err() != nil {
-			return nil, errSnapshotCorrupt
-		}
 		tag := d.Byte()
 		if d.Err() != nil {
 			return nil, errSnapshotCorrupt
 		}
+		read := func(rec any) { snapRecords[tag].Read(d, rec) }
 		switch tag {
 		case snapTagEnd:
 			if err := d.Finish(); err != nil {
@@ -285,64 +264,49 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 			}
 			return st, nil
 		case snapTagItem:
-			var it snapItem
-			it.K = d.String()
-			it.V = d.String()
-			it.Gen = d.Uvarint()
-			it.Ver = d.Uvarint()
-			st.Items = append(st.Items, it)
+			st.Items = append(st.Items, snapItem{})
+			read(&st.Items[len(st.Items)-1])
 		case snapTagTomb:
-			var tb snapTomb
-			tb.K = d.String()
-			tb.V = d.String()
-			tb.Gen = d.Uvarint()
-			tb.Born = d.Uvarint()
-			tb.At = d.Varint()
-			tb.Ver = d.Uvarint()
-			st.Tombs = append(st.Tombs, tb)
+			st.Tombs = append(st.Tombs, snapTomb{})
+			read(&st.Tombs[len(st.Tombs)-1])
 		case snapTagBaseline:
-			addr := d.String()
-			b := Baseline{Mine: d.Uvarint(), Theirs: d.Uvarint()}
-			if d.Err() == nil {
-				if st.Baselines == nil {
-					st.Baselines = make(map[string]Baseline)
-				}
-				st.Baselines[addr] = b
+			var rec baselineRecord
+			read(&rec)
+			if st.Baselines == nil {
+				st.Baselines = make(map[string]Baseline)
 			}
+			st.Baselines[rec.Replica] = rec.Baseline
 		case snapTagMeta:
-			k := d.String()
-			v := d.String()
-			if d.Err() == nil {
-				if st.Meta == nil {
-					st.Meta = make(map[string]string)
-				}
-				st.Meta[k] = v
+			var rec metaRecord
+			read(&rec)
+			if st.Meta == nil {
+				st.Meta = make(map[string]string)
 			}
+			st.Meta[rec.Key] = rec.Value
 		case snapTagEngine:
-			st.Count = int(d.Uvarint())
-			n := d.Uvarint()
-			if d.Err() != nil || n > uint64(wire.MaxLen) {
+			var rec snapEngine
+			read(&rec)
+			if rec.Count > math.MaxInt {
 				return nil, errSnapshotCorrupt
 			}
-			for i := uint64(0); i < n; i++ {
-				st.Manifest = append(st.Manifest, d.String())
-			}
-			st.External = true
+			st.External, st.Count, st.Manifest = true, int(rec.Count), rec.Manifest
 		case snapTagDigest:
-			var dc snapDigest
-			dc.P = d.String()
-			dc.H = d.Fixed64()
-			dc.N = int(d.Uvarint())
-			st.Digests = append(st.Digests, dc)
-		case snapTagMutation:
-			n := d.Uvarint()
-			if d.Err() != nil || n > uint64(wire.MaxLen) {
+			if !st.External {
+				return nil, errSnapshotCorrupt // cells follow the engine record
+			}
+			st.Digests = append(st.Digests, snapDigest{})
+			read(&st.Digests[len(st.Digests)-1])
+			if st.Digests[len(st.Digests)-1].N > math.MaxInt {
 				return nil, errSnapshotCorrupt
 			}
-			for i := uint64(0); i < n; i++ {
-				st.MutLog = append(st.MutLog, d.Uvarint())
-			}
+		case snapTagMutation:
+			var rec snapMutations
+			read(&rec)
+			st.MutLog = append(st.MutLog, rec.IDs...)
 		default:
+			return nil, errSnapshotCorrupt
+		}
+		if d.Err() != nil {
 			return nil, errSnapshotCorrupt
 		}
 	}

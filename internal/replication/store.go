@@ -304,7 +304,7 @@ func (s *Store) CompactTombstonesCollect() []Item {
 				continue
 			}
 			s.pruneTombLocked(ks, v, t)
-			prunedPairs = append(prunedPairs, prunedPair{ks: ks, value: v})
+			prunedPairs = append(prunedPairs, prunedPair{K: ks, V: v})
 			pruned = append(pruned, Item{Key: keyspace.MustFromString(ks), Value: v, Gen: t.gen})
 		}
 	}
@@ -325,7 +325,7 @@ func (s *Store) DropTombstones(pairs []Item) int {
 	for _, p := range pairs {
 		ks := p.Key.String()
 		if s.applyLocked(ks, p.Value, Event{Op: Drop, Gen: p.Gen}).New {
-			pruned = append(pruned, prunedPair{ks: ks, value: p.Value})
+			pruned = append(pruned, prunedPair{K: ks, V: p.Value})
 		}
 	}
 	s.endPruneLocked(pruned)
@@ -492,7 +492,7 @@ func (s *Store) applyLocked(ks, value string, ev Event) Outcome {
 			s.deleteTombLocked(ks, value)
 		}
 		s.eng.Put(PairRecord{Key: ks, Value: value, Gen: next.Gen, Ver: s.clock}, cur.Kind != Live)
-		s.logPairLocked(opAdd, ks, value, next.Gen)
+		s.logLocked(opAdd, walPair{K: ks, V: value, Gen: next.Gen})
 		return out
 	}
 	if cur.Kind == Live {
@@ -504,7 +504,7 @@ func (s *Store) applyLocked(ks, value string, ev Event) Outcome {
 		t.at = s.now()
 	}
 	s.putTombLocked(ks, value, tombstone{gen: next.Gen, born: born, at: t.at, ver: s.clock})
-	s.logPairLocked(opTomb, ks, value, next.Gen)
+	s.logLocked(opTomb, walPair{K: ks, V: value, Gen: next.Gen})
 	return out
 }
 
@@ -554,7 +554,7 @@ func (s *Store) endPruneLocked(pruned []prunedPair) {
 		return
 	}
 	s.clock++
-	s.logPruneLocked(pruned, s.gcFloor)
+	s.logLocked(opPrune, walPrune{Pairs: pruned, Floor: s.gcFloor})
 }
 
 // Apply merges one event into the (key, value) pair (see Merge) and
@@ -693,12 +693,7 @@ func (s *Store) MarkMutation(id uint64) bool {
 	if !s.markMutationLocked(id) {
 		return false
 	}
-	if s.persist != nil && !s.muted {
-		var e walEncoder
-		e.op(opMutSeen)
-		e.uint(id)
-		s.logLocked(e.buf)
-	}
+	s.logLocked(opMutSeen, walMutation{ID: id})
 	return true
 }
 
@@ -883,7 +878,7 @@ func (s *Store) removePrefixLocked(p keyspace.Path) []Item {
 	removed := s.dropLiveLocked(recs)
 	if len(removed) > 0 {
 		s.clock++
-		s.logPrefixLocked(opRemovePrefix, p)
+		s.logLocked(opRemovePrefix, walPrefix{P: string(p)})
 	}
 	return removed
 }
@@ -909,7 +904,7 @@ func (s *Store) retainPrefixLocked(p keyspace.Path) []Item {
 	removed := s.dropLiveLocked(recs)
 	if len(removed) > 0 {
 		s.clock++
-		s.logPrefixLocked(opRetainPrefix, p)
+		s.logLocked(opRetainPrefix, walPrefix{P: string(p)})
 	}
 	return removed
 }
@@ -1129,19 +1124,32 @@ func (s *Store) ContentWithin(prefixes []keyspace.Path) (items, tombs []Item) {
 // atomically with it, so callers can record a sync baseline that provably
 // covers the installed content and nothing newer.
 func (s *Store) ReplaceWithin(p keyspace.Path, items, tombs []Item) uint64 {
+	rec := walReplace{P: string(p), Items: walPairs(items), Tombs: walPairs(tombs)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.logReplaceLocked(p, items, tombs)
+	s.logLocked(opReplace, rec)
 	s.muted = true
 	defer func() { s.muted = false }()
-	return s.replaceWithinLocked(p, items, tombs)
+	return s.replaceWithinLocked(rec)
+}
+
+// walPairs renders items as WAL pair records.
+func walPairs(items []Item) []walPair {
+	if len(items) == 0 {
+		return nil
+	}
+	out := make([]walPair, len(items))
+	for i, it := range items {
+		out[i] = walPair{K: it.Key.String(), V: it.Value, Gen: it.Gen}
+	}
+	return out
 }
 
 // replaceWithinLocked is ReplaceWithin's body (shared with WAL replay;
 // callers must hold mu).
-func (s *Store) replaceWithinLocked(p keyspace.Path, items, tombs []Item) uint64 {
+func (s *Store) replaceWithinLocked(r walReplace) uint64 {
 	var recs []PairRecord
-	s.scanLiveUnderLocked(string(p), func(rec PairRecord) bool {
+	s.scanLiveUnderLocked(r.P, func(rec PairRecord) bool {
 		recs = append(recs, rec)
 		return true
 	})
@@ -1150,7 +1158,7 @@ func (s *Store) replaceWithinLocked(p keyspace.Path, items, tombs []Item) uint64
 		s.eng.Delete(rec.Key, rec.Value)
 	}
 	for ks, vals := range s.tombs {
-		if !underDigest(ks, string(p)) {
+		if !underDigest(ks, r.P) {
 			continue
 		}
 		for v, t := range vals {
@@ -1159,14 +1167,14 @@ func (s *Store) replaceWithinLocked(p keyspace.Path, items, tombs []Item) uint64
 		delete(s.tombs, ks)
 	}
 	s.clock++
-	for _, it := range tombs {
-		if ks := it.Key.String(); underDigest(ks, string(p)) {
-			s.applyLocked(ks, it.Value, Event{Op: Replicate, Kind: Tombstoned, Gen: it.Gen})
+	for _, it := range r.Tombs {
+		if underDigest(it.K, r.P) {
+			s.applyLocked(it.K, it.V, Event{Op: Replicate, Kind: Tombstoned, Gen: it.Gen})
 		}
 	}
-	for _, it := range items {
-		if ks := it.Key.String(); underDigest(ks, string(p)) {
-			s.applyLocked(ks, it.Value, Event{Op: Replicate, Kind: Live, Gen: it.Gen})
+	for _, it := range r.Items {
+		if underDigest(it.K, r.P) {
+			s.applyLocked(it.K, it.V, Event{Op: Replicate, Kind: Live, Gen: it.Gen})
 		}
 	}
 	return s.clock

@@ -10,12 +10,14 @@ package replication
 //
 //	uint32 payload length | uint32 CRC-32 (IEEE) of payload | payload
 //
-// The payload's first byte is the operation tag (walOp); the rest is the
-// operation's field encoding (uvarints and length-prefixed strings). A
-// record is valid only when its full frame is present and the checksum
-// matches, which is what makes a torn final record — the expected crash
-// artifact of an append-only file — detectable: replay stops at the first
-// invalid frame and the writer truncates the tail before appending again.
+// The payload's first byte is the operation tag (op*); the rest is the wire
+// encoding (internal/wire) of the operation's record struct, declared
+// below, so each struct's field order is its on-disk format. A frame is
+// valid only when it is fully present and the checksum matches, which is
+// what makes a torn final record — the expected crash artifact of an
+// append-only file — detectable: replay stops at the first invalid frame
+// and the writer truncates the tail before appending again. A valid frame
+// whose payload is not exactly one record of its operation is corruption.
 //
 // Appends are fsync-batched: every record is written to the file (the OS
 // page cache) before the append returns, but the file is fsynced at most
@@ -37,37 +39,90 @@ import (
 	"pgrid/internal/wire"
 )
 
-// walOp tags the operation a WAL record encodes.
-type walOp byte
-
 // WAL record operation tags. The numeric values are part of the on-disk
 // format and must never be reused for a different operation.
 const (
 	// opAdd records a live pair upsert (Store.Add / Store.Insert) with its
 	// final generation stamp.
-	opAdd walOp = 1
+	opAdd byte = 1
 	// opTomb records a tombstone upsert (Store.Delete / Store.AddTombstones)
 	// with its final generation stamp.
-	opTomb walOp = 2
+	opTomb byte = 2
 	// opPrune records one tombstone-GC compaction: the pruned pairs plus
 	// the resulting GC floor.
-	opPrune walOp = 3
+	opPrune byte = 3
 	// opRemovePrefix and opRetainPrefix record the partition handovers of a
 	// split (Store.RemovePrefix / Store.RetainPrefix).
-	opRemovePrefix walOp = 4
-	opRetainPrefix walOp = 5
+	opRemovePrefix byte = 4
+	opRetainPrefix byte = 5
 	// opReplace records a wholesale partition rebuild
 	// (Store.ReplaceWithin).
-	opReplace walOp = 6
+	opReplace byte = 6
 	// opBaseline records a per-replica anti-entropy sync baseline.
-	opBaseline walOp = 7
+	opBaseline byte = 7
 	// opMeta records one small key/value metadata pair (the overlay stores
 	// its partition path here).
-	opMeta walOp = 8
+	opMeta byte = 8
 	// opMutSeen records one coordinated-mutation ID entering the dedup ring
 	// (Store.MarkMutation), so exactly-once coordination survives restarts.
-	opMutSeen walOp = 9
+	opMutSeen byte = 9
 )
+
+// walPair is the record of opAdd and opTomb: a pair and its generation.
+type walPair struct {
+	K   string `wire:"bits"`
+	V   string
+	Gen uint64
+}
+
+// prunedPair is one tombstone removed by GC.
+type prunedPair struct {
+	K string `wire:"bits"`
+	V string
+}
+
+// walPrune is the record of opPrune.
+type walPrune struct {
+	Pairs []prunedPair
+	Floor uint64
+}
+
+// walPrefix is the record of opRemovePrefix and opRetainPrefix.
+type walPrefix struct{ P string }
+
+// walReplace is the record of opReplace: the rebuilt partition and the
+// pairs installed in it.
+type walReplace struct {
+	P     string
+	Items []walPair
+	Tombs []walPair
+}
+
+// baselineRecord is the record of opBaseline and of a snapshot's
+// snapTagBaseline. The zero Baseline deletes the replica's entry.
+type baselineRecord struct {
+	Replica string
+	Baseline
+}
+
+// metaRecord is the record of opMeta and of a snapshot's snapTagMeta.
+type metaRecord struct{ Key, Value string }
+
+// walMutation is the record of opMutSeen.
+type walMutation struct{ ID uint64 }
+
+// walRecords is the codec table of the WAL payloads.
+var walRecords = wire.NewRecords(map[byte]any{
+	opAdd:          walPair{},
+	opTomb:         walPair{},
+	opPrune:        walPrune{},
+	opRemovePrefix: walPrefix{},
+	opRetainPrefix: walPrefix{},
+	opReplace:      walReplace{},
+	opBaseline:     baselineRecord{},
+	opMeta:         metaRecord{},
+	opMutSeen:      walMutation{},
+})
 
 // walFrameHeader is the fixed per-record framing overhead.
 const walFrameHeader = 8 // uint32 length + uint32 CRC
@@ -77,9 +132,10 @@ const walFrameHeader = 8 // uint32 length + uint32 CRC
 // garbage).
 const maxWALRecord = 64 << 20
 
-// errWALCorrupt reports an invalid frame before the final record of the
-// final segment — real corruption rather than a torn tail.
-var errWALCorrupt = errors.New("replication: WAL corrupt before final record")
+// errWALCorrupt reports real corruption rather than a torn tail: an invalid
+// frame before the final record of the final segment, or a valid frame whose
+// payload is not exactly one well-formed record.
+var errWALCorrupt = errors.New("replication: WAL corrupt")
 
 // wal is an append-only, CRC-framed, fsync-batched log file.
 type wal struct {
@@ -118,24 +174,25 @@ func openWAL(path string, interval time.Duration, valid int64) (*wal, error) {
 	}, nil
 }
 
-// append frames one record payload and writes it to the file in a single
-// write call, fsyncing when the batching interval elapsed. Callers
-// serialise appends through the owning store's lock, but the wal keeps its
-// own mutex so Sync/Close are independently safe.
-func (w *wal) append(payload []byte) error {
+// append encodes one record — the op tag and the op's record struct —
+// into a frame and writes it to the file in a single write call, fsyncing
+// when the batching interval elapsed. Callers serialise appends through the
+// owning store's lock, but the wal keeps its own mutex so Sync/Close are
+// independently safe.
+func (w *wal) append(op byte, rec any) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.scratch = walRecords.Append(append(w.scratch[:0], make([]byte, walFrameHeader)...), op, rec)
+	payload := w.scratch[walFrameHeader:]
 	if len(payload) > maxWALRecord {
 		return fmt.Errorf("replication: WAL record of %d bytes exceeds limit", len(payload))
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.scratch = w.scratch[:0]
-	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, uint32(len(payload)))
-	w.scratch = binary.LittleEndian.AppendUint32(w.scratch, crc32.ChecksumIEEE(payload))
-	w.scratch = append(w.scratch, payload...)
+	binary.LittleEndian.PutUint32(w.scratch[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.scratch[4:8], crc32.ChecksumIEEE(payload))
 	if _, err := w.f.Write(w.scratch); err != nil {
 		return err
 	}
-	w.size += int64(walFrameHeader + len(payload))
+	w.size += int64(len(w.scratch))
 	w.records++
 	w.dirty = true
 	if w.interval <= 0 || w.now().Sub(w.lastSync) >= w.interval {
@@ -220,33 +277,4 @@ func scanWAL(path string, apply func(payload []byte) error) (valid int64, record
 		valid += int64(walFrameHeader) + int64(n)
 		records++
 	}
-}
-
-// --- record payload encoding -----------------------------------------------
-
-// walEncoder builds a record payload using the shared compact wire encoding
-// (internal/wire): uvarints for integers, length-prefixed strings. This is
-// the same record codec the binary snapshot format and the TCP transport's
-// message bodies use, and it is byte-identical to the WAL's original
-// hand-rolled encoding, so segments written before the unification replay
-// unchanged.
-type walEncoder struct{ buf []byte }
-
-func (e *walEncoder) op(op walOp)     { e.buf = append(e.buf, byte(op)) }
-func (e *walEncoder) uint(v uint64)   { e.buf = wire.AppendUvarint(e.buf, v) }
-func (e *walEncoder) string(s string) { e.buf = wire.AppendString(e.buf, s) }
-
-// pair appends a (key bit string, value, gen) triple.
-func (e *walEncoder) pair(ks, value string, gen uint64) {
-	e.string(ks)
-	e.string(value)
-	e.uint(gen)
-}
-
-// walPair reads a (key bit string, value, gen) triple.
-func walPair(d *wire.Decoder) (ks, value string, gen uint64) {
-	ks = d.String()
-	value = d.String()
-	gen = d.Uvarint()
-	return
 }

@@ -23,12 +23,18 @@ type Codec struct {
 	root *node
 }
 
+// Records is the codec table of a tagged record stream: a record is one tag
+// byte followed by the encoding of the struct compiled for that tag. Tags
+// without a struct are nil.
+type Records [256]*Codec
+
 // op is how one node of the plan travels on the wire.
 type op uint8
 
 const (
 	opString  op = iota // uvarint length plus bytes
 	opInt               // zigzag varint
+	opBits              // opString holding a key's bit string
 	opUvarint           // unsigned varint
 	opFixed64           // 8 little-endian bytes
 	opFloat64           // IEEE bits as 8 little-endian bytes
@@ -51,8 +57,8 @@ type field struct {
 
 // Compile derives the codec of t. It fails, naming the field, when t holds
 // a type the wire format has no encoding for: a map, pointer, interface,
-// channel or function, a numeric kind other than int, uint64 and float64, an
-// unexported field, or a type that contains itself.
+// channel or function, a numeric kind other than int, int64, uint64 and
+// float64, an unexported field, or a type that contains itself.
 func Compile(t reflect.Type) (*Codec, error) {
 	root, err := compile(t, t.String(), "", map[reflect.Type]bool{})
 	if err != nil {
@@ -61,25 +67,53 @@ func Compile(t reflect.Type) (*Codec, error) {
 	return &Codec{typ: t, root: root}, nil
 }
 
+// MustCompile is Compile of the sample value's type for package-level
+// codecs, where a type without a wire encoding is a programming error: it
+// panics, naming the field.
+func MustCompile(sample any) *Codec {
+	c, err := Compile(reflect.TypeOf(sample))
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// NewRecords compiles the record struct of each tag from a sample value,
+// panicking like MustCompile.
+func NewRecords(samples map[byte]any) *Records {
+	var r Records
+	for tag, sample := range samples {
+		r[tag] = MustCompile(sample)
+	}
+	return &r
+}
+
+// Append appends the tag and then the encoding of v, a value of the
+// struct compiled for the tag.
+func (r *Records) Append(b []byte, tag byte, v any) []byte {
+	return r[tag].Append(append(b, tag), v)
+}
+
 // compile plans the encoding of t, found at the field path at with the
 // field's wire tag; open holds the composite types being compiled on the
 // way down, which is how a type that contains itself is caught.
 func compile(t reflect.Type, at, tag string, open map[reflect.Type]bool) (*node, error) {
-	if tag != "" && (tag != "fixed64" || t.Kind() != reflect.Uint64) {
+	switch {
+	case tag == "fixed64" && t.Kind() == reflect.Uint64:
+		return &node{op: opFixed64}, nil
+	case tag == "bits" && t.Kind() == reflect.String:
+		return &node{op: opBits}, nil
+	case tag != "":
 		return nil, fmt.Errorf("wire: %s: tag %q does not apply to %v", at, tag, t)
-	}
-	if t == keyType {
+	case t == keyType:
 		return &node{op: opKey}, nil
 	}
 	switch t.Kind() {
 	case reflect.String:
 		return &node{op: opString}, nil
-	case reflect.Int:
+	case reflect.Int, reflect.Int64:
 		return &node{op: opInt}, nil
 	case reflect.Uint64:
-		if tag == "fixed64" {
-			return &node{op: opFixed64}, nil
-		}
 		return &node{op: opUvarint}, nil
 	case reflect.Float64:
 		return &node{op: opFloat64}, nil
@@ -125,16 +159,29 @@ func (c *Codec) Append(b []byte, v any) []byte { return c.root.append(b, reflect
 func (c *Codec) Decode(data []byte) (any, error) {
 	ptr := reflect.New(c.typ)
 	d := Decoder{buf: data}
-	c.root.decode(&d, ptr.Elem())
+	c.Read(&d, ptr.Interface())
 	if err := d.Finish(); err != nil {
 		return nil, err
 	}
 	return ptr.Elem().Interface(), nil
 }
 
+// Read sets the value ptr points to, which must be of the compiled type,
+// from the next encoding in d. Failures stay in d's sticky error.
+func (c *Codec) Read(d *Decoder, ptr any) {
+	v := reflect.ValueOf(ptr)
+	if v.Kind() != reflect.Pointer || v.Type().Elem() != c.typ {
+		// Formatting ptr itself would make every target escape to the heap.
+		panic(fmt.Sprintf("wire: Read into %v, want *%v", v.Type(), c.typ))
+	}
+	v = v.Elem()
+	v.SetZero()
+	c.root.decode(d, v)
+}
+
 func (n *node) append(b []byte, v reflect.Value) []byte {
 	switch n.op {
-	case opString:
+	case opString, opBits:
 		return AppendString(b, v.String())
 	case opInt:
 		return AppendVarint(b, v.Int())
@@ -168,6 +215,8 @@ func (n *node) decode(d *Decoder, v reflect.Value) {
 	switch n.op {
 	case opString:
 		v.SetString(d.String())
+	case opBits:
+		v.SetString(d.bits())
 	case opInt:
 		v.SetInt(d.Varint())
 	case opUvarint:
@@ -200,6 +249,16 @@ func (n *node) decode(d *Decoder, v reflect.Value) {
 			f.node.decode(d, v.Field(f.index))
 		}
 	}
+}
+
+// bits consumes one string that must be a key's bit string.
+func (d *Decoder) bits() string {
+	s := d.String()
+	if _, err := keyspace.FromString(s); err != nil {
+		d.fail()
+		return ""
+	}
+	return s
 }
 
 // key consumes one key in keyspace's wire form.

@@ -19,7 +19,9 @@ type leaf struct {
 
 type sample struct {
 	S      string
+	Bits   string `wire:"bits"`
 	I      int
+	I64    int64
 	U      uint64
 	H      uint64 `wire:"fixed64"`
 	F      float64
@@ -33,11 +35,13 @@ type sample struct {
 // states, in field order.
 func TestCodecEncodesByTheRules(t *testing.T) {
 	k := keyspace.MustFromString("101")
-	v := sample{S: "ab", I: -2, U: 300, H: 1, F: 1, B: true, K: k,
+	v := sample{S: "ab", Bits: "0110", I: -2, I64: -1 << 40, U: 300, H: 1, F: 1, B: true, K: k,
 		Leaves: []leaf{{Name: "x", N: 1}}, Levels: [][]keyspace.Key{nil, {k}}}
 	var want []byte
 	want = AppendString(want, "ab")
+	want = AppendString(want, "0110")
 	want = AppendVarint(want, -2)
+	want = AppendVarint(want, -1<<40)
 	want = AppendUvarint(want, 300)
 	want = AppendFixed64(want, 1)
 	want = AppendFixed64(want, math.Float64bits(1))
@@ -76,7 +80,8 @@ func TestCodecEncodesByTheRules(t *testing.T) {
 }
 
 // TestCodecDecodeRejects covers the decoder's refusals: trailing bytes, a
-// bool above 1, a truncated body and a non-canonical key.
+// bool above 1, a truncated body, a non-canonical key and a string under
+// `wire:"bits"` that is not a key's bit string.
 func TestCodecDecodeRejects(t *testing.T) {
 	c, err := Compile(reflect.TypeOf(leaf{}))
 	if err != nil {
@@ -105,6 +110,44 @@ func TestCodecDecodeRejects(t *testing.T) {
 	if _, err := k.Decode(AppendUvarint(AppendUvarint(nil, 65), 0)); !errors.Is(err, ErrShort) {
 		t.Errorf("65-bit key: err = %v, want ErrShort", err)
 	}
+	bits, err := Compile(reflect.TypeOf(struct {
+		K string `wire:"bits"`
+	}{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ks := range []string{"01x", "012", strings.Repeat("1", 65)} {
+		if _, err := bits.Decode(AppendString(nil, ks)); !errors.Is(err, ErrShort) {
+			t.Errorf("bit string %q: err = %v, want ErrShort", ks, err)
+		}
+	}
+}
+
+// TestRecordsTagEachRecord checks that a record table writes the tag before
+// the struct its tag names, and that Read fills a caller's value in place.
+func TestRecordsTagEachRecord(t *testing.T) {
+	recs := NewRecords(map[byte]any{1: leaf{}, 7: struct{ U uint64 }{}})
+	b := recs.Append(nil, 1, leaf{Name: "x", N: -1})
+	b = recs.Append(b, 7, struct{ U uint64 }{U: 300})
+	want := AppendUvarint(AppendVarint(AppendString([]byte{1}, "x"), -1), 7)
+	want = AppendUvarint(want, 300)
+	if string(b) != string(want) {
+		t.Fatalf("records:\n got  %x\n want %x", b, want)
+	}
+	d := NewDecoder(b)
+	l := leaf{Name: "stale", N: 9}
+	recs[d.Byte()].Read(d, &l)
+	var u struct{ U uint64 }
+	recs[d.Byte()].Read(d, &u)
+	if err := d.Finish(); err != nil || l != (leaf{Name: "x", N: -1}) || u.U != 300 {
+		t.Errorf("read back %+v, %+v, err %v", l, u, err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Read into a value of another type did not panic")
+		}
+	}()
+	recs[1].Read(NewDecoder(nil), &u)
 }
 
 type selfSlice []selfSlice
@@ -123,6 +166,9 @@ func TestCompileRefuses(t *testing.T) {
 		{struct {
 			N int `wire:"fixed64"`
 		}{}, `.N: tag "fixed64" does not apply to int`},
+		{struct {
+			N uint64 `wire:"bits"`
+		}{}, `.N: tag "bits" does not apply to uint64`},
 		{selfSlice{}, "wire.selfSlice[]: recursive type wire.selfSlice"},
 	}
 	for _, c := range cases {

@@ -3,11 +3,14 @@
 // binary snapshot format: length-delimited fields, varints for integers, no
 // schema metadata.
 //
-// A message's encoding is derived from its struct declaration (Compile):
-// the exported fields in declaration order, each encoded by its type.
+// A message's or record's encoding is derived from its struct declaration
+// (Compile): the exported fields in declaration order, each encoded by its
+// type.
 //
-//   - string kinds: uvarint length followed by the bytes
-//   - int: zigzag varint
+//   - string kinds: uvarint length followed by the bytes; under the field
+//     tag `wire:"bits"` decoding also rejects a string that is not a key's
+//     bit string (keyspace.FromString)
+//   - int, int64: zigzag varint
 //   - uint64: unsigned varint, or 8 little-endian bytes under the field
 //     tag `wire:"fixed64"`
 //   - float64: its IEEE bit pattern as 8 little-endian bytes
@@ -17,10 +20,12 @@
 //   - struct: its fields, in the same way
 //   - keyspace.Key: keyspace.AppendWire's bit length plus right-aligned bits
 //
-// Nothing else has an encoding, and decoding fails on trailing bytes. The
-// field order is the format, which is why golden vectors pin the bytes of
-// every message. The WAL and snapshot records use the primitives below
-// directly. Decoders carry a sticky error, so a decoder reads all fields
+// Nothing else has an encoding, and decoding a whole message (Decode) fails
+// on trailing bytes. The field order is the format, which is why golden
+// vectors pin the bytes of every message and disk record. The transport
+// keeps one codec per message type; the WAL and snapshot files are streams
+// of tagged records, one tag byte and then the struct the tag names
+// (Records). Decoders carry a sticky error, so a decoder reads all fields
 // unconditionally and checks Err once at the end.
 package wire
 
@@ -109,11 +114,9 @@ func (d *Decoder) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.fail()
+	if !d.canonical(n) {
 		return 0
 	}
-	d.buf = d.buf[n:]
 	return v
 }
 
@@ -123,12 +126,23 @@ func (d *Decoder) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		d.fail()
+	if !d.canonical(n) {
 		return 0
 	}
-	d.buf = d.buf[n:]
 	return v
+}
+
+// canonical consumes the n-byte varint binary.Uvarint or binary.Varint
+// just parsed, failing unless it parsed and is as short as its value
+// allows: a longer form ends in a zero byte. Like Bool's check, this keeps
+// every accepted encoding identical to the re-encoding of its value.
+func (d *Decoder) canonical(n int) bool {
+	if n <= 0 || n > 1 && d.buf[n-1] == 0 {
+		d.fail()
+		return false
+	}
+	d.buf = d.buf[n:]
+	return true
 }
 
 // Fixed64 consumes 8 little-endian bytes.

@@ -45,18 +45,23 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 
 func TestDecoderShortInputs(t *testing.T) {
 	// A truncated varint, a length running past the end, a missing bool, a
-	// non-canonical bool: all must surface ErrShort and stay sticky.
+	// non-canonical bool or varint: all must surface ErrShort and stay
+	// sticky.
 	cases := [][]byte{
 		{0x80},           // unterminated varint
 		{0x05, 'a', 'b'}, // string length 5, 2 bytes left
 		{},               // missing bool byte
 		{0x02},           // bool encoded as 2
+		{0x81, 0x00},     // 1 as a two-byte varint
+		{0x80, 0x80, 0x00},
 	}
 	reads := []func(d *Decoder){
 		func(d *Decoder) { _ = d.Uvarint() },
 		func(d *Decoder) { _ = d.String() },
 		func(d *Decoder) { _ = d.Bool() },
 		func(d *Decoder) { _ = d.Bool() },
+		func(d *Decoder) { _ = d.Uvarint() },
+		func(d *Decoder) { _ = d.Varint() },
 	}
 	for i, c := range cases {
 		d := NewDecoder(c)

@@ -240,14 +240,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encoded snapshot decodes to\n%+v\nwant\n%+v", back, st)
 		}
 		var eng Engine = newMemEngine()
+		kind := EngineMem
 		if st.External {
 			// The manifest's files do not exist here: open no segment and
 			// check that the count is refused or bounded by them.
 			if eng, err = openDiskEngine(t.TempDir(), nil, st.Count); err != nil {
 				return
 			}
+			kind = EngineDisk
 		}
-		s := newStoreWithEngine(eng, EngineMem)
+		s := newStoreWithEngine(eng, kind)
 		defer s.Close()
 		s.loadSnapshot(st)
 		if n := s.Len(); n < 0 {

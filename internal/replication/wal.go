@@ -182,6 +182,7 @@ func openWAL(path string, interval time.Duration, valid int64) (*wal, error) {
 func (w *wal) append(op byte, rec any) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// Encode behind room for the frame header, then fill the header in.
 	w.scratch = walRecords.Append(append(w.scratch[:0], make([]byte, walFrameHeader)...), op, rec)
 	payload := w.scratch[walFrameHeader:]
 	if len(payload) > maxWALRecord {

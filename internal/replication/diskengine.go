@@ -30,15 +30,9 @@ import (
 // merges all segments into one.
 const diskCompactThreshold = 4
 
-// memKey identifies a pair in the memtable.
+// memKey identifies a pair in the memtable, which maps it to the pair's
+// record: its state, or a delete marker shadowing older segments.
 type memKey struct{ key, value string }
-
-// memVal is the memtable's record state: a pair, or a delete marker
-// shadowing older segments.
-type memVal struct {
-	gen, ver uint64
-	del      bool
-}
 
 // diskEngine implements Engine over a memtable plus sorted segments.
 type diskEngine struct {
@@ -50,8 +44,8 @@ type diskEngine struct {
 	// compactions run outside that lock (only checkpoint-serialised), which
 	// is why readers must hold mu too.
 	mu      sync.RWMutex
-	mem     map[memKey]memVal
-	frozen  map[memKey]memVal // pending flush; nil when none
+	mem     map[memKey]segRec
+	frozen  map[memKey]segRec // pending flush; nil when none
 	segs    []*segment        // oldest first
 	n       int               // live pair count
 	nextSeq uint64            // next segment file sequence (checkpoint-serialised)
@@ -89,7 +83,7 @@ func openDiskEngine(dir string, manifest []string, count int) (*diskEngine, erro
 	}
 	eng := &diskEngine{
 		dir:     dir,
-		mem:     make(map[memKey]memVal),
+		mem:     make(map[memKey]segRec),
 		n:       count,
 		nextSeq: maxSeq,
 	}
@@ -137,12 +131,12 @@ func (e *diskEngine) Err() error {
 // live — a delete marker is a definitive miss. Callers must hold mu.
 func (e *diskEngine) lookupLocked(key, value string) (segRec, bool) {
 	k := memKey{key, value}
-	if v, ok := e.mem[k]; ok {
-		return segRec{key: key, value: value, gen: v.gen, ver: v.ver, del: v.del}, !v.del
+	if rec, ok := e.mem[k]; ok {
+		return rec, !rec.Del
 	}
 	if e.frozen != nil {
-		if v, ok := e.frozen[k]; ok {
-			return segRec{key: key, value: value, gen: v.gen, ver: v.ver, del: v.del}, !v.del
+		if rec, ok := e.frozen[k]; ok {
+			return rec, !rec.Del
 		}
 	}
 	for i := len(e.segs) - 1; i >= 0; i-- {
@@ -152,7 +146,7 @@ func (e *diskEngine) lookupLocked(key, value string) (segRec, bool) {
 			return segRec{}, false
 		}
 		if ok {
-			return rec, !rec.del
+			return rec, !rec.Del
 		}
 	}
 	return segRec{}, false
@@ -165,12 +159,12 @@ func (e *diskEngine) Get(key, value string) (PairRecord, bool) {
 	if !live {
 		return PairRecord{}, false
 	}
-	return PairRecord{Key: key, Value: value, Gen: rec.gen, Ver: rec.ver}, true
+	return rec.PairRecord, true
 }
 
 func (e *diskEngine) Put(rec PairRecord, isNew bool) {
 	e.mu.Lock()
-	e.mem[memKey{rec.Key, rec.Value}] = memVal{gen: rec.Gen, ver: rec.Ver}
+	e.mem[memKey{rec.Key, rec.Value}] = segRec{PairRecord: rec}
 	if isNew {
 		e.n++
 	}
@@ -189,10 +183,10 @@ func (e *diskEngine) Delete(key, value string) (PairRecord, bool) {
 		// Nothing beneath the memtable to shadow: drop the entry outright.
 		delete(e.mem, k)
 	} else {
-		e.mem[k] = memVal{del: true}
+		e.mem[k] = segRec{Del: true, PairRecord: PairRecord{Key: key, Value: value}}
 	}
 	e.n--
-	return PairRecord{Key: key, Value: value, Gen: rec.gen, Ver: rec.ver}, true
+	return rec.PairRecord, true
 }
 
 func (e *diskEngine) ScanKey(key string, fn func(PairRecord) bool) {
@@ -256,8 +250,8 @@ func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
 	defer e.mu.RUnlock()
 	// The memtable view: active entries shadow frozen ones.
 	var recs []segRec
-	appendMatches := func(m map[memKey]memVal, shadow map[memKey]memVal) {
-		for k, v := range m {
+	appendMatches := func(m map[memKey]segRec, shadow map[memKey]segRec) {
+		for k, rec := range m {
 			if !hasPrefix(k.key, prefix) {
 				continue
 			}
@@ -266,7 +260,7 @@ func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
 					continue
 				}
 			}
-			recs = append(recs, segRec{key: k.key, value: k.value, gen: v.gen, ver: v.ver, del: v.del})
+			recs = append(recs, rec)
 		}
 	}
 	appendMatches(e.mem, nil)
@@ -274,7 +268,7 @@ func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
 		appendMatches(e.frozen, e.mem)
 	}
 	sort.Slice(recs, func(i, j int) bool {
-		return pairLess(recs[i].key, recs[i].value, recs[j].key, recs[j].value)
+		return pairLess(recs[i].Key, recs[i].Value, recs[j].Key, recs[j].Value)
 	})
 	// Sources in shadowing order: memtable first, then segments newest
 	// first.
@@ -289,10 +283,10 @@ func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
 		sources = append(sources, it)
 	}
 	if err := mergeSources(sources, prefix, func(rec segRec) bool {
-		if rec.del {
+		if rec.Del {
 			return true
 		}
-		return fn(PairRecord{Key: rec.key, Value: rec.value, Gen: rec.gen, Ver: rec.ver})
+		return fn(rec.PairRecord)
 	}); err != nil {
 		e.fail(err)
 	}
@@ -313,14 +307,14 @@ func mergeSources(sources []pairSource, prefix string, fn func(segRec) bool) err
 			if !ok {
 				continue
 			}
-			if best == -1 || pairLess(rec.key, rec.value, bestRec.key, bestRec.value) {
+			if best == -1 || pairLess(rec.Key, rec.Value, bestRec.Key, bestRec.Value) {
 				best, bestRec = i, rec
 			}
 		}
 		if best == -1 {
 			return nil
 		}
-		if !hasPrefix(bestRec.key, prefix) {
+		if !hasPrefix(bestRec.Key, prefix) {
 			// Sources only yield records at or past the prefix, so the first
 			// non-matching minimum means every remaining record is past it.
 			return nil
@@ -330,7 +324,7 @@ func mergeSources(sources []pairSource, prefix string, fn func(segRec) bool) err
 			if err != nil {
 				return err
 			}
-			if ok && rec.key == bestRec.key && rec.value == bestRec.value {
+			if ok && rec.Key == bestRec.Key && rec.Value == bestRec.Value {
 				src.advance()
 			}
 		}
@@ -359,7 +353,7 @@ func (e *diskEngine) freeze() {
 			e.frozen[k] = v
 		}
 	}
-	e.mem = make(map[memKey]memVal)
+	e.mem = make(map[memKey]segRec)
 }
 
 // flushFrozen writes the frozen memtable to a new segment, compacts when
@@ -387,8 +381,7 @@ func (e *diskEngine) flushFrozen() (manifest []string, cleanup func(), err error
 			return nil, nil, err
 		}
 		for _, k := range keys {
-			v := frozen[k]
-			if err := w.add(segRec{key: k.key, value: k.value, gen: v.gen, ver: v.ver, del: v.del}); err != nil {
+			if err := w.add(frozen[k]); err != nil {
 				w.abort()
 				return nil, nil, err
 			}
@@ -448,7 +441,7 @@ func (e *diskEngine) compact() (func(), error) {
 		sources = append(sources, it)
 	}
 	mergeErr := mergeSources(sources, "", func(rec segRec) bool {
-		if rec.del {
+		if rec.Del {
 			return true // compacting the full set: markers shadow nothing older
 		}
 		err = w.add(rec)

@@ -448,8 +448,8 @@ func inlineSegmentPairs(dir string, st *snapshotState) error {
 		sources = append(sources, it)
 	}
 	err := mergeSources(sources, "", func(rec segRec) bool {
-		if !rec.del {
-			st.Items = append(st.Items, snapItem{K: rec.key, V: rec.value, Gen: rec.gen, Ver: rec.ver})
+		if !rec.Del {
+			st.Items = append(st.Items, snapItem{K: rec.Key, V: rec.Value, Gen: rec.Gen, Ver: rec.Ver})
 		}
 		return true
 	})

@@ -5,21 +5,27 @@ package replication
 // flushed memtable, or the merge of every earlier segment produced by
 // compaction — plus a sparse index for point lookups.
 //
-// File layout, using the shared wire codec (internal/wire) for the records:
+// File layout; every record and the index block are structs the shared
+// derived codec (internal/wire) encodes, so a struct's field order is the
+// format:
 //
-//	"PGSG"  uvarint version (1)
-//	records:  flags byte (1 = delete marker) | string key | string value |
-//	          uvarint gen | uvarint ver
-//	index:    uvarint entry count, entries of
+//	header:   "PGSG"  uvarint version (1)
+//	records:  one segRec each: bool delete marker (a flags byte, 1 = delete) |
+//	          string key | string value | uvarint gen | uvarint ver
+//	index:    []segIndexEntry: uvarint entry count, entries of
 //	          string key | string value | uvarint record offset
 //	footer:   uint64 index offset | uint32 index length |
 //	          uint32 CRC-32 (IEEE) of the index block | "GSGP"   (20 bytes, LE)
 //
-// The index holds every segIndexEvery-th record, so a Get seeks to the
-// nearest preceding indexed record and scans a bounded run. Records are not
+// The index holds every segIndexEvery-th record, and its offsets cut the
+// record region into blocks: block i runs from entry i's offset to entry
+// i+1's, the last one to the index. A read loads one block with a single
+// ReadAt and decodes its records in memory, so a Get costs the block
+// holding the nearest preceding indexed record. Records are not
 // CRC-protected individually: segments only become reachable through the
 // manifest of a committed snapshot, which is CRC-trailed, and the index CRC
-// catches a torn or truncated file at open.
+// catches a torn or truncated file at open, where the offsets are checked
+// to cut the region into non-empty blocks.
 
 import (
 	"bufio"
@@ -27,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"sort"
 
@@ -39,11 +44,12 @@ const (
 	segMagic       = "PGSG"
 	segFooterMagic = "GSGP"
 	segVersion     = 1
+	segHeaderLen   = 5 // segMagic, then version 1 as one uvarint byte
 	segFooterLen   = 20
 )
 
 // segIndexEvery is the sparse-index stride: one index entry per this many
-// records, bounding a point lookup's scan run.
+// records, so one block per this many records.
 const segIndexEvery = 64
 
 // errSegmentCorrupt reports an unreadable segment file.
@@ -52,19 +58,21 @@ var errSegmentCorrupt = errors.New("replication: segment corrupt")
 // segRec is one record of a segment or memtable: a pair state, or a delete
 // marker shadowing the pair in older segments.
 type segRec struct {
-	key   string
-	value string
-	gen   uint64
-	ver   uint64
-	del   bool
+	Del bool
+	PairRecord
 }
 
-// segIndexEntry locates an indexed record inside the file.
+// segIndexEntry locates an indexed record, the first of its block.
 type segIndexEntry struct {
-	key   string
-	value string
-	off   int64
+	Key, Value string
+	Off        uint64 // file offset
 }
+
+// segRecCodec and segIndexCodec encode a record and the index block.
+var (
+	segRecCodec   = wire.MustCompile(segRec{})
+	segIndexCodec = wire.MustCompile([]segIndexEntry(nil))
+)
 
 // segment is one open, immutable segment file.
 type segment struct {
@@ -72,7 +80,6 @@ type segment struct {
 	name    string // file name inside the data directory (manifest entry)
 	dataEnd int64  // offset where records end and the index begins
 	index   []segIndexEntry
-	records int
 }
 
 // segmentFileName renders the file name of segment seq.
@@ -96,57 +103,36 @@ func newSegWriter(path string) (*segWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &segWriter{f: f, bw: bufio.NewWriterSize(f, 256<<10)}
-	hdr := append([]byte(segMagic), byte(segVersion)) // version 1 fits one uvarint byte
-	if _, err := w.bw.Write(hdr); err != nil {
+	w := &segWriter{f: f, bw: bufio.NewWriterSize(f, 256<<10), off: segHeaderLen}
+	if _, err := w.bw.Write(append([]byte(segMagic), segVersion)); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.off = int64(len(hdr))
 	return w, nil
 }
 
 // add appends one record.
 func (w *segWriter) add(rec segRec) error {
 	if w.records%segIndexEvery == 0 {
-		w.index = append(w.index, segIndexEntry{key: rec.key, value: rec.value, off: w.off})
+		w.index = append(w.index, segIndexEntry{Key: rec.Key, Value: rec.Value, Off: uint64(w.off)})
 	}
-	b := w.scratch[:0]
-	var flags byte
-	if rec.del {
-		flags = 1
-	}
-	b = append(b, flags)
-	b = wire.AppendString(b, rec.key)
-	b = wire.AppendString(b, rec.value)
-	b = wire.AppendUvarint(b, rec.gen)
-	b = wire.AppendUvarint(b, rec.ver)
-	w.scratch = b
-	if _, err := w.bw.Write(b); err != nil {
+	w.scratch = segRecCodec.Append(w.scratch[:0], rec)
+	if _, err := w.bw.Write(w.scratch); err != nil {
 		return err
 	}
-	w.off += int64(len(b))
+	w.off += int64(len(w.scratch))
 	w.records++
 	return nil
 }
 
 // finish writes the index block and footer, fsyncs and closes the file.
 func (w *segWriter) finish() error {
-	dataEnd := w.off
-	b := w.scratch[:0]
-	b = wire.AppendUvarint(b, uint64(len(w.index)))
-	for _, e := range w.index {
-		b = wire.AppendString(b, e.key)
-		b = wire.AppendString(b, e.value)
-		b = wire.AppendUvarint(b, uint64(e.off))
-	}
-	crc := crc32.ChecksumIEEE(b)
-	var footer [segFooterLen]byte
-	binary.LittleEndian.PutUint64(footer[0:8], uint64(dataEnd))
-	binary.LittleEndian.PutUint32(footer[8:12], uint32(len(b)))
-	binary.LittleEndian.PutUint32(footer[12:16], crc)
-	copy(footer[16:20], segFooterMagic)
-	b = append(b, footer[:]...)
+	b := segIndexCodec.Append(w.scratch[:0], w.index)
+	indexLen := len(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(w.off))
+	b = binary.LittleEndian.AppendUint32(b, uint32(indexLen))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[:indexLen]))
+	b = append(b, segFooterMagic...)
 	w.scratch = b
 	if _, err := w.bw.Write(b); err != nil {
 		w.f.Close()
@@ -176,62 +162,67 @@ func openSegment(path, name string) (*segment, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi, err := f.Stat()
+	seg, err := readSegmentIndex(f, name)
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	hdrLen := int64(len(segMagic) + 1)
-	if fi.Size() < hdrLen+segFooterLen {
-		f.Close()
+	return seg, nil
+}
+
+// readSegmentIndex checks the header and footer of the segment file f and
+// decodes its index.
+func readSegmentIndex(f *os.File, name string) (*segment, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if fi.Size() < segHeaderLen+segFooterLen {
 		return nil, errSegmentCorrupt
 	}
-	var hdr [5]byte
+	var hdr [segHeaderLen]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if string(hdr[:4]) != segMagic || hdr[4] != segVersion {
-		f.Close()
 		return nil, errSegmentCorrupt
 	}
 	var footer [segFooterLen]byte
 	if _, err := f.ReadAt(footer[:], fi.Size()-segFooterLen); err != nil {
-		f.Close()
 		return nil, err
 	}
 	if string(footer[16:20]) != segFooterMagic {
-		f.Close()
 		return nil, errSegmentCorrupt
 	}
 	dataEnd := int64(binary.LittleEndian.Uint64(footer[0:8]))
 	indexLen := int64(binary.LittleEndian.Uint32(footer[8:12]))
-	crc := binary.LittleEndian.Uint32(footer[12:16])
-	if dataEnd < hdrLen || dataEnd+indexLen+segFooterLen != fi.Size() {
-		f.Close()
+	if dataEnd < segHeaderLen || dataEnd+indexLen+segFooterLen != fi.Size() {
 		return nil, errSegmentCorrupt
 	}
 	idxBuf := make([]byte, indexLen)
 	if _, err := f.ReadAt(idxBuf, dataEnd); err != nil {
-		f.Close()
 		return nil, err
 	}
-	if crc32.ChecksumIEEE(idxBuf) != crc {
-		f.Close()
+	if crc32.ChecksumIEEE(idxBuf) != binary.LittleEndian.Uint32(footer[12:16]) {
 		return nil, errSegmentCorrupt
 	}
-	d := wire.NewDecoder(idxBuf)
-	n := d.Int()
 	seg := &segment{f: f, name: name, dataEnd: dataEnd}
-	for i := 0; i < n; i++ {
-		e := segIndexEntry{key: d.String(), value: d.String(), off: int64(d.Uvarint())}
-		if d.Err() != nil {
-			break
-		}
-		seg.index = append(seg.index, e)
+	d := wire.NewDecoder(idxBuf)
+	segIndexCodec.Read(d, &seg.index)
+	if d.Finish() != nil {
+		return nil, errSegmentCorrupt
 	}
-	if err := d.Finish(); err != nil {
-		f.Close()
+	// The offsets must cut the record region into non-empty blocks: the
+	// first at the header, each before the next, the last before dataEnd.
+	// An empty index means an empty region.
+	end := uint64(dataEnd)
+	for i := len(seg.index) - 1; i >= 0; i-- {
+		if seg.index[i].Off >= end {
+			return nil, errSegmentCorrupt
+		}
+		end = seg.index[i].Off
+	}
+	if end != segHeaderLen {
 		return nil, errSegmentCorrupt
 	}
 	return seg, nil
@@ -239,93 +230,80 @@ func openSegment(path, name string) (*segment, error) {
 
 func (g *segment) close() error { return g.f.Close() }
 
-// startOffset returns the file offset of the nearest indexed record at or
-// before the (key, value) target.
-func (g *segment) startOffset(key, value string) int64 {
-	// First index entry strictly after the target; scan starts at the entry
-	// before it.
-	i := sort.Search(len(g.index), func(i int) bool {
-		e := g.index[i]
-		return pairLess(key, value, e.key, e.value)
-	})
-	if i == 0 {
-		return int64(len(segMagic) + 1)
-	}
-	return g.index[i-1].off
-}
-
-// get returns the record stored for the pair, scanning the bounded run from
-// the sparse index.
+// get returns the record stored for the pair.
 func (g *segment) get(key, value string) (segRec, bool, error) {
 	it, err := g.iter(key, value)
 	if err != nil {
 		return segRec{}, false, err
 	}
-	for {
-		rec, ok, err := it.next()
-		if err != nil || !ok {
-			return segRec{}, false, err
-		}
-		if rec.key == key && rec.value == value {
-			return rec, true, nil
-		}
-		if pairLess(key, value, rec.key, rec.value) {
-			return segRec{}, false, nil // past the target
-		}
+	rec, ok, err := it.peek()
+	if err != nil || !ok || rec.Key != key || rec.Value != value {
+		return segRec{}, false, err
 	}
+	return rec, true, nil
 }
 
 // iter returns an iterator positioned at the first record not before the
 // (key, value) target ("", "" for the whole segment).
 func (g *segment) iter(key, value string) (*segmentIter, error) {
-	off := int64(len(segMagic) + 1)
-	if key != "" || value != "" {
-		off = g.startOffset(key, value)
-	}
-	sr := io.NewSectionReader(g.f, off, g.dataEnd-off)
-	it := &segmentIter{r: bufio.NewReaderSize(sr, 32<<10)}
-	// Skip the run between the index entry and the target.
+	// The target's block opens with the last index entry not after it.
+	i := sort.Search(len(g.index), func(i int) bool {
+		return pairLess(key, value, g.index[i].Key, g.index[i].Value)
+	})
+	it := &segmentIter{g: g, blk: max(i-1, 0)}
+	// Skip the block's records before the target.
 	for {
 		rec, ok, err := it.peek()
 		if err != nil {
 			return nil, err
 		}
-		if !ok || !pairLess(rec.key, rec.value, key, value) {
+		if !ok || !pairLess(rec.Key, rec.Value, key, value) {
 			return it, nil
 		}
 		it.advance()
 	}
 }
 
-// segmentIter streams a segment's records in order with one buffered record
-// of lookahead (the shape the k-way merge in diskengine.go consumes).
+// segmentIter yields a segment's records in order with one record of
+// lookahead (the shape the k-way merge in diskengine.go consumes). It
+// holds one block in memory, decoding from it until it is empty and then
+// loading the next.
 type segmentIter struct {
-	r      *bufio.Reader
+	g      *segment
+	blk    int          // the block to load when d is empty
+	d      wire.Decoder // the current block's undecoded records
 	cur    segRec
 	loaded bool
-	done   bool
 	err    error
 }
 
 // peek returns the current record without consuming it.
 func (it *segmentIter) peek() (segRec, bool, error) {
-	if it.err != nil || it.done {
+	if it.err != nil {
 		return segRec{}, false, it.err
 	}
 	if it.loaded {
 		return it.cur, true, nil
 	}
-	rec, err := readSegRec(it.r)
-	if err == io.EOF {
-		it.done = true
-		return segRec{}, false, nil
+	if it.d.Len() == 0 {
+		if it.blk == len(it.g.index) {
+			return segRec{}, false, nil
+		}
+		block, err := it.g.block(it.blk)
+		if err != nil {
+			it.err = fmt.Errorf("%w: %v", errSegmentCorrupt, err)
+			return segRec{}, false, it.err
+		}
+		it.d = *wire.NewDecoder(block)
+		it.blk++
 	}
-	if err != nil {
+	segRecCodec.Read(&it.d, &it.cur)
+	if err := it.d.Err(); err != nil {
 		it.err = fmt.Errorf("%w: %v", errSegmentCorrupt, err)
 		return segRec{}, false, it.err
 	}
-	it.cur, it.loaded = rec, true
-	return rec, true, nil
+	it.loaded = true
+	return it.cur, true, nil
 }
 
 // advance consumes the current record.
@@ -338,51 +316,15 @@ func (it *segmentIter) next() (segRec, bool, error) {
 	return rec, ok, err
 }
 
-// readSegRec decodes one record from the stream. io.EOF at the first byte
-// means the clean end of the record region.
-func readSegRec(r *bufio.Reader) (segRec, error) {
-	flags, err := r.ReadByte()
-	if err != nil {
-		return segRec{}, err // io.EOF here is the clean end
+// block reads block i of the record region.
+func (g *segment) block(i int) ([]byte, error) {
+	end := uint64(g.dataEnd)
+	if i+1 < len(g.index) {
+		end = g.index[i+1].Off
 	}
-	var rec segRec
-	rec.del = flags&1 != 0
-	if rec.key, err = readSegString(r); err != nil {
-		return segRec{}, noEOF(err)
+	buf := make([]byte, end-g.index[i].Off)
+	if _, err := g.f.ReadAt(buf, int64(g.index[i].Off)); err != nil {
+		return nil, err
 	}
-	if rec.value, err = readSegString(r); err != nil {
-		return segRec{}, noEOF(err)
-	}
-	if rec.gen, err = binary.ReadUvarint(r); err != nil {
-		return segRec{}, noEOF(err)
-	}
-	if rec.ver, err = binary.ReadUvarint(r); err != nil {
-		return segRec{}, noEOF(err)
-	}
-	return rec, nil
-}
-
-// readSegString decodes one length-prefixed string.
-func readSegString(r *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return "", err
-	}
-	if n > wire.MaxLen {
-		return "", errSegmentCorrupt
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// noEOF converts a mid-record EOF into ErrUnexpectedEOF so it is reported
-// as corruption, not a clean end.
-func noEOF(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
-	}
-	return err
+	return buf, nil
 }

@@ -1,7 +1,11 @@
 package replication
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -23,24 +27,24 @@ const segmentGolden = "segment.golden"
 func goldenSegRecs() []segRec {
 	var recs []segRec
 	for i := 0; i < 150; i++ {
-		rec := segRec{key: strconv.FormatInt(int64(i), 2), value: fmt.Sprintf("v%d", i), gen: uint64(i), ver: uint64(i) + 1000}
+		rec := segRec{PairRecord: PairRecord{Key: strconv.FormatInt(int64(i), 2), Value: fmt.Sprintf("v%d", i), Gen: uint64(i), Ver: uint64(i) + 1000}}
 		if i == 42 {
-			rec.value = ""
+			rec.Value = ""
 		}
 		if i%5 == 0 {
-			rec.gen += 1 << 32
+			rec.Gen += 1 << 32
 		}
 		if i%4 == 1 {
-			rec.ver += 1 << 40
+			rec.Ver += 1 << 40
 		}
-		rec.del = i%6 == 5
+		rec.Del = i%6 == 5
 		recs = append(recs, rec)
 		if i%9 == 0 {
-			recs = append(recs, segRec{key: rec.key, value: "w", gen: 7, ver: 1<<33 + uint64(i)})
+			recs = append(recs, segRec{PairRecord: PairRecord{Key: rec.Key, Value: "w", Gen: 7, Ver: 1<<33 + uint64(i)}})
 		}
 	}
 	sort.Slice(recs, func(i, j int) bool {
-		return pairLess(recs[i].key, recs[i].value, recs[j].key, recs[j].value)
+		return pairLess(recs[i].Key, recs[i].Value, recs[j].Key, recs[j].Value)
 	})
 	return recs
 }
@@ -87,7 +91,7 @@ func segRecords(g *segment) ([]segRec, error) {
 
 // segRecLine renders one record for the golden.
 func segRecLine(rec segRec) string {
-	return fmt.Sprintf("rec del=%v key=%q value=%q gen=%d ver=%d", rec.del, rec.key, rec.value, rec.gen, rec.ver)
+	return fmt.Sprintf("rec del=%v key=%q value=%q gen=%d ver=%d", rec.Del, rec.Key, rec.Value, rec.Gen, rec.Ver)
 }
 
 // TestSegmentGolden pins the bytes of a segment written from goldenSegRecs,
@@ -115,8 +119,8 @@ func TestSegmentGolden(t *testing.T) {
 		got = append(got, segRecLine(rec))
 	}
 	for _, rec := range recs {
-		if found, ok, err := g.get(rec.key, rec.value); err != nil || !ok || found != rec {
-			t.Errorf("get(%q, %q) = %v, %v, %v; want %v", rec.key, rec.value, found, ok, err, rec)
+		if found, ok, err := g.get(rec.Key, rec.Value); err != nil || !ok || found != rec {
+			t.Errorf("get(%q, %q) = %v, %v, %v; want %v", rec.Key, rec.Value, found, ok, err, rec)
 		}
 	}
 	if found, ok, err := g.get("0", "absent"); err != nil || ok {
@@ -148,5 +152,100 @@ func TestSegmentGolden(t *testing.T) {
 			t.Errorf("first difference at line %d:\n got %s\nwant %s", i+1, got[i], want[i])
 			break
 		}
+	}
+}
+
+// goldenSegmentFile returns the segment file pinned by
+// testdata/segment.golden.
+func goldenSegmentFile(t testing.TB) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", segmentGolden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data []byte
+	for _, line := range strings.Split(string(raw), "\n") {
+		if hexPart, ok := strings.CutPrefix(line, "file "); ok {
+			b, err := hex.DecodeString(hexPart)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, b...)
+		}
+	}
+	return data
+}
+
+// splitSegment splits a well-formed segment file into its header plus
+// record region and its index block.
+func splitSegment(file []byte) (data, index []byte) {
+	footer := file[len(file)-segFooterLen:]
+	dataEnd := binary.LittleEndian.Uint64(footer)
+	return file[:dataEnd], file[dataEnd : len(file)-segFooterLen]
+}
+
+// sealSegment joins a header plus record region and an index block into a
+// segment file, with the footer and its CRC that finish would write.
+func sealSegment(data, index []byte) []byte {
+	file := append(append([]byte(nil), data...), index...)
+	file = binary.LittleEndian.AppendUint64(file, uint64(len(data)))
+	file = binary.LittleEndian.AppendUint32(file, uint32(len(index)))
+	file = binary.LittleEndian.AppendUint32(file, crc32.ChecksumIEEE(index))
+	return append(file, segFooterMagic...)
+}
+
+// openSegmentBytes writes file into dir as segment 1 and opens it.
+func openSegmentBytes(t testing.TB, dir string, file []byte) (*segment, error) {
+	t.Helper()
+	name := segmentFileName(1)
+	if err := os.WriteFile(filepath.Join(dir, name), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g, err := openSegment(filepath.Join(dir, name), name)
+	if err == nil {
+		t.Cleanup(func() { g.close() })
+	}
+	return g, err
+}
+
+// TestSegmentIndexOffsetsChecked checks that a CRC-valid index whose
+// offsets do not cut the record region into non-empty blocks, in order,
+// starting at the header, fails to open as corruption rather than making
+// lookups in the misplaced blocks miss.
+func TestSegmentIndexOffsetsChecked(t *testing.T) {
+	data, indexBlock := splitSegment(goldenSegmentFile(t))
+	decoded, err := segIndexCodec.Decode(indexBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := decoded.([]segIndexEntry)
+	if len(golden) != 3 {
+		t.Fatalf("the golden segment has %d index entries, want 3", len(golden))
+	}
+	dataEnd := uint64(len(data))
+	for name, edit := range map[string]func(index []segIndexEntry) []segIndexEntry{
+		"second offset past dataEnd": func(x []segIndexEntry) []segIndexEntry { x[1].Off = dataEnd + 100; return x },
+		"last offset at dataEnd":     func(x []segIndexEntry) []segIndexEntry { x[2].Off = dataEnd; return x },
+		"first offset after header":  func(x []segIndexEntry) []segIndexEntry { x[0].Off++; return x },
+		"offsets out of order":       func(x []segIndexEntry) []segIndexEntry { x[1].Off, x[2].Off = x[2].Off, x[1].Off; return x },
+		"repeated offset":            func(x []segIndexEntry) []segIndexEntry { x[2].Off = x[1].Off; return x },
+		"empty index over records":   func([]segIndexEntry) []segIndexEntry { return nil },
+	} {
+		t.Run(name, func(t *testing.T) {
+			index := edit(append([]segIndexEntry(nil), golden...))
+			file := sealSegment(data, segIndexCodec.Append(nil, index))
+			if _, err := openSegmentBytes(t, t.TempDir(), file); !errors.Is(err, errSegmentCorrupt) {
+				t.Errorf("open: err = %v, want errSegmentCorrupt", err)
+			}
+		})
+	}
+	if _, err := openSegmentBytes(t, t.TempDir(), sealSegment(data, segIndexCodec.Append(nil, golden))); err != nil {
+		t.Errorf("the resealed golden segment does not open: %v", err)
+	}
+	empty := sealSegment(data[:segHeaderLen], segIndexCodec.Append(nil, []segIndexEntry(nil)))
+	if g, err := openSegmentBytes(t, t.TempDir(), empty); err != nil {
+		t.Errorf("an empty segment does not open: %v", err)
+	} else if recs, err := segRecords(g); err != nil || len(recs) != 0 {
+		t.Errorf("an empty segment yields %v, %v", recs, err)
 	}
 }

@@ -86,8 +86,12 @@ func snapTombRec(ks string) []byte {
 	return wire.AppendUvarint(wire.AppendVarint(b, -1), 0)                  // At, Ver
 }
 
-func snapEngineRec(count uint64) []byte {
-	return wire.AppendUvarint(wire.AppendUvarint([]byte{snapTagEngine}, count), 0)
+func snapEngineRec(count uint64, manifest ...string) []byte {
+	b := wire.AppendUvarint(wire.AppendUvarint([]byte{snapTagEngine}, count), uint64(len(manifest)))
+	for _, name := range manifest {
+		b = wire.AppendString(b, name)
+	}
+	return b
 }
 
 func snapDigestRec(n uint64) []byte {
@@ -158,6 +162,43 @@ func TestSnapshotCountOverflowRefused(t *testing.T) {
 	}
 }
 
+// TestSnapshotManifestNameRefused checks that a snapshot whose manifest
+// names a file other than one the engine names a segment — one outside
+// the data directory, or in a directory below it — is skipped as corrupt,
+// instead of the store adopting that file's pairs (and later removing it
+// when a compaction replaces it).
+func TestSnapshotManifestNameRefused(t *testing.T) {
+	segFile := goldenSegmentFile(t)
+	key := keyspace.MustFromString(goldenSegRecs()[0].Key)
+	for _, name := range []string{"../outside.seg", "sub/" + segmentFileName(1), "seg-1.seg"} {
+		t.Run(name, func(t *testing.T) {
+			body := snapBodyOf(snapEngineRec(10, name))
+			if _, err := decodeBinarySnapshot(sealSnapshot(body)); !errors.Is(err, errSnapshotCorrupt) {
+				t.Errorf("decode: err = %v, want errSnapshotCorrupt", err)
+			}
+			dir := filepath.Join(t.TempDir(), "data")
+			if err := os.MkdirAll(filepath.Join(dir, "sub"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			named := filepath.Join(dir, name)
+			if err := os.WriteFile(named, segFile, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), sealSnapshot(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := OpenStore(dir, PersistOptions{Engine: EngineDisk})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if n, got := s.Len(), s.Lookup(key); n != 0 || len(got) != 0 {
+				t.Errorf("Len() = %d and Lookup = %v over a snapshot naming %s, want an empty store", n, got, name)
+			}
+		})
+	}
+}
+
 // goldenDiskRecords returns the WAL payloads and snapshot bodies pinned by
 // testdata/disk_records.golden, the fuzz targets' seeds.
 func goldenDiskRecords(f *testing.F) (payloads, bodies [][]byte) {
@@ -223,6 +264,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 	for _, b := range bodies {
 		f.Add(b)
 	}
+	// The pinned external snapshot names .sst segments, which decoding
+	// refuses: seed one naming a segment the engine could have written.
+	external := goldenSnapshots()["external"]
+	external.Manifest = []string{segmentFileName(1)}
+	var buf bytes.Buffer
+	if err := encodeSnapshotTo(&buf, external); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes()[len(snapMagic) : buf.Len()-4])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		st, err := decodeBinarySnapshot(sealSnapshot(body))
 		if err != nil {

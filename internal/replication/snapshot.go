@@ -289,6 +289,14 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 			if rec.Count > math.MaxInt {
 				return nil, errSnapshotCorrupt
 			}
+			for _, name := range rec.Manifest {
+				// The engine opens each name in the data directory and
+				// removes it once compaction replaces it: only names it
+				// gives segments itself stay inside that directory.
+				if seq, ok := parseSeq(name, "seg-", ".seg"); !ok || name != segmentFileName(seq) {
+					return nil, errSnapshotCorrupt
+				}
+			}
 			st.External, st.Count, st.Manifest = true, int(rec.Count), rec.Manifest
 		case snapTagDigest:
 			if !st.External {

@@ -601,3 +601,62 @@ func TestStoreMutationDedupSurvivesRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Allocation ceilings of the reads on a checkpointed store of
+// readCeilingPairs pairs, per engine: one Lookup, averaged over every pair
+// in turn, and one ScanRange over 1/16 of the key space. They are the
+// counts measured with segments read one index block at a time, and may
+// only go down.
+const (
+	readCeilingPairs     = 4096
+	memGetAllocCeiling   = 4
+	diskGetAllocCeiling  = 76
+	memScanAllocCeiling  = 15
+	diskScanAllocCeiling = 656
+)
+
+// TestEngineReadAllocCeilings holds each engine's point and range read
+// paths to their allocation ceilings.
+func TestEngineReadAllocCeilings(t *testing.T) {
+	for engine, ceiling := range map[string]struct{ get, scan int }{
+		EngineMem:  {memGetAllocCeiling, memScanAllocCeiling},
+		EngineDisk: {diskGetAllocCeiling, diskScanAllocCeiling},
+	} {
+		t.Run(engine, func(t *testing.T) {
+			s, err := OpenStore(t.TempDir(), PersistOptions{Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			keys := make([]keyspace.Key, readCeilingPairs)
+			for i := range keys {
+				keys[i] = keyspace.MustFromFloat(float64(i)/readCeilingPairs, 32)
+				s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			get := testing.AllocsPerRun(readCeilingPairs, func() {
+				if len(s.Lookup(keys[i%readCeilingPairs])) != 1 {
+					t.Fatalf("Lookup missed pair %d", i)
+				}
+				i++
+			})
+			r := keyspace.NewRange(keys[readCeilingPairs/4], keys[readCeilingPairs*5/16])
+			scan := testing.AllocsPerRun(20, func() {
+				n := 0
+				s.ScanRange(r, func(Item) bool { n++; return true })
+				if n != readCeilingPairs/16 {
+					t.Fatalf("ScanRange yielded %d pairs, want %d", n, readCeilingPairs/16)
+				}
+			})
+			if get > float64(ceiling.get) {
+				t.Errorf("Lookup allocates %.1f times, ceiling %d", get, ceiling.get)
+			}
+			if scan > float64(ceiling.scan) {
+				t.Errorf("ScanRange allocates %.1f times, ceiling %d", scan, ceiling.scan)
+			}
+		})
+	}
+}

@@ -91,7 +91,7 @@ func segmentFileName(seq uint64) string { return fmt.Sprintf("seg-%016d.seg", se
 type segWriter struct {
 	f       *os.File
 	bw      *bufio.Writer
-	off     int64
+	off     uint64
 	records int
 	index   []segIndexEntry
 	scratch []byte
@@ -114,13 +114,13 @@ func newSegWriter(path string) (*segWriter, error) {
 // add appends one record.
 func (w *segWriter) add(rec segRec) error {
 	if w.records%segIndexEvery == 0 {
-		w.index = append(w.index, segIndexEntry{Key: rec.Key, Value: rec.Value, Off: uint64(w.off)})
+		w.index = append(w.index, segIndexEntry{Key: rec.Key, Value: rec.Value, Off: w.off})
 	}
 	w.scratch = segRecCodec.Append(w.scratch[:0], rec)
 	if _, err := w.bw.Write(w.scratch); err != nil {
 		return err
 	}
-	w.off += int64(len(w.scratch))
+	w.off += uint64(len(w.scratch))
 	w.records++
 	return nil
 }
@@ -129,7 +129,7 @@ func (w *segWriter) add(rec segRec) error {
 func (w *segWriter) finish() error {
 	b := segIndexCodec.Append(w.scratch[:0], w.index)
 	indexLen := len(b)
-	b = binary.LittleEndian.AppendUint64(b, uint64(w.off))
+	b = binary.LittleEndian.AppendUint64(b, w.off)
 	b = binary.LittleEndian.AppendUint32(b, uint32(indexLen))
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[:indexLen]))
 	b = append(b, segFooterMagic...)

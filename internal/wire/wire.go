@@ -1,7 +1,8 @@
 // Package wire implements the compact binary encoding shared by the TCP
-// transport's message frames, the replication WAL's record payloads and the
-// binary snapshot format: length-delimited fields, varints for integers, no
-// schema metadata.
+// transport's message frames and the replication package's three file
+// formats — WAL record payloads, snapshots and the disk engine's sorted
+// segments: length-delimited fields, varints for integers, no schema
+// metadata.
 //
 // A message's or record's encoding is derived from its struct declaration
 // (Compile): the exported fields in declaration order, each encoded by its
@@ -25,8 +26,10 @@
 // vectors pin the bytes of every message and disk record. The transport
 // keeps one codec per message type; the WAL and snapshot files are streams
 // of tagged records, one tag byte and then the struct the tag names
-// (Records). Decoders carry a sticky error, so a decoder reads all fields
-// unconditionally and checks Err once at the end.
+// (Records); a segment file is untagged records of one struct, read a block
+// at a time, then its index as one slice. Decoders carry a sticky error, so
+// a decoder reads all fields unconditionally and checks Err once at the
+// end.
 package wire
 
 import (

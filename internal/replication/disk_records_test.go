@@ -162,9 +162,29 @@ func diskRecordLines(t *testing.T) []string {
 // testdata/disk_records.golden.
 func TestDiskRecordsGolden(t *testing.T) {
 	got := diskRecordLines(t)
-	path := filepath.Join("testdata", diskRecordsGolden)
+	ops := map[byte]bool{}
+	for _, line := range got {
+		var op byte
+		if _, err := fmt.Sscanf(line, "wal op=%d", &op); err == nil {
+			ops[op] = true
+		}
+	}
+	for op := opAdd; op <= opMutSeen; op++ {
+		if !ops[byte(op)] {
+			t.Errorf("the WAL session never logs op %d", op)
+		}
+	}
+	checkGolden(t, diskRecordsGolden, got)
+}
+
+// checkGolden compares got with the lines of testdata/name outside its
+// '#' comments. Under PGRID_REGEN_GOLDEN=1 it first rewrites the file,
+// with a header naming the calling test.
+func checkGolden(t *testing.T, name string, got []string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if os.Getenv("PGRID_REGEN_GOLDEN") != "" {
-		header := "# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/replication -run TestDiskRecordsGolden\n"
+		header := "# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/replication -run " + t.Name() + "\n"
 		if err := os.WriteFile(path, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -177,18 +197,6 @@ func TestDiskRecordsGolden(t *testing.T) {
 	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
 		if !strings.HasPrefix(line, "#") {
 			want = append(want, line)
-		}
-	}
-	ops := map[byte]bool{}
-	for _, line := range got {
-		var op byte
-		if _, err := fmt.Sscanf(line, "wal op=%d", &op); err == nil {
-			ops[op] = true
-		}
-	}
-	for op := opAdd; op <= opMutSeen; op++ {
-		if !ops[byte(op)] {
-			t.Errorf("the WAL session never logs op %d", op)
 		}
 	}
 	if len(got) != len(want) {

@@ -89,11 +89,6 @@ func segRecords(g *segment) ([]segRec, error) {
 	}
 }
 
-// segRecLine renders one record for the golden.
-func segRecLine(rec segRec) string {
-	return fmt.Sprintf("rec del=%v key=%q value=%q gen=%d ver=%d", rec.Del, rec.Key, rec.Value, rec.Gen, rec.Ver)
-}
-
 // TestSegmentGolden pins the bytes of a segment written from goldenSegRecs,
 // 64 per line, and the records iterating it yields, against
 // testdata/segment.golden. Every record must also be found by get.
@@ -116,7 +111,7 @@ func TestSegmentGolden(t *testing.T) {
 		t.Errorf("iterating the segment yields %d records, differing from the %d written", len(back), len(recs))
 	}
 	for _, rec := range back {
-		got = append(got, segRecLine(rec))
+		got = append(got, fmt.Sprintf("rec del=%v key=%q value=%q gen=%d ver=%d", rec.Del, rec.Key, rec.Value, rec.Gen, rec.Ver))
 	}
 	for _, rec := range recs {
 		if found, ok, err := g.get(rec.Key, rec.Value); err != nil || !ok || found != rec {
@@ -126,33 +121,7 @@ func TestSegmentGolden(t *testing.T) {
 	if found, ok, err := g.get("0", "absent"); err != nil || ok {
 		t.Errorf("get of an absent pair = %v, %v, %v", found, ok, err)
 	}
-
-	path := filepath.Join("testdata", segmentGolden)
-	if os.Getenv("PGRID_REGEN_GOLDEN") != "" {
-		header := "# Regenerate with PGRID_REGEN_GOLDEN=1 go test ./internal/replication -run TestSegmentGolden\n"
-		if err := os.WriteFile(path, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (regenerate with PGRID_REGEN_GOLDEN=1): %v", err)
-	}
-	var want []string
-	for _, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
-		if !strings.HasPrefix(line, "#") {
-			want = append(want, line)
-		}
-	}
-	if len(got) != len(want) {
-		t.Errorf("%d lines, golden has %d", len(got), len(want))
-	}
-	for i := 0; i < len(got) && i < len(want); i++ {
-		if got[i] != want[i] {
-			t.Errorf("first difference at line %d:\n got %s\nwant %s", i+1, got[i], want[i])
-			break
-		}
-	}
+	checkGolden(t, segmentGolden, got)
 }
 
 // goldenSegmentFile returns the segment file pinned by

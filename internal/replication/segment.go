@@ -309,13 +309,6 @@ func (it *segmentIter) peek() (segRec, bool, error) {
 // advance consumes the current record.
 func (it *segmentIter) advance() { it.loaded = false }
 
-// next consumes and returns the next record.
-func (it *segmentIter) next() (segRec, bool, error) {
-	rec, ok, err := it.peek()
-	it.advance()
-	return rec, ok, err
-}
-
 // block reads block i of the record region.
 func (g *segment) block(i int) ([]byte, error) {
 	end := uint64(g.dataEnd)

@@ -81,11 +81,12 @@ func segRecords(g *segment) ([]segRec, error) {
 	}
 	var out []segRec
 	for {
-		rec, ok, err := it.next()
+		rec, ok, err := it.peek()
 		if err != nil || !ok {
 			return out, err
 		}
 		out = append(out, rec)
+		it.advance()
 	}
 }
 

@@ -290,9 +290,9 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 				return nil, errSnapshotCorrupt
 			}
 			for _, name := range rec.Manifest {
-				// The engine opens each name in the data directory and
-				// removes it once compaction replaces it: only names it
-				// gives segments itself stay inside that directory.
+				// Recovery joins each name to the data directory, opens it
+				// and, once compaction replaces it, removes it: only the
+				// engine's own names are sure to stay inside.
 				if seq, ok := parseSeq(name, "seg-", ".seg"); !ok || name != segmentFileName(seq) {
 					return nil, errSnapshotCorrupt
 				}

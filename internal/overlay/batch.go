@@ -111,32 +111,19 @@ func (p *Peer) handleQueryBatch(ctx context.Context, req BatchQueryRequest) Batc
 // group is resolved; otherwise later responders still fill the gaps.
 func (p *Peer) raceBatch(ctx context.Context, refs []routing.Ref, sub BatchQueryRequest) []QueryResponse {
 	merged := make([]QueryResponse, len(sub.Keys))
-	if len(refs) == 0 {
-		return merged
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := p.launchRace(rctx, refs, sub)
 	unresolved := len(sub.Keys)
-	for done := 0; done < len(refs); done++ {
-		select {
-		case <-ctx.Done():
-			return merged
-		case out := <-results:
-			resp, ok := out.raw.(BatchQueryResponse)
-			if !ok || len(resp.Results) != len(sub.Keys) {
-				continue
-			}
-			for j, qr := range resp.Results {
-				if qr.Found && !merged[j].Found {
-					merged[j] = qr
-					unresolved--
-				}
-			}
-			if unresolved == 0 {
-				return merged
+	p.raceCall(ctx, refs, sub, p.queryAlpha(), func(raw any) bool {
+		resp, ok := raw.(BatchQueryResponse)
+		if !ok || len(resp.Results) != len(sub.Keys) {
+			return false
+		}
+		for j, qr := range resp.Results {
+			if qr.Found && !merged[j].Found {
+				merged[j] = qr
+				unresolved--
 			}
 		}
-	}
+		return unresolved == 0
+	})
 	return merged
 }

@@ -250,7 +250,7 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 func (p *Peer) forwardMutation(ctx context.Context, key keyspace.Key, forward any) (MutateResponse, error) {
 	_, level, _ := p.table.NextHop(key)
 	refs := p.shuffledRefs(level)
-	raw, ok := p.raceCall(ctx, refs, forward, func(raw any) bool {
+	raw, ok := p.raceCall(ctx, refs, forward, p.queryAlpha(), func(raw any) bool {
 		resp, ok := raw.(MutateResponse)
 		return ok && resp.Found
 	})

@@ -98,7 +98,7 @@ func (p *Peer) resolveQuery(ctx context.Context, req QueryRequest) (QueryRespons
 	_, level, _ := p.table.NextHop(req.Key)
 	refs := p.shuffledRefs(level)
 	forward := QueryRequest{Key: req.Key, Hops: req.Hops + 1, TTL: req.TTL - 1, Bypass: req.Bypass}
-	raw, ok := p.raceCall(ctx, refs, forward, func(raw any) bool {
+	raw, ok := p.raceCall(ctx, refs, forward, p.queryAlpha(), func(raw any) bool {
 		resp, ok := raw.(QueryResponse)
 		return ok && resp.Found
 	})
@@ -182,83 +182,68 @@ func (p *Peer) shuffledRefs(level int) []routing.Ref {
 	return refs
 }
 
-// raceOutcome is one reference's attempt in a hedged race: the raw response
-// or a nil raw on transport failure.
-type raceOutcome struct {
-	raw any
-}
-
-// launchRace starts up to alpha workers that forward req to the given
-// references and report every attempt's outcome on the returned channel
-// (exactly one outcome per reference unless rctx is cancelled first).
-// Worker i defers its start by i*HedgeDelay, so with a positive hedge delay
-// the second candidate only launches when the first has not answered
-// promptly (hedged requests); with a zero delay all alpha candidates race
-// immediately. References whose calls fail with a transport error are
-// pruned from the routing table, and remaining candidates are handed to
-// freed-up workers, so every reference is still tried — just no longer one
-// full timeout at a time.
-func (p *Peer) launchRace(rctx context.Context, refs []routing.Ref, req any) <-chan raceOutcome {
-	alpha := p.queryAlpha()
-	if alpha > len(refs) {
-		alpha = len(refs)
-	}
-	hedge := p.hedgeDelay()
-	pending := make(chan routing.Ref, len(refs))
-	for _, ref := range refs {
-		pending <- ref
-	}
-	close(pending)
-	results := make(chan raceOutcome, len(refs))
-	for i := 0; i < alpha; i++ {
-		go func(stagger time.Duration) {
-			if stagger > 0 {
-				t := time.NewTimer(stagger)
-				select {
-				case <-rctx.Done():
-					t.Stop()
-					return
-				case <-t.C:
-				}
-			}
-			for ref := range pending {
-				if rctx.Err() != nil {
-					return
-				}
-				raw, err := p.transport.Call(rctx, ref.Addr, req)
-				if err != nil {
-					// Only prune on genuine transport failures: a call
-					// aborted because a concurrent candidate already won
-					// says nothing about the reference's liveness.
-					if rctx.Err() == nil && !errors.Is(err, context.Canceled) {
-						p.table.Remove(ref.Addr)
-					}
-					results <- raceOutcome{}
-					continue
-				}
-				results <- raceOutcome{raw: raw}
-			}
-		}(time.Duration(i) * hedge)
-	}
-	return results
-}
-
-// raceCall forwards req to the given references with up to alpha calls in
-// flight at once and returns the first response that accept approves.
-func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, accept func(raw any) bool) (any, bool) {
-	if len(refs) == 0 {
+// raceCall forwards req to the given references, at most width calls in
+// flight at once, and returns the first response that accept approves.
+// The first width calls start staggered by HedgeDelay (candidate i after
+// i*HedgeDelay, all at once when it is zero); after that a further
+// reference is called only when an outcome was rejected — a transport
+// error or a response accept refuses — so a race that is won sends no
+// request past the winning one. References whose calls fail with a
+// transport error are pruned from the routing table. accept runs on the
+// caller's goroutine, one outcome at a time.
+func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, width int, accept func(raw any) bool) (any, bool) {
+	width = min(max(width, 1), len(refs))
+	if width == 0 {
 		return nil, false
 	}
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	results := p.launchRace(rctx, refs, req)
-	for done := 0; done < len(refs); done++ {
+	hedge := p.hedgeDelay()
+	// One slot per reference: every call sends at most one outcome, so no
+	// sender blocks once the race has returned.
+	results := make(chan any, len(refs))
+	next := 0
+	launch := func(stagger time.Duration) {
+		ref := refs[next]
+		next++
+		go func() {
+			if stagger > 0 {
+				t := time.NewTimer(stagger)
+				defer t.Stop()
+				select {
+				case <-rctx.Done():
+					results <- nil
+					return
+				case <-t.C:
+				}
+			}
+			raw, err := p.transport.Call(rctx, ref.Addr, req)
+			if err != nil {
+				// Only prune on genuine transport failures: a call
+				// aborted because the race was won or given up says
+				// nothing about the reference's liveness.
+				if rctx.Err() == nil && !errors.Is(err, context.Canceled) {
+					p.table.Remove(ref.Addr)
+				}
+				raw = nil
+			}
+			results <- raw
+		}()
+	}
+	for i := 0; i < width; i++ {
+		launch(time.Duration(i) * hedge)
+	}
+	for inflight := width; inflight > 0; inflight-- {
 		select {
 		case <-ctx.Done():
 			return nil, false
-		case out := <-results:
-			if out.raw != nil && accept(out.raw) {
-				return out.raw, true
+		case raw := <-results:
+			if raw != nil && accept(raw) {
+				return raw, true
+			}
+			if next < len(refs) && ctx.Err() == nil {
+				launch(0)
+				inflight++
 			}
 		}
 	}

@@ -11,8 +11,9 @@ import (
 // This file implements batch query processing: many exact-match lookups
 // pipelined through shared routing. At every peer the batch is split into
 // keys answered locally and groups of keys that diverge from the local path
-// at the same level; each group is forwarded as ONE message (raced over up
-// to Alpha references, like single lookups), so b keys bound for the same
+// at the same level; each group is forwarded as ONE message (raced over as
+// many references as a single lookup: Alpha at the accepting peer, one at a
+// time at a forwarder), so b keys bound for the same
 // sub-tree cost one round trip instead of b. Groups are forwarded
 // concurrently through the same bounded pool that drives range fan-out.
 
@@ -92,7 +93,7 @@ func (p *Peer) handleQueryBatch(ctx context.Context, req BatchQueryRequest) Batc
 		for j, i := range g.idx {
 			sub.Keys[j] = req.Keys[i]
 		}
-		merged := p.raceBatch(ctx, p.shuffledRefs(g.level), sub)
+		merged := p.raceBatch(ctx, p.shuffledRefs(g.level), sub, p.raceWidth(req.Hops))
 		mu.Lock()
 		defer mu.Unlock()
 		for j, i := range g.idx {
@@ -102,17 +103,17 @@ func (p *Peer) handleQueryBatch(ctx context.Context, req BatchQueryRequest) Batc
 	return BatchQueryResponse{Results: results}
 }
 
-// raceBatch forwards a sub-batch to the given references, up to Alpha in
+// raceBatch forwards a sub-batch to the given references, up to width in
 // flight at once, and merges the responses per key: a key is resolved by
 // the first response that found it. Unlike a single lookup — where the
 // first responsible answer is the whole result — a batch response can
 // resolve some keys and dead-end on others (a responder with a stale
 // routing branch), so the race only stops early once every key of the
 // group is resolved; otherwise later responders still fill the gaps.
-func (p *Peer) raceBatch(ctx context.Context, refs []routing.Ref, sub BatchQueryRequest) []QueryResponse {
+func (p *Peer) raceBatch(ctx context.Context, refs []routing.Ref, sub BatchQueryRequest, width int) []QueryResponse {
 	merged := make([]QueryResponse, len(sub.Keys))
 	unresolved := len(sub.Keys)
-	p.raceCall(ctx, refs, sub, p.queryAlpha(), func(raw any) bool {
+	p.raceCall(ctx, refs, sub, width, func(raw any) bool {
 		resp, ok := raw.(BatchQueryResponse)
 		if !ok || len(resp.Results) != len(sub.Keys) {
 			return false

@@ -12,7 +12,8 @@ import (
 
 // This file implements the live mutation subsystem: routed Insert and Delete
 // operations on the constructed overlay. A mutation travels the overlay like
-// an exact-match query — raced over up to Alpha references per hop — until it
+// an exact-match query — raced over up to Alpha references at the peer that
+// accepted it, one reference at a time at every forwarder — until it
 // reaches a peer responsible for the key. That peer applies the write
 // locally, fans it out to its whole replica set concurrently (bounded by
 // Fanout), and acknowledges with the number of replicas that applied it. The
@@ -206,8 +207,8 @@ func (p *Peer) applyDirect(m mutation) MutateResponse {
 }
 
 // resolveMutation coordinates the mutation when this peer is responsible for
-// the key, and otherwise forwards it along the same α-raced routing path an
-// exact-match query takes.
+// the key, and otherwise forwards it along the same routing path an
+// exact-match query takes, racing as many references as a query would.
 func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse, error) {
 	if p.table.Responsible(m.key) {
 		return p.coordinate(ctx, m)
@@ -215,9 +216,10 @@ func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse,
 	if m.ttl <= 0 {
 		return MutateResponse{}, errNotResponsible
 	}
+	width := p.raceWidth(m.hops)
 	m.hops++
 	m.ttl--
-	return p.forwardMutation(ctx, m.key, m.request())
+	return p.forwardMutation(ctx, m.key, m.request(), width)
 }
 
 // coordinate runs a mutation at a responsible peer: mark its ID, stamp the
@@ -244,13 +246,13 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 }
 
 // forwardMutation routes a mutation request one hop closer to the
-// responsible partition, racing up to Alpha references at the divergence
+// responsible partition, racing up to width references at the divergence
 // level exactly like resolveQuery does for reads (stale references are
 // pruned by the race).
-func (p *Peer) forwardMutation(ctx context.Context, key keyspace.Key, forward any) (MutateResponse, error) {
+func (p *Peer) forwardMutation(ctx context.Context, key keyspace.Key, forward any, width int) (MutateResponse, error) {
 	_, level, _ := p.table.NextHop(key)
 	refs := p.shuffledRefs(level)
-	raw, ok := p.raceCall(ctx, refs, forward, p.queryAlpha(), func(raw any) bool {
+	raw, ok := p.raceCall(ctx, refs, forward, width, func(raw any) bool {
 		resp, ok := raw.(MutateResponse)
 		return ok && resp.Found
 	})

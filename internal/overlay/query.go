@@ -19,10 +19,13 @@ import (
 // range queries by recursive fan-out into every sub-tree overlapping the
 // range.
 //
-// Both paths are concurrent. Exact-match forwarding races up to Alpha
-// references at the divergence level (staggered by HedgeDelay) and takes the
-// first responsible answer, so a single stale reference costs a hedge delay
-// rather than a full timeout. Range ("shower") queries fan every overlapping
+// Both paths are concurrent. The peer that accepts an exact-match query from
+// a client races up to Alpha references at the divergence level (staggered
+// by HedgeDelay) and takes the first responsible answer, so a single stale
+// reference costs a hedge delay rather than a full timeout. Every later
+// forwarder tries one reference at a time, as the paper's search does, and
+// moves on only after a failure or a dead-end answer: α is spent once per
+// request, not once per hop. Range ("shower") queries fan every overlapping
 // complementary sub-tree out through a bounded worker pool and merge branch
 // results as they arrive.
 
@@ -80,7 +83,7 @@ func (p *Peer) handleQuery(ctx context.Context, req QueryRequest) QueryResponse 
 
 // resolveQuery answers the query locally if this peer is responsible for
 // the key, and otherwise forwards it to routing references at the level
-// where the key diverges from the local path, racing up to Alpha of them.
+// where the key diverges from the local path, racing raceWidth of them.
 // Stale references (offline peers) are removed and alternative references
 // tried, which is what keeps the success rate high under churn.
 func (p *Peer) resolveQuery(ctx context.Context, req QueryRequest) (QueryResponse, error) {
@@ -98,7 +101,7 @@ func (p *Peer) resolveQuery(ctx context.Context, req QueryRequest) (QueryRespons
 	_, level, _ := p.table.NextHop(req.Key)
 	refs := p.shuffledRefs(level)
 	forward := QueryRequest{Key: req.Key, Hops: req.Hops + 1, TTL: req.TTL - 1, Bypass: req.Bypass}
-	raw, ok := p.raceCall(ctx, refs, forward, p.queryAlpha(), func(raw any) bool {
+	raw, ok := p.raceCall(ctx, refs, forward, p.raceWidth(req.Hops), func(raw any) bool {
 		resp, ok := raw.(QueryResponse)
 		return ok && resp.Found
 	})
@@ -180,6 +183,19 @@ func (p *Peer) shuffledRefs(level int) []routing.Ref {
 	p.rng.Shuffle(len(refs), func(i, j int) { refs[i], refs[j] = refs[j], refs[i] })
 	p.mu.Unlock()
 	return refs
+}
+
+// raceWidth is the number of references raced for a request that has
+// taken hops routing hops so far. The peer that accepted it from a client
+// (hops 0: a local Query, Insert, Delete or QueryBatch, or a gateway's
+// entry peer) races Alpha; a forwarder sends to one reference at a time,
+// so a request costs at most Alpha forwards at its origin plus one per
+// later hop while every reference answers.
+func (p *Peer) raceWidth(hops int) int {
+	if hops == 0 {
+		return p.queryAlpha()
+	}
+	return 1
 }
 
 // raceCall forwards req to the given references, at most width calls in

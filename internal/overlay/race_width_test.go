@@ -101,3 +101,151 @@ func TestRaceSendsNoExtraCall(t *testing.T) {
 		t.Errorf("origin sent %d BatchQueryRequests for %d batches, want one each", sent, trials)
 	}
 }
+
+// forwardTree builds an overlay in which a key under "1110" is three
+// forwarding hops from the origin (path "0"): origin → "10" → "110" →
+// "111". Every routing peer holds three live references at the level it
+// forwards at, and no two peers share a reference, so the origin's α copies
+// travel disjoint sub-trees and no responsible peer sees a copy twice (a
+// routed mutation's duplicate is refused by its responsible peer, which
+// sends the forwarder on to its next reference). It returns the origin and
+// the counters and peers at hop 1, 2 and 3 (3, 9 and 27 peers).
+func forwardTree(t *testing.T, sim *network.Sim, alpha int) (*Peer, *callCounter, [3][]*callCounter, [3][]*Peer) {
+	t.Helper()
+	cfg := Config{MaxKeys: 100, MinReplicas: 1, Alpha: alpha, Seed: 36}
+	originCount := newCallCounter(sim.Endpoint("origin"))
+	origin := New(cfg, originCount)
+	origin.Table().SetPath("0")
+	var counters [3][]*callCounter
+	var peers [3][]*Peer
+	width := 1
+	for hop, path := range []keyspace.Path{"10", "110", "111"} {
+		width *= 3
+		for i := 0; i < width; i++ {
+			c := newCallCounter(sim.Endpoint(network.Addr(fmt.Sprintf("h%d-%d", hop+1, i))))
+			pcfg := cfg
+			pcfg.Seed = int64(37 + 100*hop + i)
+			p := New(pcfg, c)
+			p.Table().SetPath(path)
+			counters[hop] = append(counters[hop], c)
+			peers[hop] = append(peers[hop], p)
+		}
+	}
+	for _, next := range peers[0] {
+		origin.Table().Add(0, refFor(next))
+	}
+	for hop := 0; hop < 2; hop++ {
+		for i, p := range peers[hop] {
+			for _, next := range peers[hop+1][3*i : 3*i+3] {
+				p.Table().Add(hop+1, refFor(next))
+			}
+		}
+	}
+	return origin, originCount, counters, peers
+}
+
+// TestForwardsPerRequestBounded checks the bound on forwards per request:
+// the origin spends α, and every forwarder sends exactly one request per
+// request it received, for a lookup and for a routed insert.
+func TestForwardsPerRequestBounded(t *testing.T) {
+	const alpha = 3
+	key := keyspace.MustFromString("11100")
+	for _, tc := range []struct {
+		name string
+		typ  string
+		run  func(ctx context.Context, origin *Peer) (hops int, err error)
+	}{
+		{"query", "overlay.QueryRequest", func(ctx context.Context, origin *Peer) (int, error) {
+			res, err := origin.Query(ctx, key)
+			return res.Hops, err
+		}},
+		{"insert", "overlay.InsertRequest", func(ctx context.Context, origin *Peer) (int, error) {
+			res, err := origin.Insert(ctx, replication.Item{Key: key, Value: "v"})
+			return res.Hops, err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := network.NewSim(network.SimConfig{Seed: 36, Latency: network.ConstantLatency(200 * time.Microsecond)})
+			origin, originCount, counters, peers := forwardTree(t, sim, alpha)
+			for _, p := range peers[2] {
+				p.AddItems([]replication.Item{{Key: key, Value: "v"}})
+			}
+			hops, err := tc.run(context.Background(), origin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hops != 3 {
+				t.Fatalf("hops = %d, want 3", hops)
+			}
+			waitNoCallsInFlight(t, sim)
+			if sent, _ := originCount.counts(tc.typ); sent != alpha {
+				t.Errorf("origin sent %d requests, want α = %d", sent, alpha)
+			}
+			for hop := 0; hop < 2; hop++ {
+				for i, c := range counters[hop] {
+					if sent, received := c.counts(tc.typ); sent != received {
+						t.Errorf("forwarder at hop %d (#%d) sent %d requests for %d received, want one each", hop+1, i, sent, received)
+					}
+				}
+			}
+			for i, c := range counters[2] {
+				if sent, _ := c.counts(tc.typ); sent != 0 {
+					t.Errorf("responsible peer #%d forwarded %d requests", i, sent)
+				}
+			}
+		})
+	}
+}
+
+// TestForwardsPerRequestFallBackPastDeadRef guards the forwarder's one-at-a-
+// time rule against churn: a forwarder whose first reference is offline
+// moves on to the next, reaches the live one and prunes the dead one.
+func TestForwardsPerRequestFallBackPastDeadRef(t *testing.T) {
+	sim := network.NewSim(network.SimConfig{Seed: 38, Latency: network.ConstantLatency(200 * time.Microsecond)})
+	cfg := Config{MaxKeys: 100, MinReplicas: 1, Alpha: 3, Seed: 38}
+	origin := New(cfg, sim.Endpoint("origin"))
+	fwdCount := newCallCounter(sim.Endpoint("fwd"))
+	fwd := New(cfg, fwdCount)
+	dead := New(cfg, sim.Endpoint("dead"))
+	live := New(cfg, sim.Endpoint("live"))
+	origin.Table().SetPath("0")
+	fwd.Table().SetPath("10")
+	dead.Table().SetPath("11")
+	live.Table().SetPath("11")
+	origin.Table().Add(0, refFor(fwd))
+	fwd.Table().Add(1, refFor(dead))
+	fwd.Table().Add(1, refFor(live))
+	key := keyspace.MustFromString("1100")
+	dead.AddItems([]replication.Item{{Key: key, Value: "v"}})
+	live.AddItems([]replication.Item{{Key: key, Value: "v"}})
+	sim.SetOnline("dead", false)
+
+	// The forwarder shuffles its references, so the dead one comes first
+	// in half of the queries; once it has, it is pruned.
+	for i := 0; ; i++ {
+		res, err := origin.Query(context.Background(), key)
+		if err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+		if res.Responsible != "live" {
+			t.Fatalf("query %d answered by %s, want live", i, res.Responsible)
+		}
+		pruned := true
+		for _, ref := range fwd.Table().Refs(1) {
+			if ref.Addr == "dead" {
+				pruned = false
+			}
+		}
+		if pruned {
+			break
+		}
+		if i == 40 {
+			t.Fatal("dead reference was never tried and pruned")
+		}
+	}
+	waitNoCallsInFlight(t, sim)
+	sent, received := fwdCount.counts("overlay.QueryRequest")
+	if sent != received+1 {
+		t.Errorf("forwarder sent %d requests for %d received, want one each plus one to the dead reference", sent, received)
+	}
+}

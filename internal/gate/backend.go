@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync/atomic"
 
 	"pgrid/internal/keyspace"
@@ -277,7 +276,7 @@ func (b *RemoteBackend) Range(ctx context.Context, r keyspace.Range) (RangeResul
 		return RangeResult{}, fmt.Errorf("gate: unexpected response %T: %w", raw, overlay.ErrUnreachable)
 	}
 	return RangeResult{
-		Items:      dedupeItems(resp.Items),
+		Items:      replication.DedupeItems(resp.Items),
 		Hops:       resp.Hops,
 		Partitions: resp.Partitions,
 		Incomplete: resp.Incomplete,
@@ -343,24 +342,4 @@ func classifyCtx(ctx context.Context, err error) error {
 		return ctx.Err()
 	}
 	return err
-}
-
-// dedupeItems removes duplicate (key, value) pairs and orders by key.
-func dedupeItems(items []replication.Item) []replication.Item {
-	seen := make(map[string]bool, len(items))
-	out := make([]replication.Item, 0, len(items))
-	for _, it := range items {
-		k := it.Key.String() + "\x00" + it.Value
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, it)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].Key.Compare(out[j].Key); c != 0 {
-			return c < 0
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
 }

@@ -91,7 +91,7 @@ func (f *fakeBackend) Range(ctx context.Context, r keyspace.Range) (RangeResult,
 			}
 		}
 	}
-	res.Items = dedupeItems(res.Items)
+	res.Items = replication.DedupeItems(res.Items)
 	res.Partitions = 1
 	return res, nil
 }

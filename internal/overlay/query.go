@@ -3,7 +3,6 @@ package overlay
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 
@@ -310,7 +309,7 @@ type RangeResult struct {
 func (p *Peer) RangeQuery(ctx context.Context, r keyspace.Range) (RangeResult, error) {
 	req := RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: queryTTL}
 	resp := p.handleRange(ctx, req)
-	items := dedupeItems(resp.Items)
+	items := replication.DedupeItems(resp.Items)
 	p.counters[Queries].Add(1)
 	p.counters[QueryHops].Add(uint64(resp.Hops))
 	return RangeResult{Items: items, Hops: resp.Hops, Partitions: resp.Partitions, Incomplete: resp.Incomplete}, nil
@@ -412,28 +411,4 @@ func (p *Peer) forwardRangeBranch(ctx context.Context, br rangeBranch) (RangeRes
 		return resp, true
 	}
 	return RangeResponse{}, false
-}
-
-// dedupeItems removes duplicate (key, value) pairs (replicas can return the
-// same item via different branches) and sorts by key. The input slice is
-// left untouched: results may alias a response buffer the caller still
-// reads.
-func dedupeItems(items []replication.Item) []replication.Item {
-	seen := make(map[string]bool, len(items))
-	out := make([]replication.Item, 0, len(items))
-	for _, it := range items {
-		k := it.Key.String() + "\x00" + it.Value
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, it)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		c := out[i].Key.Compare(out[j].Key)
-		if c != 0 {
-			return c < 0
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestDedupeItemsDoesNotMutateInput is the regression test for the aliasing
-// bug where dedupeItems built its output with items[:0], overwriting the
+// bug where the range result's dedupe built its output with items[:0], overwriting the
 // caller's backing array (a response buffer other readers still held).
 func TestDedupeItemsDoesNotMutateInput(t *testing.T) {
 	k1 := keyspace.MustFromString("0101")
@@ -27,10 +27,10 @@ func TestDedupeItemsDoesNotMutateInput(t *testing.T) {
 		{Key: k1, Value: "a"},
 	}
 	orig := append([]replication.Item(nil), items...)
-	out := dedupeItems(items)
+	out := replication.DedupeItems(items)
 	for i := range items {
 		if items[i] != orig[i] {
-			t.Fatalf("dedupeItems mutated its input at %d: %+v != %+v", i, items[i], orig[i])
+			t.Fatalf("DedupeItems mutated its input at %d: %+v != %+v", i, items[i], orig[i])
 		}
 	}
 	if len(out) != 2 {

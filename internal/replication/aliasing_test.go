@@ -10,7 +10,7 @@ import (
 // These regression tests pin down that every accessor returning a slice
 // hands out freshly allocated memory: callers routinely mutate query results
 // (dedupe, sort, re-stamp) and a shared backing array would corrupt the
-// store silently — the same class of bug as the dedupeItems aliasing fixed
+// store silently — the same class of bug as the DedupeItems aliasing fixed
 // in PR 1. Each test clobbers the returned slice and verifies the store
 // still serves the original content.
 

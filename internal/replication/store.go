@@ -1227,6 +1227,24 @@ func Reconcile(a, b *Store) (toA, toB int) {
 	return toA, toB
 }
 
+// DedupeItems returns items without duplicate (key, value) pairs, ordered
+// by key then value: replicas can return the same item through different
+// range branches. The input slice is left untouched, since it may alias a
+// response buffer the caller still reads.
+func DedupeItems(items []Item) []Item {
+	seen := make(map[string]bool, len(items))
+	out := make([]Item, 0, len(items))
+	for _, it := range items {
+		k := it.Key.String() + "\x00" + it.Value
+		if !seen[k] {
+			seen[k] = true
+			out = append(out, it)
+		}
+	}
+	sortItems(out)
+	return out
+}
+
 // sortItems orders items by key then value.
 func sortItems(items []Item) {
 	sort.Slice(items, func(i, j int) bool {

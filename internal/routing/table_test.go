@@ -246,3 +246,30 @@ func TestRoutingInvariantProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// forwardAllocCeiling is the allocation ceiling of one forward's routing
+// work: a Table.NextHop for the key plus the Table.Refs copy of the level
+// it names. It may only go down.
+const forwardAllocCeiling = 1
+
+// TestForwardAllocCeiling holds the routing calls every forward makes to
+// their allocation ceiling.
+func TestForwardAllocCeiling(t *testing.T) {
+	tab := New(DefaultMaxRefs, 3)
+	tab.SetPath("0101")
+	for level, comp := range []keyspace.Path{"1", "00", "011", "0100"} {
+		for i := 0; i < DefaultMaxRefs; i++ {
+			tab.Add(level, Ref{Addr: network.Addr(fmt.Sprintf("p%d-%d", level, i)), Path: comp})
+		}
+	}
+	key := keyspace.MustFromString("01001101")
+	got := testing.AllocsPerRun(200, func() {
+		_, level, ok := tab.NextHop(key)
+		if !ok || len(tab.Refs(level)) != DefaultMaxRefs {
+			t.Fatalf("no next hop at level %d", level)
+		}
+	})
+	if got > forwardAllocCeiling {
+		t.Errorf("NextHop plus Refs allocates %.1f times, ceiling %d", got, forwardAllocCeiling)
+	}
+}

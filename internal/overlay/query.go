@@ -207,15 +207,15 @@ func (p *Peer) raceWidth(hops int) int {
 // transport error are pruned from the routing table. accept runs on the
 // caller's goroutine, one outcome at a time.
 func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, width int, accept func(raw any) bool) (any, bool) {
-	width = min(max(width, 1), len(refs))
-	if width == 0 {
+	if len(refs) == 0 {
 		return nil, false
 	}
+	width = min(max(width, 1), len(refs))
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	hedge := p.hedgeDelay()
-	// One slot per reference: every call sends at most one outcome, so no
-	// sender blocks once the race has returned.
+	// One slot per reference: every launched call sends exactly one
+	// outcome, so no sender blocks once the race has returned.
 	results := make(chan any, len(refs))
 	next := 0
 	launch := func(stagger time.Duration) {

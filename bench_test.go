@@ -479,11 +479,13 @@ func benchQueryEngineCluster(b *testing.B, seed int64, latency time.Duration, of
 	return c, keys
 }
 
-// BenchmarkAlphaLookupStaleRefs measures exact-match lookups racing
-// α ∈ {1,2,3,5} references per hop while 20% of the peers are offline: with
+// BenchmarkAlphaLookupStaleRefs measures exact-match lookups whose origin
+// races α ∈ {1,2,3,5} references while 20% of the peers are offline: with
 // α=1 a stale reference costs its full failure latency (a one-way delay in
 // the simulator, a dial timeout on TCP) before the next candidate is tried,
-// with α>1 the live candidates answer concurrently. Pruned references are
+// with α>1 the origin's live candidates answer concurrently. Forwarders
+// try one reference at a time whatever α is, so a stale reference at a
+// later hop costs its failure latency at every α. Pruned references are
 // restored every iteration so each sample sees the same stale-ref regime;
 // the p50-us and p95-us metrics report the per-query latency distribution
 // (ns/op includes the refresh and is not the figure of merit).

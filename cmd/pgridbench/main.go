@@ -630,8 +630,8 @@ func liveWorkload(quick bool, seed int64) error {
 // deletes: the digest/delta protocol pays a constant digest round in steady
 // state however many deletes the overlay has ever seen, and the tombstone GC
 // bounds the metadata itself — compared here against the same protocol
-// keeping tombstones forever. This is the figure behind the tombstone-GC
-// item in ROADMAP.md.
+// keeping tombstones forever. docs/ARCHITECTURE.md's anti-entropy protocol
+// notes describe both mechanisms.
 func antiEntropy(quick bool, seed int64) error {
 	header("Anti-entropy: maintenance bytes/tick vs lifetime deletes")
 	ctx := context.Background()

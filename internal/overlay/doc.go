@@ -13,7 +13,8 @@
 //     split/replicate/refer rules (Figure 2) until the keyspace trie has
 //     formed; the decision probabilities come from internal/core.
 //   - Queries (query.go, batch.go): exact-match lookups routed by prefix,
-//     raced α-wide per hop with optional hedging; "shower" range queries
+//     raced α-wide at the accepting peer (with optional hedging) and one
+//     reference at a time at every forwarder; "shower" range queries
 //     fanning out over the covered sub-tries; and batch lookups that share
 //     one message per hop among keys with a common next hop.
 //   - Live mutations (mutate.go): routed Insert/Delete with replica

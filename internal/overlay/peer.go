@@ -42,15 +42,17 @@ type Config struct {
 	// after which a peer considers its construction converged (paper: a
 	// fixed small number such as 2).
 	DoneAfterIdle int
-	// Alpha is the number of routing references raced concurrently per
-	// forwarding step of an exact-match (or batch) query. The first
-	// responsible answer wins and stale references encountered along the
-	// way are pruned. 1 reproduces the sequential try-one-at-a-time
-	// behaviour; 0 means the default of 3.
+	// Alpha is the race width of the peer that accepts an exact-match
+	// query, batch query or mutation from a client (a local call, or a
+	// gateway's entry peer): it races this many routing references
+	// concurrently and takes the first responsible answer, pruning stale
+	// references it meets. Every later forwarder tries one reference at a
+	// time, so a request spends α once, not once per hop. 1 reproduces the
+	// sequential try-one-at-a-time behaviour; 0 means the default of 3.
 	Alpha int
-	// HedgeDelay staggers the launch of the additional Alpha candidates:
-	// candidate i starts i*HedgeDelay after the first. Zero launches all
-	// candidates at once.
+	// HedgeDelay staggers the accepting peer's additional Alpha
+	// candidates: candidate i starts i*HedgeDelay after the first. Zero
+	// launches all candidates at once.
 	HedgeDelay time.Duration
 	// Fanout bounds the number of sub-trees a range ("shower") query — or
 	// next-hop groups of a batch query — forwards to concurrently. 1
@@ -412,8 +414,12 @@ func (p *Peer) Config() Config {
 }
 
 // SetQueryConcurrency adjusts the query engine's concurrency knobs at run
-// time (useful for sweeping α and fan-out over one constructed overlay).
-// Non-positive alpha or fanout and negative hedge keep the current value.
+// time (useful for sweeping α and fan-out over one constructed overlay):
+// alpha is the race width this peer uses for the requests it accepts from
+// clients (forwarded requests always try one reference at a time), fanout
+// the concurrent range/batch sub-tree forwards, hedge the stagger between
+// the accepting peer's candidates. Non-positive alpha or fanout and
+// negative hedge keep the current value.
 func (p *Peer) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -436,7 +442,7 @@ func (p *Peer) SetTimeSource(now func() time.Time) {
 	}
 }
 
-// queryAlpha returns the current per-hop lookup parallelism.
+// queryAlpha returns the current race width for accepted requests.
 func (p *Peer) queryAlpha() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -89,19 +89,22 @@ func WithRoutingRedundancy(refs int) Option {
 	return func(o *options) { o.cluster.Overlay.MaxRefs = refs }
 }
 
-// WithQueryAlpha sets α, the number of routing references an exact-match
-// (or batch) query races concurrently at every forwarding step. The first
-// responsible answer wins and stale references encountered by the losers
-// are pruned, so a dead reference costs at most one hedge delay instead of
-// a full timeout before an alternative is tried. 1 restores the sequential
-// try-one-reference-at-a-time behaviour; the default is
-// overlay.DefaultAlpha (3).
+// WithQueryAlpha sets α, the race width of the peer that accepts an
+// exact-match query, batch query, insert or delete: it races α routing
+// references concurrently, the first responsible answer wins, and stale
+// references encountered by the losers are pruned, so a dead reference
+// costs at most one hedge delay instead of a full timeout before an
+// alternative is tried. Every later forwarder tries one reference at a
+// time, moving on after a failure or a dead-end answer, so a request costs
+// α forwards at its origin plus one per later hop. 1 restores the
+// sequential try-one-reference-at-a-time behaviour everywhere; the default
+// is overlay.DefaultAlpha (3).
 func WithQueryAlpha(alpha int) Option { return func(o *options) { o.cluster.Overlay.Alpha = alpha } }
 
-// WithHedgeDelay staggers the launch of the additional α lookup candidates:
-// candidate i starts i*d after the first, so extra requests are only sent
-// when the preferred reference has not answered promptly (hedged requests).
-// A zero delay (the default) races all α candidates immediately.
+// WithHedgeDelay staggers the launch of the accepting peer's additional α
+// candidates: candidate i starts i*d after the first, so extra requests are
+// only sent when the preferred reference has not answered promptly (hedged
+// requests). A zero delay (the default) races all α candidates immediately.
 func WithHedgeDelay(d time.Duration) Option {
 	return func(o *options) { o.cluster.Overlay.HedgeDelay = d }
 }

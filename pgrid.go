@@ -483,10 +483,11 @@ func (c *Cluster) SearchManyStrings(ctx context.Context, terms []string) ([][]Se
 }
 
 // SetQueryConcurrency adjusts the query engine's concurrency knobs on every
-// peer at run time: alpha references raced per lookup hop, fanout concurrent
-// range/batch sub-tree forwards, and the hedge delay staggering additional
-// lookup candidates. Non-positive alpha or fanout and negative hedge keep
-// the current value.
+// peer at run time: alpha references raced by the peer that accepts a
+// lookup or mutation (forwarders try one reference at a time), fanout
+// concurrent range/batch sub-tree forwards, and the hedge delay staggering
+// the accepting peer's additional candidates. Non-positive alpha or fanout
+// and negative hedge keep the current value.
 func (c *Cluster) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
 	for _, p := range c.exp.Snapshot() {
 		p.SetQueryConcurrency(alpha, fanout, hedge)

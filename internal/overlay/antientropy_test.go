@@ -3,7 +3,7 @@ package overlay
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"pgrid/internal/keyspace"
@@ -11,31 +11,49 @@ import (
 	"pgrid/internal/replication"
 )
 
-// countingTransport wraps a transport and counts outgoing calls by message
-// type, so tests can assert how many round trips a sync protocol run used.
-type countingTransport struct {
+// callCounter wraps a transport and counts, by message type, the requests
+// the peer sends and the requests its handler serves.
+type callCounter struct {
 	network.Transport
-	digests atomic.Int64
-	deltas  atomic.Int64
+	mu             sync.Mutex
+	sent, received map[string]int
 }
 
-func (c *countingTransport) Call(ctx context.Context, to network.Addr, req any) (any, error) {
-	switch req.(type) {
-	case DigestRequest:
-		c.digests.Add(1)
-	case DeltaRequest:
-		c.deltas.Add(1)
-	}
+func newCallCounter(tr network.Transport) *callCounter {
+	return &callCounter{Transport: tr, sent: map[string]int{}, received: map[string]int{}}
+}
+
+func (c *callCounter) Call(ctx context.Context, to network.Addr, req any) (any, error) {
+	c.mu.Lock()
+	c.sent[fmt.Sprintf("%T", req)]++
+	c.mu.Unlock()
 	return c.Transport.Call(ctx, to, req)
+}
+
+func (c *callCounter) Handle(h network.Handler) {
+	c.Transport.Handle(func(ctx context.Context, from network.Addr, req any) (any, error) {
+		c.mu.Lock()
+		c.received[fmt.Sprintf("%T", req)]++
+		c.mu.Unlock()
+		return h(ctx, from, req)
+	})
+}
+
+// counts returns how many requests of the type named typ were sent and
+// received.
+func (c *callCounter) counts(typ string) (sent, received int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.sent[typ], c.received[typ]
 }
 
 // syncPair builds two replica peers of partition "" over a simulated
 // network, with the initiator's transport call-counted.
-func syncPair(t *testing.T, seed int64) (a, b *Peer, count *countingTransport) {
+func syncPair(t *testing.T, seed int64) (a, b *Peer, count *callCounter) {
 	t.Helper()
 	sim := network.NewSim(network.SimConfig{Seed: seed})
 	cfg := Config{MaxKeys: 1 << 20, MinReplicas: 1, Seed: seed}
-	count = &countingTransport{Transport: sim.Endpoint("a")}
+	count = newCallCounter(sim.Endpoint("a"))
 	a = New(cfg, count)
 	bcfg := cfg
 	bcfg.Seed = seed + 1
@@ -73,10 +91,10 @@ func TestSyncReplicaInSteadyState(t *testing.T) {
 	if rep.Kind != SyncInSync || rep.Received != 0 {
 		t.Fatalf("sync of identical replicas = %+v, want insync with nothing received", rep)
 	}
-	if got := count.digests.Load(); got != 1 {
+	if got, _ := count.counts("overlay.DigestRequest"); got != 1 {
 		t.Errorf("steady-state sync used %d digest rounds, want 1", got)
 	}
-	if got := count.deltas.Load(); got != 0 {
+	if got, _ := count.counts("overlay.DeltaRequest"); got != 0 {
 		t.Errorf("steady-state sync used %d delta rounds, want 0", got)
 	}
 	// The whole exchange must cost a constant few hundred bytes, not the
@@ -140,8 +158,8 @@ func TestSyncReplicaDeltaAfterBaseline(t *testing.T) {
 	b.Store().Insert(fitem(0.8765, "new-b"))
 	b.Store().Delete(keyspace.MustFromFloat(10.0/150, 32), "v10")
 
-	count.digests.Store(0)
-	count.deltas.Store(0)
+	digests0, _ := count.counts("overlay.DigestRequest")
+	deltas0, _ := count.counts("overlay.DeltaRequest")
 	rep, err := a.SyncReplica(ctx, b.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +170,11 @@ func TestSyncReplicaDeltaAfterBaseline(t *testing.T) {
 	if rep.Sent != 1 || rep.Received != 2 {
 		t.Errorf("delta sync moved sent=%d received=%d pairs, want 1 and 2", rep.Sent, rep.Received)
 	}
-	if got := count.digests.Load(); got != 1 {
-		t.Errorf("delta sync used %d digest rounds, want 1 (no walk)", got)
+	if got, _ := count.counts("overlay.DigestRequest"); got-digests0 != 1 {
+		t.Errorf("delta sync used %d digest rounds, want 1 (no walk)", got-digests0)
 	}
-	if got := count.deltas.Load(); got != 1 {
-		t.Errorf("delta sync used %d delta rounds, want 1", got)
+	if got, _ := count.counts("overlay.DeltaRequest"); got-deltas0 != 1 {
+		t.Errorf("delta sync used %d delta rounds, want 1", got-deltas0)
 	}
 	if !storesEqual(t, a, b) {
 		t.Fatal("replicas did not converge after delta sync")
@@ -182,8 +200,8 @@ func TestDigestWalkRecursionBound(t *testing.T) {
 	if rep.Kind != SyncWalk {
 		t.Fatalf("sync kind = %q, want walk", rep.Kind)
 	}
-	maxRounds := int64(replication.DigestDepth/digestWalkWidth + 2) // walk rounds + opening root round
-	if got := count.digests.Load(); got > maxRounds {
+	maxRounds := replication.DigestDepth/digestWalkWidth + 2 // walk rounds + opening root round
+	if got, _ := count.counts("overlay.DigestRequest"); got > maxRounds {
 		t.Errorf("walk used %d digest rounds, bound is %d", got, maxRounds)
 	}
 	if !storesEqual(t, a, b) {

@@ -3,7 +3,6 @@ package overlay
 import (
 	"context"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -11,42 +10,6 @@ import (
 	"pgrid/internal/network"
 	"pgrid/internal/replication"
 )
-
-// callCounter wraps a transport and counts, by message type, the requests
-// the peer sends and the requests its handler serves.
-type callCounter struct {
-	network.Transport
-	mu             sync.Mutex
-	sent, received map[string]int
-}
-
-func newCallCounter(tr network.Transport) *callCounter {
-	return &callCounter{Transport: tr, sent: map[string]int{}, received: map[string]int{}}
-}
-
-func (c *callCounter) Call(ctx context.Context, to network.Addr, req any) (any, error) {
-	c.mu.Lock()
-	c.sent[fmt.Sprintf("%T", req)]++
-	c.mu.Unlock()
-	return c.Transport.Call(ctx, to, req)
-}
-
-func (c *callCounter) Handle(h network.Handler) {
-	c.Transport.Handle(func(ctx context.Context, from network.Addr, req any) (any, error) {
-		c.mu.Lock()
-		c.received[fmt.Sprintf("%T", req)]++
-		c.mu.Unlock()
-		return h(ctx, from, req)
-	})
-}
-
-// counts returns how many requests of the type named typ were sent and
-// received.
-func (c *callCounter) counts(typ string) (sent, received int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sent[typ], c.received[typ]
-}
 
 // waitNoCallsInFlight waits until every call on the simulated network has
 // returned, so calls a race still had running are counted.

@@ -449,16 +449,16 @@ func restoreRefs(c *Cluster, snaps [][][]routing.Ref) {
 // benchQueryEngineCluster builds a constructed overlay with per-message
 // latency, indexes nKeys float keys, and takes every fifth peer offline so
 // routing tables contain stale references.
-func benchQueryEngineCluster(b *testing.B, seed int64, latency time.Duration, offline bool) (*Cluster, []Key) {
+func benchQueryEngineCluster(b *testing.B, seed int64, latency time.Duration, offline bool, opts ...Option) (*Cluster, []Key) {
 	b.Helper()
-	c, err := NewCluster(
+	c, err := NewCluster(append([]Option{
 		WithPeers(64),
 		WithMaxKeys(20),
 		WithMinReplicas(2),
 		WithRoutingRedundancy(4),
 		WithSeed(seed),
 		WithNetworkLatency(latency),
-	)
+	}, opts...)...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,9 +492,8 @@ func benchQueryEngineCluster(b *testing.B, seed int64, latency time.Duration, of
 func BenchmarkAlphaLookupStaleRefs(b *testing.B) {
 	for _, alpha := range []int{1, 2, 3, 5} {
 		b.Run(fmt.Sprintf("alpha=%d", alpha), func(b *testing.B) {
-			c, keys := benchQueryEngineCluster(b, 7, 500*time.Microsecond, true)
+			c, keys := benchQueryEngineCluster(b, 7, 500*time.Microsecond, true, WithQueryAlpha(alpha))
 			snaps := snapshotRefs(c)
-			c.SetQueryConcurrency(alpha, 0, -1)
 			origin := c.Peer(1) // peer 1 stays online
 			ctx := contextBackground()
 			lat := make([]float64, 0, b.N)
@@ -518,8 +517,7 @@ func BenchmarkAlphaLookupStaleRefs(b *testing.B) {
 func BenchmarkRangeFanout(b *testing.B) {
 	for _, fanout := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			c, _ := benchQueryEngineCluster(b, 8, 500*time.Microsecond, false)
-			c.SetQueryConcurrency(0, fanout, -1)
+			c, _ := benchQueryEngineCluster(b, 8, 500*time.Microsecond, false, WithQueryFanout(fanout))
 			ctx := contextBackground()
 			lo, hi := FloatKey(0.05), FloatKey(0.95)
 			b.ResetTimer()

@@ -323,22 +323,22 @@ func table1(quick bool, seed int64) error {
 // sub-tree fan-out, and 32-key batches versus independent lookups. α=1 and
 // fanout=1 are the sequential baselines of the original engine.
 func queryEngine(quick bool, seed int64) error {
-	header("Query engine: hedged α-parallel lookups and concurrent shower fan-out")
+	header("Query engine: α-parallel lookups and concurrent shower fan-out")
 	ctx := context.Background()
 	peers, queries := 128, 300
 	if quick {
 		peers, queries = 64, 120
 	}
 	latency := 500 * time.Microsecond
-	build := func(offline bool) (*pgrid.Cluster, []pgrid.Key, error) {
-		c, err := pgrid.NewCluster(
+	build := func(offline bool, opts ...pgrid.Option) (*pgrid.Cluster, []pgrid.Key, error) {
+		c, err := pgrid.NewCluster(append([]pgrid.Option{
 			pgrid.WithPeers(peers),
 			pgrid.WithMaxKeys(20),
 			pgrid.WithMinReplicas(2),
 			pgrid.WithRoutingRedundancy(4),
 			pgrid.WithSeed(seed),
 			pgrid.WithNetworkLatency(latency),
-		)
+		}, opts...)...)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -387,12 +387,11 @@ func queryEngine(quick bool, seed int64) error {
 	fmt.Println()
 	fmt.Printf("%-24s %10s %10s %10s %10s\n", "exact-match lookup", "p50 (ms)", "p95 (ms)", "mean (ms)", "success")
 	for _, alpha := range []int{1, 2, 3, 5} {
-		c, keys, err := build(true)
+		c, keys, err := build(true, pgrid.WithQueryAlpha(alpha))
 		if err != nil {
 			return err
 		}
 		snaps := snapshotRefs(c)
-		c.SetQueryConcurrency(alpha, 0, -1)
 		origin := c.Peer(1)
 		var lat []float64
 		ok := 0
@@ -413,11 +412,10 @@ func queryEngine(quick bool, seed int64) error {
 	fmt.Printf("\n%-24s %10s %10s %10s\n", "shower range [.05,.95)", "p50 (ms)", "p95 (ms)", "mean (ms)")
 	rangeReps := queries / 10
 	for _, fanout := range []int{1, 4, 8} {
-		c, _, err := build(false)
+		c, _, err := build(false, pgrid.WithQueryFanout(fanout))
 		if err != nil {
 			return err
 		}
-		c.SetQueryConcurrency(0, fanout, -1)
 		lo, hi := pgrid.FloatKey(0.05), pgrid.FloatKey(0.95)
 		var lat []float64
 		for i := 0; i < rangeReps; i++ {

@@ -188,9 +188,6 @@ func (n *Node) Kill() error { return n.kill() }
 // Signal sends an arbitrary signal to the node.
 func (n *Node) Signal(sig syscall.Signal) error { return n.signal(sig) }
 
-// WaitExit blocks until the node's process exits or the timeout elapses.
-func (n *Node) WaitExit(timeout time.Duration) error { return n.waitExit(timeout) }
-
 // Restart relaunches the node with its original command line — same
 // listen address, same data dir — so it rejoins the overlay under its old
 // identity, recovering whatever its data dir holds.

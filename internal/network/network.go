@@ -72,7 +72,7 @@ type RemoteError struct {
 func (e *RemoteError) Error() string { return fmt.Sprintf("remote error: %s", e.Msg) }
 
 // InFlightGauge tracks the number of outstanding calls and their high-water
-// mark. With hedged parallel lookups, call concurrency is a first-class
+// mark. With α-parallel lookups, call concurrency is a first-class
 // quantity: benchmarks and tests use the gauge to verify that the query
 // engine actually overlaps its requests, and the accounting must stay
 // race-free under that concurrency — both counters are lock-free atomics.

@@ -66,7 +66,7 @@ func (p *connPool) get(ctx context.Context, to Addr) (pc *poolConn, cached bool,
 	if ent.pc != nil && !ent.pc.isClosed() {
 		return ent.pc, true, nil
 	}
-	d := net.Dialer{Timeout: p.e.dialTimeout()}
+	d := net.Dialer{Timeout: p.e.opts.DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", string(to))
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", ErrUnreachable, err)
@@ -175,7 +175,7 @@ func newPoolConn(e *TCPEndpoint, to Addr, conn net.Conn) *poolConn {
 		done:    make(chan struct{}),
 	}
 	pc.activity.Store(time.Now().UnixNano())
-	pc.fw = newFrameWriter(conn, e.idleTimeout(), &pc.activity)
+	pc.fw = newFrameWriter(conn, e.opts.IdleTimeout, &pc.activity)
 	e.wg.Add(2)
 	go func() {
 		defer e.wg.Done()
@@ -183,7 +183,7 @@ func newPoolConn(e *TCPEndpoint, to Addr, conn net.Conn) *poolConn {
 	}()
 	go func() {
 		defer e.wg.Done()
-		connWatchdog(conn, e.idleTimeout(), &pc.activity, &pc.inflight, pc.done)
+		connWatchdog(conn, e.opts.IdleTimeout, &pc.activity, &pc.inflight, pc.done)
 	}()
 	return pc
 }
@@ -221,7 +221,7 @@ func (pc *poolConn) cancel(id uint64) {
 func (pc *poolConn) await(ctx context.Context, id uint64, ch chan *binMsg) (*binMsg, error) {
 	var timeout <-chan time.Time
 	if _, ok := ctx.Deadline(); !ok {
-		t := time.NewTimer(pc.e.callTimeout())
+		t := time.NewTimer(pc.e.opts.CallTimeout)
 		defer t.Stop()
 		timeout = t.C
 	}
@@ -236,7 +236,7 @@ func (pc *poolConn) await(ctx context.Context, id uint64, ch chan *binMsg) (*bin
 		return nil, fmt.Errorf("%w: %v", ErrUnreachable, ctx.Err())
 	case <-timeout:
 		pc.cancel(id)
-		return nil, fmt.Errorf("%w: call timed out after %v", ErrUnreachable, pc.e.callTimeout())
+		return nil, fmt.Errorf("%w: call timed out after %v", ErrUnreachable, pc.e.opts.CallTimeout)
 	}
 }
 
@@ -245,7 +245,7 @@ func (pc *poolConn) await(ctx context.Context, id uint64, ch chan *binMsg) (*bin
 func (pc *poolConn) readLoop() {
 	defer pc.close()
 	br := bufio.NewReaderSize(&activityReader{r: pc.conn, activity: &pc.activity}, 32<<10)
-	asm := newFragAssembler(pc.e.maxMessage())
+	asm := newFragAssembler(pc.e.opts.MaxMessage)
 	for {
 		payload, err := readFrame(br)
 		if err != nil {

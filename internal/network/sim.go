@@ -123,31 +123,8 @@ type SimEndpoint struct {
 	// svcMu guards busyUntil, the virtual-FIFO service queue horizon used
 	// by SimConfig.Service: a request delivered while the endpoint is busy
 	// waits until every earlier request's service time has elapsed.
-	// busyTotal accumulates every reservation, so experiments can rank
-	// endpoints by how much service time they absorbed.
 	svcMu     sync.Mutex
 	busyUntil time.Time
-	busyTotal time.Duration
-}
-
-// BusyTotal returns the cumulative virtual service time reserved on this
-// endpoint — a direct measure of how much of the workload it absorbed.
-func (e *SimEndpoint) BusyTotal() time.Duration {
-	e.svcMu.Lock()
-	defer e.svcMu.Unlock()
-	return e.busyTotal
-}
-
-// BusyTotals returns every endpoint's cumulative service time, keyed by
-// address. Useful for spotting convoy points under skewed load.
-func (s *Sim) BusyTotals() map[Addr]time.Duration {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[Addr]time.Duration, len(s.endpoints))
-	for a, ep := range s.endpoints {
-		out[a] = ep.BusyTotal()
-	}
-	return out
 }
 
 // reserve books d of service time on the endpoint's virtual FIFO queue and
@@ -161,7 +138,6 @@ func (e *SimEndpoint) reserve(now time.Time, d time.Duration) time.Duration {
 		start = now
 	}
 	e.busyUntil = start.Add(d)
-	e.busyTotal += d
 	return e.busyUntil.Sub(now)
 }
 

@@ -158,6 +158,31 @@ type TCPOptions struct {
 	MaxMessage int
 }
 
+// normalize fills in the default of every zero field and clamps FrameLimit
+// to [512, maxFrame], so a zero TCPOptions cannot divide by zero or disable
+// a cap.
+func (o TCPOptions) normalize() TCPOptions {
+	if o.DialTimeout <= 0 {
+		o.DialTimeout = DefaultDialTimeout
+	}
+	if o.CallTimeout <= 0 {
+		o.CallTimeout = DefaultCallTimeout
+	}
+	if o.IdleTimeout <= 0 {
+		o.IdleTimeout = DefaultIdleTimeout
+	}
+	switch {
+	case o.FrameLimit <= 0 || o.FrameLimit > maxFrame:
+		o.FrameLimit = maxFrame
+	case o.FrameLimit < 512:
+		o.FrameLimit = 512
+	}
+	if o.MaxMessage <= 0 {
+		o.MaxMessage = DefaultMaxMessage
+	}
+	return o
+}
+
 // TCPEndpoint is a Transport backed by a TCP listener. Outgoing calls are
 // multiplexed over one pooled persistent connection per destination.
 type TCPEndpoint struct {
@@ -167,7 +192,10 @@ type TCPEndpoint struct {
 	mu      sync.RWMutex
 	handler Handler
 	closed  bool
-	opts    TCPOptions
+
+	// opts is normalized and fixed when the endpoint is built, so it is
+	// read without a lock.
+	opts TCPOptions
 
 	wg sync.WaitGroup
 
@@ -192,7 +220,8 @@ func ListenTCP(addr string) (*TCPEndpoint, error) {
 	return ListenTCPOptions(addr, TCPOptions{})
 }
 
-// ListenTCPOptions creates a TCP endpoint with explicit options.
+// ListenTCPOptions creates a TCP endpoint with explicit options, fixed for
+// the endpoint's lifetime.
 func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -201,79 +230,13 @@ func ListenTCPOptions(addr string, opts TCPOptions) (*TCPEndpoint, error) {
 	ep := &TCPEndpoint{
 		listener:   l,
 		addr:       Addr(l.Addr().String()),
-		opts:       opts,
+		opts:       opts.normalize(),
 		serveConns: make(map[net.Conn]struct{}),
 	}
 	ep.pool = newConnPool(ep)
 	ep.wg.Add(1)
 	go ep.acceptLoop()
 	return ep, nil
-}
-
-// SetOptions replaces the endpoint's options (zero fields select their
-// defaults). Connections established before the call keep the timing they
-// were created with.
-func (e *TCPEndpoint) SetOptions(opts TCPOptions) {
-	e.mu.Lock()
-	e.opts = opts
-	e.mu.Unlock()
-}
-
-// Options returns the endpoint's current options.
-func (e *TCPEndpoint) Options() TCPOptions {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts
-}
-
-// Configured values with zero-value defaulting, so a zero TCPOptions cannot
-// divide by zero or disable a cap.
-func (e *TCPEndpoint) dialTimeout() time.Duration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.opts.DialTimeout <= 0 {
-		return DefaultDialTimeout
-	}
-	return e.opts.DialTimeout
-}
-
-func (e *TCPEndpoint) callTimeout() time.Duration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.opts.CallTimeout <= 0 {
-		return DefaultCallTimeout
-	}
-	return e.opts.CallTimeout
-}
-
-func (e *TCPEndpoint) idleTimeout() time.Duration {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.opts.IdleTimeout <= 0 {
-		return DefaultIdleTimeout
-	}
-	return e.opts.IdleTimeout
-}
-
-func (e *TCPEndpoint) frameLimit() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.opts.FrameLimit <= 0 || e.opts.FrameLimit > maxFrame {
-		return maxFrame
-	}
-	if e.opts.FrameLimit < 512 {
-		return 512
-	}
-	return e.opts.FrameLimit
-}
-
-func (e *TCPEndpoint) maxMessage() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.opts.MaxMessage <= 0 {
-		return DefaultMaxMessage
-	}
-	return e.opts.MaxMessage
 }
 
 // Addr implements Transport.
@@ -358,7 +321,7 @@ func (e *TCPEndpoint) acceptLoop() {
 // idle, or sends anything that is not a well-formed binary request frame.
 // Requests are dispatched concurrently and answered by id.
 func (e *TCPEndpoint) serveConn(conn net.Conn) {
-	idle := e.idleTimeout()
+	idle := e.opts.IdleTimeout
 	var activity, inflight atomic.Int64
 	activity.Store(time.Now().UnixNano())
 	done := make(chan struct{})
@@ -371,7 +334,7 @@ func (e *TCPEndpoint) serveConn(conn net.Conn) {
 
 	br := bufio.NewReaderSize(&activityReader{r: conn, activity: &activity}, 32<<10)
 	fw := newFrameWriter(conn, idle, &activity)
-	asm := newFragAssembler(e.maxMessage())
+	asm := newFragAssembler(e.opts.MaxMessage)
 	for {
 		payload, err := readFrame(br)
 		if err != nil {
@@ -425,7 +388,7 @@ func (e *TCPEndpoint) serveBinRequest(fw *frameWriter, msg *binMsg) {
 	e.mu.RUnlock()
 
 	fail := func(err error) {
-		_ = fw.writeMsg(context.Background(), fResp|fErr, msg.id, e.addr, "", []byte(err.Error()), e.frameLimit())
+		_ = fw.writeMsg(context.Background(), fResp|fErr, msg.id, e.addr, "", []byte(err.Error()), e.opts.FrameLimit)
 	}
 	switch {
 	case closed:
@@ -450,7 +413,7 @@ func (e *TCPEndpoint) serveBinRequest(fw *frameWriter, msg *binMsg) {
 			fail(err)
 			return
 		}
-		_ = fw.writeMsg(context.Background(), fResp, msg.id, e.addr, name, body, e.frameLimit())
+		_ = fw.writeMsg(context.Background(), fResp, msg.id, e.addr, name, body, e.opts.FrameLimit)
 		putBodyBuf(bp, body)
 	}
 }
@@ -486,7 +449,7 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 	// the caller's context carries no deadline.
 	if _, ok := ctx.Deadline(); !ok {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, e.callTimeout())
+		ctx, cancel = context.WithTimeout(ctx, e.opts.CallTimeout)
 		defer cancel()
 	}
 	var lastErr error
@@ -496,7 +459,7 @@ func (e *TCPEndpoint) Call(ctx context.Context, to Addr, req any) (any, error) {
 			return nil, err
 		}
 		id, ch := pc.register()
-		if err := pc.fw.writeMsg(ctx, 0, id, e.addr, name, body, e.frameLimit()); err != nil {
+		if err := pc.fw.writeMsg(ctx, 0, id, e.addr, name, body, e.opts.FrameLimit); err != nil {
 			pc.cancel(id)
 			e.pool.drop(to, pc)
 			lastErr = err

@@ -187,13 +187,19 @@ func doublingHandler(_ context.Context, _ Addr, req any) (any, error) {
 // doublingHandler installed on the server.
 func startPair(t *testing.T) (server, client *TCPEndpoint) {
 	t.Helper()
-	server, err := ListenTCP("127.0.0.1:0")
+	return startPairOptions(t, TCPOptions{})
+}
+
+// startPairOptions is startPair with both endpoints built with opts.
+func startPairOptions(t *testing.T, opts TCPOptions) (server, client *TCPEndpoint) {
+	t.Helper()
+	server, err := ListenTCPOptions("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { server.Close() })
 	server.Handle(doublingHandler)
-	client, err = ListenTCP("127.0.0.1:0")
+	client, err = ListenTCPOptions("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,9 +292,7 @@ func TestTCPConcurrentCallsMultiplex(t *testing.T) {
 // and server's frame limit, so both directions must fragment and
 // reassemble.
 func TestTCPFragmentedMessage(t *testing.T) {
-	server, client := startPair(t)
-	server.SetOptions(TCPOptions{FrameLimit: 2048})
-	client.SetOptions(TCPOptions{FrameLimit: 2048})
+	server, client := startPairOptions(t, TCPOptions{FrameLimit: 2048})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	note := strings.Repeat("0123456789abcdef", 4096) // 64 KiB >> 2 KiB frames
@@ -307,9 +311,7 @@ func TestTCPFragmentedMessage(t *testing.T) {
 // semaphore keeps the sender under the receiver's reassembly limits, and
 // every payload must come back intact.
 func TestTCPConcurrentFragmentedMessages(t *testing.T) {
-	server, client := startPair(t)
-	server.SetOptions(TCPOptions{FrameLimit: 2048})
-	client.SetOptions(TCPOptions{FrameLimit: 2048})
+	server, client := startPairOptions(t, TCPOptions{FrameLimit: 2048})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -439,12 +441,11 @@ func TestTCPNoHandler(t *testing.T) {
 }
 
 func TestTCPUnreachable(t *testing.T) {
-	client, err := ListenTCP("127.0.0.1:0")
+	client, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{DialTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.SetOptions(TCPOptions{DialTimeout: 200 * time.Millisecond})
 	if _, err := client.Call(context.Background(), "127.0.0.1:1", tcpPing{}); !errors.Is(err, ErrUnreachable) {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
@@ -470,22 +471,20 @@ func TestTCPCallAfterClose(t *testing.T) {
 // is suspended while a request is in flight: a handler running longer than
 // the idle timeout still delivers its response.
 func TestTCPServeOutlivesIdleTimeoutWhileInFlight(t *testing.T) {
-	server, err := ListenTCP("127.0.0.1:0")
+	server, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{IdleTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer server.Close()
-	server.SetOptions(TCPOptions{IdleTimeout: 150 * time.Millisecond})
 	server.Handle(func(_ context.Context, _ Addr, req any) (any, error) {
 		time.Sleep(600 * time.Millisecond) // 4x the idle horizon
 		return tcpBinPong{Value: req.(tcpBinPing).Value + 1}, nil
 	})
-	client, err := ListenTCP("127.0.0.1:0")
+	client, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{IdleTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.SetOptions(TCPOptions{IdleTimeout: 150 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	resp, err := client.Call(ctx, server.Addr(), tcpBinPing{Value: 1})
@@ -501,9 +500,7 @@ func TestTCPServeOutlivesIdleTimeoutWhileInFlight(t *testing.T) {
 // watchdog: a pooled connection with nothing in flight is closed after the
 // idle horizon, and the next call transparently redials.
 func TestTCPIdleConnectionReclaimed(t *testing.T) {
-	server, client := startPair(t)
-	server.SetOptions(TCPOptions{IdleTimeout: 100 * time.Millisecond})
-	client.SetOptions(TCPOptions{IdleTimeout: 100 * time.Millisecond})
+	server, client := startPairOptions(t, TCPOptions{IdleTimeout: 100 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if _, err := client.Call(ctx, server.Addr(), tcpBinPing{Value: 1}); err != nil {
@@ -540,12 +537,11 @@ func TestTCPCallTimeoutConfigurable(t *testing.T) {
 		<-block
 		return tcpPong{}, nil
 	})
-	client, err := ListenTCP("127.0.0.1:0")
+	client, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{CallTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	client.SetOptions(TCPOptions{CallTimeout: 200 * time.Millisecond})
 	start := time.Now()
 	_, callErr := client.Call(context.Background(), server.Addr(), tcpPing{})
 	if callErr == nil {
@@ -553,6 +549,48 @@ func TestTCPCallTimeoutConfigurable(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("configured call timeout not honoured: took %v", d)
+	}
+}
+
+// TestTCPOptionsNormalized pins the defaults and clamps ListenTCPOptions
+// applies once, when the endpoint is built.
+func TestTCPOptionsNormalized(t *testing.T) {
+	defaults := TCPOptions{
+		DialTimeout: DefaultDialTimeout,
+		CallTimeout: DefaultCallTimeout,
+		IdleTimeout: DefaultIdleTimeout,
+		FrameLimit:  maxFrame,
+		MaxMessage:  DefaultMaxMessage,
+	}
+	with := func(f func(*TCPOptions)) TCPOptions {
+		o := defaults
+		f(&o)
+		return o
+	}
+	for _, tc := range []struct {
+		name string
+		in   TCPOptions
+		want TCPOptions
+	}{
+		{"zero", TCPOptions{}, defaults},
+		{"negative", TCPOptions{DialTimeout: -1, CallTimeout: -1, IdleTimeout: -1, FrameLimit: -1, MaxMessage: -1}, defaults},
+		{"set", TCPOptions{DialTimeout: time.Second, CallTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second, FrameLimit: 4096, MaxMessage: 1 << 20},
+			TCPOptions{DialTimeout: time.Second, CallTimeout: 2 * time.Second, IdleTimeout: 3 * time.Second, FrameLimit: 4096, MaxMessage: 1 << 20}},
+		{"frame below floor", TCPOptions{FrameLimit: 100}, with(func(o *TCPOptions) { o.FrameLimit = 512 })},
+		{"frame at floor", TCPOptions{FrameLimit: 512}, with(func(o *TCPOptions) { o.FrameLimit = 512 })},
+		{"frame above cap", TCPOptions{FrameLimit: maxFrame + 1}, defaults},
+	} {
+		if got := tc.in.normalize(); got != tc.want {
+			t.Errorf("%s: normalize(%+v) = %+v, want %+v", tc.name, tc.in, got, tc.want)
+		}
+	}
+	ep, err := ListenTCPOptions("127.0.0.1:0", TCPOptions{FrameLimit: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	if want := with(func(o *TCPOptions) { o.FrameLimit = 512 }); ep.opts != want {
+		t.Errorf("ListenTCPOptions kept %+v, want %+v", ep.opts, want)
 	}
 }
 

@@ -540,7 +540,7 @@ func (p *Peer) notifyTombstonePrune(ctx context.Context, pruned []replication.It
 		return
 	}
 	req := TombstonePruneRequest{From: p.Addr(), Path: p.Path(), Pairs: pruned}
-	forEachBounded(p.queryFanout(), replicas, func(a network.Addr) {
+	forEachBounded(p.cfg.Fanout, replicas, func(a network.Addr) {
 		_, _ = p.transport.Call(ctx, a, req)
 	})
 }

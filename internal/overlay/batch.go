@@ -84,7 +84,7 @@ func (p *Peer) handleQueryBatch(ctx context.Context, req BatchQueryRequest) Batc
 	}
 
 	var mu sync.Mutex
-	forEachBounded(p.queryFanout(), groups, func(g *batchGroup) {
+	forEachBounded(p.cfg.Fanout, groups, func(g *batchGroup) {
 		sub := BatchQueryRequest{
 			Keys: make([]keyspace.Key, len(g.idx)),
 			Hops: req.Hops + 1,

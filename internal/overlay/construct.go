@@ -22,17 +22,12 @@ type PartnerSelector func() (network.Addr, error)
 // provide a partner.
 var ErrNoPartner = errors.New("overlay: no interaction partner available")
 
-// ReplicateTo pushes the peer's current items to the given peers, which is
-// the pre-construction replication phase of Section 4.2: before partitioning
-// starts, every data key is replicated to MinReplicas randomly chosen peers
-// so the replica-count estimation works and no key is lost during the
-// shuffle.
-func (p *Peer) ReplicateTo(ctx context.Context, targets []network.Addr) error {
-	return p.ReplicateItems(ctx, p.store.Items(), targets)
-}
-
 // ReplicateItems pushes the given items (typically the peer's own original
-// data, excluding copies received from others) to the target peers.
+// data, excluding copies received from others) to the target peers. This is
+// the pre-construction replication phase of Section 4.2: before
+// partitioning starts, every data key is replicated to MinReplicas randomly
+// chosen peers so the replica-count estimation works and no key is lost
+// during the shuffle.
 func (p *Peer) ReplicateItems(ctx context.Context, items []replication.Item, targets []network.Addr) error {
 	var firstErr error
 	for _, t := range targets {

@@ -331,7 +331,9 @@ type MutateResponse struct {
 	Gen uint64
 	// Hops is the total number of routing hops used.
 	Hops int
-	// Responsible is the peer that coordinated the write.
+	// Responsible is the peer that coordinated the write. With Found false
+	// it is the responsible peer that refused a duplicate of a mutation it
+	// had already seen, and empty when no responsible peer was reached.
 	Responsible network.Addr
 	// ResponsiblePath is that peer's path.
 	ResponsiblePath keyspace.Path

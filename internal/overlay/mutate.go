@@ -48,23 +48,6 @@ type MutateResult struct {
 	Responsible network.Addr
 }
 
-// SetWriteQuorum adjusts the write quorum at run time. Non-positive values
-// keep the current one.
-func (p *Peer) SetWriteQuorum(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n > 0 {
-		p.cfg.WriteQuorum = n
-	}
-}
-
-// writeQuorum returns the current write quorum.
-func (p *Peer) writeQuorum() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg.WriteQuorum
-}
-
 // Insert routes a live write for the item to the responsible partition and
 // waits for the replica fan-out's quorum-ack. It returns ErrNoQuorum when the
 // write reached the responsible peer but fewer than WriteQuorum replicas
@@ -114,7 +97,7 @@ func (p *Peer) finishMutation(resp MutateResponse) (MutateResult, error) {
 		Hops:        resp.Hops,
 		Responsible: resp.Responsible,
 	}
-	if res.Acks < p.writeQuorum() {
+	if res.Acks < p.cfg.WriteQuorum {
 		return res, ErrNoQuorum
 	}
 	return res, nil
@@ -216,10 +199,7 @@ func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse,
 	if m.ttl <= 0 {
 		return MutateResponse{}, errNotResponsible
 	}
-	width := p.raceWidth(m.hops)
-	m.hops++
-	m.ttl--
-	return p.forwardMutation(ctx, m.key, m.request(), width)
+	return p.forwardMutation(ctx, m)
 }
 
 // coordinate runs a mutation at a responsible peer: mark its ID, stamp the
@@ -231,8 +211,10 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 		// A duplicate of an already-coordinated mutation (delivered by the
 		// α-race): suppress it entirely. Answering Found here could outrace
 		// the original coordination's response with an underreported ack
-		// count; the race's real answer is authoritative.
-		return MutateResponse{}, errNotResponsible
+		// count; the race's real answer is authoritative. Naming this peer
+		// as Responsible marks the refusal as final for the forwarders
+		// (forwardMutation).
+		return MutateResponse{Hops: m.hops, Responsible: p.Addr()}, nil
 	}
 	ev := replication.Event{Op: replication.Stamp, Kind: m.kind, Gen: m.gen}
 	leg := mutation{key: m.key, value: m.value, kind: m.kind, id: m.id, direct: true}
@@ -245,16 +227,23 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 	return resp, nil
 }
 
-// forwardMutation routes a mutation request one hop closer to the
-// responsible partition, racing up to width references at the divergence
-// level exactly like resolveQuery does for reads (stale references are
-// pruned by the race).
-func (p *Peer) forwardMutation(ctx context.Context, key keyspace.Key, forward any, width int) (MutateResponse, error) {
-	_, level, _ := p.table.NextHop(key)
+// forwardMutation routes a mutation one hop closer to the responsible
+// partition, racing raceWidth references at the divergence level exactly
+// like resolveQuery does for reads (stale references are pruned by the
+// race). A forwarder (hops > 0 on arrival) also accepts a responsible
+// peer's refusal of a duplicate (Found false, Responsible set) and passes
+// it up instead of trying its next reference: that one leads into the same
+// partition, where another copy is already coordinating the write. The
+// origin rejects the refusal and waits for that copy's answer.
+func (p *Peer) forwardMutation(ctx context.Context, m mutation) (MutateResponse, error) {
+	width, forwarder := p.raceWidth(m.hops), m.hops > 0
+	_, level, _ := p.table.NextHop(m.key)
 	refs := p.shuffledRefs(level)
-	raw, ok := p.raceCall(ctx, refs, forward, width, func(raw any) bool {
+	m.hops++
+	m.ttl--
+	raw, ok := p.raceCall(ctx, refs, m.request(), width, func(raw any) bool {
 		resp, ok := raw.(MutateResponse)
-		return ok && resp.Found
+		return ok && (resp.Found || forwarder && resp.Responsible != "")
 	})
 	if !ok {
 		return MutateResponse{}, errNotResponsible
@@ -272,7 +261,7 @@ func (p *Peer) fanOutMutation(ctx context.Context, hops int, req any) MutateResp
 	acks := 1
 	maxGen := uint64(0)
 	var mu sync.Mutex
-	forEachBounded(p.queryFanout(), replicas, func(addr network.Addr) {
+	forEachBounded(p.cfg.Fanout, replicas, func(addr network.Addr) {
 		raw, err := p.transport.Call(ctx, addr, req)
 		if err != nil {
 			if ctx.Err() == nil && !errors.Is(err, context.Canceled) {

@@ -50,10 +50,6 @@ type Config struct {
 	// time, so a request spends α once, not once per hop. 1 reproduces the
 	// sequential try-one-at-a-time behaviour; 0 means the default of 3.
 	Alpha int
-	// HedgeDelay staggers the accepting peer's additional Alpha
-	// candidates: candidate i starts i*HedgeDelay after the first. Zero
-	// launches all candidates at once.
-	HedgeDelay time.Duration
 	// Fanout bounds the number of sub-trees a range ("shower") query — or
 	// next-hop groups of a batch query — forwards to concurrently. 1
 	// reproduces the serial branch-after-branch behaviour; 0 means the
@@ -83,9 +79,6 @@ type Config struct {
 	// memory. Only NewPersistent reports persistence errors; New panics on
 	// them.
 	DataDir string
-	// WALSyncAlways fsyncs the WAL on every mutation, trading write
-	// latency for a zero crash-loss window.
-	WALSyncAlways bool
 	// StorageEngine selects the store's pair-storage engine:
 	// replication.EngineMem (in-memory map) or replication.EngineDisk
 	// (log-structured on-disk segments, for partitions far larger than
@@ -135,9 +128,6 @@ func (c Config) normalize() Config {
 	if c.Alpha <= 0 {
 		c.Alpha = DefaultAlpha
 	}
-	if c.HedgeDelay < 0 {
-		c.HedgeDelay = 0
-	}
 	if c.Fanout <= 0 {
 		c.Fanout = DefaultFanout
 	}
@@ -175,8 +165,8 @@ const (
 
 // Peer is one P-Grid node.
 type Peer struct {
-	// The hot query path touches mu (concurrency knobs are read under it on
-	// every hop), table, store and transport; they lead the struct so their
+	// The hot query path touches mu (references are shuffled with rng under
+	// it), table, store and transport; they lead the struct so their
 	// offsets — and cache lines — stay stable as the cold configuration and
 	// maintenance state below them grow.
 	mu        sync.Mutex
@@ -185,6 +175,7 @@ type Peer struct {
 	transport network.Transport
 	rng       *rand.Rand
 
+	// cfg is fixed once the peer is built and is read without a lock.
 	cfg      Config
 	decider  core.Decider
 	replicas map[network.Addr]bool
@@ -249,8 +240,7 @@ func NewPersistent(cfg Config, transport network.Transport) (*Peer, error) {
 	if cfg.DataDir != "" {
 		var err error
 		store, err = replication.OpenStore(cfg.DataDir, replication.PersistOptions{
-			SyncAlways: cfg.WALSyncAlways,
-			Engine:     cfg.StorageEngine,
+			Engine: cfg.StorageEngine,
 		})
 		if err != nil {
 			return nil, err
@@ -406,33 +396,8 @@ func (p *Peer) Store() *replication.Store { return p.store }
 // Table returns the peer's routing table.
 func (p *Peer) Table() *routing.Table { return p.table }
 
-// Config returns the peer's configuration.
-func (p *Peer) Config() Config {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg
-}
-
-// SetQueryConcurrency adjusts the query engine's concurrency knobs at run
-// time (useful for sweeping α and fan-out over one constructed overlay):
-// alpha is the race width this peer uses for the requests it accepts from
-// clients (forwarded requests always try one reference at a time), fanout
-// the concurrent range/batch sub-tree forwards, hedge the stagger between
-// the accepting peer's candidates. Non-positive alpha or fanout and
-// negative hedge keep the current value.
-func (p *Peer) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if alpha > 0 {
-		p.cfg.Alpha = alpha
-	}
-	if fanout > 0 {
-		p.cfg.Fanout = fanout
-	}
-	if hedge >= 0 {
-		p.cfg.HedgeDelay = hedge
-	}
-}
+// Config returns the peer's configuration, fixed when the peer was built.
+func (p *Peer) Config() Config { return p.cfg }
 
 // SetTimeSource replaces the clock the answer cache runs on (tests with a
 // simulated clock). Call before the peer serves traffic.
@@ -440,27 +405,6 @@ func (p *Peer) SetTimeSource(now func() time.Time) {
 	if now != nil {
 		p.now = now
 	}
-}
-
-// queryAlpha returns the current race width for accepted requests.
-func (p *Peer) queryAlpha() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg.Alpha
-}
-
-// queryFanout returns the current sub-tree fan-out bound.
-func (p *Peer) queryFanout() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg.Fanout
-}
-
-// hedgeDelay returns the current hedged-request stagger.
-func (p *Peer) hedgeDelay() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cfg.HedgeDelay
 }
 
 // Replicas returns the addresses of the peers currently known to replicate

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"time"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -19,14 +18,14 @@ import (
 // range.
 //
 // Both paths are concurrent. The peer that accepts an exact-match query from
-// a client races up to Alpha references at the divergence level (staggered
-// by HedgeDelay) and takes the first responsible answer, so a single stale
-// reference costs a hedge delay rather than a full timeout. Every later
-// forwarder tries one reference at a time, as the paper's search does, and
-// moves on only after a failure or a dead-end answer: α is spent once per
-// request, not once per hop. Range ("shower") queries fan every overlapping
-// complementary sub-tree out through a bounded worker pool and merge branch
-// results as they arrive.
+// a client races up to Alpha references at the divergence level at once and
+// takes the first responsible answer, so a single stale reference does not
+// hold the query for a full timeout. Every later forwarder tries one
+// reference at a time, as the paper's search does, and moves on only after
+// a failure or a dead-end answer: α is spent once per request, not once
+// per hop. Range ("shower") queries fan every overlapping complementary
+// sub-tree out through a bounded worker pool and merge branch results as
+// they arrive.
 
 // QueryResult is the outcome of an exact-match query.
 type QueryResult struct {
@@ -192,15 +191,14 @@ func (p *Peer) shuffledRefs(level int) []routing.Ref {
 // later hop while every reference answers.
 func (p *Peer) raceWidth(hops int) int {
 	if hops == 0 {
-		return p.queryAlpha()
+		return p.cfg.Alpha
 	}
 	return 1
 }
 
 // raceCall forwards req to the given references, at most width calls in
 // flight at once, and returns the first response that accept approves.
-// The first width calls start staggered by HedgeDelay (candidate i after
-// i*HedgeDelay, all at once when it is zero); after that a further
+// The first width calls start at once; after that a further
 // reference is called only when an outcome was rejected — a transport
 // error or a response accept refuses — so a race that is won sends no
 // request past the winning one. References whose calls fail with a
@@ -213,25 +211,14 @@ func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, width 
 	width = min(max(width, 1), len(refs))
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	hedge := p.hedgeDelay()
 	// One slot per reference: every launched call sends exactly one
 	// outcome, so no sender blocks once the race has returned.
 	results := make(chan any, len(refs))
 	next := 0
-	launch := func(stagger time.Duration) {
+	launch := func() {
 		ref := refs[next]
 		next++
 		go func() {
-			if stagger > 0 {
-				t := time.NewTimer(stagger)
-				defer t.Stop()
-				select {
-				case <-rctx.Done():
-					results <- nil
-					return
-				case <-t.C:
-				}
-			}
 			raw, err := p.transport.Call(rctx, ref.Addr, req)
 			if err != nil {
 				// Only prune on genuine transport failures: a call
@@ -246,7 +233,7 @@ func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, width 
 		}()
 	}
 	for i := 0; i < width; i++ {
-		launch(time.Duration(i) * hedge)
+		launch()
 	}
 	for inflight := width; inflight > 0; inflight-- {
 		select {
@@ -257,7 +244,7 @@ func (p *Peer) raceCall(ctx context.Context, refs []routing.Ref, req any, width 
 				return raw, true
 			}
 			if next < len(refs) && ctx.Err() == nil {
-				launch(0)
+				launch()
 				inflight++
 			}
 		}
@@ -370,7 +357,7 @@ func (p *Peer) handleRange(ctx context.Context, req RangeRequest) RangeResponse 
 	}
 
 	var mu sync.Mutex
-	forEachBounded(p.queryFanout(), branches, func(br rangeBranch) {
+	forEachBounded(p.cfg.Fanout, branches, func(br rangeBranch) {
 		resp, ok := p.forwardRangeBranch(ctx, br)
 		mu.Lock()
 		defer mu.Unlock()

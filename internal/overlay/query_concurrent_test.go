@@ -194,8 +194,10 @@ func TestRangeFanoutMatchesSerial(t *testing.T) {
 	)
 	origin := c.peers[0]
 
+	// Config is fixed once a peer is built; between two queries, with no
+	// request in flight, the test may still set the origin's fan-out.
 	collect := func(fanout int) map[string]bool {
-		origin.SetQueryConcurrency(0, fanout, -1)
+		origin.cfg.Fanout = fanout
 		res, err := origin.RangeQuery(ctx, r)
 		if err != nil {
 			t.Fatalf("fanout=%d: %v", fanout, err)

@@ -3,6 +3,7 @@ package overlay
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -157,6 +158,77 @@ func TestForwardsPerRequestBounded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForwardsPerRequestDuplicateRefused checks that a responsible peer's
+// refusal of a duplicate mutation ends the walk at every forwarder. The
+// origin's two α copies of an insert travel different hop-1 forwarders
+// (a1, a2) into one hop-2 forwarder (b), whose three references are the
+// responsible partition's replicas. The network delays copy 2 until copy 1
+// was coordinated, and copy 1's answer until copy 2 was refused, so copy 2
+// meets a peer that already marked the mutation. b must send one request
+// per request it received instead of trying the other replicas, which
+// refuse the copy too.
+func TestForwardsPerRequestDuplicateRefused(t *testing.T) {
+	const hop = 200 * time.Microsecond
+	latency := func(from, to network.Addr, _ *rand.Rand) time.Duration {
+		switch {
+		case from == "origin" && to == "a2":
+			return 100 * hop // copy 2 reaches b after copy 1 was coordinated
+		case from == "a1" && to == "origin":
+			return 500 * hop // copy 1's answer returns after copy 2 was refused
+		}
+		return hop
+	}
+	sim := network.NewSim(network.SimConfig{Seed: 39, Latency: latency})
+	cfg := Config{MaxKeys: 100, MinReplicas: 1, Alpha: 2, Seed: 39}
+	peer := func(addr network.Addr, path keyspace.Path) (*Peer, *callCounter) {
+		c := newCallCounter(sim.Endpoint(addr))
+		pcfg := cfg
+		pcfg.Seed += int64(len(sim.Addrs()))
+		p := New(pcfg, c)
+		p.Table().SetPath(path)
+		return p, c
+	}
+	origin, _ := peer("origin", "0")
+	a1, a1Count := peer("a1", "10")
+	a2, a2Count := peer("a2", "10")
+	b, bCount := peer("b", "110")
+	var rs []*Peer
+	for i := 0; i < 3; i++ {
+		r, _ := peer(network.Addr(fmt.Sprintf("r%d", i)), "111")
+		rs = append(rs, r)
+		b.Table().Add(2, refFor(r))
+	}
+	for _, r := range rs {
+		for _, other := range rs {
+			if other != r {
+				r.AddReplica(other.Addr())
+			}
+		}
+	}
+	origin.Table().Add(0, refFor(a1))
+	origin.Table().Add(0, refFor(a2))
+	a1.Table().Add(1, refFor(b))
+	a2.Table().Add(1, refFor(b))
+
+	key := keyspace.MustFromString("11100")
+	res, err := origin.Insert(context.Background(), replication.Item{Key: key, Value: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Hops != 3 || res.Acks != 3 {
+		t.Errorf("insert took %d hops with %d acks, want 3 and 3", res.Hops, res.Acks)
+	}
+	waitNoCallsInFlight(t, sim)
+	if _, received := bCount.counts("overlay.InsertRequest"); received != 2 {
+		t.Fatalf("b received %d copies, want both α copies", received)
+	}
+	for name, c := range map[string]*callCounter{"a1": a1Count, "a2": a2Count, "b": bCount} {
+		if sent, received := c.counts("overlay.InsertRequest"); sent != received {
+			t.Errorf("forwarder %s sent %d requests for %d received, want one each", name, sent, received)
+		}
 	}
 }
 

@@ -203,7 +203,7 @@ func TestRestartMidWriteOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	bAddr := string(epB.Addr())
-	bcfg := Config{MaxKeys: 50, MinReplicas: 1, Seed: 2, DataDir: dir, WALSyncAlways: true}
+	bcfg := Config{MaxKeys: 50, MinReplicas: 1, Seed: 2, DataDir: dir}
 	b, err := NewPersistent(bcfg, epB)
 	if err != nil {
 		t.Fatal(err)

@@ -289,11 +289,10 @@ func TestOversizedSyncOverTCP(t *testing.T) {
 	const frameLimit = 32 << 10
 	var peers []*Peer
 	for i := 0; i < 2; i++ {
-		ep, err := network.ListenTCP("127.0.0.1:0")
+		ep, err := network.ListenTCPOptions("127.0.0.1:0", network.TCPOptions{FrameLimit: frameLimit})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep.SetOptions(network.TCPOptions{FrameLimit: frameLimit})
 		defer ep.Close()
 		pcfg := cfg
 		pcfg.Seed = int64(90 + i)

@@ -15,8 +15,7 @@ import (
 //	Topology      WithPeers, WithBootstrapDegree, WithMaxConstructionRounds
 //	Balancing     WithMaxKeys, WithMinReplicas, WithSampleSize,
 //	              WithCorrectedProbabilities, WithHeuristicProbabilities
-//	Routing       WithRoutingRedundancy, WithQueryAlpha, WithHedgeDelay,
-//	              WithQueryFanout
+//	Routing       WithRoutingRedundancy, WithQueryAlpha, WithQueryFanout
 //	Reads         WithQueryCache
 //	Writes        WithWriteQuorum
 //	Maintenance   WithMaintenanceInterval, WithTombstoneGC
@@ -93,21 +92,13 @@ func WithRoutingRedundancy(refs int) Option {
 // exact-match query, batch query, insert or delete: it races α routing
 // references concurrently, the first responsible answer wins, and stale
 // references encountered by the losers are pruned, so a dead reference
-// costs at most one hedge delay instead of a full timeout before an
-// alternative is tried. Every later forwarder tries one reference at a
+// does not hold the request for a full timeout while an alternative
+// answers. Every later forwarder tries one reference at a
 // time, moving on after a failure or a dead-end answer, so a request costs
 // α forwards at its origin plus one per later hop. 1 restores the
 // sequential try-one-reference-at-a-time behaviour everywhere; the default
 // is overlay.DefaultAlpha (3).
 func WithQueryAlpha(alpha int) Option { return func(o *options) { o.cluster.Overlay.Alpha = alpha } }
-
-// WithHedgeDelay staggers the launch of the accepting peer's additional α
-// candidates: candidate i starts i*d after the first, so extra requests are
-// only sent when the preferred reference has not answered promptly (hedged
-// requests). A zero delay (the default) races all α candidates immediately.
-func WithHedgeDelay(d time.Duration) Option {
-	return func(o *options) { o.cluster.Overlay.HedgeDelay = d }
-}
 
 // WithQueryFanout bounds how many overlapping sub-trees a range ("shower")
 // query — or next-hop groups of a batch query — forwards to concurrently.

@@ -38,7 +38,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"time"
 
 	"pgrid/internal/keyspace"
 	"pgrid/internal/network"
@@ -480,18 +479,6 @@ func (c *Cluster) SearchManyStrings(ctx context.Context, terms []string) ([][]Se
 		keys[i] = StringKey(t)
 	}
 	return c.SearchMany(ctx, keys)
-}
-
-// SetQueryConcurrency adjusts the query engine's concurrency knobs on every
-// peer at run time: alpha references raced by the peer that accepts a
-// lookup or mutation (forwarders try one reference at a time), fanout
-// concurrent range/batch sub-tree forwards, and the hedge delay staggering
-// the accepting peer's additional candidates. Non-positive alpha or fanout
-// and negative hedge keep the current value.
-func (c *Cluster) SetQueryConcurrency(alpha, fanout int, hedge time.Duration) {
-	for _, p := range c.exp.Snapshot() {
-		p.SetQueryConcurrency(alpha, fanout, hedge)
-	}
 }
 
 // SearchRange returns every item whose key falls into [lo, hi), in key

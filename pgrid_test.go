@@ -264,7 +264,6 @@ func TestClusterOptionCoverage(t *testing.T) {
 		WithNetworkLatency(time.Microsecond),
 		WithMessageLoss(0),
 		WithQueryAlpha(2),
-		WithHedgeDelay(time.Millisecond),
 		WithQueryFanout(6),
 	)
 	if err != nil {
@@ -273,12 +272,8 @@ func TestClusterOptionCoverage(t *testing.T) {
 	if c.Peer(0).Config().Samples != 5 || !c.Peer(0).Config().UseCorrection {
 		t.Error("options not propagated to peers")
 	}
-	if cfg := c.Peer(0).Config(); cfg.Alpha != 2 || cfg.HedgeDelay != time.Millisecond || cfg.Fanout != 6 {
+	if cfg := c.Peer(0).Config(); cfg.Alpha != 2 || cfg.Fanout != 6 {
 		t.Errorf("query concurrency options not propagated: %+v", cfg)
-	}
-	c.SetQueryConcurrency(4, 2, 0)
-	if cfg := c.Peer(0).Config(); cfg.Alpha != 4 || cfg.Fanout != 2 || cfg.HedgeDelay != 0 {
-		t.Errorf("SetQueryConcurrency not applied: %+v", cfg)
 	}
 	h, err := NewCluster(WithPeers(4), WithHeuristicProbabilities())
 	if err != nil {

@@ -25,7 +25,8 @@ package replication
 // CRC-protected individually: segments only become reachable through the
 // manifest of a committed snapshot, which is CRC-trailed, and the index CRC
 // catches a torn or truncated file at open, where the offsets are checked
-// to cut the region into non-empty blocks.
+// to cut the region into non-empty blocks and the index keys to strictly
+// increase. A loaded block's first record must be its index entry's pair.
 
 import (
 	"bufio"
@@ -225,6 +226,14 @@ func readSegmentIndex(f *os.File, name string) (*segment, error) {
 	if end != segHeaderLen {
 		return nil, errSegmentCorrupt
 	}
+	// The index keys must strictly increase, or a lookup's binary search
+	// lands in the wrong block and misses.
+	for i := 1; i < len(seg.index); i++ {
+		prev, cur := &seg.index[i-1], &seg.index[i]
+		if !pairLess(prev.Key, prev.Value, cur.Key, cur.Value) {
+			return nil, errSegmentCorrupt
+		}
+	}
 	return seg, nil
 }
 
@@ -285,6 +294,7 @@ func (it *segmentIter) peek() (segRec, bool, error) {
 	if it.loaded {
 		return it.cur, true, nil
 	}
+	var first *segIndexEntry // set when this record opens a block
 	if it.d.Len() == 0 {
 		if it.blk == len(it.g.index) {
 			return segRec{}, false, nil
@@ -296,10 +306,16 @@ func (it *segmentIter) peek() (segRec, bool, error) {
 		}
 		it.d = *wire.NewDecoder(block)
 		it.blk++
+		first = &it.g.index[it.blk-1]
 	}
 	segRecCodec.Read(&it.d, &it.cur)
 	if err := it.d.Err(); err != nil {
 		it.err = fmt.Errorf("%w: %v", errSegmentCorrupt, err)
+		return segRec{}, false, it.err
+	}
+	// A block opens with the record its index entry names.
+	if first != nil && (it.cur.Key != first.Key || it.cur.Value != first.Value) {
+		it.err = fmt.Errorf("%w: block %d does not open with its index entry", errSegmentCorrupt, it.blk-1)
 		return segRec{}, false, it.err
 	}
 	it.loaded = true

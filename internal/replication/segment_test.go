@@ -220,6 +220,66 @@ func TestSegmentIndexOffsetsChecked(t *testing.T) {
 	}
 }
 
+// TestSegmentIndexKeysChecked checks that a CRC-valid index whose keys
+// disagree with the records fails as corruption, at the open or at the
+// read of the block concerned, and never makes a lookup miss silently:
+// index keys out of order or repeated fail the open, and an entry that
+// does not name its block's first record fails the read of that block.
+func TestSegmentIndexKeysChecked(t *testing.T) {
+	recs := goldenSegRecs()
+	data, indexBlock := splitSegment(goldenSegmentFile(t))
+	decoded, err := segIndexCodec.Decode(indexBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := decoded.([]segIndexEntry)
+	if len(golden) != 3 || len(recs) <= 2*segIndexEvery {
+		t.Fatalf("the golden segment has %d index entries over %d records, want 3 over more than %d", len(golden), len(recs), 2*segIndexEvery)
+	}
+	for name, edit := range map[string]func(index []segIndexEntry){
+		"keys out of order": func(x []segIndexEntry) {
+			x[1].Key, x[1].Value, x[2].Key, x[2].Value = x[2].Key, x[2].Value, x[1].Key, x[1].Value
+		},
+		"repeated key": func(x []segIndexEntry) { x[2].Key, x[2].Value = x[1].Key, x[1].Value },
+		"entry names its block's second record": func(x []segIndexEntry) {
+			x[1].Key, x[1].Value = recs[segIndexEvery+1].Key, recs[segIndexEvery+1].Value
+		},
+		"entry names a pair absent from its block": func(x []segIndexEntry) { x[2].Value += "\x00" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			index := append([]segIndexEntry(nil), golden...)
+			edit(index)
+			g, err := openSegmentBytes(t, t.TempDir(), sealSegment(data, segIndexCodec.Append(nil, index)))
+			if err != nil {
+				if !errors.Is(err, errSegmentCorrupt) {
+					t.Errorf("open: err = %v, want errSegmentCorrupt", err)
+				}
+				return
+			}
+			reported := false
+			for _, rec := range recs {
+				found, ok, err := g.get(rec.Key, rec.Value)
+				switch {
+				case err != nil && !errors.Is(err, errSegmentCorrupt):
+					t.Fatalf("get(%q, %q): err = %v, want errSegmentCorrupt", rec.Key, rec.Value, err)
+				case err != nil:
+					reported = true
+				case !ok:
+					t.Fatalf("get(%q, %q) missed silently", rec.Key, rec.Value)
+				case found != rec:
+					t.Fatalf("get(%q, %q) = %v, want %v", rec.Key, rec.Value, found, rec)
+				}
+			}
+			if _, err := segRecords(g); !errors.Is(err, errSegmentCorrupt) {
+				t.Errorf("iterating: err = %v, want errSegmentCorrupt", err)
+			}
+			if !reported {
+				t.Error("no lookup reported the corrupt block")
+			}
+		})
+	}
+}
+
 // FuzzSegmentDecode opens arbitrary segment files: a header plus record
 // region and an index block, sealed with the footer and a valid CRC so
 // mutations reach the index and record decoders. Opening, iterating and

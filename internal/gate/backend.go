@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"pgrid/internal/keyspace"
@@ -152,10 +154,18 @@ func (b PeerBackend) Ready(context.Context) error { return nil }
 func (b PeerBackend) MetricsSnapshot() overlay.MetricsSnapshot { return b.Peer.MetricsSnapshot() }
 
 // RemoteBackend serves the gateway API by speaking the overlay wire
-// protocol to one of a set of entry peers; the contacted peer routes the
-// operation onward like any forwarded request. Entry peers are rotated
-// round-robin, and an entry peer that fails at the transport level is
-// skipped in favour of the next one within the same request.
+// protocol to a set of entry peers; the contacted peer routes the
+// operation onward like any forwarded request. Every found search answer
+// names the peer that was responsible and its path, and the backend keeps
+// a bounded table of those paths and the entry peers that answered for
+// them. A Search, and a Range by its lower bound, goes first to a peer of
+// the longest learned path that prefixes its key, so a read of a learned
+// partition costs one call and no routing hop. Writes, batches and reads
+// of an unlearned key rotate round-robin through the entry peers. A
+// learned peer that answers for another partition, or fails at the
+// transport level, is dropped from the table; an entry peer that fails is
+// skipped in favour of the next one within the same request. Only
+// addresses in Peers are ever called.
 type RemoteBackend struct {
 	// Transport is the gateway's own endpoint (TCP in production, the
 	// simulated network in tests).
@@ -169,7 +179,8 @@ type RemoteBackend struct {
 	// applies it to the coordinator's reported ack count.
 	WriteQuorum int
 
-	next atomic.Uint64
+	next   atomic.Uint64
+	owners owners
 }
 
 // DefaultTTL is the default per-operation routing-hop bound of a
@@ -213,9 +224,39 @@ func (b *RemoteBackend) call(ctx context.Context, req any) (any, error) {
 	return nil, fmt.Errorf("gate: all %d entry peers failed (last: %v): %w", len(b.Peers), lastErr, overlay.ErrUnreachable)
 }
 
+// callOwner sends req first to a learned owner of key and returns the
+// owner it called. On a transport error it drops that owner and falls back
+// to call within the same request; the owner returned is then "".
+func (b *RemoteBackend) callOwner(ctx context.Context, key keyspace.Key, req any) (any, network.Addr, error) {
+	if addr, ok := b.owners.lookup(key); ok {
+		raw, err := b.Transport.Call(ctx, addr, req)
+		if err == nil {
+			return raw, addr, nil
+		}
+		if ctx.Err() != nil {
+			return nil, "", ctx.Err()
+		}
+		b.owners.forget(addr)
+	}
+	raw, err := b.call(ctx, req)
+	return raw, "", err
+}
+
+// learn updates the owner table from a search answer. A learned owner
+// that did not answer as responsible is dropped, and the responsible peer
+// of a found answer is learned for its path if it is an entry peer.
+func (b *RemoteBackend) learn(owner network.Addr, resp overlay.QueryResponse) {
+	if owner != "" && (!resp.Found || resp.Responsible != owner) {
+		b.owners.forget(owner)
+	}
+	if resp.Found && resp.Responsible != "" {
+		b.owners.learn(resp.ResponsiblePath, resp.Responsible, b.Peers)
+	}
+}
+
 // Search implements Backend.
 func (b *RemoteBackend) Search(ctx context.Context, key keyspace.Key, opts SearchOptions) (SearchResult, error) {
-	raw, err := b.call(ctx, overlay.QueryRequest{Key: key, TTL: b.ttl(), Bypass: opts.Consistent})
+	raw, owner, err := b.callOwner(ctx, key, overlay.QueryRequest{Key: key, TTL: b.ttl(), Bypass: opts.Consistent})
 	if err != nil {
 		return SearchResult{}, err
 	}
@@ -223,6 +264,7 @@ func (b *RemoteBackend) Search(ctx context.Context, key keyspace.Key, opts Searc
 	if !ok {
 		return SearchResult{}, fmt.Errorf("gate: unexpected response %T: %w", raw, overlay.ErrUnreachable)
 	}
+	b.learn(owner, resp)
 	if !resp.Found {
 		return SearchResult{}, fmt.Errorf("gate: routing exhausted: %w", overlay.ErrUnreachable)
 	}
@@ -250,6 +292,7 @@ func (b *RemoteBackend) SearchMany(ctx context.Context, keys []keyspace.Key) []B
 		return out
 	}
 	for i, qr := range resp.Results {
+		b.learn("", qr)
 		switch {
 		case !qr.Found:
 			out[i].Err = fmt.Errorf("gate: routing exhausted: %w", overlay.ErrUnreachable)
@@ -263,11 +306,13 @@ func (b *RemoteBackend) SearchMany(ctx context.Context, keys []keyspace.Key) []B
 	return out
 }
 
-// Range implements Backend. Replicas can contribute the same item through
-// different branches, so the merged result is deduplicated and key-ordered
-// here (a local peer's RangeQuery does the same before returning).
+// Range implements Backend. It is sent first to a learned owner of r.Lo,
+// where the range's shower starts. Replicas can contribute the same item
+// through different branches, so the merged result is deduplicated and
+// key-ordered here (a local peer's RangeQuery does the same before
+// returning).
 func (b *RemoteBackend) Range(ctx context.Context, r keyspace.Range) (RangeResult, error) {
-	raw, err := b.call(ctx, overlay.RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: b.ttl()})
+	raw, _, err := b.callOwner(ctx, r.Lo, overlay.RangeRequest{Lo: r.Lo, Hi: r.Hi, HiUnbounded: r.HiUnbounded, TTL: b.ttl()})
 	if err != nil {
 		return RangeResult{}, err
 	}
@@ -342,4 +387,106 @@ func classifyCtx(ctx context.Context, err error) error {
 		return ctx.Err()
 	}
 	return err
+}
+
+// Bounds of a RemoteBackend's owner table: one entry per partition (a
+// leaf of the overlay's trie) up to maxOwnerPaths, past which a new path
+// replaces an old one, and up to maxOwnersPerPath replicas per partition
+// to spread its reads over.
+const (
+	maxOwnerPaths    = 128
+	maxOwnersPerPath = 4
+)
+
+// ownerEntry is one learned partition: its path and the entry peers that
+// answered as responsible for it.
+type ownerEntry struct {
+	path  keyspace.Path
+	addrs [maxOwnersPerPath]network.Addr
+	n     int
+}
+
+// owners maps partition paths to the entry peers that answered for them.
+// A peer has one path, so an address is in at most one entry; an entry
+// that loses its last address is removed.
+type owners struct {
+	mu      sync.Mutex
+	entries []ownerEntry
+	evict   int // the entry a new path replaces once the table is full
+}
+
+// lookup returns a peer, drawn uniformly, of the longest learned path
+// that prefixes key.
+func (o *owners) lookup(key keyspace.Key) (network.Addr, bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	var best *ownerEntry
+	for i := range o.entries {
+		e := &o.entries[i]
+		if (best == nil || len(e.path) > len(best.path)) && key.HasPrefix(e.path) {
+			best = e
+		}
+	}
+	if best == nil {
+		return "", false
+	}
+	return best.addrs[rand.IntN(best.n)], true
+}
+
+// learn records addr, if it is one of peers, as a responsible peer of
+// path, moving it out of any entry of another path.
+func (o *owners) learn(path keyspace.Path, addr network.Addr, peers []network.Addr) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for i := range o.entries {
+		if e := &o.entries[i]; e.path == path && slices.Contains(e.addrs[:e.n], addr) {
+			return
+		}
+	}
+	if !slices.Contains(peers, addr) {
+		return
+	}
+	o.forgetLocked(addr)
+	for i := range o.entries {
+		if e := &o.entries[i]; e.path == path {
+			if e.n < maxOwnersPerPath {
+				e.addrs[e.n] = addr
+				e.n++
+			}
+			return
+		}
+	}
+	e := ownerEntry{path: path, n: 1}
+	e.addrs[0] = addr
+	if len(o.entries) < maxOwnerPaths {
+		o.entries = append(o.entries, e)
+		return
+	}
+	o.entries[o.evict] = e
+	o.evict = (o.evict + 1) % maxOwnerPaths
+}
+
+// forget drops addr from the table.
+func (o *owners) forget(addr network.Addr) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.forgetLocked(addr)
+}
+
+func (o *owners) forgetLocked(addr network.Addr) {
+	for i := range o.entries {
+		e := &o.entries[i]
+		j := slices.Index(e.addrs[:e.n], addr)
+		if j < 0 {
+			continue
+		}
+		e.n--
+		e.addrs[j], e.addrs[e.n] = e.addrs[e.n], ""
+		if e.n == 0 {
+			last := len(o.entries) - 1
+			o.entries[i] = o.entries[last]
+			o.entries = o.entries[:last]
+		}
+		return
+	}
 }

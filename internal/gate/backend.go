@@ -155,17 +155,19 @@ func (b PeerBackend) MetricsSnapshot() overlay.MetricsSnapshot { return b.Peer.M
 
 // RemoteBackend serves the gateway API by speaking the overlay wire
 // protocol to a set of entry peers; the contacted peer routes the
-// operation onward like any forwarded request. Every found search answer
-// names the peer that was responsible and its path, and the backend keeps
-// a bounded table of those paths and the entry peers that answered for
-// them. A Search, and a Range by its lower bound, goes first to a peer of
-// the longest learned path that prefixes its key, so a read of a learned
-// partition costs one call and no routing hop. Writes, batches and reads
-// of an unlearned key rotate round-robin through the entry peers. A
-// learned peer that answers for another partition, or fails at the
-// transport level, is dropped from the table; an entry peer that fails is
-// skipped in favour of the next one within the same request. Only
-// addresses in Peers are ever called.
+// operation onward like any forwarded request. The backend keeps the
+// partition path of each entry peer: the first read asks every entry peer
+// for it (a ClockRequest, in the background), and every found search
+// answer names the peer that was responsible and its path. A Search, and
+// a Range by its lower bound, goes first to an entry peer of the longest
+// known path that prefixes its key, the partition's entry peers taking
+// turns, so a read of a known partition costs one call and no routing hop
+// and is spread over all of that partition's entry peers. Writes, batches
+// and reads of a key no known path covers rotate round-robin through the
+// entry peers. A peer that answers for another partition, or fails at the
+// transport level, has its path forgotten until an answer names it again;
+// an entry peer that fails is skipped in favour of the next one within the
+// same request. Only addresses in Peers are ever called.
 type RemoteBackend struct {
 	// Transport is the gateway's own endpoint (TCP in production, the
 	// simulated network in tests).
@@ -179,8 +181,19 @@ type RemoteBackend struct {
 	// applies it to the coordinator's reported ack count.
 	WriteQuorum int
 
-	next   atomic.Uint64
-	owners owners
+	next  atomic.Uint64
+	probe sync.Once
+	// probes counts the path probes in flight; tests wait on it.
+	probes sync.WaitGroup
+	mu     sync.Mutex
+	// paths holds the partition path of Peers[i] at i, once known.
+	paths []peerPath
+}
+
+// peerPath is an entry peer's partition path, if known.
+type peerPath struct {
+	path  keyspace.Path
+	known bool
 }
 
 // DefaultTTL is the default per-operation routing-hop bound of a
@@ -224,11 +237,13 @@ func (b *RemoteBackend) call(ctx context.Context, req any) (any, error) {
 	return nil, fmt.Errorf("gate: all %d entry peers failed (last: %v): %w", len(b.Peers), lastErr, overlay.ErrUnreachable)
 }
 
-// callOwner sends req first to a learned owner of key and returns the
-// owner it called. On a transport error it drops that owner and falls back
-// to call within the same request; the owner returned is then "".
+// callOwner sends req first to a known owner of key and returns the
+// owner it called. On a transport error it forgets that owner's path and
+// falls back to call within the same request; the owner returned is then
+// "". The first call starts the probe of every entry peer's path.
 func (b *RemoteBackend) callOwner(ctx context.Context, key keyspace.Key, req any) (any, network.Addr, error) {
-	if addr, ok := b.owners.lookup(key); ok {
+	b.probe.Do(b.probePaths)
+	if addr, ok := b.owner(key); ok {
 		raw, err := b.Transport.Call(ctx, addr, req)
 		if err == nil {
 			return raw, addr, nil
@@ -236,22 +251,84 @@ func (b *RemoteBackend) callOwner(ctx context.Context, key keyspace.Key, req any
 		if ctx.Err() != nil {
 			return nil, "", ctx.Err()
 		}
-		b.owners.forget(addr)
+		b.setPath(addr, "", false)
 	}
 	raw, err := b.call(ctx, req)
 	return raw, "", err
 }
 
-// learn updates the owner table from a search answer. A learned owner
-// that did not answer as responsible is dropped, and the responsible peer
-// of a found answer is learned for its path if it is an entry peer.
+// probePaths asks every entry peer for its partition path, each in its
+// own goroutine, so no read waits for a slow or dead peer. The
+// transport's own call timeout bounds a probe.
+func (b *RemoteBackend) probePaths() {
+	b.probes.Add(len(b.Peers))
+	for _, addr := range b.Peers {
+		go func() {
+			defer b.probes.Done()
+			raw, err := b.Transport.Call(context.Background(), addr, overlay.ClockRequest{From: b.Transport.Addr()})
+			if resp, ok := raw.(overlay.ClockResponse); err == nil && ok {
+				b.setPath(addr, resp.Path, true)
+			}
+		}()
+	}
+}
+
+// learn updates the entry peers' paths from a search answer: an owner
+// that was called and did not answer as responsible is forgotten, and the
+// responsible peer of a found answer is known to hold its path.
 func (b *RemoteBackend) learn(owner network.Addr, resp overlay.QueryResponse) {
 	if owner != "" && (!resp.Found || resp.Responsible != owner) {
-		b.owners.forget(owner)
+		b.setPath(owner, "", false)
 	}
 	if resp.Found && resp.Responsible != "" {
-		b.owners.learn(resp.ResponsiblePath, resp.Responsible, b.Peers)
+		b.setPath(resp.Responsible, resp.ResponsiblePath, true)
 	}
+}
+
+// setPath records the path of addr, or forgets it, if addr is one of
+// Peers.
+func (b *RemoteBackend) setPath(addr network.Addr, path keyspace.Path, known bool) {
+	i := slices.Index(b.Peers, addr)
+	if i < 0 {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.paths == nil {
+		b.paths = make([]peerPath, len(b.Peers))
+	}
+	b.paths[i] = peerPath{path, known}
+}
+
+// owner returns an entry peer of the longest known path that prefixes
+// key. Two paths of one length that prefix the same key are one
+// partition; its peers take turns, in the rotation call uses.
+func (b *RemoteBackend) owner(key keyspace.Key) (network.Addr, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	depth, n := -1, 0
+	for _, p := range b.paths {
+		switch {
+		case !p.known || !key.HasPrefix(p.path):
+		case len(p.path) > depth:
+			depth, n = len(p.path), 1
+		case len(p.path) == depth:
+			n++
+		}
+	}
+	if n == 0 {
+		return "", false
+	}
+	turn := int((b.next.Add(1) - 1) % uint64(n))
+	for i, p := range b.paths {
+		if p.known && len(p.path) == depth && key.HasPrefix(p.path) {
+			if turn == 0 {
+				return b.Peers[i], true
+			}
+			turn--
+		}
+	}
+	return "", false
 }
 
 // Search implements Backend.
@@ -306,7 +383,7 @@ func (b *RemoteBackend) SearchMany(ctx context.Context, keys []keyspace.Key) []B
 	return out
 }
 
-// Range implements Backend. It is sent first to a learned owner of r.Lo,
+// Range implements Backend. It is sent first to a known owner of r.Lo,
 // where the range's shower starts. Replicas can contribute the same item
 // through different branches, so the merged result is deduplicated and
 // key-ordered here (a local peer's RangeQuery does the same before
@@ -387,106 +464,4 @@ func classifyCtx(ctx context.Context, err error) error {
 		return ctx.Err()
 	}
 	return err
-}
-
-// Bounds of a RemoteBackend's owner table: one entry per partition (a
-// leaf of the overlay's trie) up to maxOwnerPaths, past which a new path
-// replaces an old one, and up to maxOwnersPerPath replicas per partition
-// to spread its reads over.
-const (
-	maxOwnerPaths    = 128
-	maxOwnersPerPath = 4
-)
-
-// ownerEntry is one learned partition: its path and the entry peers that
-// answered as responsible for it.
-type ownerEntry struct {
-	path  keyspace.Path
-	addrs [maxOwnersPerPath]network.Addr
-	n     int
-}
-
-// owners maps partition paths to the entry peers that answered for them.
-// A peer has one path, so an address is in at most one entry; an entry
-// that loses its last address is removed.
-type owners struct {
-	mu      sync.Mutex
-	entries []ownerEntry
-	evict   int // the entry a new path replaces once the table is full
-}
-
-// lookup returns a peer, drawn uniformly, of the longest learned path
-// that prefixes key.
-func (o *owners) lookup(key keyspace.Key) (network.Addr, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	var best *ownerEntry
-	for i := range o.entries {
-		e := &o.entries[i]
-		if (best == nil || len(e.path) > len(best.path)) && key.HasPrefix(e.path) {
-			best = e
-		}
-	}
-	if best == nil {
-		return "", false
-	}
-	return best.addrs[rand.IntN(best.n)], true
-}
-
-// learn records addr, if it is one of peers, as a responsible peer of
-// path, moving it out of any entry of another path.
-func (o *owners) learn(path keyspace.Path, addr network.Addr, peers []network.Addr) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for i := range o.entries {
-		if e := &o.entries[i]; e.path == path && slices.Contains(e.addrs[:e.n], addr) {
-			return
-		}
-	}
-	if !slices.Contains(peers, addr) {
-		return
-	}
-	o.forgetLocked(addr)
-	for i := range o.entries {
-		if e := &o.entries[i]; e.path == path {
-			if e.n < maxOwnersPerPath {
-				e.addrs[e.n] = addr
-				e.n++
-			}
-			return
-		}
-	}
-	e := ownerEntry{path: path, n: 1}
-	e.addrs[0] = addr
-	if len(o.entries) < maxOwnerPaths {
-		o.entries = append(o.entries, e)
-		return
-	}
-	o.entries[o.evict] = e
-	o.evict = (o.evict + 1) % maxOwnerPaths
-}
-
-// forget drops addr from the table.
-func (o *owners) forget(addr network.Addr) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.forgetLocked(addr)
-}
-
-func (o *owners) forgetLocked(addr network.Addr) {
-	for i := range o.entries {
-		e := &o.entries[i]
-		j := slices.Index(e.addrs[:e.n], addr)
-		if j < 0 {
-			continue
-		}
-		e.n--
-		e.addrs[j], e.addrs[e.n] = e.addrs[e.n], ""
-		if e.n == 0 {
-			last := len(o.entries) - 1
-			o.entries[i] = o.entries[last]
-			o.entries = o.entries[:last]
-		}
-		return
-	}
 }

@@ -127,11 +127,11 @@ func mustSearch(t *testing.T, rb *RemoteBackend, key keyspace.Key) SearchResult 
 	return res
 }
 
-// TestRemoteBackendRoutesToOwner checks that a search teaches the gate
-// the partition that owns its key: a search for another key of that
-// partition is one call, to a responsible peer, with no routing hop, and
-// a range whose lower bound lies in the partition is sent there first.
-// Inserts and deletes still rotate through every entry peer.
+// TestRemoteBackendRoutesToOwner checks that after the first search the
+// gate knows the partition that owns each key: a search for another key
+// of that partition is one call, to a responsible peer, with no routing
+// hop, and a range whose lower bound lies in the partition is sent there
+// first. Inserts and deletes still rotate through every entry peer.
 func TestRemoteBackendRoutesToOwner(t *testing.T) {
 	sim, peers := ownerOverlay(t)
 	log := &callLog{Transport: sim.Endpoint("gate")}
@@ -143,6 +143,7 @@ func TestRemoteBackendRoutesToOwner(t *testing.T) {
 	ctx := context.Background()
 
 	mustSearch(t, rb, keys[0])
+	rb.probes.Wait()
 	log.take()
 	if res := mustSearch(t, rb, keys[1]); res.Hops != 0 {
 		t.Errorf("search of a learned partition took %d hops, want 0", res.Hops)
@@ -187,8 +188,37 @@ func TestRemoteBackendRoutesToOwner(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendOwnerOffline checks that a learned owner that goes
-// offline costs no failed read: the next search answers through the
+// TestRemoteBackendSpreadsReplicas checks that reads of a partition are
+// spread over all of its entry peers, not held on the one that answered
+// first, and reach no other peer.
+func TestRemoteBackendSpreadsReplicas(t *testing.T) {
+	sim, peers := ownerOverlay(t)
+	log := &callLog{Transport: sim.Endpoint("gate")}
+	rb := &RemoteBackend{Transport: log, Peers: addrsOf(slices.Concat(peers["00"], peers["01"], peers["1"])...)}
+	keys := partitionKeys("01")
+	mustSearch(t, rb, keys[0])
+	rb.probes.Wait()
+	log.take()
+	for i := 0; i < 60; i++ {
+		mustSearch(t, rb, keys[i%len(keys)])
+	}
+	hits := map[network.Addr]int{}
+	for _, c := range log.take() {
+		hits[c.to]++
+	}
+	for _, addr := range addrsOf(peers["01"]...) {
+		if hits[addr] == 0 {
+			t.Errorf("60 searches of partition 01 never called its replica %s: %v", addr, hits)
+		}
+		delete(hits, addr)
+	}
+	if len(hits) != 0 {
+		t.Errorf("searches of partition 01 called other peers: %v", hits)
+	}
+}
+
+// TestRemoteBackendOwnerOffline checks that a known owner that goes
+// offline costs no failed read: the search sent to it answers through the
 // round-robin fallback, and later searches make no call to the dead
 // address.
 func TestRemoteBackendOwnerOffline(t *testing.T) {
@@ -198,13 +228,25 @@ func TestRemoteBackendOwnerOffline(t *testing.T) {
 	keys := partitionKeys("01")
 
 	mustSearch(t, rb, keys[0])
-	dead, ok := rb.owners.lookup(keys[0])
+	rb.probes.Wait()
+	dead, ok := rb.owner(keys[0])
 	if !ok {
-		t.Fatal("the first search taught the gate no owner")
+		t.Fatal("the gate knows no owner after the first search")
 	}
 	sim.SetOnline(dead, false)
-	mustSearch(t, rb, keys[1])
 	log.take()
+	// Reads are spread over the partition's replicas, so search until one
+	// is sent to the offline owner; that search must still answer.
+	tried := false
+	for i := 0; i < 100 && !tried; i++ {
+		mustSearch(t, rb, keys[i%len(keys)])
+		for _, c := range log.take() {
+			tried = tried || c.to == dead
+		}
+	}
+	if !tried {
+		t.Fatalf("100 searches of its partition never called the owner %s", dead)
+	}
 	for i := 0; i < 20; i++ {
 		mustSearch(t, rb, keys[i%len(keys)])
 	}
@@ -238,39 +280,36 @@ func TestRemoteBackendUsesOnlyEntryPeers(t *testing.T) {
 	}
 }
 
-// TestRemoteBackendOwnerAllocs holds the owner lookup, on a table of 14
-// partitions, to no allocation, and checks that the longest learned
+// TestRemoteBackendOwnerAllocs holds the owner lookup, over the paths of
+// 14 partitions, to no allocation, and checks that the longest known
 // prefix wins.
 func TestRemoteBackendOwnerAllocs(t *testing.T) {
 	paths := []keyspace.Path{"000", "001"}
 	for i := 4; i < 16; i++ {
 		paths = append(paths, keyspace.Path(fmt.Sprintf("%04b", i)))
 	}
-	var o owners
-	var entry []network.Addr
-	for i, path := range paths {
+	rb := &RemoteBackend{}
+	for _, path := range paths {
 		for r := 0; r < 2; r++ {
-			addr := network.Addr(fmt.Sprintf("%s-%d", path, r))
-			entry = append(entry, addr)
-			o.learn(path, addr, entry)
-		}
-		if len(o.entries) != i+1 {
-			t.Fatalf("after learning %d paths the table has %d entries", i+1, len(o.entries))
+			rb.Peers = append(rb.Peers, network.Addr(fmt.Sprintf("%s-%d", path, r)))
 		}
 	}
-	// A shorter path learned beside longer ones loses to them.
-	entry = append(entry, "shallow")
-	o.learn("1", "shallow", entry)
+	// A shorter path known beside longer ones loses to them.
+	rb.Peers = append(rb.Peers, "shallow")
+	for i, addr := range rb.Peers[:len(rb.Peers)-1] {
+		rb.setPath(addr, paths[i/2], true)
+	}
+	rb.setPath("shallow", "1", true)
 	keys := make([]keyspace.Key, len(paths))
 	for i, path := range paths {
 		keys[i] = keyspace.MustFromString(string(path) + "1010")
-		if addr, ok := o.lookup(keys[i]); !ok || !keys[i].HasPrefix(keyspace.Path(string(addr)[:len(path)])) {
-			t.Errorf("lookup of %v = %q, %v; want a peer of %s", keys[i], addr, ok, path)
+		if addr, ok := rb.owner(keys[i]); !ok || !keys[i].HasPrefix(keyspace.Path(string(addr)[:len(path)])) {
+			t.Errorf("owner of %v = %q, %v; want a peer of %s", keys[i], addr, ok, path)
 		}
 	}
 	i := 0
 	if allocs := testing.AllocsPerRun(200, func() {
-		o.lookup(keys[i%len(keys)])
+		rb.owner(keys[i%len(keys)])
 		i++
 	}); allocs != 0 {
 		t.Errorf("owner lookup allocates %.1f times, want 0", allocs)

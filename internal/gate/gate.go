@@ -2,10 +2,11 @@
 // exposes exact-match, range and batch queries plus routed inserts and
 // deletes over JSON/HTTP, in front of either a peer in the same process
 // (PeerBackend) or a set of remote peers spoken to over the wire protocol
-// (RemoteBackend). A RemoteBackend learns from its answers which of its
-// entry peers are responsible for which partition, and sends each search
-// and range straight to a peer of the partition that owns its key; it
-// never calls a peer outside its configured entry set.
+// (RemoteBackend). A RemoteBackend knows the partition path of each of
+// its entry peers, from a probe at its first read and from its answers,
+// and sends each search and range straight to a peer of the partition
+// that owns its key; it never calls a peer outside its configured entry
+// set.
 //
 // The layer owns the three production concerns the overlay itself does not:
 //

@@ -156,18 +156,21 @@ func (b PeerBackend) MetricsSnapshot() overlay.MetricsSnapshot { return b.Peer.M
 // RemoteBackend serves the gateway API by speaking the overlay wire
 // protocol to a set of entry peers; the contacted peer routes the
 // operation onward like any forwarded request. The backend keeps the
-// partition path of each entry peer: the first read asks every entry peer
-// for it (a ClockRequest, in the background), and every found search
-// answer names the peer that was responsible and its path. A Search, and
-// a Range by its lower bound, goes first to an entry peer of the longest
-// known path that prefixes its key, the partition's entry peers taking
-// turns, so a read of a known partition costs one call and no routing hop
-// and is spread over all of that partition's entry peers. Writes, batches
-// and reads of a key no known path covers rotate round-robin through the
-// entry peers. A peer that answers for another partition, or fails at the
-// transport level, has its path forgotten until an answer names it again;
-// an entry peer that fails is skipped in favour of the next one within the
-// same request. Only addresses in Peers are ever called.
+// partition path of each entry peer: the first request asks every entry
+// peer for it (a ClockRequest, in the background), and every found search
+// or mutation answer names the peer that was responsible and its path. A
+// Search, Insert and Delete, and a Range by its lower bound, go first to an
+// entry peer of the longest known path that prefixes the key, the
+// partition's entry peers taking turns. So a read of a known partition
+// costs one call and no routing hop, a write one call plus the owner's
+// replica legs, and both are spread over all of that partition's entry
+// peers; the owner coordinates a write without racing copies of it down
+// the trie. Batches, and requests for a key no known path covers, rotate
+// round-robin through the entry peers. A peer that answers for another
+// partition, or fails at the transport level, has its path forgotten until
+// an answer names it again; an entry peer that fails is skipped in favour
+// of the next one within the same request, a write keeping its mutation
+// ID. Only addresses in Peers are ever called.
 type RemoteBackend struct {
 	// Transport is the gateway's own endpoint (TCP in production, the
 	// simulated network in tests).
@@ -239,8 +242,9 @@ func (b *RemoteBackend) call(ctx context.Context, req any) (any, error) {
 
 // callOwner sends req first to a known owner of key and returns the
 // owner it called. On a transport error it forgets that owner's path and
-// falls back to call within the same request; the owner returned is then
-// "". The first call starts the probe of every entry peer's path.
+// falls back to call within the same request, with the same req; the owner
+// returned is then "". The first call starts the probe of every entry
+// peer's path.
 func (b *RemoteBackend) callOwner(ctx context.Context, key keyspace.Key, req any) (any, network.Addr, error) {
 	b.probe.Do(b.probePaths)
 	if addr, ok := b.owner(key); ok {
@@ -273,15 +277,16 @@ func (b *RemoteBackend) probePaths() {
 	}
 }
 
-// learn updates the entry peers' paths from a search answer: an owner
-// that was called and did not answer as responsible is forgotten, and the
-// responsible peer of a found answer is known to hold its path.
-func (b *RemoteBackend) learn(owner network.Addr, resp overlay.QueryResponse) {
-	if owner != "" && (!resp.Found || resp.Responsible != owner) {
+// learn updates the entry peers' paths from a search or mutation answer
+// (found, and the responsible peer and its path, which both carry): an
+// owner that was called and did not answer as responsible is forgotten,
+// and the responsible peer of a found answer is known to hold its path.
+func (b *RemoteBackend) learn(owner network.Addr, found bool, responsible network.Addr, path keyspace.Path) {
+	if owner != "" && (!found || responsible != owner) {
 		b.setPath(owner, "", false)
 	}
-	if resp.Found && resp.Responsible != "" {
-		b.setPath(resp.Responsible, resp.ResponsiblePath, true)
+	if found && responsible != "" {
+		b.setPath(responsible, path, true)
 	}
 }
 
@@ -341,7 +346,7 @@ func (b *RemoteBackend) Search(ctx context.Context, key keyspace.Key, opts Searc
 	if !ok {
 		return SearchResult{}, fmt.Errorf("gate: unexpected response %T: %w", raw, overlay.ErrUnreachable)
 	}
-	b.learn(owner, resp)
+	b.learn(owner, resp.Found, resp.Responsible, resp.ResponsiblePath)
 	if !resp.Found {
 		return SearchResult{}, fmt.Errorf("gate: routing exhausted: %w", overlay.ErrUnreachable)
 	}
@@ -369,7 +374,7 @@ func (b *RemoteBackend) SearchMany(ctx context.Context, keys []keyspace.Key) []B
 		return out
 	}
 	for i, qr := range resp.Results {
-		b.learn("", qr)
+		b.learn("", qr.Found, qr.Responsible, qr.ResponsiblePath)
 		switch {
 		case !qr.Found:
 			out[i].Err = fmt.Errorf("gate: routing exhausted: %w", overlay.ErrUnreachable)
@@ -407,29 +412,29 @@ func (b *RemoteBackend) Range(ctx context.Context, r keyspace.Range) (RangeResul
 
 // Insert implements Backend.
 func (b *RemoteBackend) Insert(ctx context.Context, it replication.Item) (MutateResult, error) {
-	raw, err := b.call(ctx, overlay.InsertRequest{Item: it, ID: mutationID(), TTL: b.ttl()})
-	if err != nil {
-		return MutateResult{}, err
-	}
-	return b.finishMutation(raw)
+	return b.mutate(ctx, it.Key, overlay.InsertRequest{Item: it, ID: mutationID(), TTL: b.ttl()})
 }
 
 // Delete implements Backend.
 func (b *RemoteBackend) Delete(ctx context.Context, key keyspace.Key, value string) (MutateResult, error) {
-	raw, err := b.call(ctx, overlay.DeleteRequest{Key: key, Value: value, ID: mutationID(), TTL: b.ttl()})
+	return b.mutate(ctx, key, overlay.DeleteRequest{Key: key, Value: value, ID: mutationID(), TTL: b.ttl()})
+}
+
+// mutate sends an insert or delete of key first to a known owner of key,
+// which coordinates it without a routing race, and learns from the
+// answer. A fallback call carries the same mutation ID, so a write the
+// owner applied before its answer was lost is not coordinated twice. It
+// applies the gateway's write quorum to the coordinator's ack count.
+func (b *RemoteBackend) mutate(ctx context.Context, key keyspace.Key, req any) (MutateResult, error) {
+	raw, owner, err := b.callOwner(ctx, key, req)
 	if err != nil {
 		return MutateResult{}, err
 	}
-	return b.finishMutation(raw)
-}
-
-// finishMutation converts a wire MutateResponse and applies the gateway's
-// write quorum to the coordinator's ack count.
-func (b *RemoteBackend) finishMutation(raw any) (MutateResult, error) {
 	resp, ok := raw.(overlay.MutateResponse)
 	if !ok {
 		return MutateResult{}, fmt.Errorf("gate: unexpected response %T: %w", raw, overlay.ErrUnreachable)
 	}
+	b.learn(owner, resp.Found, resp.Responsible, resp.ResponsiblePath)
 	if !resp.Found {
 		return MutateResult{}, fmt.Errorf("gate: routing exhausted: %w", overlay.ErrUnreachable)
 	}

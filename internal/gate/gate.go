@@ -3,10 +3,11 @@
 // deletes over JSON/HTTP, in front of either a peer in the same process
 // (PeerBackend) or a set of remote peers spoken to over the wire protocol
 // (RemoteBackend). A RemoteBackend knows the partition path of each of
-// its entry peers, from a probe at its first read and from its answers,
-// and sends each search and range straight to a peer of the partition
-// that owns its key; it never calls a peer outside its configured entry
-// set.
+// its entry peers, from a probe at its first request and from its answers,
+// and sends each search, range, insert and delete straight to a peer of
+// the partition that owns its key; only batches and keys no known path
+// covers rotate over the entry peers. It never calls a peer outside its
+// configured entry set.
 //
 // The layer owns the three production concerns the overlay itself does not:
 //

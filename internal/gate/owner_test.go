@@ -37,7 +37,8 @@ func partitionKeys(path keyspace.Path) []keyspace.Key {
 // complementary sub-tree and its partition's replicas, and holds its
 // partition's keys (partitionKeys, value "v"). It returns the sim and the
 // peers by partition; peer i of partition path is addressed "<path>-<i>".
-func ownerOverlay(t *testing.T) (*network.Sim, map[keyspace.Path][]*overlay.Peer) {
+// A non-nil tap records every call the peers send.
+func ownerOverlay(t *testing.T, tap *callLog) (*network.Sim, map[keyspace.Path][]*overlay.Peer) {
 	t.Helper()
 	sim := network.NewSim(network.SimConfig{Seed: 44})
 	peers := map[keyspace.Path][]*overlay.Peer{}
@@ -45,8 +46,11 @@ func ownerOverlay(t *testing.T) (*network.Sim, map[keyspace.Path][]*overlay.Peer
 	for _, path := range ownerPartitions {
 		for i := 0; i < 3; i++ {
 			seed++
-			p := overlay.New(overlay.Config{MaxKeys: 100, MinReplicas: 1, WriteQuorum: 1, Seed: seed},
-				sim.Endpoint(network.Addr(fmt.Sprintf("%s-%d", path, i))))
+			var tr network.Transport = sim.Endpoint(network.Addr(fmt.Sprintf("%s-%d", path, i)))
+			if tap != nil {
+				tr = tapped{Transport: tr, log: tap}
+			}
+			p := overlay.New(overlay.Config{MaxKeys: 100, MinReplicas: 1, WriteQuorum: 1, Seed: seed}, tr)
 			t.Cleanup(func() { p.Close() })
 			p.Table().SetPath(path)
 			for _, k := range partitionKeys(path) {
@@ -89,8 +93,9 @@ func addrsOf(peers ...*overlay.Peer) []network.Addr {
 
 // sentCall is one call a callLog recorded.
 type sentCall struct {
-	to  network.Addr
-	typ string
+	from, to network.Addr
+	typ      string
+	req      any
 }
 
 // callLog is a network.Transport that records every call it sends.
@@ -101,10 +106,25 @@ type callLog struct {
 }
 
 func (c *callLog) Call(ctx context.Context, to network.Addr, req any) (any, error) {
-	c.mu.Lock()
-	c.calls = append(c.calls, sentCall{to: to, typ: fmt.Sprintf("%T", req)})
-	c.mu.Unlock()
+	c.record(c.Transport.Addr(), to, req)
 	return c.Transport.Call(ctx, to, req)
+}
+
+func (c *callLog) record(from, to network.Addr, req any) {
+	c.mu.Lock()
+	c.calls = append(c.calls, sentCall{from: from, to: to, typ: fmt.Sprintf("%T", req), req: req})
+	c.mu.Unlock()
+}
+
+// tapped is a peer's transport that records the calls it sends in log.
+type tapped struct {
+	network.Transport
+	log *callLog
+}
+
+func (tp tapped) Call(ctx context.Context, to network.Addr, req any) (any, error) {
+	tp.log.record(tp.Transport.Addr(), to, req)
+	return tp.Transport.Call(ctx, to, req)
 }
 
 // take returns the calls recorded since the last take.
@@ -130,10 +150,10 @@ func mustSearch(t *testing.T, rb *RemoteBackend, key keyspace.Key) SearchResult 
 // TestRemoteBackendRoutesToOwner checks that after the first search the
 // gate knows the partition that owns each key: a search for another key
 // of that partition is one call, to a responsible peer, with no routing
-// hop, and a range whose lower bound lies in the partition is sent there
-// first. Inserts and deletes still rotate through every entry peer.
+// hop, a range whose lower bound lies in the partition is sent there
+// first, and each insert and delete is one call to a responsible peer.
 func TestRemoteBackendRoutesToOwner(t *testing.T) {
-	sim, peers := ownerOverlay(t)
+	sim, peers := ownerOverlay(t, nil)
 	log := &callLog{Transport: sim.Endpoint("gate")}
 	// Round-robin order puts a peer of "00" next after the first search.
 	entry := addrsOf(slices.Concat(peers["1"][:1], peers["00"], peers["01"], peers["1"][1:])...)
@@ -174,25 +194,159 @@ func TestRemoteBackendRoutesToOwner(t *testing.T) {
 			if err := mutate(keys[2]); err != nil {
 				t.Fatalf("%s: %v", op, err)
 			}
-		}
-		var called []network.Addr
-		for _, c := range log.take() {
-			called = append(called, c.to)
-		}
-		slices.Sort(called)
-		want := slices.Clone(entry)
-		slices.Sort(want)
-		if !slices.Equal(called, want) {
-			t.Errorf("%d %ss called %v, want each entry peer once", len(entry), op, called)
+			if calls := log.take(); len(calls) != 1 || !slices.Contains(owners, calls[0].to) {
+				t.Errorf("%s of a learned partition sent %+v, want one call to one of %v", op, calls, owners)
+			}
 		}
 	}
+}
+
+// mutationOf returns the ID of an insert or delete request and whether it
+// is a coordinator's Direct replica leg; ok is false for any other request.
+func mutationOf(req any) (id uint64, direct, ok bool) {
+	switch r := req.(type) {
+	case overlay.InsertRequest:
+		return r.ID, r.Direct, true
+	case overlay.DeleteRequest:
+		return r.ID, r.Direct, true
+	}
+	return 0, false, false
+}
+
+// knownPath reports whether the gate knows a path for the entry peer addr.
+func knownPath(rb *RemoteBackend, addr network.Addr) bool {
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	i := slices.Index(rb.Peers, addr)
+	return i >= 0 && i < len(rb.paths) && rb.paths[i].known
+}
+
+// TestRemoteBackendWriteToOwner checks that a write of a learned
+// partition goes to one of its owners, which coordinates it without
+// racing copies down the trie; that an owner whose answer names another
+// peer is forgotten and the peer that answered is learned; and that a
+// write whose owner is offline falls back to round-robin with the same
+// mutation ID.
+func TestRemoteBackendWriteToOwner(t *testing.T) {
+	ctx := context.Background()
+	keys := partitionKeys("01")
+	// setup returns a gate over every peer that has learned every
+	// partition, and one log of the calls the gate and the peers send.
+	setup := func(t *testing.T) (*RemoteBackend, map[keyspace.Path][]*overlay.Peer, *network.Sim, *callLog) {
+		log := &callLog{}
+		sim, peers := ownerOverlay(t, log)
+		log.Transport = sim.Endpoint("gate")
+		rb := &RemoteBackend{Transport: log, Peers: addrsOf(slices.Concat(peers["00"], peers["01"], peers["1"])...)}
+		mustSearch(t, rb, keys[0])
+		rb.probes.Wait()
+		log.take()
+		return rb, peers, sim, log
+	}
+
+	t.Run("one coordination", func(t *testing.T) {
+		rb, peers, _, log := setup(t)
+		owners := addrsOf(peers["01"]...)
+		for i := range rb.Peers {
+			key := keys[i%len(keys)]
+			for op, mutate := range map[string]func() (MutateResult, error){
+				"insert": func() (MutateResult, error) { return rb.Insert(ctx, replication.Item{Key: key, Value: "w"}) },
+				"delete": func() (MutateResult, error) { return rb.Delete(ctx, key, "w") },
+			} {
+				res, err := mutate()
+				if err != nil {
+					t.Fatalf("%s %d: %v", op, i, err)
+				}
+				if res.Hops != 0 {
+					t.Errorf("%s %d of a learned partition took %d hops, want 0", op, i, res.Hops)
+				}
+				var routed, legs []sentCall
+				for _, c := range log.take() {
+					if _, direct, ok := mutationOf(c.req); ok && direct {
+						legs = append(legs, c)
+					} else if ok {
+						routed = append(routed, c)
+					}
+				}
+				if len(routed) != 1 || routed[0].from != "gate" || !slices.Contains(owners, routed[0].to) {
+					t.Errorf("%s %d sent the routed requests %+v, want one, from the gate to one of %v", op, i, routed, owners)
+				}
+				if len(legs) != len(owners)-1 {
+					t.Errorf("%s %d sent %d replica legs, want %d", op, i, len(legs), len(owners)-1)
+				}
+			}
+		}
+	})
+
+	t.Run("owner answers for another peer", func(t *testing.T) {
+		rb, peers, _, _ := setup(t)
+		owners := addrsOf(peers["01"]...)
+		// The gate takes a peer of 00 for the owner of 010, and knows no
+		// peer of 01.
+		wrong := peers["00"][0].Addr()
+		rb.setPath(wrong, "010", true)
+		for _, addr := range owners {
+			rb.setPath(addr, "", false)
+		}
+		if addr, _ := rb.owner(keys[0]); addr != wrong {
+			t.Fatalf("owner of %v = %q, want %q", keys[0], addr, wrong)
+		}
+		if _, err := rb.Insert(ctx, replication.Item{Key: keys[0], Value: "w"}); err != nil {
+			t.Fatal(err)
+		}
+		if knownPath(rb, wrong) {
+			t.Errorf("the gate still knows a path for %s, which answered for another peer", wrong)
+		}
+		var learned []network.Addr
+		for _, addr := range owners {
+			if knownPath(rb, addr) {
+				learned = append(learned, addr)
+			}
+		}
+		if len(learned) != 1 {
+			t.Fatalf("the gate learned %v of partition 01 from one write, want the peer that answered", learned)
+		}
+		if addr, _ := rb.owner(keys[1]); addr != learned[0] {
+			t.Errorf("owner of %v = %q, want %q", keys[1], addr, learned[0])
+		}
+	})
+
+	t.Run("owner offline", func(t *testing.T) {
+		rb, peers, sim, log := setup(t)
+		dead := peers["01"][0].Addr()
+		for _, addr := range addrsOf(peers["01"][1:]...) {
+			rb.setPath(addr, "", false)
+		}
+		sim.SetOnline(dead, false)
+		if _, err := rb.Insert(ctx, replication.Item{Key: keys[1], Value: "w"}); err != nil {
+			t.Fatalf("insert with its owner offline: %v", err)
+		}
+		var sent []sentCall
+		ids := map[uint64]bool{}
+		for _, c := range log.take() {
+			if id, _, ok := mutationOf(c.req); ok && c.from == "gate" {
+				sent = append(sent, c)
+				ids[id] = true
+			}
+		}
+		if len(sent) < 2 || sent[0].to != dead || len(ids) != 1 {
+			t.Errorf("the gate sent %+v, want the offline owner %s first, then round-robin, all with one mutation ID", sent, dead)
+		}
+		if knownPath(rb, dead) {
+			t.Errorf("the gate still knows a path for the offline owner %s", dead)
+		}
+		for _, p := range peers["01"][1:] {
+			if !p.Store().Live(keys[1], "w") {
+				t.Errorf("%s does not hold the write", p.Addr())
+			}
+		}
+	})
 }
 
 // TestRemoteBackendSpreadsReplicas checks that reads of a partition are
 // spread over all of its entry peers, not held on the one that answered
 // first, and reach no other peer.
 func TestRemoteBackendSpreadsReplicas(t *testing.T) {
-	sim, peers := ownerOverlay(t)
+	sim, peers := ownerOverlay(t, nil)
 	log := &callLog{Transport: sim.Endpoint("gate")}
 	rb := &RemoteBackend{Transport: log, Peers: addrsOf(slices.Concat(peers["00"], peers["01"], peers["1"])...)}
 	keys := partitionKeys("01")
@@ -222,7 +376,7 @@ func TestRemoteBackendSpreadsReplicas(t *testing.T) {
 // round-robin fallback, and later searches make no call to the dead
 // address.
 func TestRemoteBackendOwnerOffline(t *testing.T) {
-	sim, peers := ownerOverlay(t)
+	sim, peers := ownerOverlay(t, nil)
 	log := &callLog{Transport: sim.Endpoint("gate")}
 	rb := &RemoteBackend{Transport: log, Peers: addrsOf(slices.Concat(peers["00"], peers["01"], peers["1"])...)}
 	keys := partitionKeys("01")
@@ -260,7 +414,7 @@ func TestRemoteBackendOwnerOffline(t *testing.T) {
 // TestRemoteBackendUsesOnlyEntryPeers checks that a responsible peer
 // outside Peers is never learned, so never called.
 func TestRemoteBackendUsesOnlyEntryPeers(t *testing.T) {
-	sim, peers := ownerOverlay(t)
+	sim, peers := ownerOverlay(t, nil)
 	log := &callLog{Transport: sim.Endpoint("gate")}
 	rb := &RemoteBackend{Transport: log, Peers: addrsOf(slices.Concat(peers["00"], peers["1"])...)}
 	outside := addrsOf(peers["01"]...)
@@ -322,7 +476,7 @@ func TestRemoteBackendOwnerAllocs(t *testing.T) {
 // caught by a toggle may fail as unreachable, but none may fail otherwise
 // or answer wrongly.
 func TestRemoteBackendConcurrent(t *testing.T) {
-	sim, peers := ownerOverlay(t)
+	sim, peers := ownerOverlay(t, nil)
 	var all []*overlay.Peer
 	var keys []keyspace.Key
 	for _, path := range ownerPartitions {

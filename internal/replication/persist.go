@@ -595,7 +595,7 @@ func (s *Store) applyWAL(payload []byte) error {
 		}
 		var pruned []prunedPair
 		for _, pr := range rec.Pairs {
-			if t, ok := s.tombs[pr.K][pr.V]; ok {
+			if t, ok := s.tombs[pairKey{pr.K, pr.V}]; ok {
 				s.pruneTombLocked(pr.K, pr.V, t)
 				pruned = append(pruned, pr)
 			}
@@ -675,10 +675,8 @@ func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
 			st.Digests = append(st.Digests, snapDigest{P: densePrefixString(p), H: cell.hash, N: uint64(cell.n)})
 		}
 	}
-	for ks, vals := range s.tombs {
-		for v, t := range vals {
-			st.Tombs = append(st.Tombs, snapTomb{K: ks, V: v, Gen: t.gen, Born: t.born, At: t.at.UnixNano(), Ver: t.ver})
-		}
+	for pk, t := range s.tombs {
+		st.Tombs = append(st.Tombs, snapTomb{K: pk.k, V: pk.v, Gen: t.gen, Born: t.born, At: t.at, Ver: t.ver})
 	}
 	if len(s.baselines) > 0 {
 		st.Baselines = make(map[string]Baseline, len(s.baselines))
@@ -721,7 +719,7 @@ func (s *Store) loadSnapshot(st *snapshotState) {
 		if !st.External {
 			s.digestXorLocked(tb.K, tombHash(tb.K, tb.V, tb.Gen), 1)
 		}
-		s.putTombLocked(tb.K, tb.V, tombstone{gen: tb.Gen, born: tb.Born, at: time.Unix(0, tb.At), ver: tb.Ver})
+		s.putTombLocked(tb.K, tb.V, tombstone{gen: tb.Gen, born: tb.Born, at: tb.At, ver: tb.Ver})
 	}
 	s.clock = st.Clock
 	s.gcFloor = st.GCFloor

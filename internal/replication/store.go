@@ -105,9 +105,14 @@ type BucketDigest struct {
 // keys on; live pairs carry theirs in the engine's PairRecord.Ver).
 type tombstone struct {
 	gen  uint64
-	born uint64    // store clock when the tombstone was recorded locally
-	at   time.Time // local wall-clock time of the recording
-	ver  uint64    // store clock of the last modification
+	born uint64 // store clock when the tombstone was recorded locally
+	at   int64  // local wall-clock time of the recording, in Unix nanoseconds
+	ver  uint64 // store clock of the last modification
+}
+
+// pairKey names one (key, value) pair: the key's bit string and the value.
+type pairKey struct {
+	k, v string
 }
 
 // digestCell is one node of the incremental digest tree.
@@ -138,10 +143,13 @@ type digestCell struct {
 //     sync/rebuild.
 type Store struct {
 	mu      sync.RWMutex
-	eng     Engine                          // live pairs (engine.go)
-	engKind string                          // EngineMem or EngineDisk
-	tombs   map[string]map[string]tombstone // key bit string -> value -> tombstone
-	dig     map[uint16]digestCell           // marker-bit prefix index (densePrefixIndex) -> digest
+	eng     Engine // live pairs (engine.go)
+	engKind string // EngineMem or EngineDisk
+	// tombs holds one record per tombstoned pair. It is flat, not a map per
+	// key: a delete of a fresh key, the common case, then costs one map
+	// entry instead of a map of its own.
+	tombs   map[pairKey]tombstone
+	dig     map[uint16]digestCell // marker-bit prefix index (densePrefixIndex) -> digest
 	clock   uint64
 	gcFloor uint64
 	gc      GCPolicy
@@ -268,11 +276,7 @@ func (s *Store) GCFloor() uint64 {
 func (s *Store) TombstoneCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, vals := range s.tombs {
-		n += len(vals)
-	}
-	return n
+	return len(s.tombs)
 }
 
 // CompactTombstones prunes every tombstone past the GC horizon, advances
@@ -293,20 +297,18 @@ func (s *Store) CompactTombstonesCollect() []Item {
 	if !s.gc.Enabled() {
 		return nil
 	}
-	now := s.now()
+	now := s.now().UnixNano()
 	var prunedPairs []prunedPair
 	var pruned []Item
-	for ks, vals := range s.tombs {
-		for v, t := range vals {
-			expired := s.gc.MinAge > 0 && now.Sub(t.at) >= s.gc.MinAge ||
-				s.gc.MinVersions > 0 && s.clock-t.born >= s.gc.MinVersions
-			if !expired {
-				continue
-			}
-			s.pruneTombLocked(ks, v, t)
-			prunedPairs = append(prunedPairs, prunedPair{K: ks, V: v})
-			pruned = append(pruned, Item{Key: keyspace.MustFromString(ks), Value: v, Gen: t.gen})
+	for pk, t := range s.tombs {
+		expired := s.gc.MinAge > 0 && now-t.at >= int64(s.gc.MinAge) ||
+			s.gc.MinVersions > 0 && s.clock-t.born >= s.gc.MinVersions
+		if !expired {
+			continue
 		}
+		s.pruneTombLocked(pk.k, pk.v, t)
+		prunedPairs = append(prunedPairs, prunedPair{K: pk.k, V: pk.v})
+		pruned = append(pruned, Item{Key: keyspace.MustFromString(pk.k), Value: pk.v, Gen: t.gen})
 	}
 	s.endPruneLocked(prunedPairs)
 	return pruned
@@ -454,7 +456,7 @@ func (s *Store) digestXorLocked(ks string, h uint64, dn int) {
 // (callers must hold mu). A pair is never both live and tombstoned, so a
 // tombstone answers without an engine read.
 func (s *Store) stateLocked(ks, value string) (PairState, tombstone) {
-	if t, ok := s.tombs[ks][value]; ok {
+	if t, ok := s.tombs[pairKey{ks, value}]; ok {
 		return PairState{Kind: Tombstoned, Gen: t.gen}, t
 	}
 	if rec, ok := s.eng.Get(ks, value); ok {
@@ -501,7 +503,7 @@ func (s *Store) applyLocked(ks, value string, ev Event) Outcome {
 	if cur.Kind == Tombstoned {
 		born = t.born
 	} else {
-		t.at = s.now()
+		t.at = s.now().UnixNano()
 	}
 	s.putTombLocked(ks, value, tombstone{gen: next.Gen, born: born, at: t.at, ver: s.clock})
 	s.logLocked(opTomb, walPair{K: ks, V: value, Gen: next.Gen})
@@ -512,21 +514,15 @@ func (s *Store) applyLocked(ks, value string, ev Event) Outcome {
 // maintain the digest).
 func (s *Store) putTombLocked(ks, value string, t tombstone) {
 	if s.tombs == nil {
-		s.tombs = make(map[string]map[string]tombstone)
+		s.tombs = make(map[pairKey]tombstone)
 	}
-	if s.tombs[ks] == nil {
-		s.tombs[ks] = make(map[string]tombstone)
-	}
-	s.tombs[ks][value] = t
+	s.tombs[pairKey{ks, value}] = t
 }
 
 // deleteTombLocked removes the pair's tombstone record (callers must hold
 // mu and maintain the digest).
 func (s *Store) deleteTombLocked(ks, value string) {
-	delete(s.tombs[ks], value)
-	if len(s.tombs[ks]) == 0 {
-		delete(s.tombs, ks)
-	}
+	delete(s.tombs, pairKey{ks, value})
 }
 
 // pruneTombLocked removes a tombstone the way GC does — local compaction,
@@ -610,7 +606,7 @@ func (s *Store) DeleteStamped(key keyspace.Key, value string, floor uint64) Item
 func (s *Store) Deleted(key keyspace.Key, value string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.tombs[key.String()][value]
+	_, ok := s.tombs[pairKey{key.String(), value}]
 	return ok
 }
 
@@ -648,13 +644,9 @@ func (s *Store) TombstonesWithPrefix(p keyspace.Path) []Item {
 func (s *Store) tombstones(keep func(string) bool) []Item {
 	s.mu.RLock()
 	var out []Item
-	for ks, vals := range s.tombs {
-		if keep != nil && !keep(ks) {
-			continue
-		}
-		k := keyspace.MustFromString(ks)
-		for v, t := range vals {
-			out = append(out, Item{Key: k, Value: v, Gen: t.gen})
+	for pk, t := range s.tombs {
+		if keep == nil || keep(pk.k) {
+			out = append(out, Item{Key: keyspace.MustFromString(pk.k), Value: pk.v, Gen: t.gen})
 		}
 	}
 	s.mu.RUnlock()
@@ -963,12 +955,10 @@ func (s *Store) digestLocked(prefix keyspace.Path) (uint64, int) {
 		n++
 		return true
 	})
-	for ks, vals := range s.tombs {
-		if underDigest(ks, string(prefix)) {
-			for v, t := range vals {
-				h ^= tombHash(ks, v, t.gen)
-				n++
-			}
+	for pk, t := range s.tombs {
+		if underDigest(pk.k, string(prefix)) {
+			h ^= tombHash(pk.k, pk.v, t.gen)
+			n++
 		}
 	}
 	return h, n
@@ -1029,12 +1019,10 @@ func (s *Store) DigestChildren(prefix keyspace.Path, width int) []BucketDigest {
 		}
 		return true
 	})
-	for ks, vals := range s.tombs {
-		if idx := bucket(ks); idx >= 0 {
-			for v, t := range vals {
-				out[idx].Hash ^= tombHash(ks, v, t.gen)
-				out[idx].Count++
-			}
+	for pk, t := range s.tombs {
+		if idx := bucket(pk.k); idx >= 0 {
+			out[idx].Hash ^= tombHash(pk.k, pk.v, t.gen)
+			out[idx].Count++
 		}
 	}
 	return out
@@ -1064,21 +1052,9 @@ func (s *Store) DeltaSinceWithPrefix(p keyspace.Path, since uint64) (items, tomb
 			}
 			return true
 		})
-		for ks, vals := range s.tombs {
-			if !underDigest(ks, string(p)) {
-				continue
-			}
-			var key keyspace.Key
-			parsed := false
-			for v, t := range vals {
-				if t.ver <= since {
-					continue
-				}
-				if !parsed {
-					key = keyspace.MustFromString(ks)
-					parsed = true
-				}
-				tombs = append(tombs, Item{Key: key, Value: v, Gen: t.gen})
+		for pk, t := range s.tombs {
+			if t.ver > since && underDigest(pk.k, string(p)) {
+				tombs = append(tombs, Item{Key: keyspace.MustFromString(pk.k), Value: pk.v, Gen: t.gen})
 			}
 		}
 	}
@@ -1101,12 +1077,9 @@ func (s *Store) ContentWithin(prefixes []keyspace.Path) (items, tombs []Item) {
 			return true
 		})
 	}
-	for ks, vals := range s.tombs {
-		if underAnyDigest(ks, prefixes) {
-			k := keyspace.MustFromString(ks)
-			for v, t := range vals {
-				tombs = append(tombs, Item{Key: k, Value: v, Gen: t.gen})
-			}
+	for pk, t := range s.tombs {
+		if underAnyDigest(pk.k, prefixes) {
+			tombs = append(tombs, Item{Key: keyspace.MustFromString(pk.k), Value: pk.v, Gen: t.gen})
 		}
 	}
 	s.mu.RUnlock()
@@ -1157,14 +1130,11 @@ func (s *Store) replaceWithinLocked(r walReplace) uint64 {
 		s.digestXorLocked(rec.Key, liveHash(rec.Key, rec.Value, rec.Gen), -1)
 		s.eng.Delete(rec.Key, rec.Value)
 	}
-	for ks, vals := range s.tombs {
-		if !underDigest(ks, r.P) {
-			continue
+	for pk, t := range s.tombs {
+		if underDigest(pk.k, r.P) {
+			s.digestXorLocked(pk.k, tombHash(pk.k, pk.v, t.gen), -1)
+			delete(s.tombs, pk)
 		}
-		for v, t := range vals {
-			s.digestXorLocked(ks, tombHash(ks, v, t.gen), -1)
-		}
-		delete(s.tombs, ks)
 	}
 	s.clock++
 	for _, it := range r.Tombs {

@@ -143,16 +143,13 @@ func (k Key) Bit(i int) int {
 
 // String renders the key as a string of '0' and '1'.
 func (k Key) String() string {
-	var b strings.Builder
-	b.Grow(k.Len)
+	var b [64]byte
+	bits := k.Bits
 	for i := 0; i < k.Len; i++ {
-		if k.Bit(i) == 1 {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
+		b[i] = '0' + byte(bits>>63)
+		bits <<= 1
 	}
-	return b.String()
+	return string(b[:k.Len])
 }
 
 // Compare orders keys lexicographically on their bit strings. A key that is

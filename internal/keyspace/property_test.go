@@ -159,3 +159,57 @@ func TestKeyStringRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// bitString is the per-bit rendering Key.String replaced: one Bit call per
+// bit. It is the reference the word-at-a-time rendering is checked against.
+func bitString(k Key) string {
+	var b strings.Builder
+	for i := 0; i < k.Len; i++ {
+		b.WriteByte(byte('0' + k.Bit(i)))
+	}
+	return b.String()
+}
+
+// stringSink keeps the rendered string alive, so the allocation count
+// measures it.
+var stringSink string
+
+// TestKeyStringMatchesBitRendering: String renders every key of every
+// length 0–64 exactly as reading its bits one at a time does, and costs at
+// most the one allocation of the returned string.
+func TestKeyStringMatchesBitRendering(t *testing.T) {
+	f := func(bits uint64) bool {
+		for n := 0; n <= 64; n++ {
+			k, err := FromBits(bits, n)
+			if err != nil || k.String() != bitString(k) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, testutil.QuickConfig(t, 500, propertySeed)); err != nil {
+		t.Error(err)
+	}
+	k := MustFromFloat(0.3, DefaultDepth)
+	if a := testing.AllocsPerRun(100, func() { stringSink = k.String() }); a > 1 {
+		t.Errorf("String allocates %.1f times, ceiling 1", a)
+	}
+}
+
+// TestKeyCompareIsStringOrder: Compare orders keys exactly as Go orders
+// their '0'/'1' renderings, a proper prefix first. Stores compare rendered
+// keys against range bounds on the strength of this.
+func TestKeyCompareIsStringOrder(t *testing.T) {
+	f := func(a, b uint64, la, lb uint8) bool {
+		ka, _ := FromBits(a, int(la%65))
+		kb, _ := FromBits(b, int(lb%65))
+		// Share a random-length prefix often, so prefix relations occur.
+		if la%3 == 0 {
+			kb, _ = FromBits(a, int(lb%65))
+		}
+		return ka.Compare(kb) == strings.Compare(ka.String(), kb.String())
+	}
+	if err := quick.Check(f, testutil.QuickConfig(t, 4000, propertySeed)); err != nil {
+		t.Error(err)
+	}
+}

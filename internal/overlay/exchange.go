@@ -316,13 +316,17 @@ func itemKeys(items []replication.Item) keyspace.Keys {
 
 // overlapItems counts the (key, value) items present in both batches.
 func overlapItems(a, b []replication.Item) int {
-	seen := make(map[string]bool, len(a))
+	type pair struct {
+		key   keyspace.Key
+		value string
+	}
+	seen := make(map[pair]bool, len(a))
 	for _, it := range a {
-		seen[it.Key.String()+"\x00"+it.Value] = true
+		seen[pair{it.Key, it.Value}] = true
 	}
 	n := 0
 	for _, it := range b {
-		if seen[it.Key.String()+"\x00"+it.Value] {
+		if seen[pair{it.Key, it.Value}] {
 			n++
 		}
 	}

@@ -190,7 +190,7 @@ func (e *diskEngine) Delete(key, value string) (PairRecord, bool) {
 }
 
 func (e *diskEngine) ScanKey(key string, fn func(PairRecord) bool) {
-	e.ScanPrefix(key, func(rec PairRecord) bool {
+	e.ScanPrefix(key, "", func(rec PairRecord) bool {
 		if rec.Key != key {
 			return false
 		}
@@ -245,14 +245,14 @@ func (s *sliceSource) peek() (segRec, bool, error) {
 
 func (s *sliceSource) advance() { s.i++ }
 
-func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
+func (e *diskEngine) ScanPrefix(prefix, from string, fn func(PairRecord) bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	// The memtable view: active entries shadow frozen ones.
 	var recs []segRec
 	appendMatches := func(m map[memKey]segRec, shadow map[memKey]segRec) {
 		for k, rec := range m {
-			if !hasPrefix(k.key, prefix) {
+			if k.key < from || !hasPrefix(k.key, prefix) {
 				continue
 			}
 			if shadow != nil {
@@ -271,11 +271,13 @@ func (e *diskEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
 		return pairLess(recs[i].Key, recs[i].Value, recs[j].Key, recs[j].Value)
 	})
 	// Sources in shadowing order: memtable first, then segments newest
-	// first.
+	// first, each seeking through its sparse index to the first key that
+	// is both under prefix and at least from.
+	start := max(prefix, from)
 	sources := make([]pairSource, 0, 1+len(e.segs))
 	sources = append(sources, &sliceSource{recs: recs})
 	for i := len(e.segs) - 1; i >= 0; i-- {
-		it, err := e.segs[i].iter(prefix, "")
+		it, err := e.segs[i].iter(start, "")
 		if err != nil {
 			e.fail(err)
 			return

@@ -72,12 +72,17 @@ type Engine interface {
 	Delete(key, value string) (PairRecord, bool)
 	// ScanPrefix streams, in (key, value) order, every record whose key bit
 	// string starts with prefix (raw string prefix — the zero-padded digest
-	// bucket membership is layered on top by the Store). fn returns false to
-	// stop early. fn must not call back into the engine or mutate the store.
-	ScanPrefix(prefix string, fn func(PairRecord) bool)
+	// bucket membership is layered on top by the Store) and is >= from in
+	// string order ("" for no lower bound). Records below from are never
+	// yielded, and the disk engine seeks past them through its segment
+	// indexes, so a range read visits only the records at or past its lower
+	// bound. fn returns false to stop early. fn must not call back into the
+	// engine or mutate the store.
+	ScanPrefix(prefix, from string, fn func(PairRecord) bool)
 	// ScanKey streams, in value order, the records stored under exactly this
-	// key. Equivalent to ScanPrefix(key) stopped at the first longer key, but
-	// engines keep it cheap for the exact-match query hot path (Lookup).
+	// key. Equivalent to ScanPrefix(key, "") stopped at the first longer
+	// key, but engines keep it cheap for the exact-match query hot path
+	// (Lookup).
 	ScanKey(key string, fn func(PairRecord) bool)
 	// Len returns the number of live pairs.
 	Len() int
@@ -150,7 +155,7 @@ func (s *Store) scanLiveUnderLocked(prefix string, fn func(PairRecord) bool) {
 			return
 		}
 	}
-	s.eng.ScanPrefix(prefix, fn)
+	s.eng.ScanPrefix(prefix, "", fn)
 }
 
 // hasPrefix is strings.HasPrefix, aliased so engine code reads uniformly.

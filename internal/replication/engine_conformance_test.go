@@ -97,7 +97,7 @@ func TestEngineConformanceScanOrder(t *testing.T) {
 				eng.Put(PairRecord{Key: p.k, Value: p.v, Ver: uint64(i)}, true)
 			}
 			var got []PairRecord
-			eng.ScanPrefix("", func(r PairRecord) bool {
+			eng.ScanPrefix("", "", func(r PairRecord) bool {
 				got = append(got, r)
 				return true
 			})
@@ -112,7 +112,7 @@ func TestEngineConformanceScanOrder(t *testing.T) {
 			}
 			// Prefix restriction and early stop.
 			var under []PairRecord
-			eng.ScanPrefix("01", func(r PairRecord) bool {
+			eng.ScanPrefix("01", "", func(r PairRecord) bool {
 				under = append(under, r)
 				return true
 			})
@@ -131,7 +131,7 @@ func TestEngineConformanceScanOrder(t *testing.T) {
 				}
 			}
 			steps := 0
-			eng.ScanPrefix("", func(PairRecord) bool {
+			eng.ScanPrefix("", "", func(PairRecord) bool {
 				steps++
 				return steps < 5
 			})
@@ -206,7 +206,7 @@ func TestEngineDiskSegmentsMergedView(t *testing.T) {
 			t.Fatalf("round %d: len = %d, want %d", round, eng.Len(), len(shadow))
 		}
 		got := map[pair]PairRecord{}
-		eng.ScanPrefix("", func(r PairRecord) bool {
+		eng.ScanPrefix("", "", func(r PairRecord) bool {
 			got[pair{r.Key, r.Value}] = r
 			return true
 		})
@@ -604,23 +604,26 @@ func TestStoreMutationDedupSurvivesRestart(t *testing.T) {
 
 // Allocation ceilings of the reads on a checkpointed store of
 // readCeilingPairs pairs, per engine: one Lookup, averaged over every pair
-// in turn, and one ScanRange over 1/16 of the key space. They are the
-// counts measured with segments read one index block at a time, and may
-// only go down.
+// in turn; one ScanRange over 1/16 of the key space, [1/4, 5/16), whose
+// bounds share two bits; and one ScanRange over the same number of pairs
+// straddling 1/2, whose bounds share none. They are the counts measured
+// with range reads seeking to their lower bound, and may only go down.
 const (
-	readCeilingPairs     = 4096
-	memGetAllocCeiling   = 4
-	diskGetAllocCeiling  = 76
-	memScanAllocCeiling  = 15
-	diskScanAllocCeiling = 656
+	readCeilingPairs           = 4096
+	memGetAllocCeiling         = 4
+	diskGetAllocCeiling        = 76
+	memScanAllocCeiling        = 15
+	diskScanAllocCeiling       = 656
+	memMisalignedAllocCeiling  = 18
+	diskMisalignedAllocCeiling = 656
 )
 
 // TestEngineReadAllocCeilings holds each engine's point and range read
 // paths to their allocation ceilings.
 func TestEngineReadAllocCeilings(t *testing.T) {
-	for engine, ceiling := range map[string]struct{ get, scan int }{
-		EngineMem:  {memGetAllocCeiling, memScanAllocCeiling},
-		EngineDisk: {diskGetAllocCeiling, diskScanAllocCeiling},
+	for engine, ceiling := range map[string]struct{ get, scan, misaligned int }{
+		EngineMem:  {memGetAllocCeiling, memScanAllocCeiling, memMisalignedAllocCeiling},
+		EngineDisk: {diskGetAllocCeiling, diskScanAllocCeiling, diskMisalignedAllocCeiling},
 	} {
 		t.Run(engine, func(t *testing.T) {
 			s, err := OpenStore(t.TempDir(), PersistOptions{Engine: engine})
@@ -643,19 +646,28 @@ func TestEngineReadAllocCeilings(t *testing.T) {
 				}
 				i++
 			})
-			r := keyspace.NewRange(keys[readCeilingPairs/4], keys[readCeilingPairs*5/16])
-			scan := testing.AllocsPerRun(20, func() {
-				n := 0
-				s.ScanRange(r, func(Item) bool { n++; return true })
-				if n != readCeilingPairs/16 {
-					t.Fatalf("ScanRange yielded %d pairs, want %d", n, readCeilingPairs/16)
-				}
-			})
+			scanAllocs := func(lo, hi int) float64 {
+				r := keyspace.NewRange(keys[lo], keys[hi])
+				return testing.AllocsPerRun(20, func() {
+					n := 0
+					s.ScanRange(r, func(Item) bool { n++; return true })
+					if n != hi-lo {
+						t.Fatalf("ScanRange yielded %d pairs, want %d", n, hi-lo)
+					}
+				})
+			}
+			const sixteenth = readCeilingPairs / 16
+			scan := scanAllocs(4*sixteenth, 5*sixteenth)
+			misaligned := scanAllocs(readCeilingPairs/2-sixteenth/2, readCeilingPairs/2+sixteenth/2)
+			t.Logf("Lookup %.1f, aligned ScanRange %.1f, misaligned ScanRange %.1f allocations", get, scan, misaligned)
 			if get > float64(ceiling.get) {
 				t.Errorf("Lookup allocates %.1f times, ceiling %d", get, ceiling.get)
 			}
 			if scan > float64(ceiling.scan) {
 				t.Errorf("ScanRange allocates %.1f times, ceiling %d", scan, ceiling.scan)
+			}
+			if misaligned > float64(ceiling.misaligned) {
+				t.Errorf("misaligned ScanRange allocates %.1f times, ceiling %d", misaligned, ceiling.misaligned)
 			}
 		})
 	}

@@ -62,16 +62,18 @@ func (e *memEngine) Delete(key, value string) (PairRecord, bool) {
 	return PairRecord{}, false
 }
 
-func (e *memEngine) ScanPrefix(prefix string, fn func(PairRecord) bool) {
+func (e *memEngine) ScanPrefix(prefix, from string, fn func(PairRecord) bool) {
 	// The exact key sorts before every strict extension, so its bucket is
 	// emitted first — and an exact-key consumer that stops early (Lookup)
 	// never pays for collecting the longer keys.
-	if !e.emitBucket(prefix, fn) {
+	if prefix >= from && !e.emitBucket(prefix, fn) {
 		return
 	}
+	// Keys below from are dropped before the sort, so a range read sorts
+	// only the keys it may return.
 	var keys []string
 	for ks := range e.buckets {
-		if len(ks) > len(prefix) && hasPrefix(ks, prefix) {
+		if len(ks) > len(prefix) && ks >= from && hasPrefix(ks, prefix) {
 			keys = append(keys, ks)
 		}
 	}

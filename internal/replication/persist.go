@@ -663,7 +663,7 @@ func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
 	st := &snapshotState{Clock: s.clock, GCFloor: s.gcFloor}
 	if inlinePairs {
 		st.Items = make([]snapItem, 0, s.eng.Len())
-		s.eng.ScanPrefix("", func(rec PairRecord) bool {
+		s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
 			st.Items = append(st.Items, snapItem{K: rec.Key, V: rec.Value, Gen: rec.Gen, Ver: rec.Ver})
 			return true
 		})

@@ -745,7 +745,7 @@ func (s *Store) Keys() keyspace.Keys {
 	defer s.mu.RUnlock()
 	var out keyspace.Keys
 	last, first := "", true
-	s.eng.ScanPrefix("", func(rec PairRecord) bool {
+	s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
 		if first || rec.Key != last {
 			out = append(out, keyspace.MustFromString(rec.Key))
 			last, first = rec.Key, false
@@ -760,7 +760,7 @@ func (s *Store) Keys() keyspace.Keys {
 func (s *Store) Items() []Item {
 	s.mu.RLock()
 	out := make([]Item, 0, s.eng.Len())
-	s.eng.ScanPrefix("", func(rec PairRecord) bool {
+	s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
 		out = append(out, Item{Key: keyspace.MustFromString(rec.Key), Value: rec.Value, Gen: rec.Gen})
 		return true
 	})
@@ -787,7 +787,7 @@ func (s *Store) Lookup(k keyspace.Key) []Item {
 func (s *Store) ItemsWithPrefix(p keyspace.Path) []Item {
 	s.mu.RLock()
 	var out []Item
-	s.eng.ScanPrefix(string(p), func(rec PairRecord) bool {
+	s.eng.ScanPrefix(string(p), "", func(rec PairRecord) bool {
 		out = append(out, Item{Key: keyspace.MustFromString(rec.Key), Value: rec.Value, Gen: rec.Gen})
 		return true
 	})
@@ -806,17 +806,21 @@ func (s *Store) ItemsInRange(r keyspace.Range) []Item {
 }
 
 // ScanRange streams, in key order, the items whose keys fall into the range,
-// without materialising the partition: the scan is narrowed to the common
-// key-bit prefix of the range's bounds and runs on the engine's iterator,
-// stopping at the first key past the upper bound. fn returns false to stop
-// early; it must not call back into the store.
+// without materialising the partition: the engine scan seeks to Lo, stays
+// under the common key-bit prefix of the range's bounds and stops at the
+// first key at or past Hi, so it visits only the records it returns plus
+// one. fn returns false to stop early; it must not call back into the
+// store.
 func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
-	// Every key in [Lo, Hi) shares the bounds' longest common bit prefix:
-	// a key diverging below it sorts before Lo, one diverging above sorts
-	// after Hi, and a proper prefix of it sorts before Lo too.
+	// Key.Compare is exactly Go string order on the keys' '0'/'1'
+	// renderings (a proper prefix sorts first), so the engine's lower bound
+	// and the Hi check below compare strings, and only the records returned
+	// are parsed. Every key in [Lo, Hi) shares the bounds' longest common
+	// bit prefix: a key diverging above it sorts after Hi.
+	lo, hi := r.Lo.String(), ""
 	prefix := ""
 	if !r.HiUnbounded {
-		lo, hi := r.Lo.String(), r.Hi.String()
+		hi = r.Hi.String()
 		i := 0
 		for i < len(lo) && i < len(hi) && lo[i] == hi[i] {
 			i++
@@ -825,15 +829,11 @@ func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.eng.ScanPrefix(prefix, func(rec PairRecord) bool {
-		k := keyspace.MustFromString(rec.Key)
-		if k.Compare(r.Lo) < 0 {
-			return true
-		}
-		if !r.HiUnbounded && k.Compare(r.Hi) >= 0 {
+	s.eng.ScanPrefix(prefix, lo, func(rec PairRecord) bool {
+		if !r.HiUnbounded && rec.Key >= hi {
 			return false // scan order matches key order: nothing further fits
 		}
-		return fn(Item{Key: k, Value: rec.Value, Gen: rec.Gen})
+		return fn(Item{Key: keyspace.MustFromString(rec.Key), Value: rec.Value, Gen: rec.Gen})
 	})
 }
 
@@ -842,7 +842,7 @@ func (s *Store) CountWithPrefix(p keyspace.Path) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	s.eng.ScanPrefix(string(p), func(PairRecord) bool {
+	s.eng.ScanPrefix(string(p), "", func(PairRecord) bool {
 		n++
 		return true
 	})
@@ -863,7 +863,7 @@ func (s *Store) RemovePrefix(p keyspace.Path) []Item {
 // replay; callers must hold mu).
 func (s *Store) removePrefixLocked(p keyspace.Path) []Item {
 	var recs []PairRecord
-	s.eng.ScanPrefix(string(p), func(rec PairRecord) bool {
+	s.eng.ScanPrefix(string(p), "", func(rec PairRecord) bool {
 		recs = append(recs, rec)
 		return true
 	})
@@ -887,7 +887,7 @@ func (s *Store) RetainPrefix(p keyspace.Path) []Item {
 // callers must hold mu).
 func (s *Store) retainPrefixLocked(p keyspace.Path) []Item {
 	var recs []PairRecord
-	s.eng.ScanPrefix("", func(rec PairRecord) bool {
+	s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
 		if !strings.HasPrefix(rec.Key, string(p)) {
 			recs = append(recs, rec)
 		}
@@ -1202,10 +1202,14 @@ func Reconcile(a, b *Store) (toA, toB int) {
 // range branches. The input slice is left untouched, since it may alias a
 // response buffer the caller still reads.
 func DedupeItems(items []Item) []Item {
-	seen := make(map[string]bool, len(items))
+	type pair struct {
+		key   keyspace.Key
+		value string
+	}
+	seen := make(map[pair]bool, len(items))
 	out := make([]Item, 0, len(items))
 	for _, it := range items {
-		k := it.Key.String() + "\x00" + it.Value
+		k := pair{it.Key, it.Value}
 		if !seen[k] {
 			seen[k] = true
 			out = append(out, it)

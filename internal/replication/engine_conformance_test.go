@@ -618,6 +618,27 @@ const (
 	diskMisalignedAllocCeiling = 656
 )
 
+// checkpointedStore returns a persistent store of the engine kind holding
+// n pairs, keys i/n for i < n, all flushed by a checkpoint, and the keys in
+// order. The store is closed when the test ends.
+func checkpointedStore(t *testing.T, kind string, n int) (*Store, []keyspace.Key) {
+	t.Helper()
+	s, err := OpenStore(t.TempDir(), PersistOptions{Engine: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	keys := make([]keyspace.Key, n)
+	for i := range keys {
+		keys[i] = keyspace.MustFromFloat(float64(i)/float64(n), 32)
+		s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	return s, keys
+}
+
 // TestEngineReadAllocCeilings holds each engine's point and range read
 // paths to their allocation ceilings.
 func TestEngineReadAllocCeilings(t *testing.T) {
@@ -626,19 +647,7 @@ func TestEngineReadAllocCeilings(t *testing.T) {
 		EngineDisk: {diskGetAllocCeiling, diskScanAllocCeiling, diskMisalignedAllocCeiling},
 	} {
 		t.Run(engine, func(t *testing.T) {
-			s, err := OpenStore(t.TempDir(), PersistOptions{Engine: engine})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			keys := make([]keyspace.Key, readCeilingPairs)
-			for i := range keys {
-				keys[i] = keyspace.MustFromFloat(float64(i)/readCeilingPairs, 32)
-				s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
-			}
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			s, keys := checkpointedStore(t, engine, readCeilingPairs)
 			i := 0
 			get := testing.AllocsPerRun(readCeilingPairs, func() {
 				if len(s.Lookup(keys[i%readCeilingPairs])) != 1 {

@@ -36,19 +36,7 @@ func TestScanRangeVisitsOnlyRange(t *testing.T) {
 	const pairs = 4096
 	for _, kind := range storeKinds {
 		t.Run(kind, func(t *testing.T) {
-			s, err := OpenStore(t.TempDir(), PersistOptions{Engine: kind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			keys := make([]keyspace.Key, pairs)
-			for i := range keys {
-				keys[i] = keyspace.MustFromFloat(float64(i)/pairs, 32)
-				s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
-			}
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
+			s, keys := checkpointedStore(t, kind, pairs)
 			ce := &countingEngine{Engine: s.eng}
 			s.eng = ce
 			defer func() { s.eng = ce.Engine }()

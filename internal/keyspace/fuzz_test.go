@@ -83,3 +83,38 @@ func FuzzFromFloat(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFromString checks the key parser on arbitrary strings: a string of
+// at most 64 '0'/'1' characters parses and renders back to itself, and
+// any other byte, or a 65th character, is an error.
+//
+// Run continuously with:
+//
+//	go test ./internal/keyspace -run=^$ -fuzz=FuzzFromString -fuzztime=30s
+func FuzzFromString(f *testing.F) {
+	f.Add("")
+	f.Add("0110")
+	f.Add("01x1")
+	f.Add("/2")
+	f.Add(strings.Repeat("1", 64))
+	f.Add(strings.Repeat("0", 65))
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := FromString(s)
+		valid := len(s) <= 64 && strings.Trim(s, "01") == ""
+		if !valid {
+			if err == nil {
+				t.Fatalf("FromString(%q) accepted an invalid key string", s)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("FromString(%q): %v", s, err)
+		}
+		if k.Len != len(s) || k.String() != s {
+			t.Fatalf("FromString(%q) renders back as %q (len %d)", s, k.String(), k.Len)
+		}
+		if k.Len < 64 && k.Bits&(uint64(1)<<(64-uint(k.Len))-1) != 0 {
+			t.Fatalf("FromString(%q) left insignificant bits set: %064b", s, k.Bits)
+		}
+	})
+}

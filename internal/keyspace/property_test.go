@@ -213,3 +213,63 @@ func TestKeyCompareIsStringOrder(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// fromStringSwitch is the per-character switch parser FromString replaced,
+// kept as the reference its branch-free loop must match.
+func fromStringSwitch(s string) (Key, bool) {
+	if len(s) > 64 {
+		return Key{}, false
+	}
+	var bits uint64
+	for i := 0; i < len(s); i++ {
+		bits <<= 1
+		switch s[i] {
+		case '0':
+		case '1':
+			bits |= 1
+		default:
+			return Key{}, false
+		}
+	}
+	bits <<= uint(64 - len(s))
+	return Key{Bits: bits, Len: len(s)}, true
+}
+
+// TestFromStringMatchesSwitchParser: FromString agrees with the switch
+// parser on random keys of every length 0 to 64, on those keys with an
+// invalid byte at every position (bytes just below '0', just above '1',
+// and far from both), and rejects 65 characters.
+func TestFromStringMatchesSwitchParser(t *testing.T) {
+	rng := rand.New(rand.NewSource(propertySeed))
+	check := func(s string) {
+		t.Helper()
+		want, wantOK := fromStringSwitch(s)
+		got, err := FromString(s)
+		if (err == nil) != wantOK || got != want {
+			t.Fatalf("FromString(%q) = %v, %v; switch parser gives %v, ok %v", s, got, err, want, wantOK)
+		}
+	}
+	for n := 0; n <= 64; n++ {
+		for trial := 0; trial < 8; trial++ {
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = '0' + byte(rng.Intn(2))
+			}
+			check(string(b))
+			for i := range b {
+				for _, bad := range []byte{'/', '2', 0, 'a', 0xff, '0' + 128} {
+					orig := b[i]
+					b[i] = bad
+					check(string(b))
+					b[i] = orig
+				}
+			}
+		}
+	}
+	for _, s := range []string{strings.Repeat("0", 65), strings.Repeat("1", 65)} {
+		if _, err := FromString(s); err == nil {
+			t.Fatalf("FromString accepted %d characters", len(s))
+		}
+		check(s)
+	}
+}

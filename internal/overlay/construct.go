@@ -57,7 +57,7 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 	// Snapshot local state without holding the lock across the RPC.
 	p.mu.Lock()
 	path := p.table.Path()
-	est := p.decider.EstimateP0(p.store.Keys(), path, p.rng)
+	est := p.decider.EstimateP0(p.store.KeysWithPrefix(path), path, p.rng)
 	routingPath, routingRefs := p.table.Snapshot()
 	replicas := p.snapshotReplicasLocked()
 	done := p.done

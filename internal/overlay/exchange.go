@@ -82,7 +82,7 @@ func (p *Peer) respondSamePath(req ExchangeRequest, resp *ExchangeResponse) {
 
 	if overloaded && enoughPeers && canDeepen {
 		// Decide the split parameters from both peers' views of the load.
-		est := p.decider.EstimateP0(p.store.Keys(), path, p.rng)
+		est := p.decider.EstimateP0(p.store.KeysWithPrefix(path), path, p.rng)
 		if req.Estimate > 0 && req.Estimate < 1 {
 			est = (est + req.Estimate) / 2
 		}
@@ -190,7 +190,7 @@ func (p *Peer) respondInitiatorBehind(req ExchangeRequest, resp *ExchangeRespons
 	// of its (shallower) partition; fall back to the responder's view.
 	est := req.Estimate
 	if est <= 0 || est >= 1 {
-		est = p.decider.EstimateP0(p.store.Keys(), req.Path, p.rng)
+		est = p.decider.EstimateP0(p.store.KeysWithPrefix(req.Path), req.Path, p.rng)
 	}
 	sd := p.decider.ForEstimate(est)
 	myDecision := bitDecision(myBit)
@@ -243,7 +243,7 @@ func (p *Peer) respondResponderBehind(req ExchangeRequest, resp *ExchangeRespons
 		return
 	}
 	theirBit := req.Path.Bit(level)
-	est := p.decider.EstimateP0(p.store.Keys(), myPath, p.rng)
+	est := p.decider.EstimateP0(p.store.KeysWithPrefix(myPath), myPath, p.rng)
 	sd := p.decider.ForEstimate(est)
 	decision, direct := sd.MeetDecided(bitDecision(theirBit), p.rng)
 	newBit := decisionBit(decision)

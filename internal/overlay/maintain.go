@@ -224,7 +224,7 @@ func (p *Peer) randomReplica() (network.Addr, bool) {
 // locally would short-circuit at this peer itself.) Returns whether a
 // replica was added; a miss is fine, the next tick tries again.
 func (p *Peer) discoverReplica(ctx context.Context) bool {
-	keys := p.store.Keys().FilterPrefix(p.Path())
+	keys := p.store.KeysWithPrefix(p.Path())
 	if len(keys) == 0 {
 		return false
 	}

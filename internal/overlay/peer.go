@@ -80,7 +80,7 @@ type Config struct {
 	// them.
 	DataDir string
 	// StorageEngine selects the store's pair-storage engine:
-	// replication.EngineMem (in-memory map) or replication.EngineDisk
+	// replication.EngineMem (in-memory ordered index) or replication.EngineDisk
 	// (log-structured on-disk segments, for partitions far larger than
 	// RAM). Empty uses replication.DefaultEngine (the PGRID_ENGINE
 	// environment variable, or mem).

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 )
 
@@ -30,25 +29,30 @@ import (
 // merges all segments into one.
 const diskCompactThreshold = 4
 
-// memKey identifies a pair in the memtable, which maps it to the pair's
-// record: its state, or a delete marker shadowing older segments.
-type memKey struct{ key, value string }
+// memtable is the disk engine's in-memory index of pair records. An
+// entry's flag marks a delete marker shadowing older segments.
+type memtable = orderedIndex[bool]
+
+// memRec returns a memtable entry as a segment record.
+func memRec(ent *indexEntry[bool]) segRec {
+	return segRec{Del: ent.aux, PairRecord: ent.PairRecord}
+}
 
 // diskEngine implements Engine over a memtable plus sorted segments.
 type diskEngine struct {
 	dir       string
 	ephemeral bool // remove dir on Close (throwaway engine without persistence)
 
-	// mu guards the maps and the segment list. Mutating Engine calls are
+	// mu guards the memtables and the segment list. Mutating Engine calls are
 	// additionally serialised by the owning Store's lock; flushes and
 	// compactions run outside that lock (only checkpoint-serialised), which
 	// is why readers must hold mu too.
 	mu      sync.RWMutex
-	mem     map[memKey]segRec
-	frozen  map[memKey]segRec // pending flush; nil when none
-	segs    []*segment        // oldest first
-	n       int               // live pair count
-	nextSeq uint64            // next segment file sequence (checkpoint-serialised)
+	mem     *memtable
+	frozen  *memtable  // pending flush; nil when none
+	segs    []*segment // oldest first
+	n       int        // live pair count
+	nextSeq uint64     // next segment file sequence (checkpoint-serialised)
 
 	errMu sync.Mutex
 	err   error // sticky segment I/O failure
@@ -83,7 +87,7 @@ func openDiskEngine(dir string, manifest []string, count int) (*diskEngine, erro
 	}
 	eng := &diskEngine{
 		dir:     dir,
-		mem:     make(map[memKey]segRec),
+		mem:     newOrderedIndex[bool](),
 		n:       count,
 		nextSeq: maxSeq,
 	}
@@ -130,13 +134,12 @@ func (e *diskEngine) Err() error {
 // segments (newest first). It returns the record and whether the pair is
 // live — a delete marker is a definitive miss. Callers must hold mu.
 func (e *diskEngine) lookupLocked(key, value string) (segRec, bool) {
-	k := memKey{key, value}
-	if rec, ok := e.mem[k]; ok {
-		return rec, !rec.Del
+	if ent, ok := e.mem.get(key, value); ok {
+		return memRec(ent), !ent.aux
 	}
 	if e.frozen != nil {
-		if rec, ok := e.frozen[k]; ok {
-			return rec, !rec.Del
+		if ent, ok := e.frozen.get(key, value); ok {
+			return memRec(ent), !ent.aux
 		}
 	}
 	for i := len(e.segs) - 1; i >= 0; i-- {
@@ -164,7 +167,7 @@ func (e *diskEngine) Get(key, value string) (PairRecord, bool) {
 
 func (e *diskEngine) Put(rec PairRecord, isNew bool) {
 	e.mu.Lock()
-	e.mem[memKey{rec.Key, rec.Value}] = segRec{PairRecord: rec}
+	e.mem.upsert(indexEntry[bool]{PairRecord: rec})
 	if isNew {
 		e.n++
 	}
@@ -178,12 +181,11 @@ func (e *diskEngine) Delete(key, value string) (PairRecord, bool) {
 	if !live {
 		return PairRecord{}, false
 	}
-	k := memKey{key, value}
 	if e.frozen == nil && len(e.segs) == 0 {
 		// Nothing beneath the memtable to shadow: drop the entry outright.
-		delete(e.mem, k)
+		e.mem.remove(key, value)
 	} else {
-		e.mem[k] = segRec{Del: true, PairRecord: PairRecord{Key: key, Value: value}}
+		e.mem.upsert(indexEntry[bool]{aux: true, PairRecord: PairRecord{Key: key, Value: value}})
 	}
 	e.n--
 	return rec.PairRecord, true
@@ -230,52 +232,31 @@ type pairSource interface {
 	advance()
 }
 
-// sliceSource streams a pre-sorted record slice (the memtable view).
-type sliceSource struct {
-	recs []segRec
-	i    int
-}
+// memtableSource streams a memtable from a cursor.
+type memtableSource struct{ c *indexCursor[bool] }
 
-func (s *sliceSource) peek() (segRec, bool, error) {
-	if s.i >= len(s.recs) {
+func (s memtableSource) peek() (segRec, bool, error) {
+	ent, ok := s.c.peek()
+	if !ok {
 		return segRec{}, false, nil
 	}
-	return s.recs[s.i], true, nil
+	return memRec(ent), true, nil
 }
 
-func (s *sliceSource) advance() { s.i++ }
+func (s memtableSource) advance() { s.c.advance() }
 
 func (e *diskEngine) ScanPrefix(prefix, from string, fn func(PairRecord) bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// The memtable view: active entries shadow frozen ones.
-	var recs []segRec
-	appendMatches := func(m map[memKey]segRec, shadow map[memKey]segRec) {
-		for k, rec := range m {
-			if k.key < from || !hasPrefix(k.key, prefix) {
-				continue
-			}
-			if shadow != nil {
-				if _, hidden := shadow[k]; hidden {
-					continue
-				}
-			}
-			recs = append(recs, rec)
-		}
-	}
-	appendMatches(e.mem, nil)
-	if e.frozen != nil {
-		appendMatches(e.frozen, e.mem)
-	}
-	sort.Slice(recs, func(i, j int) bool {
-		return pairLess(recs[i].Key, recs[i].Value, recs[j].Key, recs[j].Value)
-	})
-	// Sources in shadowing order: memtable first, then segments newest
-	// first, each seeking through its sparse index to the first key that
-	// is both under prefix and at least from.
+	// Sources in shadowing order: the memtable, the frozen memtable, then
+	// segments newest first, each seeking to the first key that is both
+	// under prefix and at least from (a segment through its sparse index).
 	start := max(prefix, from)
-	sources := make([]pairSource, 0, 1+len(e.segs))
-	sources = append(sources, &sliceSource{recs: recs})
+	sources := make([]pairSource, 0, 2+len(e.segs))
+	sources = append(sources, memtableSource{e.mem.seek(start)})
+	if e.frozen != nil {
+		sources = append(sources, memtableSource{e.frozen.seek(start)})
+	}
 	for i := len(e.segs) - 1; i >= 0; i-- {
 		it, err := e.segs[i].iter(start, "")
 		if err != nil {
@@ -341,21 +322,23 @@ func mergeSources(sources []pairSource, prefix string, fn func(segRec) bool) err
 // freeze moves the active memtable aside for flushing. Called with the
 // owning Store's lock held, at the WAL rotation point of a checkpoint, so
 // the frozen set is exactly the un-flushed state at the snapshot boundary.
-// If an earlier flush failed, its frozen set is merged under the new one.
+// If an earlier flush failed, its frozen set is merged under the new one:
+// the memtable's entries replace the frozen ones of the same pair.
 func (e *diskEngine) freeze() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.mem) == 0 {
+	if e.mem.len() == 0 {
 		return
 	}
 	if e.frozen == nil {
 		e.frozen = e.mem
 	} else {
-		for k, v := range e.mem {
-			e.frozen[k] = v
-		}
+		e.mem.ascend("", func(ent *indexEntry[bool]) bool {
+			e.frozen.upsert(*ent)
+			return true
+		})
 	}
-	e.mem = make(map[memKey]segRec)
+	e.mem = newOrderedIndex[bool]()
 }
 
 // flushFrozen writes the frozen memtable to a new segment, compacts when
@@ -368,25 +351,20 @@ func (e *diskEngine) flushFrozen() (manifest []string, cleanup func(), err error
 	e.mu.RLock()
 	frozen := e.frozen
 	e.mu.RUnlock()
-	if len(frozen) > 0 {
-		keys := make([]memKey, 0, len(frozen))
-		for k := range frozen {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			return pairLess(keys[i].key, keys[i].value, keys[j].key, keys[j].value)
-		})
+	if frozen != nil && frozen.len() > 0 {
 		name := segmentFileName(e.nextSeq)
 		e.nextSeq++
 		w, err := newSegWriter(filepath.Join(e.dir, name))
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, k := range keys {
-			if err := w.add(frozen[k]); err != nil {
-				w.abort()
-				return nil, nil, err
-			}
+		frozen.ascend("", func(ent *indexEntry[bool]) bool {
+			err = w.add(memRec(ent))
+			return err == nil
+		})
+		if err != nil {
+			w.abort()
+			return nil, nil, err
 		}
 		if err := w.finish(); err != nil {
 			return nil, nil, err

@@ -4,9 +4,9 @@ package replication
 // Store keeps the anti-entropy brain — digest tree, logical clock, tombstone
 // and GC semantics, sync baselines, WAL hooks — while the raw live pairs
 // live behind the Engine interface, so the same reconciliation machinery
-// runs over an in-memory map (memengine.go) or an LSM-style disk layout
-// (diskengine.go) without byte-level differences in digests, deltas or WAL
-// replay.
+// runs over an in-memory ordered index (memengine.go) or an LSM-style disk
+// layout (diskengine.go) without byte-level differences in digests, deltas
+// or WAL replay.
 
 import (
 	"fmt"
@@ -17,9 +17,9 @@ import (
 // Storage engine kinds accepted by NewStoreKind, PersistOptions.Engine and
 // the PGRID_ENGINE environment variable.
 const (
-	// EngineMem is the in-memory map engine (the default): every live pair
-	// stays on the heap, lookups are O(1), restarts rebuild from
-	// snapshot + WAL.
+	// EngineMem is the in-memory engine (the default): every live pair
+	// stays on the heap in an ordered index, lookups are O(log n), restarts
+	// rebuild from snapshot + WAL.
 	EngineMem = "mem"
 	// EngineDisk is the disk-backed engine: live pairs live in sorted
 	// segment files plus a bounded in-memory memtable, so resident memory
@@ -56,7 +56,8 @@ type PairRecord struct {
 // (key bit string, value) — note that a key sorts before every strict
 // extension of itself — and must be safe for concurrent readers; mutations
 // (Put, Delete, Close) are serialised by the owning Store's lock and never
-// run concurrently with reads.
+// run concurrently with reads. Both engines keep their in-memory pairs in
+// that order (ordered.go), so a scan seeks and walks and never sorts.
 //
 // Engines store exactly what they are told: generation arbitration,
 // tombstones, digests and WAL logging are the Store's job.
@@ -118,15 +119,20 @@ func newEngine(kind string) (Engine, error) {
 	return newMemEngine(), nil
 }
 
-// pairLess orders two pairs by (key bit string, value). For the bit strings
-// the engines store, plain string order already puts a key before every
-// strict extension of itself, so this matches the dyadic key order the
-// digest machinery and sortItems use.
-func pairLess(aKey, aValue, bKey, bValue string) bool {
-	if aKey != bKey {
-		return aKey < bKey
+// pairCompare orders two pairs by (key bit string, value), returning -1, 0
+// or +1. For the bit strings the engines store, plain string order already
+// puts a key before every strict extension of itself, so this matches the
+// dyadic key order the digest machinery and sortItems use.
+func pairCompare(aKey, aValue, bKey, bValue string) int {
+	if c := strings.Compare(aKey, bKey); c != 0 {
+		return c
 	}
-	return aValue < bValue
+	return strings.Compare(aValue, bValue)
+}
+
+// pairLess reports whether pair a sorts before pair b.
+func pairLess(aKey, aValue, bKey, bValue string) bool {
+	return pairCompare(aKey, aValue, bKey, bValue) < 0
 }
 
 // scanLiveUnderLocked streams the live records in the digest bucket of

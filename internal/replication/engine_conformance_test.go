@@ -612,9 +612,9 @@ const (
 	readCeilingPairs           = 4096
 	memGetAllocCeiling         = 4
 	diskGetAllocCeiling        = 76
-	memScanAllocCeiling        = 15
+	memScanAllocCeiling        = 5
 	diskScanAllocCeiling       = 656
-	memMisalignedAllocCeiling  = 18
+	memMisalignedAllocCeiling  = 5
 	diskMisalignedAllocCeiling = 656
 )
 

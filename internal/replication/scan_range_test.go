@@ -4,8 +4,9 @@ package replication
 // ScanPrefix(prefix, from) against a sorted-slice oracle on both engines,
 // through the disk engine's memtable, frozen memtable and segments with
 // delete markers; Store.ScanRange against Items() filtered with
-// Key.Compare; and a count of the records a range read makes the engine
-// visit.
+// Key.Compare; a count of the records a range read makes the engine visit;
+// and the store reads that rely on the engines' scan order (Items,
+// KeysWithPrefix) without sorting.
 
 import (
 	"fmt"
@@ -80,13 +81,13 @@ func TestEngineConformanceScanFrom(t *testing.T) {
 			eng := mk(t)
 			disk, _ := eng.(*diskEngine)
 			rng := rand.New(rand.NewSource(23))
-			live := map[memKey]PairRecord{}
+			live := map[pairKey]PairRecord{}
 			ver := uint64(0)
 			put := func(k, v string) {
 				ver++
 				rec := PairRecord{Key: k, Value: v, Gen: ver % 3, Ver: ver}
-				_, had := live[memKey{k, v}]
-				live[memKey{k, v}] = rec
+				_, had := live[pairKey{k, v}]
+				live[pairKey{k, v}] = rec
 				eng.Put(rec, !had)
 			}
 			putRandom := func(n int) {
@@ -95,15 +96,15 @@ func TestEngineConformanceScanFrom(t *testing.T) {
 				}
 			}
 			deleteRandom := func(n int) {
-				ks := make([]memKey, 0, len(live))
+				ks := make([]pairKey, 0, len(live))
 				for k := range live {
 					ks = append(ks, k)
 				}
-				sort.Slice(ks, func(i, j int) bool { return pairLess(ks[i].key, ks[i].value, ks[j].key, ks[j].value) })
+				sort.Slice(ks, func(i, j int) bool { return pairLess(ks[i].k, ks[i].v, ks[j].k, ks[j].v) })
 				rng.Shuffle(len(ks), func(i, j int) { ks[i], ks[j] = ks[j], ks[i] })
 				for _, k := range ks[:min(n, len(ks))] {
 					delete(live, k)
-					eng.Delete(k.key, k.value)
+					eng.Delete(k.k, k.v)
 				}
 			}
 			flush := func() {
@@ -312,4 +313,144 @@ func FuzzScanRange(f *testing.F) {
 			t.Fatalf("engines disagree: %v against %v", items[0], items[1])
 		}
 	})
+}
+
+// TestDiskScanMemtableShadowsFrozen: a pair live in the memtable and
+// deleted in the frozen memtable, and one deleted in the memtable and live
+// in the frozen memtable, both resolve to the memtable's state in every
+// scan and point read, over a segment holding older states of both.
+func TestDiskScanMemtableShadowsFrozen(t *testing.T) {
+	eng, err := openDiskEngine(t.TempDir(), nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	checkpoint := func(flush bool) {
+		eng.freeze()
+		if !flush {
+			return
+		}
+		if _, cleanup, err := eng.flushFrozen(); err != nil {
+			t.Fatal(err)
+		} else if cleanup != nil {
+			cleanup()
+		}
+	}
+	reborn := PairRecord{Key: "0110", Value: "a", Gen: 3, Ver: 4}
+	kept := PairRecord{Key: "0111", Value: "b", Gen: 1, Ver: 2}
+	// The segment holds both pairs live.
+	eng.Put(PairRecord{Key: reborn.Key, Value: reborn.Value, Gen: 1, Ver: 1}, true)
+	eng.Put(kept, true)
+	eng.Put(PairRecord{Key: "01110", Value: "c", Gen: 1, Ver: 3}, true)
+	checkpoint(true)
+	// The frozen memtable deletes reborn and holds a live "01110"/"c" state.
+	eng.Delete(reborn.Key, reborn.Value)
+	eng.Put(PairRecord{Key: "01110", Value: "c", Gen: 2, Ver: 5}, false)
+	checkpoint(false)
+	// The memtable brings reborn back and deletes "01110"/"c".
+	eng.Put(reborn, true)
+	eng.Delete("01110", "c")
+	want := []PairRecord{reborn, kept}
+	if eng.Len() != len(want) {
+		t.Fatalf("len = %d, want %d", eng.Len(), len(want))
+	}
+	for _, prefix := range []string{"", "0", "011", "0110", "0111", "01110"} {
+		for _, from := range indexBounds(5) {
+			var got []PairRecord
+			eng.ScanPrefix(prefix, from, func(rec PairRecord) bool {
+				got = append(got, rec)
+				return true
+			})
+			var exp []PairRecord
+			for _, rec := range want {
+				if hasPrefix(rec.Key, prefix) && rec.Key >= from {
+					exp = append(exp, rec)
+				}
+			}
+			if fmt.Sprint(got) != fmt.Sprint(exp) {
+				t.Fatalf("ScanPrefix(%q, %q) = %v, want %v", prefix, from, got, exp)
+			}
+		}
+	}
+	if rec, ok := eng.Get(reborn.Key, reborn.Value); !ok || rec != reborn {
+		t.Fatalf("Get(reborn) = %+v, %v", rec, ok)
+	}
+	if _, ok := eng.Get("01110", "c"); ok {
+		t.Fatal("Get found the pair the memtable deleted")
+	}
+}
+
+// randomOrderedStore returns a persistent store of the engine kind holding
+// random pairs: keys of 0 to 8 bits with up to four values each, a key that
+// is a proper prefix of another, and, on the disk engine, part of the pairs
+// and delete markers in a segment beneath the memtable.
+func randomOrderedStore(t *testing.T, kind string, seed int64) *Store {
+	t.Helper()
+	s, err := OpenStore(t.TempDir(), PersistOptions{Engine: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	rng := rand.New(rand.NewSource(seed))
+	mutate := func(n int) {
+		for i := 0; i < n; i++ {
+			k, v := randomKey(rng, 8), fmt.Sprintf("v%d", rng.Intn(4))
+			if rng.Intn(5) == 0 {
+				s.Delete(k, v)
+			} else {
+				s.Insert(Item{Key: k, Value: v})
+			}
+		}
+	}
+	for _, ks := range []string{"0110", "01101", "011010"} {
+		s.Insert(Item{Key: keyspace.MustFromString(ks), Value: "v0"})
+		s.Insert(Item{Key: keyspace.MustFromString(ks), Value: "v1"})
+	}
+	mutate(200)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mutate(100)
+	return s
+}
+
+// TestItemsInScanOrder: on both engines, Items(), which no longer sorts,
+// is already in the (Key.Compare, value) order sortItems gives.
+func TestItemsInScanOrder(t *testing.T) {
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				items := randomOrderedStore(t, kind, seed).Items()
+				sorted := append([]Item(nil), items...)
+				sortItems(sorted)
+				if fmt.Sprint(items) != fmt.Sprint(sorted) {
+					t.Fatalf("seed %d: Items() = %v, sorted %v", seed, items, sorted)
+				}
+			}
+		})
+	}
+}
+
+// TestKeysWithPrefixMatchesFilter: on both engines, KeysWithPrefix(p) is
+// Keys().FilterPrefix(p) for every path of depth 0 to 4, the identity that
+// keeps construction's split estimates, and so the trie, unchanged.
+func TestKeysWithPrefixMatchesFilter(t *testing.T) {
+	var paths []keyspace.Path
+	for _, b := range indexBounds(4) {
+		paths = append(paths, keyspace.Path(b))
+	}
+	for _, kind := range storeKinds {
+		t.Run(kind, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				s := randomOrderedStore(t, kind, seed)
+				all := s.Keys()
+				for _, p := range paths {
+					got, want := s.KeysWithPrefix(p), all.FilterPrefix(p)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("seed %d: KeysWithPrefix(%q) = %v, Keys().FilterPrefix = %v", seed, p, got, want)
+					}
+				}
+			}
+		})
+	}
 }

@@ -95,9 +95,9 @@ func (p *Persistence) segmentCount() int {
 func (e *diskEngine) Stats() EngineStats {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return EngineStats{
-		Segments:    len(e.segs),
-		MemtableLen: len(e.mem),
-		FrozenLen:   len(e.frozen),
+	st := EngineStats{Segments: len(e.segs), MemtableLen: e.mem.len()}
+	if e.frozen != nil {
+		st.FrozenLen = e.frozen.len()
 	}
+	return st
 }

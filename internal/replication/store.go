@@ -739,24 +739,30 @@ func (s *Store) Len() int {
 	return s.eng.Len()
 }
 
-// Keys returns the distinct keys present in the store.
-func (s *Store) Keys() keyspace.Keys {
+// Keys returns the distinct keys present in the store, in key order.
+func (s *Store) Keys() keyspace.Keys { return s.KeysWithPrefix(keyspace.Root) }
+
+// KeysWithPrefix returns the distinct keys under path p, in key order: what
+// Keys().FilterPrefix(p) returns, read from p's part of the store only. The
+// engine yields in (key, value) order and Key.Compare is string order, so
+// the keys need no sort.
+func (s *Store) KeysWithPrefix(p keyspace.Path) keyspace.Keys {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out keyspace.Keys
 	last, first := "", true
-	s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
+	s.eng.ScanPrefix(string(p), "", func(rec PairRecord) bool {
 		if first || rec.Key != last {
 			out = append(out, keyspace.MustFromString(rec.Key))
 			last, first = rec.Key, false
 		}
 		return true
 	})
-	out.Sort()
 	return out
 }
 
-// Items returns all items ordered by key. The slice is freshly allocated.
+// Items returns all items ordered by key then value, the engine's scan
+// order. The slice is freshly allocated.
 func (s *Store) Items() []Item {
 	s.mu.RLock()
 	out := make([]Item, 0, s.eng.Len())
@@ -765,7 +771,6 @@ func (s *Store) Items() []Item {
 		return true
 	})
 	s.mu.RUnlock()
-	sortItems(out)
 	return out
 }
 

@@ -173,7 +173,7 @@ func WithPersistence(dir string) Option {
 }
 
 // WithStorageEngine selects the pair-storage engine backing every peer's
-// replica store: "mem" (the default; an in-memory map) or "disk"
+// replica store: "mem" (the default; an in-memory ordered index) or "disk"
 // (log-structured on-disk segments with a small memtable, keeping a
 // partition's resident set bounded regardless of how many pairs it holds —
 // for nodes storing millions of keys). The engine is independent of

@@ -63,24 +63,31 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 	done := p.done
 	p.mu.Unlock()
 
+	// The items go only to a responder that shares the partition and asks
+	// for them (ActionItems): a refer between foreign partitions moves no
+	// data.
 	req := ExchangeRequest{
 		From:        p.Addr(),
 		Path:        path,
 		Estimate:    est,
-		Items:       p.store.ItemsWithPrefix(path),
 		RoutingPath: routingPath,
 		RoutingRefs: routingRefs,
 		Replicas:    replicas,
 		Done:        done,
+		Withheld:    true,
 	}
 	p.counters[Interactions].Add(1)
-	raw, err := p.transport.Call(ctx, partner, req)
+	resp, err := p.callExchange(ctx, partner, req)
+	if err == nil && resp.Action == ActionItems {
+		req.Items, req.Withheld = p.store.ItemsWithPrefix(path), false
+		resp, err = p.callExchange(ctx, partner, req)
+	}
 	if err != nil {
 		return ActionNone, err
 	}
-	resp, ok := raw.(ExchangeResponse)
-	if !ok {
-		return ActionNone, errors.New("overlay: unexpected exchange response type")
+	if resp.Action == ActionItems {
+		// Asked again for items it already has: nothing to apply.
+		resp.Action = ActionNone
 	}
 	action := p.applyExchange(req, resp)
 	p.persistPathMeta() // the exchange may have moved the path
@@ -94,6 +101,19 @@ func (p *Peer) interact(ctx context.Context, partner network.Addr, referralsLeft
 		}
 	}
 	return action, nil
+}
+
+// callExchange sends one exchange request to the partner.
+func (p *Peer) callExchange(ctx context.Context, partner network.Addr, req ExchangeRequest) (ExchangeResponse, error) {
+	raw, err := p.transport.Call(ctx, partner, req)
+	if err != nil {
+		return ExchangeResponse{}, err
+	}
+	resp, ok := raw.(ExchangeResponse)
+	if !ok {
+		return ExchangeResponse{}, errors.New("overlay: unexpected exchange response type")
+	}
+	return resp, nil
 }
 
 // applyExchange applies the responder's instructions to the initiator's

@@ -29,6 +29,11 @@ func (p *Peer) handleExchange(req ExchangeRequest) ExchangeResponse {
 	}
 
 	switch {
+	case myPath.SamePartition(req.Path) && req.Withheld:
+		// The encounter moves data: ask for the items before anything
+		// changes, so the repeated request meets this peer as it is now.
+		resp.Action = ActionItems
+		return resp
 	case myPath.SamePartition(req.Path):
 		switch {
 		case myPath.Depth() == req.Path.Depth():
@@ -113,14 +118,15 @@ func (p *Peer) respondSamePath(req ExchangeRequest, resp *ExchangeResponse) {
 	}
 
 	// Become replicas: absorb the initiator's items, return what it lacks,
-	// and remember each other as replicas.
+	// and remember each other as replicas. What it lacks is in myItems: the
+	// absorbed items all carry keys it has.
 	newItems := p.store.AddAll(req.Items)
 	p.counters[KeysMoved].Add(uint64(len(req.Items)))
 	have := make(map[keyspace.Key]bool, len(req.Items))
 	for _, it := range req.Items {
 		have[it.Key] = true
 	}
-	for _, it := range p.store.ItemsWithPrefix(path) {
+	for _, it := range myItems {
 		if !have[it.Key] {
 			resp.Items = append(resp.Items, it)
 		}

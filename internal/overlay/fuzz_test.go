@@ -47,7 +47,7 @@ func wireSeedMessages() []any {
 		PingResponse{Path: "101", Done: true},
 		ExchangeRequest{From: "peer-5", Path: "1", Estimate: 0.25, Items: []replication.Item{item}, RoutingPath: "10",
 			RoutingRefs: [][]routing.Ref{{ref("peer-5a", "0")}, nil, {ref("peer-5b", "111"), ref("peer-5c", "110")}},
-			Replicas:    []network.Addr{"peer-5d"}, Done: true},
+			Replicas:    []network.Addr{"peer-5d"}, Done: true, Withheld: true},
 		ExchangeResponse{Action: ActionSplit, From: "peer-6", ResponderPath: "10", NewPath: "11", NewPathSet: true,
 			Items: []replication.Item{item}, TakenOver: true,
 			Refs:        []LevelRef{{Level: -1, Ref: ref("peer-6a", "0")}, {Level: 2, Ref: ref("peer-6b", "100")}},

@@ -107,6 +107,10 @@ const (
 	// ActionNone means the interaction had no effect (e.g. a balanced split
 	// was not performed because of the alpha probability).
 	ActionNone Action = "none"
+	// ActionItems asks the initiator to send its request again with its
+	// items: the peers share a partition, so the encounter moves data. The
+	// responder changed nothing yet.
+	ActionItems Action = "items"
 )
 
 // ExchangeRequest is sent by a peer initiating a construction interaction.
@@ -119,7 +123,8 @@ type ExchangeRequest struct {
 	// partition's data that falls into sub-partition 0.
 	Estimate float64
 	// Items are the initiator's data items for the current partition
-	// (needed for content exchange on splits and replication).
+	// (needed for content exchange on splits and replication). They are
+	// sent only when the responder asks for them (see Withheld).
 	Items []replication.Item
 	// RoutingPath and RoutingRefs are a snapshot of the initiator's routing
 	// table (exchanged to add redundancy and randomization).
@@ -130,6 +135,11 @@ type ExchangeRequest struct {
 	// Done reports whether the initiator considers its construction
 	// converged (used for termination detection).
 	Done bool
+	// Withheld marks a request sent without its items. A responder that
+	// shares the initiator's partition answers ActionItems and nothing
+	// else, and the initiator repeats the request with Items; a refer
+	// between foreign partitions never reads them.
+	Withheld bool
 }
 
 // ExchangeResponse is the contacted peer's reply.

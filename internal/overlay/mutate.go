@@ -115,7 +115,7 @@ type mutation struct {
 	// gen is the coordinator's stamp on a Direct leg; on a routed request it
 	// is the lowest stamp the client accepts (0 for any).
 	gen uint64
-	// id is marked in the store's dedup ring (Store.MarkMutation) by the
+	// id is marked in the store's dedup ring (Store.MarkAndApply) by the
 	// coordinator and by every Direct leg. The α-raced routing can deliver
 	// duplicates of one mutation to several responsible peers; a replica
 	// that marked the ID suppresses a late duplicate instead of
@@ -172,8 +172,7 @@ func (p *Peer) handleMutation(ctx context.Context, m mutation) MutateResponse {
 // it, does not count towards the write quorum, and reports its generation
 // so the coordinator can re-stamp.
 func (p *Peer) applyDirect(m mutation) MutateResponse {
-	p.store.MarkMutation(m.id)
-	out := p.store.Apply(m.key, m.value, replication.Event{Op: replication.Replicate, Kind: m.kind, Gen: m.gen})
+	out, _ := p.store.MarkAndApply(m.id, m.key, m.value, replication.Event{Op: replication.Replicate, Kind: m.kind, Gen: m.gen}, false)
 	acks := 0
 	if out.Acked {
 		acks = 1
@@ -202,12 +201,15 @@ func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse,
 	return p.forwardMutation(ctx, m)
 }
 
-// coordinate runs a mutation at a responsible peer: mark its ID, stamp the
-// pair locally above every state this peer has seen, fan the stamped state
-// out to the replica set, and retry once per replication.Restamp when a
-// replica whose history is ahead (a state this peer never saw) refused.
+// coordinate runs a mutation at a responsible peer: mark its ID and stamp
+// the pair locally above every state this peer has seen (one store call,
+// one WAL write), fan the stamped state out to the replica set, and retry
+// once per replication.Restamp when a replica whose history is ahead (a
+// state this peer never saw) refused.
 func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, error) {
-	if !p.store.MarkMutation(m.id) {
+	ev := replication.Event{Op: replication.Stamp, Kind: m.kind, Gen: m.gen}
+	out, fresh := p.store.MarkAndApply(m.id, m.key, m.value, ev, true)
+	if !fresh {
 		// A duplicate of an already-coordinated mutation (delivered by the
 		// α-race): suppress it entirely. Answering Found here could outrace
 		// the original coordination's response with an underreported ack
@@ -216,9 +218,7 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 		// (forwardMutation).
 		return MutateResponse{Hops: m.hops, Responsible: p.Addr()}, nil
 	}
-	ev := replication.Event{Op: replication.Stamp, Kind: m.kind, Gen: m.gen}
-	leg := mutation{key: m.key, value: m.value, kind: m.kind, id: m.id, direct: true}
-	leg.gen = p.store.Apply(m.key, m.value, ev).Gen
+	leg := mutation{key: m.key, value: m.value, kind: m.kind, id: m.id, direct: true, gen: out.Gen}
 	resp := p.fanOutMutation(ctx, m.hops, leg.request())
 	if retry, ok := replication.Restamp(ev, leg.gen, resp.Gen, resp.Acks, resp.Replicas); ok {
 		leg.gen = p.store.Apply(m.key, m.value, retry).Gen

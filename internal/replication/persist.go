@@ -212,16 +212,34 @@ func OpenStore(dir string, opts PersistOptions) (*Store, error) {
 	return s, nil
 }
 
-// append frames one record into the current segment. Failures are sticky:
-// once an append fails the persistence is considered broken and the error
-// resurfaces from Sync, Checkpoint and Close.
-func (p *Persistence) append(op byte, rec any) {
+// append frames one record into the current segment and, with write set,
+// writes it in one write together with every record framed before it; a
+// bulk apply frames its records with write unset and ends with flush.
+// Failures are sticky: once an append fails the persistence is considered
+// broken and the error resurfaces from Sync, Checkpoint and Close.
+func (p *Persistence) append(op byte, rec any, write bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return
 	}
-	if err := p.w.append(op, rec); err != nil {
+	err := p.w.frame(op, rec)
+	if err == nil && write {
+		err = p.w.flush()
+	}
+	if err != nil {
+		p.err = err
+	}
+}
+
+// flush writes the records framed since the last write in one write.
+func (p *Persistence) flush() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.err != nil {
+		return
+	}
+	if err := p.w.flush(); err != nil {
 		p.err = err
 	}
 }
@@ -559,9 +577,23 @@ func (s *Store) Meta(key string) string {
 // logLocked appends one record — the op tag and the op's record struct
 // (wal.go) — to the WAL if persistence is attached. Callers must hold
 // s.mu, which orders records exactly like the mutations they describe.
+// Inside a batch (beginBatchLocked) the record is only framed.
 func (s *Store) logLocked(op byte, rec any) {
 	if s.persist != nil && !s.muted {
-		s.persist.append(op, rec)
+		s.persist.append(op, rec, !s.batched)
+	}
+}
+
+// beginBatchLocked holds the WAL records of the mutations that follow back
+// until endBatchLocked writes them in one write (callers must hold s.mu
+// throughout, so the batch reaches the file before any other record).
+func (s *Store) beginBatchLocked() { s.batched = true }
+
+// endBatchLocked writes the batch's records (callers must hold s.mu).
+func (s *Store) endBatchLocked() {
+	s.batched = false
+	if s.persist != nil {
+		s.persist.flush()
 	}
 }
 
@@ -670,9 +702,10 @@ func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
 	} else {
 		st.External = true
 		st.Count = s.eng.Len()
-		st.Digests = make([]snapDigest, 0, len(s.dig))
-		for p, cell := range s.dig {
-			st.Digests = append(st.Digests, snapDigest{P: densePrefixString(p), H: cell.hash, N: uint64(cell.n)})
+		for idx, cell := range s.dig {
+			if cell != (digestCell{}) {
+				st.Digests = append(st.Digests, snapDigest{P: densePrefixString(uint16(idx)), H: cell.hash, N: uint64(cell.n)})
+			}
 		}
 	}
 	for pk, t := range s.tombs {
@@ -702,9 +735,6 @@ func (s *Store) loadSnapshot(st *snapshotState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if st.External {
-		if s.dig == nil && len(st.Digests) > 0 {
-			s.dig = make(map[uint16]digestCell, len(st.Digests))
-		}
 		for _, dc := range st.Digests {
 			s.dig[densePrefixIndex(dc.P)] = digestCell{hash: dc.H, n: int(dc.N)}
 		}

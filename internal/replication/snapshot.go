@@ -304,7 +304,7 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 			}
 			st.Digests = append(st.Digests, snapDigest{})
 			read(&st.Digests[len(st.Digests)-1])
-			if st.Digests[len(st.Digests)-1].N > math.MaxInt {
+			if dc := st.Digests[len(st.Digests)-1]; dc.N > math.MaxInt || len(dc.P) > digestDenseDepth {
 				return nil, errSnapshotCorrupt
 			}
 		case snapTagMutation:

@@ -115,7 +115,8 @@ type pairKey struct {
 	k, v string
 }
 
-// digestCell is one node of the incremental digest tree.
+// digestCell is one node of the incremental digest tree; the zero cell is
+// an empty bucket.
 type digestCell struct {
 	hash uint64
 	n    int
@@ -149,7 +150,7 @@ type Store struct {
 	// key: a delete of a fresh key, the common case, then costs one map
 	// entry instead of a map of its own.
 	tombs   map[pairKey]tombstone
-	dig     map[uint16]digestCell // marker-bit prefix index (densePrefixIndex) -> digest
+	dig     [2 << digestDenseDepth]digestCell // by marker-bit prefix index (densePrefixIndex)
 	clock   uint64
 	gcFloor uint64
 	gc      GCPolicy
@@ -172,6 +173,10 @@ type Store struct {
 	// muted suppresses per-pair WAL records while a compound mutation that
 	// is logged as one record (ReplaceWithin) runs (guarded by mu).
 	muted bool
+	// batched holds WAL records back while a bulk apply runs, so its
+	// records reach the file in one write (guarded by mu; see
+	// beginBatchLocked).
+	batched bool
 
 	// deepMu guards deep, the one-entry cache of the last digest computed
 	// for a prefix below the dense tree. The steady-state sync reads the
@@ -217,10 +222,10 @@ func NewStoreKind(kind string) (*Store, error) {
 	return newStoreWithEngine(eng, kind), nil
 }
 
-// newStoreWithEngine wires a store around an existing engine. The digest
-// and tombstone maps are allocated lazily on first use: a freshly joined
-// peer in a large simulation holds no state yet, and thousands of empty
-// maps are pure overhead.
+// newStoreWithEngine wires a store around an existing engine. The
+// tombstone map is allocated lazily on first use: a freshly joined peer in
+// a large simulation holds no state yet, and thousands of empty maps are
+// pure overhead.
 func newStoreWithEngine(eng Engine, kind string) *Store {
 	return &Store{
 		eng:     eng,
@@ -369,11 +374,10 @@ func tombHash(ks, value string, gen uint64) uint64 { return pairHash(ks, value, 
 // densePrefixIndex encodes a dense-tree prefix (a '0'/'1' bit string of
 // length <= digestDenseDepth) as a marker-bit integer: (1<<len(p)) | bits.
 // The marker bit disambiguates depth — "0" (idx 2) and "00" (idx 4) are
-// distinct cells — so every dense prefix maps to a unique value in
-// [1, 2^(digestDenseDepth+1)), which fits a uint16 map key instead of an
-// 8-byte string header plus heap payload per cell. Strings appear only at
-// the snapshot boundary (see persist.go), keeping the on-disk format
-// unchanged.
+// distinct cells — so every dense prefix maps to a unique index in
+// [1, 2^(digestDenseDepth+1)) of the store's flat cell array. Strings
+// appear only at the snapshot boundary (see persist.go), keeping the
+// on-disk format unchanged.
 func densePrefixIndex(p string) uint16 {
 	idx := uint16(1)
 	for i := 0; i < len(p); i++ {
@@ -429,19 +433,10 @@ func (s *Store) digestXorLocked(ks string, h uint64, dn int) {
 	// Keys shorter than the dense depth are zero-padded for bucketing (the
 	// dyadic lower edge — see underDigest), which here just means missing
 	// bits read as '0' while descending the marker-bit indices.
-	if s.dig == nil {
-		s.dig = make(map[uint16]digestCell)
-	}
-	idx := uint16(1)
+	idx := 1
 	for d := 0; ; d++ {
-		cell := s.dig[idx]
-		cell.hash ^= h
-		cell.n += dn
-		if cell.hash == 0 && cell.n == 0 {
-			delete(s.dig, idx)
-		} else {
-			s.dig[idx] = cell
-		}
+		s.dig[idx].hash ^= h
+		s.dig[idx].n += dn
 		if d == digestDenseDepth {
 			return
 		}
@@ -658,10 +653,13 @@ func (s *Store) tombstones(keep func(string) bool) []Item {
 // the same or a lower generation are dropped and the tombstones recorded
 // (deletes win generation ties; a live copy with a strictly higher
 // generation — a newer re-insert — survives). It returns the number of
-// tombstones that changed this store.
+// tombstones that changed this store. Like AddAll, it takes one lock hold
+// and one WAL write.
 func (s *Store) AddTombstones(items []Item) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.beginBatchLocked()
+	defer s.endBatchLocked()
 	n := 0
 	for _, it := range items {
 		if s.applyLocked(it.Key.String(), it.Value, Event{Op: Replicate, Kind: Tombstoned, Gen: it.Gen}).New {
@@ -677,11 +675,34 @@ func (s *Store) AddTombstones(items []Item) int {
 // coordination) survives restarts on persistent stores: marks are
 // WAL-logged and snapshot-carried. The zero ID is never deduplicated.
 func (s *Store) MarkMutation(id uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.markLoggedLocked(id)
+}
+
+// MarkAndApply is MarkMutation followed by Apply under one lock hold, the
+// mark's WAL record and the pair's written in one write. It reports the
+// apply's outcome and whether the ID was new. With once set a seen ID
+// applies nothing (a coordinator's duplicate); without it the event is
+// applied either way (a replica leg, which Merge makes idempotent).
+func (s *Store) MarkAndApply(id uint64, key keyspace.Key, value string, ev Event, once bool) (Outcome, bool) {
+	ks := key.String()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.beginBatchLocked()
+	defer s.endBatchLocked()
+	fresh := s.markLoggedLocked(id)
+	if !fresh && once {
+		return Outcome{}, false
+	}
+	return s.applyLocked(ks, value, ev), fresh
+}
+
+// markLoggedLocked is MarkMutation's body (callers must hold mu).
+func (s *Store) markLoggedLocked(id uint64) bool {
 	if id == 0 {
 		return true
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if !s.markMutationLocked(id) {
 		return false
 	}
@@ -721,11 +742,17 @@ func (s *Store) mutationRingLocked() []uint64 {
 	return out
 }
 
-// AddAll inserts a batch of items and returns how many were new.
+// AddAll inserts a batch of items, each as Add does, and returns how many
+// were new. The batch is applied under one lock hold and its WAL records are
+// written in one write.
 func (s *Store) AddAll(items []Item) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.beginBatchLocked()
+	defer s.endBatchLocked()
 	n := 0
 	for _, it := range items {
-		if s.Add(it) {
+		if s.applyLocked(it.Key.String(), it.Value, Event{Op: Replicate, Kind: Live, Gen: it.Gen}).New {
 			n++
 		}
 	}

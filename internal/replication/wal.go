@@ -23,7 +23,10 @@ package replication
 // page cache) before the append returns, but the file is fsynced at most
 // once per SyncInterval (or on every append with SyncAlways). A killed
 // process therefore loses nothing once an append returned; only a machine
-// crash can lose the records inside the current fsync window.
+// crash can lose the records inside the current fsync window. A bulk apply
+// frames its records one by one and writes them all with one write call
+// (frame, then flush): the frames are the ones single appends would write,
+// so a batch cut short by a crash replays as its complete leading frames.
 
 import (
 	"bufio"
@@ -137,13 +140,20 @@ const maxWALRecord = 64 << 20
 // payload is not exactly one well-formed record.
 var errWALCorrupt = errors.New("replication: WAL corrupt")
 
+// walScratchKeep caps the frame buffer a wal keeps between writes: a bulk
+// apply's batch can run to megabytes, and holding that per store after
+// construction would be pure heap.
+const walScratchKeep = 64 << 10
+
 // wal is an append-only, CRC-framed, fsync-batched log file.
 type wal struct {
 	mu       sync.Mutex
 	f        *os.File
-	scratch  []byte // reusable frame buffer, so one append is one write
+	scratch  []byte // frames not yet written; one flush writes them all
+	pending  int    // records framed in scratch
 	size     int64  // bytes appended (including frames)
 	records  int    // records appended since open
+	writes   int    // write calls made since open (what batching saves)
 	dirty    bool   // written data not yet fsynced
 	lastSync time.Time
 	interval time.Duration // fsync at most this often; <=0 means every append
@@ -174,27 +184,46 @@ func openWAL(path string, interval time.Duration, valid int64) (*wal, error) {
 	}, nil
 }
 
-// append encodes one record — the op tag and the op's record struct —
-// into a frame and writes it to the file in a single write call, fsyncing
-// when the batching interval elapsed. Callers serialise appends through the
-// owning store's lock, but the wal keeps its own mutex so Sync/Close are
-// independently safe.
-func (w *wal) append(op byte, rec any) error {
+// frame encodes one record — the op tag and the op's record struct — into
+// a frame behind the ones not yet written; flush writes them. Callers
+// serialise appends through the owning store's lock, but the wal keeps its
+// own mutex so Sync/Close are independently safe.
+func (w *wal) frame(op byte, rec any) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	// Encode behind room for the frame header, then fill the header in.
-	w.scratch = walRecords.Append(append(w.scratch[:0], make([]byte, walFrameHeader)...), op, rec)
-	payload := w.scratch[walFrameHeader:]
+	start := len(w.scratch)
+	w.scratch = walRecords.Append(append(w.scratch, make([]byte, walFrameHeader)...), op, rec)
+	payload := w.scratch[start+walFrameHeader:]
 	if len(payload) > maxWALRecord {
+		w.scratch = w.scratch[:start]
 		return fmt.Errorf("replication: WAL record of %d bytes exceeds limit", len(payload))
 	}
-	binary.LittleEndian.PutUint32(w.scratch[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(w.scratch[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(w.scratch); err != nil {
+	binary.LittleEndian.PutUint32(w.scratch[start:start+4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.scratch[start+4:start+8], crc32.ChecksumIEEE(payload))
+	w.pending++
+	return nil
+}
+
+// flush writes every framed record to the file in a single write call,
+// fsyncing when the batching interval elapsed.
+func (w *wal) flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.pending == 0 {
+		return nil
+	}
+	buf, n := w.scratch, w.pending
+	w.scratch, w.pending = w.scratch[:0], 0
+	if cap(w.scratch) > walScratchKeep {
+		w.scratch = nil
+	}
+	w.writes++
+	if _, err := w.f.Write(buf); err != nil {
 		return err
 	}
-	w.size += int64(len(w.scratch))
-	w.records++
+	w.size += int64(len(buf))
+	w.records += n
 	w.dirty = true
 	if w.interval <= 0 || w.now().Sub(w.lastSync) >= w.interval {
 		return w.syncLocked()

@@ -1020,10 +1020,10 @@ func BenchmarkEngineScanPrefix(b *testing.B) {
 }
 
 // BenchmarkEngineRecoverLarge measures reopening a checkpointed 50k-pair
-// store. The mem engine replays every pair into memory; the disk engine
-// adopts the snapshot's segment manifest and digest cells without scanning
-// the pairs, so its recovery time stays flat as stores grow to millions of
-// keys.
+// store. Both install the snapshot's digest cells; the mem policy reads
+// the checkpointed segment back into its memtable, while the disk policy
+// adopts the segment manifest without scanning the pairs, so its recovery
+// time stays flat as stores grow to millions of keys.
 func BenchmarkEngineRecoverLarge(b *testing.B) {
 	for _, engine := range engineBenchKinds {
 		b.Run(engine, func(b *testing.B) {

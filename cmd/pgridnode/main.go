@@ -85,7 +85,7 @@ func main() {
 		dmax         = flag.Int("dmax", 20, "maximal storage load per partition")
 		serve        = flag.Duration("serve", 0, "keep serving for this duration after local work finishes")
 		dataDir      = flag.String("data-dir", "", "directory for durable replica state (WAL + snapshots); restarts recover items, tombstones, path and sync baselines from it")
-		engine       = flag.String("engine", "", "pair-storage engine: mem or disk; disk keeps the partition's resident set bounded for stores far larger than RAM (default: $PGRID_ENGINE, else mem)")
+		engine       = flag.String("engine", "", "storage engine residency policy with -data-dir: mem or disk; disk keeps the partition's resident set bounded for stores far larger than RAM (default: $PGRID_ENGINE, else mem)")
 		maintain     = flag.Duration("maintain", 0, "run background maintenance (anti-entropy, routing probes) at this interval while serving; 0 disables")
 		httpAddr     = flag.String("http", "", "serve the gateway HTTP API (/v1/*, /healthz, /readyz, /metrics) on this address; keeps the node serving even with -serve 0")
 		dialTimeout  = flag.Duration("dial-timeout", 0, "TCP transport: connection-establishment timeout (0 = default)")

@@ -79,10 +79,11 @@ type Config struct {
 	// memory. Only NewPersistent reports persistence errors; New panics on
 	// them.
 	DataDir string
-	// StorageEngine selects the store's pair-storage engine:
-	// replication.EngineMem (in-memory ordered index) or replication.EngineDisk
-	// (log-structured on-disk segments, for partitions far larger than
-	// RAM). Empty uses replication.DefaultEngine (the PGRID_ENGINE
+	// StorageEngine selects the residency policy of the store's pairs:
+	// replication.EngineMem (all in memory) or replication.EngineDisk
+	// (served from on-disk segments, for partitions far larger than RAM).
+	// It only matters with a DataDir; without one the store is in memory
+	// under either. Empty uses replication.DefaultEngine (the PGRID_ENGINE
 	// environment variable, or mem).
 	StorageEngine string
 	// QueryCacheSize bounds the peer's query answer cache (entries). Zero

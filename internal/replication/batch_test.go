@@ -118,9 +118,11 @@ func TestAddAllWritesWALOnce(t *testing.T) {
 	check(ends[n/2]+walFrameHeader+1, n/2)
 }
 
-// TestExternalSnapshotDeterministic pins that a disk-engine snapshot is a
-// function of the store's state: its digest cells are written in index
-// order, so two snapshots of one state are the same bytes.
+// TestExternalSnapshotDeterministic pins that a snapshot, external like
+// every one a checkpoint writes, is a function of the store's state: its
+// digest cells are written in index order, its tombstones by pair and its
+// baselines and metadata by key, so snapshots of one state are the same
+// bytes.
 func TestExternalSnapshotDeterministic(t *testing.T) {
 	s, err := NewStoreKind(EngineMem)
 	if err != nil {
@@ -132,19 +134,27 @@ func TestExternalSnapshotDeterministic(t *testing.T) {
 		items[i] = Item{Key: keyspace.MustFromFloat(float64(i)/300, 16), Value: "v"}
 	}
 	s.AddAll(items)
-	encode := func() ([]byte, int) {
+	for i := 0; i < 60; i++ {
+		s.Delete(items[i*5].Key, "v")
+	}
+	for i := 0; i < 3; i++ {
+		s.RecordBaseline(fmt.Sprintf("peer-%d", i), Baseline{Mine: uint64(i + 1), Theirs: uint64(i + 2)})
+		s.SetMeta(fmt.Sprintf("meta-%d", i), fmt.Sprintf("value-%d", i))
+	}
+	encode := func() ([]byte, *snapshotState) {
 		s.mu.Lock()
-		st := s.snapshotStateLocked(false)
+		st := s.snapshotStateLocked()
 		s.mu.Unlock()
 		var buf bytes.Buffer
 		if err := encodeSnapshotTo(&buf, st); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes(), len(st.Digests)
+		return buf.Bytes(), st
 	}
-	first, cells := encode()
-	if cells < 2 {
-		t.Fatalf("snapshot carries %d digest cells, want several", cells)
+	first, st := encode()
+	if len(st.Digests) < 2 || len(st.Tombs) < 50 || len(st.Baselines) < 2 || len(st.Meta) < 2 {
+		t.Fatalf("snapshot carries %d digest cells, %d tombstones, %d baselines and %d metadata entries, want several of each",
+			len(st.Digests), len(st.Tombs), len(st.Baselines), len(st.Meta))
 	}
 	for i := 0; i < 5; i++ {
 		if again, _ := encode(); !bytes.Equal(again, first) {

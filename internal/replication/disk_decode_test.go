@@ -289,17 +289,15 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !reflect.DeepEqual(back, st) {
 			t.Fatalf("re-encoded snapshot decodes to\n%+v\nwant\n%+v", back, st)
 		}
-		var eng Engine = newMemEngine()
-		kind := EngineMem
+		eng := newEngine(true)
 		if st.External {
 			// The manifest's files do not exist here: open no segment and
 			// check that the count is refused or bounded by them.
-			if eng, err = openDiskEngine(t.TempDir(), nil, st.Count); err != nil {
+			if eng, err = openEngine(t.TempDir(), nil, st.Count, false); err != nil {
 				return
 			}
-			kind = EngineDisk
 		}
-		s := newStoreWithEngine(eng, kind)
+		s := newStoreWithEngine(eng)
 		defer s.Close()
 		s.loadSnapshot(st)
 		if n := s.Len(); n < 0 {

@@ -1,30 +1,34 @@
 package replication
 
-// Engine conformance suite: every storage engine must satisfy the same
-// observable contract, both at the raw Engine level (ordering, isNew
-// semantics, early-stop scans) and through a Store (generation ordering,
-// delete-wins-ties, GC floor, digest equivalence, crash recovery). The
-// random-ops equivalence tests pit a disk-engine store against a mem-engine
-// shadow and require identical observable state, so any divergence between
-// the engines' merge/scan logic surfaces as a concrete failing step.
+// Engine conformance suite: the storage engine must satisfy the same
+// observable contract under both residency policies, both at the raw
+// engine level (ordering, isNew semantics, early-stop scans) and through a
+// Store (generation ordering, delete-wins-ties, GC floor, digest
+// equivalence, crash recovery). The random-ops equivalence tests pit a
+// disk-policy store against a resident shadow and require identical
+// observable state, so any divergence between the direct memtable walk and
+// the merged segment view surfaces as a concrete failing step.
 
 import (
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pgrid/internal/keyspace"
 )
 
-// conformanceEngines returns a constructor per engine kind. Disk engines are
-// rooted in a per-test temp dir and closed by the test cleanup.
-func conformanceEngines() map[string]func(t *testing.T) Engine {
-	return map[string]func(t *testing.T) Engine{
-		EngineMem: func(t *testing.T) Engine { return newMemEngine() },
-		EngineDisk: func(t *testing.T) Engine {
-			eng, err := openDiskEngine(t.TempDir(), nil, 0)
+// conformanceEngines returns a constructor per engine kind: a resident
+// engine without a directory, and a disk-policy engine rooted in a
+// per-test temp dir and closed by the test cleanup.
+func conformanceEngines() map[string]func(t *testing.T) *engine {
+	return map[string]func(t *testing.T) *engine{
+		EngineMem: func(t *testing.T) *engine { return newEngine(true) },
+		EngineDisk: func(t *testing.T) *engine {
+			eng, err := openEngine(t.TempDir(), nil, 0, false)
 			if err != nil {
 				t.Fatalf("open disk engine: %v", err)
 			}
@@ -32,6 +36,18 @@ func conformanceEngines() map[string]func(t *testing.T) Engine {
 			return eng
 		},
 	}
+}
+
+// flushEngine runs a checkpoint's engine half: freeze, then flush and the
+// cleanup that follows the durable snapshot. It returns the manifest.
+func flushEngine(t *testing.T, eng *engine) []string {
+	t.Helper()
+	manifest, cleanup, err := eng.flush(eng.freeze())
+	if err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	cleanup()
+	return manifest
 }
 
 func TestEngineConformanceBasic(t *testing.T) {
@@ -162,7 +178,7 @@ func TestEngineConformanceScanOrder(t *testing.T) {
 // folds everything back into one segment.
 func TestEngineDiskSegmentsMergedView(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := openDiskEngine(dir, nil, 0)
+	eng, err := openEngine(dir, nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +208,7 @@ func TestEngineDiskSegmentsMergedView(t *testing.T) {
 		}
 		// Simulate the checkpoint boundary: freeze the memtable and flush it
 		// to a segment (compacting past the threshold).
-		eng.freeze()
-		m, cleanup, err := eng.flushFrozen()
-		if err != nil {
-			t.Fatalf("round %d: flush: %v", round, err)
-		}
-		if cleanup != nil {
-			cleanup()
-		}
-		manifest = m
+		manifest = flushEngine(t, eng)
 
 		if eng.Len() != len(shadow) {
 			t.Fatalf("round %d: len = %d, want %d", round, eng.Len(), len(shadow))
@@ -493,72 +501,167 @@ func TestStoreDiskSnapshotKeepsPairsExternal(t *testing.T) {
 	}
 }
 
-// TestStoreEngineMigration reopens one data directory across engine kinds
-// in both directions and requires identical observable state each time.
+// segFiles returns the names of the segment files in dir.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		names[i] = filepath.Base(name)
+	}
+	return names
+}
+
+// TestStoreEngineMigration: both residency policies write the same
+// directory shape, so a directory checkpointed under either reopens under
+// the other with the same state and dedup ring, in both directions and
+// with no conversion step; and a directory whose snapshot inlines its
+// pairs, which checkpoints no longer write, opens under both and is
+// rewritten as external by its next checkpoint.
 func TestStoreEngineMigration(t *testing.T) {
-	dir := t.TempDir()
 	mk := func(engine string) PersistOptions {
 		return PersistOptions{SyncAlways: true, Engine: engine}
 	}
-	s, err := OpenStore(dir, mk(EngineMem))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shadow := NewStore()
-	for i := 0; i < 64; i++ {
-		it := Item{Key: testKey(i), Value: fmt.Sprintf("v%d", i%7)}
-		s.Insert(it)
-		shadow.Insert(it)
-	}
-	s.Delete(testKey(3), "v3")
-	shadow.Delete(testKey(3), "v3")
-	s.MarkMutation(42)
-	shadow.MarkMutation(42)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for _, order := range [][]string{{EngineMem, EngineDisk, EngineMem, EngineDisk}, {EngineDisk, EngineMem, EngineDisk, EngineMem}} {
+		t.Run(strings.Join(order, "-"), func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := OpenStore(dir, mk(order[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shadow := NewStore()
+			for i := 0; i < 64; i++ {
+				it := Item{Key: testKey(i), Value: fmt.Sprintf("v%d", i%7)}
+				s.Insert(it)
+				shadow.Insert(it)
+			}
+			s.Delete(testKey(3), "v3")
+			shadow.Delete(testKey(3), "v3")
+			s.MarkMutation(42)
+			shadow.MarkMutation(42)
+			for step, kind := range order[1:] {
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				// The checkpoint leaves exactly the segments its snapshot
+				// names: a resident one deletes those it replaced.
+				if st, ok, err := loadLatestSnapshot(dir); err != nil || !ok {
+					t.Fatalf("load snapshot: ok=%v err=%v", ok, err)
+				} else if segs := segFiles(t, dir); !reflect.DeepEqual(st.Manifest, segs) {
+					t.Fatalf("%s checkpoint left segment files %v, its manifest names %v", s.EngineKind(), segs, st.Manifest)
+				}
+				// A WAL tail on top of the checkpointed segment.
+				it := Item{Key: testKey(17 + step), Value: "after checkpoint"}
+				s.Insert(it)
+				shadow.Insert(it)
+				s = reopen(t, s, dir, mk(kind))
+				if s.EngineKind() != kind {
+					t.Fatalf("engine = %q, want %q", s.EngineKind(), kind)
+				}
+				assertSameState(t, s, shadow)
+				if s.MarkMutation(42) {
+					t.Errorf("dedup ring lost reopening under %s", kind)
+				}
+				if t.Failed() {
+					t.Fatalf("diverged reopening under %s (step %d)", kind, step)
+				}
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 
-	// mem → disk: the inline snapshot loads into the disk engine's memtable.
-	s = reopen(t, s, dir, mk(EngineDisk))
-	if s.EngineKind() != EngineDisk {
-		t.Fatalf("engine = %q, want disk", s.EngineKind())
-	}
-	assertSameState(t, s, shadow)
-	if s.MarkMutation(42) {
-		t.Error("dedup ring lost across mem→disk migration")
-	}
-	shadow.MarkMutation(42)
-	it := Item{Key: testKey(17), Value: "post-migration"}
-	s.Insert(it)
-	shadow.Insert(it)
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	t.Run("inline snapshot", func(t *testing.T) {
+		// The state an inline snapshot held: every pair as an item record.
+		src := newTestStoreKind(t, EngineMem)
+		for i := 0; i < 40; i++ {
+			src.Insert(Item{Key: testKey(i), Value: fmt.Sprintf("v%d", i%5)})
+		}
+		src.Delete(testKey(4), "v4")
+		src.MarkMutation(42)
+		src.mu.Lock()
+		st := src.snapshotStateLocked()
+		src.mu.Unlock()
+		st.External, st.Count, st.Digests = false, 0, nil
+		src.eng.ScanPrefix("", "", func(rec PairRecord) bool {
+			st.Items = append(st.Items, snapItem{K: rec.Key, V: rec.Value, Gen: rec.Gen, Ver: rec.Ver})
+			return true
+		})
+		st.Seq = 1
+		for _, kind := range storeKinds {
+			t.Run(kind, func(t *testing.T) {
+				dir := t.TempDir()
+				if err := writeSnapshot(dir, st); err != nil {
+					t.Fatal(err)
+				}
+				s, err := OpenStore(dir, mk(kind))
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSameState(t, s, src)
+				if s.MarkMutation(42) {
+					t.Error("dedup ring lost opening an inline snapshot")
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				got, ok, err := loadLatestSnapshot(dir)
+				if err != nil || !ok {
+					t.Fatalf("load snapshot: ok=%v err=%v", ok, err)
+				}
+				if !got.External || len(got.Items) != 0 {
+					t.Errorf("checkpoint left External=%v with %d inline items", got.External, len(got.Items))
+				}
+				if segs := segFiles(t, dir); len(segs) != 1 || !reflect.DeepEqual(got.Manifest, segs) {
+					t.Errorf("segment files %v, manifest %v: want the one the manifest names", segs, got.Manifest)
+				}
+				other := EngineDisk
+				if kind == EngineDisk {
+					other = EngineMem
+				}
+				s = reopen(t, s, dir, mk(other))
+				assertSameState(t, s, src)
+				if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	})
+}
 
-	// disk → mem: the external snapshot's segments are inlined back.
-	s = reopen(t, s, dir, mk(EngineMem))
-	if s.EngineKind() != EngineMem {
-		t.Fatalf("engine = %q, want mem", s.EngineKind())
-	}
-	assertSameState(t, s, shadow)
-	// A mem checkpoint after the migration must leave no stale segment
-	// files behind for a later disk reopen to mis-adopt.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) == ".seg" {
-			t.Errorf("stale segment file %s after mem checkpoint", e.Name())
+// TestStoreWithoutDirCreatesNoDirectory: a store without a data directory
+// writes nothing to the file system under either policy, neither while it
+// is open nor by Close.
+func TestStoreWithoutDirCreatesNoDirectory(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	assertEmpty := func(when string) {
+		t.Helper()
+		entries, err := os.ReadDir(tmp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			t.Errorf("%s: store without a data directory left %s in TMPDIR", when, e.Name())
 		}
 	}
-	s = reopen(t, s, dir, mk(EngineDisk))
-	assertSameState(t, s, shadow)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+	for _, kind := range storeKinds {
+		s, err := NewStoreKind(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Insert(Item{Key: testKey(1), Value: "v"})
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		assertEmpty(kind + " store open")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertEmpty(kind + " store closed")
 	}
 }
 
@@ -628,26 +731,57 @@ func checkpointedStore(t *testing.T, kind string, n int) (*Store, []keyspace.Key
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	keys := make([]keyspace.Key, n)
-	for i := range keys {
-		keys[i] = keyspace.MustFromFloat(float64(i)/float64(n), 32)
-		s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
-	}
+	keys := insertCeilingPairs(s, n)
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	return s, keys
 }
 
-// TestEngineReadAllocCeilings holds each engine's point and range read
-// paths to their allocation ceilings.
+// insertCeilingPairs inserts n pairs, keys i/n for i < n, and returns the
+// keys in order.
+func insertCeilingPairs(s *Store, n int) []keyspace.Key {
+	keys := make([]keyspace.Key, n)
+	for i := range keys {
+		keys[i] = keyspace.MustFromFloat(float64(i)/float64(n), 32)
+		s.Insert(Item{Key: keys[i], Value: fmt.Sprintf("v%d", i)})
+	}
+	return keys
+}
+
+// TestEngineReadAllocCeilings holds each policy's point and range read
+// paths to their allocation ceilings: a checkpointed store of either
+// policy, and a store without a data directory, which is a memtable alone
+// under either and so holds the mem ceilings. A checkpointed resident
+// store reads its memtable alone too: it reports no segment.
 func TestEngineReadAllocCeilings(t *testing.T) {
-	for engine, ceiling := range map[string]struct{ get, scan, misaligned int }{
-		EngineMem:  {memGetAllocCeiling, memScanAllocCeiling, memMisalignedAllocCeiling},
-		EngineDisk: {diskGetAllocCeiling, diskScanAllocCeiling, diskMisalignedAllocCeiling},
+	type ceilings struct{ get, scan, misaligned int }
+	mem := ceilings{memGetAllocCeiling, memScanAllocCeiling, memMisalignedAllocCeiling}
+	disk := ceilings{diskGetAllocCeiling, diskScanAllocCeiling, diskMisalignedAllocCeiling}
+	for _, c := range []struct {
+		name    string
+		kind    string
+		persist bool
+		ceiling ceilings
+	}{
+		{EngineMem, EngineMem, true, mem},
+		{EngineDisk, EngineDisk, true, disk},
+		{"mem without dir", EngineMem, false, mem},
+		{"disk without dir", EngineDisk, false, mem},
 	} {
-		t.Run(engine, func(t *testing.T) {
-			s, keys := checkpointedStore(t, engine, readCeilingPairs)
+		t.Run(c.name, func(t *testing.T) {
+			var s *Store
+			var keys []keyspace.Key
+			if c.persist {
+				s, keys = checkpointedStore(t, c.kind, readCeilingPairs)
+			} else {
+				s = newTestStoreKind(t, c.kind)
+				keys = insertCeilingPairs(s, readCeilingPairs)
+			}
+			if c.kind == EngineMem && (s.Stats().EngineStats.Segments != 0 || !s.eng.single()) {
+				t.Fatalf("resident store reads beneath its memtable: %d segments, frozen %v", s.eng.segmentCount(), s.eng.frozen != nil)
+			}
+			ceiling := c.ceiling
 			i := 0
 			get := testing.AllocsPerRun(readCeilingPairs, func() {
 				if len(s.Lookup(keys[i%readCeilingPairs])) != 1 {

@@ -1,11 +1,13 @@
 package replication
 
-// The ordered in-memory index beneath both storage engines: a B-tree of
-// pair records keyed by (key bit string, value), holding the records
-// inline, 15 to 31 to a node. The mem engine keeps every live pair in one;
-// the disk engine keeps its memtable and its frozen memtable in two. A scan
-// seeks to its lower bound and walks in order, so no engine sorts on a read
-// and a prefix scan costs O(log n) plus the records it yields.
+// The ordered in-memory index of the storage engine: a B-tree of pair
+// records keyed by (key bit string, value), holding the records inline, 15
+// to 31 to a node. The engine's memtable is one — every live pair on the
+// resident policy — and a frozen memtable awaiting its flush another. A
+// scan seeks to its lower bound and walks in order, so the engine never
+// sorts on a read and a prefix scan costs O(log n) plus the records it
+// yields; a sorted run, such as the segments a resident store reads back
+// at open, is loaded bottom-up (fill).
 
 import "slices"
 
@@ -13,10 +15,8 @@ import "slices"
 // than the root holds indexDegree-1 to 2·indexDegree-1 records.
 const indexDegree = 16
 
-// indexEntry is one record of an index: the pair, plus a payload A the
-// owning engine keeps beside it. The mem engine's struct{} costs nothing
-// (a zero-size leading field adds no padding); the disk engine's memtables
-// store their delete-marker flag there.
+// indexEntry is one record of an index: the pair, plus a payload A kept
+// beside it. The engine's memtables store their delete-marker flag there.
 type indexEntry[A any] struct {
 	aux A
 	PairRecord
@@ -110,6 +110,46 @@ func (t *orderedIndex[A]) upsert(e indexEntry[A]) bool {
 			continue // the pair may now be the raised record or belong right of it
 		}
 		n = n.children[i]
+	}
+}
+
+// fill loads entries, distinct and in pair order, into the empty index,
+// building it bottom-up: each level is cut into as few nodes as hold its
+// records, one record between two nodes rising to the level above, so the
+// nodes come out nearly full where ordered upserts would leave them half
+// full. The nodes share entries' array, each capped at its own part, so an
+// insertion into one reallocates it rather than overwrite a neighbour.
+func (t *orderedIndex[A]) fill(entries []indexEntry[A]) {
+	t.n = len(entries)
+	items, children := entries, []*indexNode[A](nil) // this level's records and, above the leaves, its subtrees
+	for len(items) > 0 {
+		maxItems := 2*t.degree - 1
+		m := (len(items) + maxItems + 1) / (maxItems + 1) // nodes: ceil((records+1)/(maxItems+1))
+		kept := len(items) - (m - 1)
+		nodes := make([]*indexNode[A], m)
+		raised := make([]indexEntry[A], 0, m-1)
+		for j, pos, child := 0, 0, 0; j < m; j++ {
+			k := kept / m
+			if j < kept%m {
+				k++
+			}
+			n := &indexNode[A]{items: items[pos : pos+k : pos+k]}
+			if children != nil {
+				n.children = children[child : child+k+1 : child+k+1]
+				child += k + 1
+			}
+			nodes[j] = n
+			pos += k
+			if j < m-1 {
+				raised = append(raised, items[pos])
+				pos++
+			}
+		}
+		if m == 1 {
+			t.root = nodes[0]
+			return
+		}
+		items, children = raised, nodes
 	}
 }
 
@@ -253,7 +293,7 @@ func (n *indexNode[A]) ascend(from string, fn func(*indexEntry[A]) bool) bool {
 }
 
 // indexCursor walks an index in order with one entry of lookahead, the
-// shape the disk engine's k-way merge consumes. The index must not be
+// shape the engine's k-way merge consumes. The index must not be
 // mutated while a cursor is in use.
 type indexCursor[A any] struct {
 	stack []indexFrame[A] // root to current node; the top frame names the current entry

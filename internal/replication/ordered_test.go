@@ -226,6 +226,48 @@ func TestOrderedIndexMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestOrderedIndexFill: an index filled from sorted entries keeps the
+// B-tree shape at degrees 2 to 5 and every size up to 250, holds exactly
+// the entries, and stays right under the upserts and removes that follow:
+// the pairs filled are every other one, and the ones between them go into
+// nodes that share the filled array.
+func TestOrderedIndexFill(t *testing.T) {
+	bounds := indexBounds(5)
+	rng := rand.New(rand.NewSource(37))
+	var all indexOracle
+	for b := 0; b < 1<<9; b++ {
+		k := fmt.Sprintf("%09b", b)
+		all.upsert(indexEntry[int]{aux: b, PairRecord: PairRecord{Key: k[:rng.Intn(10)], Value: k}})
+	}
+	for degree := 2; degree <= 5; degree++ {
+		for n := 0; n <= 250; n += 1 + n/8 {
+			var o indexOracle
+			for i := 0; i < 2*n; i += 2 {
+				o = append(o, all[i])
+			}
+			idx := &orderedIndex[int]{degree: degree}
+			idx.fill(slices.Clone(o))
+			checkIndexShape(t, idx)
+			checkIndex(t, idx, o, bounds)
+			for _, i := range rng.Perm(2 * n) {
+				e := all[i]
+				e.aux = -i
+				if i%5 == 4 {
+					got, gotOK := idx.remove(e.Key, e.Value)
+					want, wantOK := o.remove(e.Key, e.Value)
+					if gotOK != wantOK || got != want {
+						t.Fatalf("degree %d, %d filled: remove(%q,%q) = %v %v, oracle %v %v", degree, n, e.Key, e.Value, got, gotOK, want, wantOK)
+					}
+				} else if got, want := idx.upsert(e), o.upsert(e); got != want {
+					t.Fatalf("degree %d, %d filled: upsert(%q,%q) reported new=%v, oracle %v", degree, n, e.Key, e.Value, got, want)
+				}
+			}
+			checkIndexShape(t, idx)
+			checkIndex(t, idx, o, bounds)
+		}
+	}
+}
+
 // FuzzOrderedIndex runs the oracle comparison on operations read from the
 // fuzz bytes, two bytes an operation. The first byte picks the degree (2 to
 // 5). In an operation's first byte, the low two bits choose upsert (0, 1),

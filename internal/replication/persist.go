@@ -75,13 +75,15 @@ type PersistOptions struct {
 	// CheckpointIfNeeded writes a snapshot and truncates the log. Zero
 	// means DefaultSnapshotThreshold.
 	SnapshotThreshold int
-	// Engine selects the storage engine backing the live pairs: EngineMem,
-	// EngineDisk, or "" for the process default (PGRID_ENGINE). The disk
-	// engine keeps its segment files in the store's data directory, next to
-	// the WAL and snapshots. A directory written under one engine opens
-	// cleanly under the other: the pairs migrate at open (mem reads the
-	// segments back; disk starts from the inlined snapshot) and the next
-	// checkpoint rewrites the directory in the new engine's shape.
+	// Engine selects the storage engine's residency policy: EngineMem,
+	// EngineDisk, or "" for the process default (PGRID_ENGINE). Under
+	// EngineDisk the live pairs are served from segment files in the data
+	// directory, next to the WAL and snapshots; under EngineMem they all
+	// stay in memory and a checkpoint writes them as one segment that is
+	// read back only at open. (A store without a data directory takes the
+	// same kinds through NewStoreKind, where they make no difference.) Both
+	// policies write the same directory shape, so a directory opens under
+	// either, with no conversion step.
 	Engine string
 }
 
@@ -126,13 +128,9 @@ type Persistence struct {
 // stores.
 func OpenStore(dir string, opts PersistOptions) (*Store, error) {
 	opts = opts.normalize()
-	kind := opts.Engine
-	switch kind {
-	case "":
-		kind = defaultEngineKind
-	case EngineMem, EngineDisk:
-	default:
-		return nil, fmt.Errorf("replication: unknown storage engine %q", opts.Engine)
+	resident, err := residentKind(opts.Engine)
+	if err != nil {
+		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -141,28 +139,16 @@ func OpenStore(dir string, opts PersistOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if haveSnap && snap.External && kind == EngineMem {
-		// Disk-to-mem migration: inline the segment pairs into the snapshot
-		// state so the ordinary load path below installs them.
-		if err := inlineSegmentPairs(dir, snap); err != nil {
-			return nil, err
-		}
+	var manifest []string
+	count := 0
+	if haveSnap && snap.External {
+		manifest, count = snap.Manifest, snap.Count
 	}
-	var eng Engine
-	if kind == EngineDisk {
-		var manifest []string
-		count := 0
-		if haveSnap && snap.External {
-			manifest, count = snap.Manifest, snap.Count
-		}
-		eng, err = openDiskEngine(dir, manifest, count)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		eng = newMemEngine()
+	eng, err := openEngine(dir, manifest, count, resident)
+	if err != nil {
+		return nil, err
 	}
-	s := newStoreWithEngine(eng, kind)
+	s := newStoreWithEngine(eng)
 	var startSeq uint64
 	if haveSnap {
 		s.loadSnapshot(snap)
@@ -322,10 +308,8 @@ func (s *Store) Persistent() bool { return s.persist != nil }
 // can alarm and fail the peer over instead of discovering the rollback at
 // the next restart.
 func (s *Store) PersistenceErr() error {
-	if ee, ok := s.eng.(interface{ Err() error }); ok {
-		if err := ee.Err(); err != nil {
-			return err
-		}
+	if err := s.eng.Err(); err != nil {
+		return err
 	}
 	if s.persist == nil {
 		return nil
@@ -345,8 +329,7 @@ func (s *Store) Sync() error {
 }
 
 // Close syncs and closes the store's persistence, then releases the
-// storage engine (for a throwaway disk engine this removes its temp
-// directory). The store must not be used afterwards.
+// storage engine's open segments. The store must not be used afterwards.
 func (s *Store) Close() error {
 	var perr error
 	if s.persist != nil {
@@ -373,13 +356,15 @@ func (s *Store) WALRecords() int {
 // atomically, and deletes the WAL segments the snapshot covers. It is a
 // no-op for non-persistent stores.
 //
-// On the disk engine the pairs are not inlined into the snapshot: the
-// memtable is frozen at the same boundary, flushed to a new segment file
-// (with compaction once enough segments accumulate) outside the store
-// lock, and the snapshot records the resulting segment manifest. Segment
-// files replaced by compaction are deleted only after the snapshot naming
-// their replacement is durable, so a crash at any point leaves a manifest
-// whose files all exist.
+// The pairs are never inlined into the snapshot: they are written to
+// segment files outside the store lock, and the snapshot records the
+// resulting segment manifest. On the disk policy the memtable is frozen at
+// the boundary and flushed to a new segment (with compaction once enough
+// segments accumulate); on the resident policy a copy of the pairs taken
+// at the boundary becomes one segment, which replaces the previous ones.
+// Segment files a checkpoint replaces are deleted only after the snapshot
+// naming their replacement is durable, so a crash at any point leaves a
+// manifest whose files all exist.
 func (s *Store) Checkpoint() error {
 	p := s.persist
 	if p == nil {
@@ -387,98 +372,28 @@ func (s *Store) Checkpoint() error {
 	}
 	p.ckptMu.Lock()
 	defer p.ckptMu.Unlock()
-	disk, isDisk := s.eng.(*diskEngine)
 	s.mu.Lock()
-	st := s.snapshotStateLocked(!isDisk)
-	if isDisk {
-		disk.freeze()
-	}
+	st := s.snapshotStateLocked()
+	recs := s.eng.freeze()
 	err := p.rotate()
 	st.Seq = p.seq
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	var cleanup func()
-	if isDisk {
-		manifest, cl, ferr := disk.flushFrozen()
-		if ferr != nil {
-			// The frozen memtable stays pending (retried by the next
-			// checkpoint); the rotated WAL still covers everything since the
-			// previous snapshot, so no state is lost.
-			return ferr
-		}
-		st.Manifest = manifest
-		cleanup = cl
+	manifest, cleanup, err := s.eng.flush(recs)
+	if err != nil {
+		// A frozen memtable stays pending (retried by the next checkpoint);
+		// the rotated WAL still covers everything since the previous
+		// snapshot, so no state is lost.
+		return err
 	}
+	st.Manifest = manifest
 	if err := writeSnapshot(p.dir, st); err != nil {
 		return err
 	}
-	if cleanup != nil {
-		cleanup()
-	}
-	if !isDisk {
-		// A mem-engine snapshot inlines every pair: segment files left over
-		// from an earlier disk-engine era are now unreferenced.
-		removeSegmentFiles(p.dir)
-	}
+	cleanup()
 	removeBelow(p.dir, st.Seq)
-	return nil
-}
-
-// removeSegmentFiles deletes every storage-engine segment file in dir (best
-// effort; only called when the current snapshot references none).
-func removeSegmentFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if _, ok := parseSeq(e.Name(), "seg-", ".seg"); ok {
-			os.Remove(filepath.Join(dir, e.Name()))
-		}
-	}
-}
-
-// inlineSegmentPairs rewrites an external-pairs snapshot state into inline
-// form by merging the manifest's segment files (disk-to-mem migration at
-// open).
-func inlineSegmentPairs(dir string, st *snapshotState) error {
-	var segs []*segment
-	defer func() {
-		for _, g := range segs {
-			g.close()
-		}
-	}()
-	for _, name := range st.Manifest {
-		g, err := openSegment(filepath.Join(dir, name), name)
-		if err != nil {
-			return fmt.Errorf("replication: open segment %s: %w", name, err)
-		}
-		segs = append(segs, g)
-	}
-	sources := make([]pairSource, 0, len(segs))
-	for i := len(segs) - 1; i >= 0; i-- { // newest first: merge keeps the newest state
-		it, err := segs[i].iter("", "")
-		if err != nil {
-			return err
-		}
-		sources = append(sources, it)
-	}
-	err := mergeSources(sources, "", func(rec segRec) bool {
-		if !rec.Del {
-			st.Items = append(st.Items, snapItem{K: rec.Key, V: rec.Value, Gen: rec.Gen, Ver: rec.Ver})
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	// Inline mode rebuilds the digest tree from the installed pairs; the
-	// carried cells are no longer needed.
-	st.External = false
-	st.Manifest, st.Digests = nil, nil
-	st.Count = 0
 	return nil
 }
 
@@ -686,28 +601,24 @@ func readWALRecord(d *wire.Decoder, op byte, rec any) error {
 
 // --- snapshot capture and restore -------------------------------------------
 
-// snapshotStateLocked serialises the store's durable state (callers must
-// hold s.mu). With inlinePairs the live pairs are scanned out of the engine
-// into the snapshot (mem engine); without it the snapshot carries the pair
-// count and the dense digest tree instead, and Checkpoint fills in the
-// segment manifest after the flush (disk engine).
-func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
-	st := &snapshotState{Clock: s.clock, GCFloor: s.gcFloor}
-	if inlinePairs {
-		st.Items = make([]snapItem, 0, s.eng.Len())
-		s.eng.ScanPrefix("", "", func(rec PairRecord) bool {
-			st.Items = append(st.Items, snapItem{K: rec.Key, V: rec.Value, Gen: rec.Gen, Ver: rec.Ver})
-			return true
-		})
-	} else {
-		st.External = true
-		st.Count = s.eng.Len()
-		for idx, cell := range s.dig {
-			if cell != (digestCell{}) {
-				st.Digests = append(st.Digests, snapDigest{P: densePrefixString(uint16(idx)), H: cell.hash, N: uint64(cell.n)})
-			}
+// snapshotStateLocked captures the store's durable state (callers must
+// hold s.mu): the pair count and the dense digest tree stand in for the
+// pairs, which Checkpoint writes to segments and names in the manifest.
+func (s *Store) snapshotStateLocked() *snapshotState {
+	st := &snapshotState{Clock: s.clock, GCFloor: s.gcFloor, External: true, Count: s.eng.Len()}
+	cells := 0
+	for _, cell := range s.dig {
+		if cell != (digestCell{}) {
+			cells++
 		}
 	}
+	st.Digests = make([]snapDigest, 0, cells)
+	for idx, cell := range s.dig {
+		if cell != (digestCell{}) {
+			st.Digests = append(st.Digests, snapDigest{P: densePrefixString(uint16(idx)), H: cell.hash, N: uint64(cell.n)})
+		}
+	}
+	st.Tombs = make([]snapTomb, 0, len(s.tombs))
 	for pk, t := range s.tombs {
 		st.Tombs = append(st.Tombs, snapTomb{K: pk.k, V: pk.v, Gen: t.gen, Born: t.born, At: t.at, Ver: t.ver})
 	}
@@ -728,9 +639,11 @@ func (s *Store) snapshotStateLocked(inlinePairs bool) *snapshotState {
 }
 
 // loadSnapshot installs a decoded snapshot into the (empty, un-attached)
-// store. Inline snapshots rebuild the digest tree pair by pair; external
-// ones install the carried dense cells directly — the pairs are already in
-// the engine's segments and are never scanned.
+// store. External snapshots install the carried dense cells directly — the
+// pairs are already in the engine, in its segments or read back into its
+// memtable, and are never rehashed. An inline snapshot, which checkpoints
+// no longer write, rebuilds the digest tree pair by pair; the next
+// checkpoint rewrites its directory as external.
 func (s *Store) loadSnapshot(st *snapshotState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -17,30 +17,14 @@ import (
 	"pgrid/internal/keyspace"
 )
 
-// countingEngine counts the records its engine's prefix scans yield.
-type countingEngine struct {
-	Engine
-	yielded int
-}
-
-func (c *countingEngine) ScanPrefix(prefix, from string, fn func(PairRecord) bool) {
-	c.Engine.ScanPrefix(prefix, from, func(rec PairRecord) bool {
-		c.yielded++
-		return fn(rec)
-	})
-}
-
-// TestScanRangeVisitsOnlyRange: a range read makes the engine yield the
-// records it returns plus at most the one that ends it, even when the
-// bounds share no prefix, so nothing below Lo is walked.
+// TestScanRangeVisitsOnlyRange: the engine scan a range read issues yields
+// the records the read returns plus at most the one that ends it, even
+// when the bounds share no prefix, so nothing below Lo is walked.
 func TestScanRangeVisitsOnlyRange(t *testing.T) {
 	const pairs = 4096
 	for _, kind := range storeKinds {
 		t.Run(kind, func(t *testing.T) {
 			s, keys := checkpointedStore(t, kind, pairs)
-			ce := &countingEngine{Engine: s.eng}
-			s.eng = ce
-			defer func() { s.eng = ce.Engine }()
 			for _, c := range []struct {
 				r    keyspace.Range
 				want int
@@ -48,15 +32,23 @@ func TestScanRangeVisitsOnlyRange(t *testing.T) {
 				{keyspace.NewRange(keys[pairs/2-8], keys[pairs/2+8]), 16}, // straddles 1/2
 				{keyspace.RangeFrom(keys[pairs-96]), 96},
 			} {
-				ce.yielded = 0
-				returned := 0
-				s.ScanRange(c.r, func(Item) bool { returned++; return true })
-				if returned != c.want {
-					t.Fatalf("range %v returned %d items, want %d", c.r, returned, c.want)
+				var returned []string
+				s.ScanRange(c.r, func(it Item) bool { returned = append(returned, it.Key.String()); return true })
+				if len(returned) != c.want {
+					t.Fatalf("range %v returned %d items, want %d", c.r, len(returned), c.want)
 				}
-				if ce.yielded > returned+1 {
+				prefix, lo, hi := rangeBounds(c.r)
+				yielded := 0
+				s.eng.ScanPrefix(prefix, lo, func(rec PairRecord) bool {
+					if yielded < len(returned) && rec.Key != returned[yielded] {
+						t.Fatalf("range %v: engine record %d is %q, the read returned %q", c.r, yielded, rec.Key, returned[yielded])
+					}
+					yielded++
+					return c.r.HiUnbounded || rec.Key < hi
+				})
+				if yielded > len(returned)+1 {
 					t.Errorf("range %v returned %d items but the engine yielded %d records",
-						c.r, returned, ce.yielded)
+						c.r, len(returned), yielded)
 				}
 			}
 		})
@@ -79,7 +71,10 @@ func TestEngineConformanceScanFrom(t *testing.T) {
 	for kind, mk := range conformanceEngines() {
 		t.Run(kind, func(t *testing.T) {
 			eng := mk(t)
-			disk, _ := eng.(*diskEngine)
+			disk := eng
+			if eng.resident {
+				disk = nil
+			}
 			rng := rand.New(rand.NewSource(23))
 			live := map[pairKey]PairRecord{}
 			ver := uint64(0)
@@ -108,14 +103,8 @@ func TestEngineConformanceScanFrom(t *testing.T) {
 				}
 			}
 			flush := func() {
-				if disk == nil {
-					return
-				}
-				disk.freeze()
-				if _, cleanup, err := disk.flushFrozen(); err != nil {
-					t.Fatal(err)
-				} else if cleanup != nil {
-					cleanup()
+				if disk != nil {
+					flushEngine(t, disk)
 				}
 			}
 			check := func(phase string) {
@@ -320,20 +309,16 @@ func FuzzScanRange(f *testing.F) {
 // in the frozen memtable, both resolve to the memtable's state in every
 // scan and point read, over a segment holding older states of both.
 func TestDiskScanMemtableShadowsFrozen(t *testing.T) {
-	eng, err := openDiskEngine(t.TempDir(), nil, 0)
+	eng, err := openEngine(t.TempDir(), nil, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
 	checkpoint := func(flush bool) {
-		eng.freeze()
-		if !flush {
-			return
-		}
-		if _, cleanup, err := eng.flushFrozen(); err != nil {
-			t.Fatal(err)
-		} else if cleanup != nil {
-			cleanup()
+		if flush {
+			flushEngine(t, eng)
+		} else {
+			eng.freeze()
 		}
 	}
 	reborn := PairRecord{Key: "0110", Value: "a", Gen: 3, Ver: 4}

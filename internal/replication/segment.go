@@ -1,9 +1,10 @@
 package replication
 
-// Sorted segment files for the disk storage engine (diskengine.go). A
-// segment is an immutable run of pair records in (key, value) order — a
-// flushed memtable, or the merge of every earlier segment produced by
-// compaction — plus a sparse index for point lookups.
+// Sorted segment files for the storage engine (engine.go). A segment is an
+// immutable run of pair records in (key, value) order — a flushed
+// memtable, the merge of every earlier segment produced by compaction, or
+// a resident checkpoint's copy of every pair — plus a sparse index for
+// point lookups.
 //
 // File layout; every record and the index block are structs the shared
 // derived codec (internal/wire) encodes, so a struct's field order is the
@@ -274,12 +275,13 @@ func (g *segment) iter(key, value string) (*segmentIter, error) {
 }
 
 // segmentIter yields a segment's records in order with one record of
-// lookahead (the shape the k-way merge in diskengine.go consumes). It
-// holds one block in memory, decoding from it until it is empty and then
-// loading the next.
+// lookahead (the shape the k-way merge in engine.go consumes). It holds
+// one block in memory, decoding from it until it is empty and then loading
+// the next into the same buffer (decoded strings are copies).
 type segmentIter struct {
 	g      *segment
 	blk    int          // the block to load when d is empty
+	buf    []byte       // the current block
 	d      wire.Decoder // the current block's undecoded records
 	cur    segRec
 	loaded bool
@@ -299,11 +301,12 @@ func (it *segmentIter) peek() (segRec, bool, error) {
 		if it.blk == len(it.g.index) {
 			return segRec{}, false, nil
 		}
-		block, err := it.g.block(it.blk)
+		block, err := it.g.block(it.blk, it.buf)
 		if err != nil {
 			it.err = fmt.Errorf("%w: %v", errSegmentCorrupt, err)
 			return segRec{}, false, it.err
 		}
+		it.buf = block
 		it.d = *wire.NewDecoder(block)
 		it.blk++
 		first = &it.g.index[it.blk-1]
@@ -325,13 +328,18 @@ func (it *segmentIter) peek() (segRec, bool, error) {
 // advance consumes the current record.
 func (it *segmentIter) advance() { it.loaded = false }
 
-// block reads block i of the record region.
-func (g *segment) block(i int) ([]byte, error) {
+// block reads block i of the record region into buf, or into a new
+// buffer if buf is too small.
+func (g *segment) block(i int, buf []byte) ([]byte, error) {
 	end := uint64(g.dataEnd)
 	if i+1 < len(g.index) {
 		end = g.index[i+1].Off
 	}
-	buf := make([]byte, end-g.index[i].Off)
+	n := end - g.index[i].Off
+	if uint64(cap(buf)) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := g.f.ReadAt(buf, int64(g.index[i].Off)); err != nil {
 		return nil, err
 	}

@@ -38,6 +38,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -61,12 +62,13 @@ const (
 	snapTagTomb     byte = 2
 	snapTagBaseline byte = 3
 	snapTagMeta     byte = 4
-	// snapTagEngine marks an external-pairs snapshot (disk engine): the live
-	// pairs are not inlined as snapTagItem records but live in the segment
-	// files the record's manifest names. Carries the live pair count.
+	// snapTagEngine marks an external-pairs snapshot, the only kind a
+	// checkpoint writes: the live pairs are not inlined as snapTagItem
+	// records but live in the segment files the record's manifest names.
+	// Carries the live pair count.
 	snapTagEngine byte = 5
 	// snapTagDigest is one dense digest-tree cell. Only written in external
-	// mode, where recovery cannot rebuild the tree from inlined items; the
+	// mode, where recovery does not rebuild the tree from the pairs; the
 	// dense tree is bounded (prefixes up to digestDenseDepth), so this keeps
 	// recovery free of any pair scan.
 	snapTagDigest byte = 6
@@ -136,15 +138,16 @@ type snapshotState struct {
 	Baselines map[string]Baseline
 	Meta      map[string]string
 
-	// External-pairs mode (disk engine): the live pairs are in the segment
-	// files named by Manifest rather than inlined in Items, Count is the
-	// live pair count at the boundary, and Digests carries the dense digest
-	// tree so recovery does not scan the pairs.
+	// External-pairs mode (every checkpoint; Items is read only from older
+	// directories): the live pairs are in the segment files named by
+	// Manifest rather than inlined in Items, Count is the live pair count
+	// at the boundary, and Digests carries the dense digest tree so
+	// recovery does not rehash the pairs.
 	External bool
 	Count    int
 	Manifest []string
 	Digests  []snapDigest
-	// MutLog is the mutation dedup ring, oldest first (both engines).
+	// MutLog is the mutation dedup ring, oldest first.
 	MutLog []uint64
 }
 
@@ -182,8 +185,12 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // encodeSnapshotTo streams the snapshot's records through a buffered writer
 // in the binary format. Each record is encoded into a small reused scratch
 // buffer, so the memory high-water mark of writing a checkpoint is one
-// record plus the writer's buffer — not an image of the store.
+// record plus the writer's buffer — not an image of the store. Tombstones
+// (sorted in place by pair), baselines and metadata (by key) are written
+// in order, so one state always encodes to the same bytes; the sort runs
+// here, on the captured state, outside the store lock.
 func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
+	slices.SortFunc(st.Tombs, func(a, b snapTomb) int { return pairCompare(a.K, a.V, b.K, b.V) })
 	bw := bufio.NewWriterSize(w, 256<<10)
 	cw := &crcWriter{w: bw}
 	scratch := append(make([]byte, 0, 256), snapMagic...) // reused for every record
@@ -201,11 +208,11 @@ func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
 	for _, tb := range st.Tombs {
 		emit(snapTagTomb, tb)
 	}
-	for addr, b := range st.Baselines {
-		emit(snapTagBaseline, baselineRecord{Replica: addr, Baseline: b})
+	for _, addr := range sortedKeys(st.Baselines) {
+		emit(snapTagBaseline, baselineRecord{Replica: addr, Baseline: st.Baselines[addr]})
 	}
-	for k, v := range st.Meta {
-		emit(snapTagMeta, metaRecord{Key: k, Value: v})
+	for _, k := range sortedKeys(st.Meta) {
+		emit(snapTagMeta, metaRecord{Key: k, Value: st.Meta[k]})
 	}
 	if st.External {
 		emit(snapTagEngine, snapEngine{Count: uint64(st.Count), Manifest: st.Manifest})
@@ -228,6 +235,16 @@ func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
 		return err
 	}
 	return bw.Flush()
+}
+
+// sortedKeys returns a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // errSnapshotCorrupt reports an unreadable snapshot; recovery skips it in

@@ -13,18 +13,18 @@ import (
 	"strings"
 )
 
-// EngineStats describes a storage engine's internal shape. All fields are
-// zero for the in-memory engine, whose only gauge is the store's own item
-// count.
+// EngineStats describes the storage engine's internal shape on the disk
+// policy. All fields are zero on the resident (mem) policy, whose only
+// gauge is the store's own item count.
 type EngineStats struct {
 	// Segments is the number of immutable sorted segment files currently
-	// serving reads (disk engine).
+	// serving reads (disk policy).
 	Segments int
 	// MemtableLen is the number of entries in the active memtable,
-	// including delete markers shadowing segment records (disk engine).
+	// including delete markers shadowing segment records (disk policy).
 	MemtableLen int
 	// FrozenLen is the number of entries frozen for an in-progress flush
-	// (disk engine; 0 outside a checkpoint).
+	// (disk policy; 0 outside a checkpoint).
 	FrozenLen int
 }
 
@@ -41,7 +41,7 @@ type StoreStats struct {
 	GCFloor uint64
 	// Engine is the storage engine kind (EngineMem or EngineDisk).
 	Engine string
-	// EngineStats describes the engine's internal shape (disk engine only).
+	// EngineStats describes the engine's internal shape (disk policy only).
 	EngineStats EngineStats
 	// Persistent reports whether the store is WAL-backed.
 	Persistent bool
@@ -58,16 +58,14 @@ type StoreStats struct {
 // concurrently with mutations; intended for metrics scrapes.
 func (s *Store) Stats() StoreStats {
 	st := StoreStats{
-		Items:      s.Len(),
-		Tombstones: s.TombstoneCount(),
-		Clock:      s.Clock(),
-		GCFloor:    s.GCFloor(),
-		Engine:     s.engKind,
-		Persistent: s.persist != nil,
-		WALRecords: s.WALRecords(),
-	}
-	if es, ok := s.eng.(interface{ Stats() EngineStats }); ok {
-		st.EngineStats = es.Stats()
+		Items:       s.Len(),
+		Tombstones:  s.TombstoneCount(),
+		Clock:       s.Clock(),
+		GCFloor:     s.GCFloor(),
+		Engine:      s.EngineKind(),
+		EngineStats: s.eng.stats(),
+		Persistent:  s.persist != nil,
+		WALRecords:  s.WALRecords(),
 	}
 	if s.persist != nil {
 		st.WALSegments = s.persist.segmentCount()
@@ -91,8 +89,11 @@ func (p *Persistence) segmentCount() int {
 	return n
 }
 
-// Stats reports the disk engine's internal shape for metrics scrapes.
-func (e *diskEngine) Stats() EngineStats {
+// stats reports the engine's internal shape for metrics scrapes.
+func (e *engine) stats() EngineStats {
+	if e.resident {
+		return EngineStats{}
+	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	st := EngineStats{Segments: len(e.segs), MemtableLen: e.mem.len()}

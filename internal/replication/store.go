@@ -8,11 +8,12 @@
 //
 // A Store is split into two layers. The index layer — this file — owns the
 // anti-entropy brain: digest tree, logical clock, tombstones, GC horizon,
-// sync baselines and WAL hooks. The raw live pairs live behind the Engine
-// interface (engine.go): an in-memory map (memengine.go, the default) or a
-// disk-backed LSM of sorted segment files (diskengine.go) for stores far
-// bigger than RAM. Digests, deltas and WAL replay are byte-identical on
-// either engine.
+// sync baselines and WAL hooks. The raw live pairs live in the storage
+// engine (engine.go): an ordered memtable over optional sorted segment
+// files, whose residency policy — every pair in memory (EngineMem, the
+// default) or in segments for stores far bigger than RAM (EngineDisk) —
+// only a store with a data directory feels. Digests, deltas and WAL replay
+// are byte-identical under either policy.
 //
 // Stores are non-durable by default. OpenStore binds one to a data
 // directory instead, making its state durable through an append-only,
@@ -58,7 +59,7 @@ const DigestDepth = 20
 // which only happens during walk rounds between diverged replicas and costs
 // a fraction of the partition scan. Keeping the dense tree shallow caps the
 // write amplification (9 cell updates per mutation) and bounds the dense
-// state a snapshot carries for the disk engine.
+// state every snapshot carries.
 const digestDenseDepth = 8
 
 // mutationDedupWindow is the number of recent mutation IDs a store remembers
@@ -143,9 +144,8 @@ type digestCell struct {
 //     further back are incomparable and callers must fall back to a full
 //     sync/rebuild.
 type Store struct {
-	mu      sync.RWMutex
-	eng     Engine // live pairs (engine.go)
-	engKind string // EngineMem or EngineDisk
+	mu  sync.RWMutex
+	eng *engine // live pairs (engine.go)
 	// tombs holds one record per tombstoned pair. It is flat, not a map per
 	// key: a delete of a fresh key, the common case, then costs one map
 	// entry instead of a map of its own.
@@ -194,49 +194,40 @@ type Store struct {
 	}
 }
 
-// NewStore creates an empty store on the process-default storage engine
-// (EngineMem unless PGRID_ENGINE=disk). It panics if the engine cannot be
-// set up — which for the disk engine means the temp directory could not be
-// created, an environment failure; use NewStoreKind to handle it.
-func NewStore() *Store {
-	s, err := NewStoreKind("")
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
+// NewStore creates an empty store without a data directory, on the
+// process-default storage engine kind (EngineMem unless PGRID_ENGINE=disk).
+func NewStore() *Store { return newStoreWithEngine(newEngine(defaultEngineKind == EngineMem)) }
 
-// NewStoreKind creates an empty store on the given storage engine kind
-// (EngineMem, EngineDisk, or "" for the process default). A disk-engine
-// store created this way keeps its segments in a throwaway directory that
-// is removed on Close; durable disk stores are opened through OpenStore
-// with PersistOptions.Engine instead.
+// NewStoreKind creates an empty store without a data directory on the
+// given storage engine kind (EngineMem, EngineDisk, or "" for the process
+// default), refusing unknown kinds. The kind is a residency policy that
+// only matters at checkpoint and open, so such a store behaves the same
+// under either; it reports the kind through EngineKind. Durable stores are
+// opened through OpenStore with PersistOptions.Engine instead.
 func NewStoreKind(kind string) (*Store, error) {
-	eng, err := newEngine(kind)
+	resident, err := residentKind(kind)
 	if err != nil {
 		return nil, err
 	}
-	if kind == "" {
-		kind = defaultEngineKind
-	}
-	return newStoreWithEngine(eng, kind), nil
+	return newStoreWithEngine(newEngine(resident)), nil
 }
 
 // newStoreWithEngine wires a store around an existing engine. The
 // tombstone map is allocated lazily on first use: a freshly joined peer in
 // a large simulation holds no state yet, and thousands of empty maps are
 // pure overhead.
-func newStoreWithEngine(eng Engine, kind string) *Store {
-	return &Store{
-		eng:     eng,
-		engKind: kind,
-		now:     time.Now,
-	}
+func newStoreWithEngine(eng *engine) *Store {
+	return &Store{eng: eng, now: time.Now}
 }
 
 // EngineKind returns the storage engine kind backing the store (EngineMem
 // or EngineDisk).
-func (s *Store) EngineKind() string { return s.engKind }
+func (s *Store) EngineKind() string {
+	if s.eng.resident {
+		return EngineMem
+	}
+	return EngineDisk
+}
 
 // SetTimeSource replaces the wall-clock source used to age tombstones
 // (virtual clocks in simulations, frozen clocks in tests).
@@ -391,22 +382,16 @@ func densePrefixIndex(p string) uint16 {
 
 // densePrefixString decodes a marker-bit index back into its bit string,
 // for writing snapshot digest records.
-func densePrefixString(idx uint16) string {
-	depth := 0
-	for v := idx; v > 1; v >>= 1 {
-		depth++
+func densePrefixString(idx uint16) string { return densePrefixStrings[idx] }
+
+// densePrefixStrings holds every dense-tree prefix's bit string by index,
+// built once, so a checkpoint names its digest cells without allocating.
+var densePrefixStrings = func() (names [2 << digestDenseDepth]string) {
+	for idx := 2; idx < len(names); idx++ { // 1 is the root, ""
+		names[idx] = names[idx>>1] + string("01"[idx&1])
 	}
-	b := make([]byte, depth)
-	for i := depth - 1; i >= 0; i-- {
-		if idx&1 == 1 {
-			b[i] = '1'
-		} else {
-			b[i] = '0'
-		}
-		idx >>= 1
-	}
-	return string(b)
-}
+	return names
+}()
 
 // underDigest reports whether the (possibly short) key bit string belongs
 // to the digest bucket of the prefix, under the zero-padding rule.
@@ -844,21 +829,7 @@ func (s *Store) ItemsInRange(r keyspace.Range) []Item {
 // one. fn returns false to stop early; it must not call back into the
 // store.
 func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
-	// Key.Compare is exactly Go string order on the keys' '0'/'1'
-	// renderings (a proper prefix sorts first), so the engine's lower bound
-	// and the Hi check below compare strings, and only the records returned
-	// are parsed. Every key in [Lo, Hi) shares the bounds' longest common
-	// bit prefix: a key diverging above it sorts after Hi.
-	lo, hi := r.Lo.String(), ""
-	prefix := ""
-	if !r.HiUnbounded {
-		hi = r.Hi.String()
-		i := 0
-		for i < len(lo) && i < len(hi) && lo[i] == hi[i] {
-			i++
-		}
-		prefix = lo[:i]
-	}
+	prefix, lo, hi := rangeBounds(r)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	s.eng.ScanPrefix(prefix, lo, func(rec PairRecord) bool {
@@ -867,6 +838,26 @@ func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
 		}
 		return fn(Item{Key: keyspace.MustFromString(rec.Key), Value: rec.Value, Gen: rec.Gen})
 	})
+}
+
+// rangeBounds returns the engine scan a range read issues: the prefix and
+// lower bound to pass to ScanPrefix, and the key bit string at which to
+// stop ("" when Hi is unbounded). Key.Compare is exactly Go string order on
+// the keys' '0'/'1' renderings (a proper prefix sorts first), so the lower
+// bound and the Hi check compare strings, and only the records returned
+// are parsed. Every key in [Lo, Hi) shares the bounds' longest common bit
+// prefix: a key diverging above it sorts after Hi.
+func rangeBounds(r keyspace.Range) (prefix, lo, hi string) {
+	lo = r.Lo.String()
+	if r.HiUnbounded {
+		return "", lo, ""
+	}
+	hi = r.Hi.String()
+	i := 0
+	for i < len(lo) && i < len(hi) && lo[i] == hi[i] {
+		i++
+	}
+	return lo[:i], lo, hi
 }
 
 // CountWithPrefix returns the number of items under the given path.
@@ -1184,10 +1175,10 @@ func (s *Store) replaceWithinLocked(r walReplace) uint64 {
 
 // Clone returns a deep copy of the store's logical content (items and
 // tombstones; the clone's clock, digests and tombstone ages are rebuilt
-// fresh). The clone always lives on the in-memory engine, whatever backs
-// the original.
+// fresh). The clone has no data directory and the resident policy,
+// whatever backs the original.
 func (s *Store) Clone() *Store {
-	c := newStoreWithEngine(newMemEngine(), EngineMem)
+	c := newStoreWithEngine(newEngine(true))
 	c.AddAll(s.Items())
 	c.AddTombstones(s.Tombstones())
 	return c

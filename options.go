@@ -172,16 +172,16 @@ func WithPersistence(dir string) Option {
 	return func(o *options) { o.cluster.DataDir = dir }
 }
 
-// WithStorageEngine selects the pair-storage engine backing every peer's
-// replica store: "mem" (the default; an in-memory ordered index) or "disk"
-// (log-structured on-disk segments with a small memtable, keeping a
-// partition's resident set bounded regardless of how many pairs it holds —
-// for nodes storing millions of keys). The engine is independent of
-// WithPersistence: a disk-engine store without persistence keeps its
-// segments in a throwaway directory removed on Close, while with
-// persistence the segments live in the peer's data directory and a restart
-// recovers from them without rescanning every pair. An empty engine name
-// uses the PGRID_ENGINE environment variable, falling back to "mem".
+// WithStorageEngine selects the residency policy of every peer's replica
+// store: "mem" (the default; every pair stays in memory, and a checkpoint
+// writes them as one segment that a restart reads back) or "disk" (pairs
+// served from log-structured on-disk segments with a small memtable,
+// keeping a partition's resident set bounded regardless of how many pairs
+// it holds — for nodes storing millions of keys — and a restart recovers
+// without rescanning every pair). The policy only matters together with
+// WithPersistence: without a data directory a store is in memory under
+// either and writes no file. An empty engine name uses the PGRID_ENGINE
+// environment variable, falling back to "mem".
 func WithStorageEngine(engine string) Option {
 	return func(o *options) { o.cluster.Overlay.StorageEngine = engine }
 }

@@ -31,7 +31,6 @@ func main() {
 		offline  = flag.Float64("offline", 0, "fraction of peers taken offline before the query phase")
 		seed     = flag.Int64("seed", 1, "random seed")
 		refs     = flag.Int("refs", 3, "routing references per level")
-		engine   = flag.String("engine", "", "storage engine residency policy per peer: mem or disk; it only matters with a data directory, which simulated peers lack (default: $PGRID_ENGINE, else mem)")
 		showHelp = flag.Bool("help", false, "show usage")
 	)
 	flag.Parse()
@@ -59,7 +58,6 @@ func main() {
 			UseCorrection: *corr,
 			UseHeuristic:  *heur,
 			MaxRefs:       *refs,
-			StorageEngine: *engine,
 		},
 		MaxRounds:       *rounds,
 		Queries:         *queries,

@@ -20,8 +20,9 @@ package replication
 //     scans k-way merge all of them.
 //   - mem (resident): every pair stays in the memtable. A checkpoint writes
 //     a copy of the pairs as one segment, which no read ever touches, and
-//     the previous segments go once the snapshot naming it is durable. Open
-//     merges the manifest's segments into the memtable and closes them.
+//     the previous segments go once the snapshot naming it is durable; with
+//     no pair changed since the last one it keeps them instead. Open merges
+//     the manifest's segments into the memtable and closes them.
 //
 // While neither a frozen memtable nor a segment lies beneath the memtable —
 // always on the resident policy — a read walks the memtable directly, with
@@ -41,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -130,9 +132,15 @@ type engine struct {
 	segs    []*segment // oldest first; none if resident
 	n       int        // live pair count
 	nextSeq uint64     // next segment file sequence (checkpoint-serialised)
-	// files names a resident engine's segments on disk: those its last
-	// checkpoint wrote, or the manifest it opened (checkpoint-serialised).
-	files []string
+	// files names a resident engine's segments on disk: the manifest it
+	// opened or its last checkpoint committed, plus any segment a failed
+	// checkpoint left, which the next committed one removes. mutations
+	// counts Puts and Deletes (under mu); saved is the count the files hold
+	// and taken the one the running checkpoint's freeze captured, so a
+	// resident checkpoint with no mutation since the last one keeps its
+	// files (checkpoint-serialised, like files).
+	files                   []string
+	mutations, taken, saved uint64
 
 	errMu sync.Mutex
 	err   error // sticky segment I/O failure
@@ -292,6 +300,7 @@ func (e *engine) Put(rec PairRecord, isNew bool) {
 	if isNew {
 		e.n++
 	}
+	e.mutations++
 	e.mu.Unlock()
 }
 
@@ -307,6 +316,7 @@ func (e *engine) Delete(key, value string) (PairRecord, bool) {
 			return PairRecord{}, false
 		}
 		e.n--
+		e.mutations++
 		return ent.PairRecord, true
 	}
 	rec, live := e.lookupLocked(key, value)
@@ -315,6 +325,7 @@ func (e *engine) Delete(key, value string) (PairRecord, bool) {
 	}
 	e.mem.upsert(indexEntry[bool]{aux: true, PairRecord: PairRecord{Key: key, Value: value}})
 	e.n--
+	e.mutations++
 	return rec.PairRecord, true
 }
 
@@ -458,13 +469,18 @@ func mergeSources(sources []pairSource, prefix string, fn func(segRec) bool) err
 // freeze captures what a checkpoint writes. Called with the owning Store's
 // lock held, at the WAL rotation point, so the capture is exactly the state
 // at the snapshot boundary. A resident engine returns a copy of its
-// records. Otherwise the active memtable moves aside for flushing; if an
-// earlier flush failed, its frozen set is merged under the new one, the
-// memtable's entries replacing the frozen ones of the same pair.
+// records, or nothing when its files already hold them. Otherwise the
+// active memtable moves aside for flushing; if an earlier flush failed, its
+// frozen set is merged under the new one, the memtable's entries replacing
+// the frozen ones of the same pair.
 func (e *engine) freeze() []PairRecord {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.resident {
+		e.taken = e.mutations
+		if e.taken == e.saved {
+			return nil
+		}
 		recs := make([]PairRecord, 0, e.n)
 		e.mem.ascend("", func(ent *indexEntry[bool]) bool {
 			recs = append(recs, ent.PairRecord)
@@ -487,50 +503,84 @@ func (e *engine) freeze() []PairRecord {
 	return nil
 }
 
-// flush writes what freeze captured and returns the manifest (the segment
-// files now holding the pairs) plus a cleanup that deletes the segments
-// the manifest replaces — to be invoked only after the snapshot naming the
-// manifest is durable. A resident engine writes recs as one segment; the
-// disk policy flushes the frozen memtable to a new segment and compacts
-// past the threshold. Runs outside the store lock; serialised by the
+// flushed is what a checkpoint's flush leaves for its snapshot: the
+// manifest (the segment files now holding the pairs), wait, which blocks
+// until those files are durable (nil when they already are), and commit,
+// called once the snapshot naming the manifest is durable (true) or has
+// failed (false).
+type flushed struct {
+	manifest []string
+	wait     func() error
+	commit   func(ok bool)
+}
+
+// flush writes what freeze captured. The disk policy flushes the frozen
+// memtable to a new segment and compacts past the threshold; its commit
+// deletes the segments a compaction replaced. A resident engine writes recs
+// as one segment, in the background while the snapshot is written, and
+// keeps its files when freeze captured no change; its commit deletes every
+// other segment file it holds. Runs outside the store lock; serialised by the
 // checkpoint mutex.
-func (e *engine) flush(recs []PairRecord) (manifest []string, cleanup func(), err error) {
-	if e.resident {
-		name, err := e.writeSegment(func(add func(segRec) error) error {
-			for _, rec := range recs {
-				if err := add(segRec{PairRecord: rec}); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+func (e *engine) flush(recs []PairRecord) (flushed, error) {
+	if !e.resident {
+		cleanup, err := e.flushFrozen()
 		if err != nil {
-			return nil, nil, err
+			return flushed{}, err
 		}
-		if name != "" {
-			manifest = []string{name}
-		}
-		old := e.files
-		cleanup = func() {
-			for _, name := range old {
-				os.Remove(filepath.Join(e.dir, name))
+		f := flushed{commit: func(ok bool) {
+			if ok {
+				cleanup()
 			}
-			e.files = manifest
-		}
-	} else {
-		if cleanup, err = e.flushFrozen(); err != nil {
-			return nil, nil, err
-		}
+		}}
 		e.mu.RLock()
 		for _, g := range e.segs {
-			manifest = append(manifest, g.name)
+			f.manifest = append(f.manifest, g.name)
 		}
 		e.mu.RUnlock()
+		return f, nil
 	}
-	if err := syncDir(e.dir); err != nil {
-		return nil, nil, err
+	if e.taken == e.saved {
+		// No mutation since the files were written: they are the manifest.
+		return flushed{manifest: e.files, commit: func(bool) {}}, nil
 	}
-	return manifest, cleanup, nil
+	var f flushed
+	if len(recs) > 0 {
+		// The segment is written while the snapshot is.
+		name := segmentFileName(e.nextSeq)
+		e.nextSeq++
+		f.manifest = []string{name}
+		e.files = append(e.files, name)
+		done := make(chan struct{})
+		var err error
+		go func() {
+			defer close(done)
+			_, err = writeSegmentFile(filepath.Join(e.dir, name), func(add func(segRec) error) error {
+				for _, rec := range recs {
+					if err := add(segRec{PairRecord: rec}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}()
+		f.wait = func() error { <-done; return err }
+	}
+	taken := e.taken
+	f.commit = func(ok bool) {
+		if f.wait != nil {
+			f.wait() // no write outlives its checkpoint
+		}
+		if !ok {
+			return // the new segment stays in files until a commit
+		}
+		for _, name := range e.files {
+			if !slices.Contains(f.manifest, name) {
+				os.Remove(filepath.Join(e.dir, name))
+			}
+		}
+		e.files, e.saved = f.manifest, taken
+	}
+	return f, nil
 }
 
 // flushFrozen writes the frozen memtable to a new segment and compacts
@@ -628,18 +678,29 @@ func (e *engine) compact() (func(), error) {
 func (e *engine) writeSegment(fill func(add func(segRec) error) error) (string, error) {
 	name := segmentFileName(e.nextSeq)
 	e.nextSeq++
-	w, err := newSegWriter(filepath.Join(e.dir, name))
-	if err != nil {
-		return "", err
-	}
-	if err := fill(w.add); err != nil || w.records == 0 {
-		w.abort()
-		return "", err
-	}
-	if err := w.finish(); err != nil {
+	if ok, err := writeSegmentFile(filepath.Join(e.dir, name), fill); !ok {
 		return "", err
 	}
 	return name, nil
+}
+
+// writeSegmentFile writes the records fill adds, in (key, value) order, to
+// a new segment file at path and fsyncs it. It reports false, and leaves no
+// file, when fill adds none or the write fails.
+func writeSegmentFile(path string, fill func(add func(segRec) error) error) (bool, error) {
+	w, err := newSegWriter(path)
+	if err != nil {
+		return false, err
+	}
+	if err := fill(w.add); err != nil || w.records == 0 {
+		w.abort()
+		return false, err
+	}
+	if err := w.finish(); err != nil {
+		os.Remove(path)
+		return false, err
+	}
+	return true, nil
 }
 
 // segmentCount reports the number of open segments (tests and stats).

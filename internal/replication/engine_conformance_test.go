@@ -38,16 +38,20 @@ func conformanceEngines() map[string]func(t *testing.T) *engine {
 	}
 }
 
-// flushEngine runs a checkpoint's engine half: freeze, then flush and the
-// cleanup that follows the durable snapshot. It returns the manifest.
+// flushEngine runs a checkpoint's engine half: freeze, then flush, the
+// wait for its segments and the commit that follows the durable snapshot.
+// It returns the manifest.
 func flushEngine(t *testing.T, eng *engine) []string {
 	t.Helper()
-	manifest, cleanup, err := eng.flush(eng.freeze())
+	f, err := eng.flush(eng.freeze())
+	if err == nil && f.wait != nil {
+		err = f.wait()
+	}
 	if err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	cleanup()
-	return manifest
+	f.commit(true)
+	return f.manifest
 }
 
 func TestEngineConformanceBasic(t *testing.T) {
@@ -594,7 +598,7 @@ func TestStoreEngineMigration(t *testing.T) {
 		for _, kind := range storeKinds {
 			t.Run(kind, func(t *testing.T) {
 				dir := t.TempDir()
-				if err := writeSnapshot(dir, st); err != nil {
+				if err := writeSnapshot(dir, st, nil); err != nil {
 					t.Fatal(err)
 				}
 				s, err := OpenStore(dir, mk(kind))
@@ -630,6 +634,86 @@ func TestStoreEngineMigration(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestResidentCheckpointSegments: a resident checkpoint with no pair
+// changed since the last one keeps that one's segment and names it again;
+// a changed pair gets a new segment and the old one goes; and a segment
+// whose snapshot failed stays on disk only until the next committed
+// checkpoint. The directory reopens to the same state after each step.
+func TestResidentCheckpointSegments(t *testing.T) {
+	dir := t.TempDir()
+	opts := PersistOptions{Engine: EngineMem}
+	s, err := OpenStore(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	shadow := NewStore()
+	insert := func(i int) {
+		it := Item{Key: testKey(i), Value: fmt.Sprintf("v%d", i)}
+		s.Insert(it)
+		shadow.Insert(it)
+	}
+	checkpoint := func(step string) []string {
+		t.Helper()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		st, ok, err := loadLatestSnapshot(dir)
+		if err != nil || !ok {
+			t.Fatalf("%s: load snapshot: ok=%v err=%v", step, ok, err)
+		}
+		if segs := segFiles(t, dir); len(segs) != 1 || !reflect.DeepEqual(st.Manifest, segs) {
+			t.Fatalf("%s: segment files %v, manifest %v: want the one the manifest names", step, segs, st.Manifest)
+		}
+		s = reopen(t, s, dir, opts)
+		assertSameState(t, s, shadow)
+		return st.Manifest
+	}
+	for i := 0; i < 50; i++ {
+		insert(i)
+	}
+	first := checkpoint("first")
+	setMeta := func(v string) {
+		s.SetMeta("path", v)
+		shadow.SetMeta("path", v)
+	}
+	setMeta("0110")
+	if got := checkpoint("no pair changed since the open"); !reflect.DeepEqual(got, first) {
+		t.Fatalf("unchanged checkpoint named %v, want %v kept", got, first)
+	}
+	insert(50)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	changed := segFiles(t, dir)
+	if reflect.DeepEqual(changed, first) {
+		t.Fatalf("changed checkpoint kept %v", first)
+	}
+	setMeta("01101")
+	if got := checkpoint("no pair changed since the last checkpoint"); !reflect.DeepEqual(got, changed) {
+		t.Fatalf("unchanged checkpoint named %v, want %v kept", got, changed)
+	}
+
+	// A checkpoint whose snapshot fails: the engine half runs, then the
+	// commit reports the failure.
+	insert(51)
+	s.mu.Lock()
+	recs := s.eng.freeze()
+	s.mu.Unlock()
+	f, err := s.eng.flush(recs)
+	if err == nil && f.wait != nil {
+		err = f.wait()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.commit(false)
+	if segs := segFiles(t, dir); len(segs) != 2 {
+		t.Fatalf("after a failed snapshot: segment files %v, want the committed one and the new one", segs)
+	}
+	checkpoint("after the failed one")
 }
 
 // TestStoreWithoutDirCreatesNoDirectory: a store without a data directory

@@ -117,8 +117,8 @@ func (t *orderedIndex[A]) upsert(e indexEntry[A]) bool {
 // building it bottom-up: each level is cut into as few nodes as hold its
 // records, one record between two nodes rising to the level above, so the
 // nodes come out nearly full where ordered upserts would leave them half
-// full. The nodes share entries' array, each capped at its own part, so an
-// insertion into one reallocates it rather than overwrite a neighbour.
+// full. Each node gets its own copy of its part, so no node keeps entries'
+// array, or a neighbour's, alive once it grows.
 func (t *orderedIndex[A]) fill(entries []indexEntry[A]) {
 	t.n = len(entries)
 	items, children := entries, []*indexNode[A](nil) // this level's records and, above the leaves, its subtrees
@@ -133,9 +133,9 @@ func (t *orderedIndex[A]) fill(entries []indexEntry[A]) {
 			if j < kept%m {
 				k++
 			}
-			n := &indexNode[A]{items: items[pos : pos+k : pos+k]}
+			n := &indexNode[A]{items: slices.Clone(items[pos : pos+k])}
 			if children != nil {
-				n.children = children[child : child+k+1 : child+k+1]
+				n.children = slices.Clone(children[child : child+k+1])
 				child += k + 1
 			}
 			nodes[j] = n

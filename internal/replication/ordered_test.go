@@ -230,7 +230,8 @@ func TestOrderedIndexMatchesOracle(t *testing.T) {
 // B-tree shape at degrees 2 to 5 and every size up to 250, holds exactly
 // the entries, and stays right under the upserts and removes that follow:
 // the pairs filled are every other one, and the ones between them go into
-// nodes that share the filled array.
+// the filled nodes. The filled array is cleared after the fill, so a node
+// that kept a part of it instead of a copy fails the first check.
 func TestOrderedIndexFill(t *testing.T) {
 	bounds := indexBounds(5)
 	rng := rand.New(rand.NewSource(37))
@@ -246,7 +247,9 @@ func TestOrderedIndexFill(t *testing.T) {
 				o = append(o, all[i])
 			}
 			idx := &orderedIndex[int]{degree: degree}
-			idx.fill(slices.Clone(o))
+			in := slices.Clone(o)
+			idx.fill(in)
+			clear(in)
 			checkIndexShape(t, idx)
 			checkIndex(t, idx, o, bounds)
 			for _, i := range rng.Perm(2 * n) {

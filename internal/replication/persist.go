@@ -381,18 +381,19 @@ func (s *Store) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	manifest, cleanup, err := s.eng.flush(recs)
+	f, err := s.eng.flush(recs)
 	if err != nil {
 		// A frozen memtable stays pending (retried by the next checkpoint);
 		// the rotated WAL still covers everything since the previous
 		// snapshot, so no state is lost.
 		return err
 	}
-	st.Manifest = manifest
-	if err := writeSnapshot(p.dir, st); err != nil {
+	st.Manifest = f.manifest
+	err = writeSnapshot(p.dir, st, f.wait)
+	f.commit(err == nil)
+	if err != nil {
 		return err
 	}
-	cleanup()
 	removeBelow(p.dir, st.Seq)
 	return nil
 }

@@ -105,7 +105,7 @@ func newSegWriter(path string) (*segWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &segWriter{f: f, bw: bufio.NewWriterSize(f, 256<<10), off: segHeaderLen}
+	w := &segWriter{f: f, bw: bufio.NewWriterSize(f, 64<<10), off: segHeaderLen}
 	if _, err := w.bw.Write(append([]byte(segMagic), segVersion)); err != nil {
 		f.Close()
 		return nil, err

@@ -191,7 +191,7 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 // here, on the captured state, outside the store lock.
 func encodeSnapshotTo(w io.Writer, st *snapshotState) error {
 	slices.SortFunc(st.Tombs, func(a, b snapTomb) int { return pairCompare(a.K, a.V, b.K, b.V) })
-	bw := bufio.NewWriterSize(w, 256<<10)
+	bw := bufio.NewWriterSize(w, 64<<10)
 	cw := &crcWriter{w: bw}
 	scratch := append(make([]byte, 0, 256), snapMagic...) // reused for every record
 	scratch = snapHeaderCodec.Append(scratch, snapHeader{Version: snapshotVersion, Clock: st.Clock, GCFloor: st.GCFloor})
@@ -337,8 +337,12 @@ func decodeBinarySnapshot(data []byte) (*snapshotState, error) {
 	}
 }
 
-// writeSnapshot atomically persists the snapshot into dir.
-func writeSnapshot(dir string, st *snapshotState) error {
+// writeSnapshot atomically persists the snapshot into dir. segmentsDurable,
+// when not nil, blocks until the segment files the manifest names are
+// fsynced; it is waited for before the rename that commits the snapshot,
+// and the directory is synced in between, so a durable snapshot never
+// names a segment that is not.
+func writeSnapshot(dir string, st *snapshotState, segmentsDurable func() error) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
@@ -355,6 +359,16 @@ func writeSnapshot(dir string, st *snapshotState) error {
 		return err
 	}
 	if err := tmp.Close(); err != nil {
+		os.Remove(tmpName)
+		return err
+	}
+	if segmentsDurable != nil {
+		err = segmentsDurable()
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	if err != nil {
 		os.Remove(tmpName)
 		return err
 	}

@@ -28,7 +28,7 @@ func writeRetiredJSONSnapshot(t *testing.T, dir string, seq uint64) string {
 func writeTestSnapshot(t *testing.T, dir string, seq uint64, value string) {
 	t.Helper()
 	st := &snapshotState{Seq: seq, Clock: 9, Items: []snapItem{{K: "01", V: value, Ver: 9}}}
-	if err := writeSnapshot(dir, st); err != nil {
+	if err := writeSnapshot(dir, st, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -145,7 +145,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 		Meta: map[string]string{"k1": "v1", "k2": ""},
 	}
 	dir := t.TempDir()
-	if err := writeSnapshot(dir, st); err != nil {
+	if err := writeSnapshot(dir, st, nil); err != nil {
 		t.Fatal(err)
 	}
 	got, ok, err := loadLatestSnapshot(dir)

@@ -829,15 +829,24 @@ func (s *Store) ItemsInRange(r keyspace.Range) []Item {
 // one. fn returns false to stop early; it must not call back into the
 // store.
 func (s *Store) ScanRange(r keyspace.Range, fn func(Item) bool) {
-	prefix, lo, hi := rangeBounds(r)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	s.scanRangeLocked(r, fn)
+}
+
+// scanRangeLocked is ScanRange under the caller's read lock. It returns the
+// number of records the engine scan yielded, which a test holds to the
+// number returned plus one.
+func (s *Store) scanRangeLocked(r keyspace.Range, fn func(Item) bool) (yielded int) {
+	prefix, lo, hi := rangeBounds(r)
 	s.eng.ScanPrefix(prefix, lo, func(rec PairRecord) bool {
+		yielded++
 		if !r.HiUnbounded && rec.Key >= hi {
 			return false // scan order matches key order: nothing further fits
 		}
 		return fn(Item{Key: keyspace.MustFromString(rec.Key), Value: rec.Value, Gen: rec.Gen})
 	})
+	return yielded
 }
 
 // rangeBounds returns the engine scan a range read issues: the prefix and

@@ -164,7 +164,7 @@ func (b PeerBackend) MetricsSnapshot() overlay.MetricsSnapshot { return b.Peer.M
 // partition's entry peers taking turns. So a read of a known partition
 // costs one call and no routing hop, a write one call plus the owner's
 // replica legs, and both are spread over all of that partition's entry
-// peers; the owner coordinates a write without racing copies of it down
+// peers; the owner coordinates a write itself, without routing it down
 // the trie. Batches, and requests for a key no known path covers, rotate
 // round-robin through the entry peers. A peer that answers for another
 // partition, or fails at the transport level, has its path forgotten until
@@ -421,7 +421,7 @@ func (b *RemoteBackend) Delete(ctx context.Context, key keyspace.Key, value stri
 }
 
 // mutate sends an insert or delete of key first to a known owner of key,
-// which coordinates it without a routing race, and learns from the
+// which coordinates it without routing it on, and learns from the
 // answer. A fallback call carries the same mutation ID, so a write the
 // owner applied before its answer was lost is not coordinated twice. It
 // applies the gateway's write quorum to the coordinator's ack count.

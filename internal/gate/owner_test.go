@@ -222,8 +222,8 @@ func knownPath(rb *RemoteBackend, addr network.Addr) bool {
 }
 
 // TestRemoteBackendWriteToOwner checks that a write of a learned
-// partition goes to one of its owners, which coordinates it without
-// racing copies down the trie; that an owner whose answer names another
+// partition goes to one of its owners, which coordinates it itself,
+// without routing it down the trie; that an owner whose answer names another
 // peer is forgotten and the peer that answered is learned; and that a
 // write whose owner is offline falls back to round-robin with the same
 // mutation ID.

@@ -13,12 +13,12 @@
 //     split/replicate/refer rules (Figure 2) until the keyspace trie has
 //     formed; the decision probabilities come from internal/core.
 //   - Queries (query.go, batch.go): exact-match lookups routed by prefix,
-//     raced α-wide at the accepting peer (with optional hedging) and one
-//     reference at a time at every forwarder; "shower" range queries
-//     fanning out over the covered sub-tries; and batch lookups that share
-//     one message per hop among keys with a common next hop.
-//   - Live mutations (mutate.go): routed Insert/Delete with replica
-//     fan-out and write quorums; deletes record generation-stamped
+//     raced α-wide at the accepting peer and one reference at a time at
+//     every forwarder; "shower" range queries fanning out over the covered
+//     sub-tries; and batch lookups that share one message per hop among
+//     keys with a common next hop.
+//   - Live mutations (mutate.go): one-copy routed Insert/Delete with
+//     replica fan-out and write quorums; deletes record generation-stamped
 //     tombstones that order them against concurrent re-inserts.
 //   - Anti-entropy (antientropy.go): the digest/delta reconciliation
 //     protocol between replicas — root-digest comparison, exact deltas

@@ -286,10 +286,10 @@ type PingResponse struct {
 type InsertRequest struct {
 	// Item is the (key, value) pair to store.
 	Item replication.Item
-	// ID identifies the mutation end to end: the α-raced routing can
-	// deliver duplicates of the request to more than one responsible peer,
-	// and the ID lets them coordinate the operation exactly once (replicas
-	// learn it on the Direct fan-out leg). Zero disables deduplication.
+	// ID identifies the mutation end to end: a fallback after a lost answer
+	// can deliver a duplicate to a responsible peer, and the ID lets the
+	// partition coordinate the operation exactly once (replicas learn it on
+	// the Direct fan-out leg). Zero disables deduplication.
 	ID uint64
 	// Hops counts the routing hops taken so far.
 	Hops int
@@ -342,8 +342,8 @@ type MutateResponse struct {
 	// Hops is the total number of routing hops used.
 	Hops int
 	// Responsible is the peer that coordinated the write. With Found false
-	// it is the responsible peer that refused a duplicate of a mutation it
-	// had already seen, and empty when no responsible peer was reached.
+	// it is the responsible peer that refused a duplicate it had already
+	// coordinated (ending the walk), and empty when none was reached.
 	Responsible network.Addr
 	// ResponsiblePath is that peer's path.
 	ResponsiblePath keyspace.Path

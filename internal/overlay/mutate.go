@@ -11,9 +11,8 @@ import (
 )
 
 // This file implements the live mutation subsystem: routed Insert and Delete
-// operations on the constructed overlay. A mutation travels the overlay like
-// an exact-match query — raced over up to Alpha references at the peer that
-// accepted it, one reference at a time at every forwarder — until it
+// operations on the constructed overlay. A mutation follows an exact-match
+// query's route as one copy, one reference at a time at every peer, until it
 // reaches a peer responsible for the key. That peer applies the write
 // locally, fans it out to its whole replica set concurrently (bounded by
 // Fanout), and acknowledges with the number of replicas that applied it. The
@@ -116,10 +115,9 @@ type mutation struct {
 	// is the lowest stamp the client accepts (0 for any).
 	gen uint64
 	// id is marked in the store's dedup ring (Store.MarkAndApply) by the
-	// coordinator and by every Direct leg. The α-raced routing can deliver
-	// duplicates of one mutation to several responsible peers; a replica
-	// that marked the ID suppresses a late duplicate instead of
-	// re-coordinating it, also after a restart (the ring is persisted).
+	// coordinator and by every Direct leg: a duplicate that a fallback after
+	// a lost answer delivers is suppressed instead of re-coordinated, also
+	// after a restart (the ring is persisted).
 	id        uint64
 	hops, ttl int
 	direct    bool
@@ -190,7 +188,7 @@ func (p *Peer) applyDirect(m mutation) MutateResponse {
 
 // resolveMutation coordinates the mutation when this peer is responsible for
 // the key, and otherwise forwards it along the same routing path an
-// exact-match query takes, racing as many references as a query would.
+// exact-match query takes, one reference at a time.
 func (p *Peer) resolveMutation(ctx context.Context, m mutation) (MutateResponse, error) {
 	if p.table.Responsible(m.key) {
 		return p.coordinate(ctx, m)
@@ -210,12 +208,9 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 	ev := replication.Event{Op: replication.Stamp, Kind: m.kind, Gen: m.gen}
 	out, fresh := p.store.MarkAndApply(m.id, m.key, m.value, ev, true)
 	if !fresh {
-		// A duplicate of an already-coordinated mutation (delivered by the
-		// α-race): suppress it entirely. Answering Found here could outrace
-		// the original coordination's response with an underreported ack
-		// count; the race's real answer is authoritative. Naming this peer
-		// as Responsible marks the refusal as final for the forwarders
-		// (forwardMutation).
+		// A duplicate of a coordinated mutation (a fallback after a lost
+		// answer): its ack count is unknown, so refuse it, naming this
+		// peer as Responsible to end the walk (forwardMutation).
 		return MutateResponse{Hops: m.hops, Responsible: p.Addr()}, nil
 	}
 	leg := mutation{key: m.key, value: m.value, kind: m.kind, id: m.id, direct: true, gen: out.Gen}
@@ -228,22 +223,19 @@ func (p *Peer) coordinate(ctx context.Context, m mutation) (MutateResponse, erro
 }
 
 // forwardMutation routes a mutation one hop closer to the responsible
-// partition, racing raceWidth references at the divergence level exactly
-// like resolveQuery does for reads (stale references are pruned by the
-// race). A forwarder (hops > 0 on arrival) also accepts a responsible
-// peer's refusal of a duplicate (Found false, Responsible set) and passes
-// it up instead of trying its next reference: that one leads into the same
-// partition, where another copy is already coordinating the write. The
-// origin rejects the refusal and waits for that copy's answer.
+// partition as one copy: it tries the references at the divergence level
+// one at a time, moving on only after a transport error (which prunes the
+// reference) or a not-found answer, as the paper's search does. A
+// responsible peer's refusal of a duplicate (Found false, Responsible set)
+// ends the walk: the write was already coordinated.
 func (p *Peer) forwardMutation(ctx context.Context, m mutation) (MutateResponse, error) {
-	width, forwarder := p.raceWidth(m.hops), m.hops > 0
 	_, level, _ := p.table.NextHop(m.key)
 	refs := p.shuffledRefs(level)
 	m.hops++
 	m.ttl--
-	raw, ok := p.raceCall(ctx, refs, m.request(), width, func(raw any) bool {
+	raw, ok := p.raceCall(ctx, refs, m.request(), 1, func(raw any) bool {
 		resp, ok := raw.(MutateResponse)
-		return ok && (resp.Found || forwarder && resp.Responsible != "")
+		return ok && (resp.Found || resp.Responsible != "")
 	})
 	if !ok {
 		return MutateResponse{}, errNotResponsible

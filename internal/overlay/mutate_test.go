@@ -202,10 +202,12 @@ func TestInsertByStaleCoordinatorRestamps(t *testing.T) {
 	}
 }
 
-// TestDuplicateMutationNotRecoordinated: the α-race can deliver the same
-// routed mutation to more than one responsible peer; a duplicate recognised
-// by its ID must not be coordinated again (a late duplicate delete would
-// otherwise stamp a tombstone above a newer acknowledged re-insert).
+// TestDuplicateMutationNotRecoordinated: a routed mutation is sent as one
+// copy, but a fallback after a lost answer (a peer's next reference, or a
+// gateway's retry with the same ID) can deliver it to a responsible peer
+// again; a duplicate recognised by its ID must not be coordinated again (a
+// late duplicate delete would otherwise stamp a tombstone above a newer
+// acknowledged re-insert).
 func TestDuplicateMutationNotRecoordinated(t *testing.T) {
 	_, _, r1, r2 := twoPartitionCluster(t, 61, 1)
 	ctx := context.Background()

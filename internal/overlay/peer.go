@@ -42,12 +42,12 @@ type Config struct {
 	// after which a peer considers its construction converged (paper: a
 	// fixed small number such as 2).
 	DoneAfterIdle int
-	// Alpha is the race width of the peer that accepts an exact-match
-	// query, batch query or mutation from a client (a local call, or a
+	// Alpha is the race width of the peer that accepts a read (an
+	// exact-match or batch query) from a client (a local call, or a
 	// gateway's entry peer): it races this many routing references
 	// concurrently and takes the first responsible answer, pruning stale
-	// references it meets. Every later forwarder tries one reference at a
-	// time, so a request spends α once, not once per hop. 1 reproduces the
+	// references it meets. Every later forwarder, and every peer on a
+	// mutation's route, tries one reference at a time. 1 reproduces the
 	// sequential try-one-at-a-time behaviour; 0 means the default of 3.
 	Alpha int
 	// Fanout bounds the number of sub-trees a range ("shower") query — or
@@ -148,8 +148,8 @@ const (
 	MaxDepth = 32
 	// queryTTL bounds the routing hops of one query or mutation.
 	queryTTL = 64
-	// DefaultAlpha is the default number of references raced per
-	// forwarding step (the α of Kademlia-style parallel lookups).
+	// DefaultAlpha is the default number of references a read's accepting
+	// peer races (the α of Kademlia-style parallel lookups).
 	DefaultAlpha = 3
 	// DefaultFanout is the default bound on concurrently forwarded range
 	// sub-trees and batch groups.

@@ -183,12 +183,11 @@ func (p *Peer) shuffledRefs(level int) []routing.Ref {
 	return refs
 }
 
-// raceWidth is the number of references raced for a request that has
-// taken hops routing hops so far. The peer that accepted it from a client
-// (hops 0: a local Query, Insert, Delete or QueryBatch, or a gateway's
-// entry peer) races Alpha; a forwarder sends to one reference at a time,
-// so a request costs at most Alpha forwards at its origin plus one per
-// later hop while every reference answers.
+// raceWidth is the number of references raced for a read that has taken
+// hops routing hops so far: Alpha at the peer that accepted it from a
+// client (hops 0: a local Query or QueryBatch, or a gateway's entry peer),
+// one at every forwarder, so a read costs at most Alpha forwards at its
+// origin plus one per later hop while every reference answers.
 func (p *Peer) raceWidth(hops int) int {
 	if hops == 0 {
 		return p.cfg.Alpha

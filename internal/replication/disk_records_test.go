@@ -157,6 +157,58 @@ func diskRecordLines(t *testing.T) []string {
 	return lines
 }
 
+// TestPruneRecordDeterministic checks that a tombstone compaction does not
+// depend on map order: two stores built by the same operations return the
+// same pruned pairs, in pair order, and log byte-identical prune records.
+func TestPruneRecordDeterministic(t *testing.T) {
+	const pairs = 64
+	compact := func() ([]Item, []string) {
+		dir := t.TempDir()
+		s, err := OpenStore(dir, PersistOptions{Engine: EngineMem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetTimeSource(func() time.Time { return time.Unix(1_700_000_000, 0) })
+		for i := 0; i < pairs; i++ {
+			key := keyspace.MustFromFloat(float64(i)/pairs, 12)
+			s.Insert(Item{Key: key, Value: fmt.Sprintf("v%d", i%3)})
+			s.Delete(key, fmt.Sprintf("v%d", i%3))
+		}
+		s.SetGCPolicy(GCPolicy{MinVersions: 1})
+		s.Insert(Item{Key: keyspace.MustFromString("1"), Value: "tick"})
+		pruned := s.CompactTombstonesCollect()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var records []string
+		for _, f := range walFrames(t, dir) {
+			if strings.HasPrefix(f, fmt.Sprintf("wal op=%d ", opPrune)) {
+				records = append(records, f)
+			}
+		}
+		return pruned, records
+	}
+	pruned, records := compact()
+	if len(pruned) != pairs || len(records) != 1 {
+		t.Fatalf("pruned %d tombstones in %d records, want %d in 1", len(pruned), len(records), pairs)
+	}
+	for i := 1; i < len(pruned); i++ {
+		a, b := pruned[i-1], pruned[i]
+		if pairCompare(a.Key.String(), a.Value, b.Key.String(), b.Value) >= 0 {
+			t.Fatalf("pruned pairs out of order at %d: %v before %v", i, a, b)
+		}
+	}
+	for run := 0; run < 3; run++ {
+		again, againRecords := compact()
+		if !reflect.DeepEqual(again, pruned) {
+			t.Fatalf("two identical stores pruned\n%v\nand\n%v", pruned, again)
+		}
+		if !reflect.DeepEqual(againRecords, records) {
+			t.Fatalf("two identical stores logged different prune records:\n%v\n%v", records, againRecords)
+		}
+	}
+}
+
 // TestDiskRecordsGolden pins the on-disk bytes of every WAL operation and
 // snapshot record, and what replaying the WAL restores, against
 // testdata/disk_records.golden.

@@ -15,8 +15,10 @@ import (
 // lies outside them: routing, the fan-out, and the per-replica ID ring.
 //
 // The model, per client op (ops are issued one after another):
-//   - the op is routed to one replica, which coordinates it; the α-race may
-//     also send a duplicate that reaches a second replica at any later point;
+//   - the op is routed to one replica, which coordinates it; a fallback
+//     after a lost or slow answer may also send a duplicate (the "raced
+//     duplicate" of the narrations, from when writes raced α copies) that
+//     reaches a second replica at any later point;
 //   - a coordinator whose ID ring holds the op suppresses it; otherwise it
 //     marks the ID, stamps (Merge with a Stamp event), fans the stamp out to
 //     the other two replicas and retries once per Restamp;
@@ -83,7 +85,7 @@ type knownViolation struct {
 }
 
 // finding2 is the resurrection the repository benchmark hit on
-// write_wal_deep: a put's raced duplicate reaches a replica late, after the
+// write_wal_deep: a put's duplicate reaches a replica late, after the
 // put and a delete were both acked; that replica coordinates the put again,
 // the other two refuse it with the delete's generation 2, and the one
 // re-stamped retry lifts the put to generation 3, above the delete.

@@ -26,6 +26,7 @@ package replication
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -295,16 +296,21 @@ func (s *Store) CompactTombstonesCollect() []Item {
 	}
 	now := s.now().UnixNano()
 	var prunedPairs []prunedPair
-	var pruned []Item
 	for pk, t := range s.tombs {
 		expired := s.gc.MinAge > 0 && now-t.at >= int64(s.gc.MinAge) ||
 			s.gc.MinVersions > 0 && s.clock-t.born >= s.gc.MinVersions
-		if !expired {
-			continue
+		if expired {
+			prunedPairs = append(prunedPairs, prunedPair{K: pk.k, V: pk.v})
 		}
-		s.pruneTombLocked(pk.k, pk.v, t)
-		prunedPairs = append(prunedPairs, prunedPair{K: pk.k, V: pk.v})
-		pruned = append(pruned, Item{Key: keyspace.MustFromString(pk.k), Value: pk.v, Gen: t.gen})
+	}
+	// Map order is random: sort, so that stores built by the same
+	// operations return the same batch and log the same prune record.
+	slices.SortFunc(prunedPairs, func(a, b prunedPair) int { return pairCompare(a.K, a.V, b.K, b.V) })
+	var pruned []Item
+	for _, pp := range prunedPairs {
+		t := s.tombs[pairKey{pp.K, pp.V}]
+		s.pruneTombLocked(pp.K, pp.V, t)
+		pruned = append(pruned, Item{Key: keyspace.MustFromString(pp.K), Value: pp.V, Gen: t.gen})
 	}
 	s.endPruneLocked(prunedPairs)
 	return pruned

@@ -88,15 +88,16 @@ func WithRoutingRedundancy(refs int) Option {
 	return func(o *options) { o.cluster.Overlay.MaxRefs = refs }
 }
 
-// WithQueryAlpha sets α, the race width of the peer that accepts an
-// exact-match query, batch query, insert or delete: it races α routing
-// references concurrently, the first responsible answer wins, and stale
-// references encountered by the losers are pruned, so a dead reference
-// does not hold the request for a full timeout while an alternative
-// answers. Every later forwarder tries one reference at a
-// time, moving on after a failure or a dead-end answer, so a request costs
-// α forwards at its origin plus one per later hop. 1 restores the
-// sequential try-one-reference-at-a-time behaviour everywhere; the default
+// WithQueryAlpha sets α, the race width of the peer that accepts a read
+// (an exact-match or batch query): it races α routing references
+// concurrently, the first responsible answer wins, and stale references
+// encountered by the losers are pruned, so a dead reference does not hold
+// the read for a full timeout while an alternative answers. Every later
+// forwarder tries one reference at a time, moving on after a failure or a
+// dead-end answer, so a read costs α forwards at its origin plus one per
+// later hop. Inserts and deletes are never raced: every peer sends one
+// copy and tries its next reference only after a failure. 1 restores the
+// sequential try-one-reference-at-a-time behaviour for reads; the default
 // is overlay.DefaultAlpha (3).
 func WithQueryAlpha(alpha int) Option { return func(o *options) { o.cluster.Overlay.Alpha = alpha } }
 
